@@ -27,9 +27,10 @@ use avc_population::{
     SchedulerSpec,
 };
 use avc_protocols::{Avc, Bef, Degssu, FourState, ThreeState, Voter};
+use std::any::Any;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How to spread a batch of trials across OS threads.
@@ -167,15 +168,40 @@ impl fmt::Display for BatchStats {
 }
 
 /// A thread-safe accumulator of [`BatchStats`] across experiment cells —
-/// the observability hook the CLI binaries print.
+/// the observability hook the CLI binaries print — and the sweep's dense
+/// table slot.
 ///
 /// With [`StatsCollector::verbose`], each recorded batch also emits a
 /// progress line to stderr (trials completed so far and the running event
 /// rate), which is cheap enough to leave on for long sweeps.
+///
+/// Every cell of a sweep receives the same collector, so it also keeps the
+/// last [`Cached`] table [`ScenarioPlan`] built, keyed by the
+/// [`ProtocolSpec`] it came from: consecutive cells on one protocol (fig4's
+/// ten margins per state count) share one build. A collector holds at most
+/// one table; it lives exactly as long as the collector.
 #[derive(Debug, Default)]
 pub struct StatsCollector {
     totals: Mutex<BatchStats>,
     verbose: bool,
+    table: TableSlot,
+}
+
+/// The one dense table a [`StatsCollector`] keeps between cells, with the
+/// spec it was built from. Type-erased because each spec resolves to its
+/// own protocol type.
+#[derive(Default)]
+struct TableSlot(Mutex<Option<(ProtocolSpec, Arc<dyn Any + Send + Sync>)>>);
+
+impl fmt::Debug for TableSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let key = self
+            .0
+            .lock()
+            .ok()
+            .and_then(|slot| slot.as_ref().map(|e| e.0));
+        f.debug_tuple("TableSlot").field(&key).finish()
+    }
 }
 
 impl StatsCollector {
@@ -189,9 +215,45 @@ impl StatsCollector {
     #[must_use]
     pub fn verbose() -> StatsCollector {
         StatsCollector {
-            totals: Mutex::new(BatchStats::default()),
             verbose: true,
+            ..StatsCollector::default()
         }
+    }
+
+    /// The dense table of `protocol`, which `spec` names, plus the wall
+    /// nanoseconds spent building it (0 when reused).
+    ///
+    /// A slot holding `spec` hands out its table. Otherwise the old table is
+    /// dropped *before* the new one is built (rows split across `workers`),
+    /// so at most one is ever alive, and the new one takes the slot. Above
+    /// the table bound the slot is left empty and `None` returned.
+    fn dense_table<P>(
+        &self,
+        spec: ProtocolSpec,
+        protocol: &P,
+        workers: usize,
+    ) -> (Option<Arc<Cached<P>>>, u64)
+    where
+        P: Protocol + Clone + Send + Sync + 'static,
+    {
+        let mut slot = self.table.0.lock().expect("table slot lock poisoned");
+        if let Some((key, table)) = slot.as_ref() {
+            if *key == spec {
+                let table = Arc::clone(table)
+                    .downcast::<Cached<P>>()
+                    .expect("a spec always resolves to the same protocol type");
+                return (Some(table), 0);
+            }
+        }
+        *slot = None;
+        let started = Span::start();
+        let Ok(table) = Cached::try_new_with_workers(protocol.clone(), workers) else {
+            return (None, 0);
+        };
+        let table = Arc::new(table);
+        let build_ns = started.elapsed_ns();
+        *slot = Some((spec, Arc::clone(&table) as Arc<dyn Any + Send + Sync>));
+        (Some(table), build_ns)
     }
 
     /// Folds one batch into the running totals.
@@ -609,6 +671,42 @@ impl<'s> BatchSpec<'s> {
             None => SeedSequence::new(self.seed),
         }
     }
+
+    /// Threads that fill a dense table for `states` states: the batch's
+    /// workers, except that small tables stay on the calling thread.
+    fn table_workers(&self, states: u32) -> usize {
+        if u64::from(states).pow(2) < PARALLEL_TABLE_MIN_ENTRIES {
+            1
+        } else {
+            self.parallelism.worker_count()
+        }
+    }
+
+    /// A batch-private dense table and its build nanoseconds, for the
+    /// [`TrialPlan`] entry points, which have no spec to key a slot by.
+    fn own_table<P: Protocol + Clone + Sync>(&self, protocol: &P) -> (Result<Cached<P>, P>, u64) {
+        let started = Span::start();
+        let workers = self.table_workers(protocol.num_states());
+        let table = Cached::try_new_with_workers(protocol.clone(), workers);
+        let build_ns = table.as_ref().map_or(0, |_| started.elapsed_ns());
+        (table, build_ns)
+    }
+}
+
+/// Dense tables with fewer entries than this fill on the calling thread:
+/// spawning a worker would cost more than the whole fill.
+const PARALLEL_TABLE_MIN_ENTRIES: u64 = 1 << 16;
+
+/// A batch's protocol after table dispatch: the shared dense table, or the
+/// arithmetic protocol above the table bound.
+type Dispatch<'p, P> = Result<&'p Cached<P>, &'p P>;
+
+/// The arithmetic protocol behind a [`Dispatch`].
+fn dispatched_protocol<P: Protocol>(dispatch: Dispatch<'_, P>) -> &P {
+    match dispatch {
+        Ok(cached) => cached.inner(),
+        Err(plain) => plain,
+    }
 }
 
 /// Builds the spec's engine over an already-dispatched protocol (cached or
@@ -725,26 +823,31 @@ pub fn run_trials_with_telemetry<P: Protocol + Clone + Sync>(
     rule: ConvergenceRule,
     stats: &StatsCollector,
 ) -> (TrialResults, CellTelemetry) {
-    run_batch_with_telemetry(protocol, &BatchSpec::from_plan(plan, engine, rule), stats)
+    let spec = BatchSpec::from_plan(plan, engine, rule);
+    let (table, build_ns) = spec.own_table(protocol);
+    run_batch_with_telemetry(table.as_ref(), build_ns, &spec, stats)
 }
 
 /// The one instrumented batch loop behind [`run_trials_with_telemetry`] and
-/// [`ScenarioPlan::run_with_telemetry`].
+/// [`ScenarioPlan::run_with_telemetry`]; `build_ns` is what the caller
+/// spent building `dispatch`'s table (recorded as
+/// [`keys::WALL_TABLE_BUILD_NS`]).
 fn run_batch_with_telemetry<P: Protocol + Clone + Sync>(
-    protocol: &P,
+    dispatch: Dispatch<'_, P>,
+    build_ns: u64,
     spec: &BatchSpec<'_>,
     stats: &StatsCollector,
 ) -> (TrialResults, CellTelemetry) {
     let seeds = spec.seeds();
     let instance = spec.instance;
-    let dispatch = Cached::try_new(protocol.clone());
+    let protocol = dispatched_protocol(dispatch);
     let (pairs, batch) = run_indexed_with_stats(spec.runs, spec.parallelism, |trial| {
         let trial_span = Span::start();
         let mut rng = seeds.rng_for(trial);
         let config = Config::from_input(protocol, instance.a(), instance.b());
         let mut sink = CountingSink::new();
         let mut observer = TelemetryObserver::new();
-        let outcome = match &dispatch {
+        let outcome = match dispatch {
             Ok(cached) => run_spec_trial_instrumented(
                 cached,
                 config,
@@ -790,6 +893,9 @@ fn run_batch_with_telemetry<P: Protocol + Clone + Sync>(
         keys::WALL_CELL_NS,
         MetricValue::Counter(u64::try_from(batch.wall.as_nanos()).unwrap_or(u64::MAX)),
     );
+    telemetry
+        .wall
+        .set(keys::WALL_TABLE_BUILD_NS, MetricValue::Counter(build_ns));
     stats.record(&batch);
     let results = TrialResults {
         outcomes,
@@ -804,7 +910,8 @@ fn run_trials_core<P: Protocol + Clone + Sync>(
     engine: EngineKind,
     rule: ConvergenceRule,
 ) -> (TrialResults, BatchStats) {
-    run_batch_core(protocol, &BatchSpec::from_plan(plan, engine, rule))
+    let spec = BatchSpec::from_plan(plan, engine, rule);
+    run_batch_core(spec.own_table(protocol).0.as_ref(), &spec)
 }
 
 /// The one uninstrumented batch loop behind [`run_trials`] and
@@ -821,18 +928,16 @@ fn run_trials_core<P: Protocol + Clone + Sync>(
 /// engines borrow a per-trial [`CountingSink`], which cannot outlive one
 /// trial, and telemetry batches are not on the sweep hot path.
 fn run_batch_core<P: Protocol + Clone + Sync>(
-    protocol: &P,
+    dispatch: Dispatch<'_, P>,
     spec: &BatchSpec<'_>,
 ) -> (TrialResults, BatchStats) {
     let seeds = spec.seeds();
     let instance = spec.instance;
-    // Build the dense transition cache once per batch; worker threads share
-    // it by reference, so even a maximal (128 MiB) table is paid for once.
-    let dispatch = Cached::try_new(protocol.clone());
+    let protocol = dispatched_protocol(dispatch);
     let driver = Driver::new(spec.rule).with_max_steps(spec.max_steps);
     let build = || {
         let config = Config::from_input(protocol, instance.a(), instance.b());
-        let sim = match &dispatch {
+        let sim = match dispatch {
             Ok(cached) => build_erased(cached, config.clone(), spec.engine, spec.scheduler),
             Err(plain) => build_erased(plain, config.clone(), spec.engine, spec.scheduler),
         }
@@ -960,32 +1065,37 @@ impl ScenarioPlan {
     /// [`Scenario`] validation at parse sites).
     #[must_use]
     pub fn run(&self) -> TrialResults {
-        self.run_core().0
+        self.run_with_stats(&StatsCollector::new())
     }
 
-    /// As [`ScenarioPlan::run`], folding throughput telemetry into `stats`.
+    /// As [`ScenarioPlan::run`], folding throughput telemetry into `stats`
+    /// and taking the dense table from its slot.
     #[must_use]
     pub fn run_with_stats(&self, stats: &StatsCollector) -> TrialResults {
-        let (results, batch) = self.run_core();
-        stats.record(&batch);
-        results
+        let spec = BatchSpec::from_scenario(&self.scenario, self.parallelism);
+        let key = self.scenario.protocol;
+        with_resolved_protocol!(key, |protocol| {
+            let workers = spec.table_workers(protocol.num_states());
+            let (table, _) = stats.dense_table(key, &protocol, workers);
+            let (results, batch) = run_batch_core(table.as_deref().ok_or(&protocol), &spec);
+            stats.record(&batch);
+            results
+        })
     }
 
     /// As [`run_trials_with_telemetry`], for a scenario: per-trial
     /// [`CountingSink`]/[`TelemetryObserver`] capture merged in trial-index
-    /// order into one [`CellTelemetry`].
+    /// order into one [`CellTelemetry`]. The dense table comes from `stats`'
+    /// slot, so a cell on the previous cell's protocol records a
+    /// [`keys::WALL_TABLE_BUILD_NS`] of 0.
     #[must_use]
     pub fn run_with_telemetry(&self, stats: &StatsCollector) -> (TrialResults, CellTelemetry) {
         let spec = BatchSpec::from_scenario(&self.scenario, self.parallelism);
-        with_resolved_protocol!(self.scenario.protocol, |protocol| {
-            run_batch_with_telemetry(&protocol, &spec, stats)
-        })
-    }
-
-    fn run_core(&self) -> (TrialResults, BatchStats) {
-        let spec = BatchSpec::from_scenario(&self.scenario, self.parallelism);
-        with_resolved_protocol!(self.scenario.protocol, |protocol| {
-            run_batch_core(&protocol, &spec)
+        let key = self.scenario.protocol;
+        with_resolved_protocol!(key, |protocol| {
+            let workers = spec.table_workers(protocol.num_states());
+            let (table, build_ns) = stats.dense_table(key, &protocol, workers);
+            run_batch_with_telemetry(table.as_deref().ok_or(&protocol), build_ns, &spec, stats)
         })
     }
 }
@@ -1300,5 +1410,70 @@ mod tests {
         );
         assert_eq!(plain.outcomes(), serial_r.outcomes());
         assert!(serial_t.sim.counter(keys::SIM_STEPS).unwrap() > 0);
+    }
+
+    /// The slot's entry, with a fresh reference to its table.
+    fn slot_entry(stats: &StatsCollector) -> Option<(ProtocolSpec, Arc<dyn Any + Send + Sync>)> {
+        let slot = stats.table.0.lock().unwrap();
+        slot.as_ref().map(|(key, table)| (*key, Arc::clone(table)))
+    }
+
+    #[test]
+    fn table_slot_builds_once_per_spec_and_keeps_one_table_alive() {
+        let first = ProtocolSpec::Avc { m: 15, d: 3 };
+        let second = ProtocolSpec::Bef { levels: 6 };
+        let wide = Avc::with_states(5_000).unwrap();
+        let above_bound = ProtocolSpec::Avc {
+            m: wide.m(),
+            d: wide.d(),
+        };
+        let plan = |spec, seed, parallelism| {
+            let scenario = Scenario::new(spec, MajorityInstance::new(30, 21))
+                .runs(6)
+                .seed(seed);
+            ScenarioPlan::new(scenario).parallelism(parallelism)
+        };
+        let build_ns = |t: &CellTelemetry| t.wall.counter(keys::WALL_TABLE_BUILD_NS).unwrap();
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let stats = StatsCollector::new();
+            let mut runs = Vec::new();
+            let mut run = |spec, seed| {
+                let (r, t) = plan(spec, seed, parallelism).run_with_telemetry(&stats);
+                runs.push((spec, seed, r.outcomes().to_vec(), t.sim.clone()));
+                t
+            };
+
+            assert!(build_ns(&run(first, 1)) > 0);
+            let (key, table) = slot_entry(&stats).unwrap();
+            assert_eq!(key, first);
+            assert_eq!(build_ns(&run(first, 2)), 0, "same spec reuses the table");
+            let _ = plan(first, 3, parallelism).run_with_stats(&stats);
+            let (_, held) = slot_entry(&stats).unwrap();
+            assert!(Arc::ptr_eq(&table, &held), "{parallelism:?}");
+            drop(held);
+            // Only the slot and this test hold it: no batch kept a clone.
+            assert_eq!(Arc::strong_count(&table), 2);
+            let evicted = Arc::downgrade(&table);
+            drop(table);
+
+            assert!(build_ns(&run(second, 4)) > 0);
+            assert!(
+                evicted.upgrade().is_none(),
+                "a new spec frees the old table"
+            );
+            assert_eq!(slot_entry(&stats).unwrap().0, second);
+            assert_eq!(build_ns(&run(above_bound, 5)), 0);
+            assert!(
+                slot_entry(&stats).is_none(),
+                "the arithmetic path empties it"
+            );
+
+            for (spec, seed, outcomes, sim) in runs {
+                let (r, t) =
+                    plan(spec, seed, parallelism).run_with_telemetry(&StatsCollector::new());
+                assert_eq!(r.outcomes(), &outcomes[..], "{spec} {parallelism:?}");
+                assert_eq!(t.sim, sim, "{spec} {parallelism:?}");
+            }
+        }
     }
 }

@@ -300,6 +300,7 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
         ],
     );
     let mut missing = 0usize;
+    let mut table_builds = 0u64;
     for cell in &plan.cells {
         let Some(record) = store.get(&cell.manifest.hash()) else {
             missing += 1;
@@ -310,6 +311,12 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
             continue;
         };
         aggregate.merge(telemetry);
+        table_builds += u64::from(
+            telemetry
+                .wall
+                .counter(keys::WALL_TABLE_BUILD_NS)
+                .is_some_and(|ns| ns > 0),
+        );
         let sim = &telemetry.sim;
         let counter = |key: &str| sim.counter(key).map_or("-".to_string(), |v| v.to_string());
         let silent = match (
@@ -373,6 +380,9 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
     if let Some(latency) = aggregate.wall.histogram(keys::WALL_CHUNK_NS) {
         println!("{}\n", render_histogram("chunk latency", "ns", latency));
     }
+    if let Some(line) = table_build_line(&aggregate, table_builds) {
+        println!("{line}");
+    }
     let trials = aggregate.sim.counter(keys::SIM_TRIALS).unwrap_or(0);
     let converged = aggregate
         .sim
@@ -389,6 +399,19 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
     }
     println!();
     Ok(())
+}
+
+/// Where a sweep's time went besides its trial batches: the dense table
+/// builds beside the batch wall. `None` without wall telemetry (records
+/// from before the key, or stored under `AVC_TELEMETRY_NOWALL`).
+fn table_build_line(aggregate: &CellTelemetry, builds: u64) -> Option<String> {
+    let build_ns = aggregate.wall.counter(keys::WALL_TABLE_BUILD_NS)?;
+    let batch_ns = aggregate.wall.counter(keys::WALL_CELL_NS).unwrap_or(0);
+    Some(format!(
+        "table build: {:.1} ms in {builds} build(s), beside {:.1} ms in trial batches",
+        build_ns as f64 / 1e6,
+        batch_ns as f64 / 1e6
+    ))
 }
 
 /// One parsed line of the sweep telemetry journal.

@@ -35,8 +35,13 @@ pub mod keys {
     pub const SIM_TRIALS: &str = "sim.trials";
     /// Per-trial wall time in nanoseconds (histogram, `wall`).
     pub const WALL_TRIAL_NS: &str = "wall.trial_ns";
-    /// Whole-cell wall time in nanoseconds (counter, `wall`).
+    /// Whole-cell wall time in nanoseconds (counter, `wall`): the trial
+    /// batch, without the table build below.
     pub const WALL_CELL_NS: &str = "wall.cell_ns";
+    /// Wall time building the cell's dense transition table in nanoseconds;
+    /// 0 when the sweep's table slot already held it or the protocol is
+    /// above the table bound (counter, `wall`).
+    pub const WALL_TABLE_BUILD_NS: &str = "wall.table_build_ns";
     /// Per-chunk wall latency in nanoseconds (histogram, `wall`).
     pub const WALL_CHUNK_NS: &str = "wall.chunk_ns";
 }

@@ -5,10 +5,12 @@
 //! *exact* stand-in for the arithmetic protocol: same transitions, outputs,
 //! input encodings, silent-pair predicate, and configuration-silence
 //! verdicts, over real AVC instances and adversarial random tables alike.
+//! The build split across worker threads must write the same table as a
+//! serial pass at every worker count.
 
 use avc_population::cached::{Cached, MAX_TABLE_ENTRIES};
 use avc_population::{Opinion, Protocol, StateId};
-use avc_protocols::Avc;
+use avc_protocols::{Avc, Bef, Degssu, FourState};
 use proptest::prelude::*;
 
 /// Asserts that `cached` and `plain` agree on every Protocol query over the
@@ -60,6 +62,69 @@ fn probe_configs(s: u32, seed: u64) -> Vec<Vec<u64>> {
         configs.push(c);
     }
     configs
+}
+
+/// `transition` plus the trait-default `is_silent` and nothing else: the
+/// serial reference every table build must reproduce.
+struct Reference<'p, P>(&'p P);
+
+impl<P: Protocol> Protocol for Reference<'_, P> {
+    fn num_states(&self) -> u32 {
+        self.0.num_states()
+    }
+    fn transition(&self, a: StateId, b: StateId) -> (StateId, StateId) {
+        self.0.transition(a, b)
+    }
+    fn output(&self, q: StateId) -> Opinion {
+        self.0.output(q)
+    }
+    fn input(&self, opinion: Opinion) -> StateId {
+        self.0.input(opinion)
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// Builds `protocol`'s table on 1, 2 and 3 workers (so rows split
+/// unevenly) and checks every pair, output and input against a serial
+/// [`Reference`] pass.
+fn assert_builds_match_reference<P: Protocol + Clone + Sync>(protocol: &P) {
+    let reference = Reference(protocol);
+    let s = protocol.num_states();
+    let expected: Vec<((StateId, StateId), bool)> = (0..s)
+        .flat_map(|a| (0..s).map(move |b| (a, b)))
+        .map(|(a, b)| (reference.transition(a, b), reference.is_silent(a, b)))
+        .collect();
+    for workers in [1, 2, 3] {
+        let Ok(cached) = Cached::try_new_with_workers(protocol.clone(), workers) else {
+            panic!("{} must fit the table bound", protocol.name());
+        };
+        let built: Vec<((StateId, StateId), bool)> = (0..s)
+            .flat_map(|a| (0..s).map(move |b| (a, b)))
+            .map(|(a, b)| (cached.transition(a, b), cached.is_silent(a, b)))
+            .collect();
+        assert!(
+            built == expected,
+            "{} on {workers} workers",
+            protocol.name()
+        );
+        for q in 0..s {
+            assert_eq!(cached.output(q), reference.output(q), "output({q})");
+        }
+        assert_eq!(cached.input(Opinion::A), reference.input(Opinion::A));
+        assert_eq!(cached.input(Opinion::B), reference.input(Opinion::B));
+    }
+}
+
+#[test]
+fn split_builds_match_the_serial_reference() {
+    for s in [4, 66, 514, 2_050] {
+        assert_builds_match_reference(&Avc::with_states(s).expect("valid AVC budget"));
+    }
+    assert_builds_match_reference(&Bef::new(10).expect("valid BEF levels"));
+    assert_builds_match_reference(&Degssu::new(10, 4).expect("valid DEGSSU parameters"));
+    assert_builds_match_reference(&FourState);
 }
 
 #[test]
@@ -130,6 +195,7 @@ proptest! {
         let cached = Cached::new(protocol.clone());
         let configs = probe_configs(protocol.num_states(), seed);
         assert_exact_standin(&cached, &protocol, &configs);
+        assert_builds_match_reference(&protocol);
     }
 
     #[test]
