@@ -1,51 +1,83 @@
-//! Golden determinism test for the sweep telemetry stream: a fixed-seed
+//! Golden determinism tests for the sweep stores: a fixed-seed
 //! `avc sweep fig3 --quick` must produce a byte-identical `telemetry.jsonl`
-//! at `--threads 1` and `--threads 4`.
+//! at `--threads 1` and `--threads 4`, and both `records.jsonl` and
+//! `telemetry.jsonl` of that sweep and of the rival-protocol grid
+//! `examples/scenarios/rivals_margin1.grid.json --quick` must equal the
+//! committed fixtures under `tests/golden/` byte for byte.
 //!
-//! Wall-clock sections are inherently run-dependent, so both child
-//! processes run with `AVC_TELEMETRY_NOWALL` set (scoped to the subprocess
-//! — nothing leaks into this test harness), which makes every journal line
-//! pure simulation-derived data. The remaining content is deterministic
-//! because cell seeds are fixed and the harness folds per-trial telemetry
-//! in trial-index order regardless of worker count.
+//! Wall-clock sections are inherently run-dependent, so every child
+//! process runs with `AVC_TELEMETRY_NOWALL` set (scoped to the subprocess
+//! — nothing leaks into this test harness), which makes every record and
+//! journal line pure simulation-derived data. The remaining content is
+//! deterministic because cell seeds are fixed and the harness's `sim.*`
+//! merges are integer sums, independent of which worker ran which trial.
+//!
+//! The fixtures were recorded by the harness that built a fresh engine per
+//! instrumented trial and merged per-trial telemetry in index order, so
+//! they pin the single reusing batch loop to the algorithm it replaced;
+//! the grid covers the agent engine under adversarial schedulers. A change
+//! that means to alter results regenerates them with
+//! `AVC_TELEMETRY_NOWALL=1 avc sweep <name> --quick --out DIR` and copies
+//! `DIR/store/*.jsonl` over.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("avc-telemetry-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
 
-fn sweep(dir: &Path, threads: &str) {
+fn sweep(name: &str, dir: &Path, threads: &str) {
     let status = Command::new(env!("CARGO_BIN_EXE_avc"))
-        .args(["sweep", "fig3", "--quick", "--threads", threads])
+        .args(["sweep", name, "--quick", "--threads", threads])
         .args(["--out", dir.to_str().expect("utf-8 temp path")])
         .env("AVC_TELEMETRY_NOWALL", "1")
         .status()
         .expect("spawn avc");
-    assert!(status.success(), "sweep at --threads {threads} failed");
+    assert!(
+        status.success(),
+        "sweep {name} at --threads {threads} failed"
+    );
+}
+
+fn read(path: &Path) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| panic!("missing {}: {e}", path.display()))
+}
+
+/// Requires the store under `dir` to equal the fixture set `golden`.
+fn assert_matches_golden(dir: &Path, golden: &str) {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for file in ["records.jsonl", "telemetry.jsonl"] {
+        let got = read(&dir.join("store").join(file));
+        let want = read(&fixtures.join(golden).join(file));
+        assert!(
+            got == want,
+            "{golden}/{file} differs from the committed fixture ({} vs {} bytes)",
+            got.len(),
+            want.len()
+        );
+    }
 }
 
 #[test]
 fn telemetry_stream_is_byte_identical_across_worker_counts() {
     let serial = temp_dir("t1");
     let parallel = temp_dir("t4");
-    sweep(&serial, "1");
-    sweep(&parallel, "4");
+    sweep("fig3", &serial, "1");
+    sweep("fig3", &parallel, "4");
 
-    let read = |dir: &Path| {
-        let path = dir.join("store/telemetry.jsonl");
-        std::fs::read(&path).unwrap_or_else(|e| panic!("missing {}: {e}", path.display()))
-    };
-    let (bytes_1, bytes_4) = (read(&serial), read(&parallel));
+    let journal = |dir: &Path| read(&dir.join("store/telemetry.jsonl"));
+    let (bytes_1, bytes_4) = (journal(&serial), journal(&parallel));
     assert!(!bytes_1.is_empty(), "telemetry stream is empty");
     assert_eq!(
         bytes_1, bytes_4,
         "telemetry.jsonl differs between --threads 1 and --threads 4"
     );
+    assert_matches_golden(&serial, "fig3_quick");
+    assert_matches_golden(&parallel, "fig3_quick");
 
     // Sanity on the stream shape: one line per fig3 quick cell, each a JSON
     // object carrying the cell identity and a sim-only telemetry block.
@@ -66,4 +98,17 @@ fn telemetry_stream_is_byte_identical_across_worker_counts() {
 
     let _ = std::fs::remove_dir_all(&serial);
     let _ = std::fs::remove_dir_all(&parallel);
+}
+
+#[test]
+fn rival_grid_stores_match_their_golden_fixture() {
+    let grid = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/scenarios/rivals_margin1.grid.json");
+    let grid = grid.to_str().expect("utf-8 grid path");
+    for threads in ["1", "3"] {
+        let dir = temp_dir(&format!("rivals-t{threads}"));
+        sweep(grid, &dir, threads);
+        assert_matches_golden(&dir, "rivals_margin1_quick");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
