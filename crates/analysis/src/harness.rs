@@ -1,31 +1,47 @@
 //! Seeded multi-trial experiment runners.
 //!
+//! # One batch loop
+//!
+//! Every batch of seeded trials — a figure cell, a scenario-grid cell, an
+//! `avc run` file, a test — is a [`Scenario`] run by [`ScenarioPlan`], and
+//! all of them take the same loop. Each worker builds its engine once,
+//! lazily, through [`build_erased_with_sink`] with a [`CountingSink`] the
+//! engine *owns*, and
+//! [`reset_erased`](avc_population::engine::ErasedChunkedSim::reset_erased)s
+//! it in place before every trial it claims. Reset leaves the sink alone,
+//! so the sink sums the worker's trials. Once the worker runs out of
+//! trials it reads the sink back
+//! ([`sink_counts_erased`](avc_population::engine::ErasedChunkedSim::sink_counts_erased))
+//! together with its [`TelemetryObserver`] and trial times, and the batch
+//! merges one [`CellTelemetry`] per worker. Every `sim.*` value is an
+//! integer sum or a histogram bucket add, so that merge does not depend on
+//! which worker ran which trial.
+//!
 //! # Parallel determinism
 //!
 //! Batches run under a [`Parallelism`] knob (`Serial | Threads(n) | Auto`).
 //! Every trial draws its RNG from its own [`SeedSequence`] stream, keyed by
 //! the trial index alone, so a trial's outcome does not depend on which
-//! worker ran it or in what order. Workers pull indices from a shared atomic
-//! counter and results are scattered back by index, making the full
-//! [`TrialResults`] — and therefore every [`Summary`] derived from it —
-//! **bit-identical to a serial run for any worker count and any
-//! scheduling**. `tests/parallel_determinism.rs` enforces this.
+//! worker ran it or in what order; engine reset is fresh-equivalent, so
+//! neither does it depend on the trials the worker ran before. Workers pull
+//! indices from a shared atomic counter and results are scattered back by
+//! index, making the full [`TrialResults`] — and therefore every
+//! [`Summary`] derived from it — **bit-identical to a serial run for any
+//! worker count and any scheduling**. `tests/parallel_determinism.rs`
+//! enforces this.
 
 use crate::stats::{fraction, Summary};
 use avc_population::cached::Cached;
-use avc_population::driver::{Driver, NullObserver, Observer};
-use avc_population::engine::ChunkedSimulator;
-use avc_population::faults::{FaultEvent, FaultPlan};
+use avc_population::driver::{Driver, NullObserver};
+use avc_population::engine::{ChunkedSimulator, ErasedChunkedSim};
+use avc_population::faults::FaultPlan;
 use avc_population::rngutil::SeedSequence;
-use avc_population::scenario::{build_erased, build_erased_with_sink};
+use avc_population::scenario::build_erased_with_sink;
 use avc_population::spec::RunOutcome;
 use avc_population::telemetry::{
     keys, CellTelemetry, CountingSink, HistogramSnapshot, MetricValue, Span, TelemetryObserver,
 };
-use avc_population::{
-    Config, ConvergenceRule, MajorityInstance, Opinion, Protocol, ProtocolSpec, Scenario,
-    SchedulerSpec,
-};
+use avc_population::{Config, ConvergenceRule, Opinion, Protocol, ProtocolSpec, Scenario};
 use avc_protocols::{Avc, Bef, Degssu, FourState, ThreeState, Voter};
 use std::any::Any;
 use std::fmt;
@@ -309,35 +325,42 @@ where
     T: Send,
     F: Fn(u64) -> (T, u64) + Sync,
 {
-    run_indexed_with_ctx(runs, parallelism, || (), |(), i| task(i))
+    let (out, _, stats) = run_indexed_with_ctx(runs, parallelism, || (), |(), i| task(i), drop);
+    (out, stats)
 }
 
 /// As [`run_indexed_with_stats`], but every worker lazily builds one
-/// private context with `init` and threads it through each trial it claims
-/// — the reuse seam behind zero-reallocation trial batches
-/// ([`reset_erased`](avc_population::engine::ErasedChunkedSim::reset_erased) reinitializes a long-lived engine in
-/// place between trials).
+/// private context with `init`, threads it through each trial it claims,
+/// and hands it to `finish` once it runs out of trials — the reuse seam
+/// behind [`ScenarioPlan`]'s batch loop (one engine per worker, reset
+/// between trials, its owned sink read back at the end).
 ///
-/// The context never crosses threads (workers are scoped and results travel
-/// home without it), so `C` needs neither `Send` nor `Sync`. Determinism is
-/// unaffected: trial `i` must still derive all randomness from its index
-/// alone, and a correct context carries no trial-to-trial state — worker
+/// The context never crosses threads: `finish` runs on the worker's own
+/// thread and only its `U` travels home, so `C` needs neither `Send` nor
+/// `Sync`. A worker that claims no trial builds no context and yields no
+/// `U`; the `U`s arrive in worker order. Determinism is unaffected: trial
+/// `i` must still derive all randomness from its index alone, and a
+/// correct context carries no trial-to-trial state into a result — worker
 /// assignment races, so anything leaking through the context would make
-/// results scheduling-dependent.
+/// results scheduling-dependent. For the same reason only order-free
+/// summaries of a context (sums, counts) are reproducible.
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics, propagating the failure.
-pub fn run_indexed_with_ctx<T, C, I, F>(
+pub fn run_indexed_with_ctx<T, C, U, I, F, D>(
     runs: u64,
     parallelism: Parallelism,
     init: I,
     task: F,
-) -> (Vec<T>, BatchStats)
+    finish: D,
+) -> (Vec<T>, Vec<U>, BatchStats)
 where
     T: Send,
+    U: Send,
     I: Fn() -> C + Sync,
     F: Fn(&mut C, u64) -> (T, u64) + Sync,
+    D: Fn(C) -> U + Sync,
 {
     let workers = parallelism.worker_count().min(runs.max(1) as usize);
     let started = Span::start();
@@ -360,18 +383,19 @@ where
             worker_events: vec![events],
             worker_busy: vec![busy],
         };
-        return (out, stats);
+        return (out, ctx.map(finish).into_iter().collect(), stats);
     }
 
     // Dynamic sharding: workers pull the next unclaimed trial index from a
     // shared counter (so stragglers never idle the rest), and results carry
     // their index home for an order-restoring scatter below.
-    type WorkerYield<T> = (Vec<(u64, T)>, u64, Duration);
+    type WorkerYield<T, U> = (Vec<(u64, T)>, u64, Duration, Option<U>);
     let next = AtomicU64::new(0);
-    let per_worker: Vec<WorkerYield<T>> = std::thread::scope(|scope| {
+    let per_worker: Vec<WorkerYield<T, U>> = std::thread::scope(|scope| {
         let next = &next;
         let init = &init;
         let task = &task;
+        let finish = &finish;
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
@@ -390,7 +414,8 @@ where
                         events += e;
                         local.push((i, value));
                     }
-                    (local, events, begun.elapsed())
+                    let busy = begun.elapsed();
+                    (local, events, busy, ctx.map(finish))
                 })
             })
             .collect();
@@ -410,7 +435,8 @@ where
         worker_busy: Vec::with_capacity(workers),
     };
     let mut slots: Vec<Option<T>> = (0..runs).map(|_| None).collect();
-    for (local, events, busy) in per_worker {
+    let mut finished = Vec::with_capacity(workers);
+    for (local, events, busy, done) in per_worker {
         stats.worker_trials.push(local.len() as u64);
         stats.worker_events.push(events);
         stats.worker_busy.push(busy);
@@ -419,78 +445,16 @@ where
             debug_assert!(slots[i as usize].is_none(), "trial {i} ran twice");
             slots[i as usize] = Some(value);
         }
+        finished.extend(done);
     }
     let out = slots
         .into_iter()
         .map(|s| s.expect("every trial index is claimed by exactly one worker"))
         .collect();
-    (out, stats)
+    (out, finished, stats)
 }
 
 pub use avc_population::scenario::EngineKind;
-
-/// A batch of trials on one majority instance.
-///
-/// Built with a fluent API; see the [crate-level example](crate).
-#[derive(Debug, Clone, Copy)]
-pub struct TrialPlan {
-    instance: MajorityInstance,
-    runs: u64,
-    seed: u64,
-    max_steps: u64,
-    parallelism: Parallelism,
-}
-
-impl TrialPlan {
-    /// A plan with the paper's defaults: 101 runs, unlimited steps, seed 0,
-    /// automatic parallelism (results are identical at any setting).
-    #[must_use]
-    pub fn new(instance: MajorityInstance) -> TrialPlan {
-        TrialPlan {
-            instance,
-            runs: 101,
-            seed: 0,
-            max_steps: u64::MAX,
-            parallelism: Parallelism::default(),
-        }
-    }
-
-    /// Sets the number of independent runs.
-    #[must_use]
-    pub fn runs(mut self, runs: u64) -> TrialPlan {
-        self.runs = runs;
-        self
-    }
-
-    /// Sets the master seed; trial `i` uses stream `i` of the derived
-    /// [`SeedSequence`], so results are independent of execution order.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> TrialPlan {
-        self.seed = seed;
-        self
-    }
-
-    /// Caps each run at `max_steps` scheduler steps.
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: u64) -> TrialPlan {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Sets how trials are spread across threads. Outcomes are bit-identical
-    /// for every setting; only the wall-clock time changes.
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> TrialPlan {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The majority instance under test.
-    #[must_use]
-    pub fn instance(&self) -> MajorityInstance {
-        self.instance
-    }
-}
 
 /// Outcomes of a batch of trials, with the instance's expected winner.
 #[derive(Debug, Clone)]
@@ -562,137 +526,6 @@ impl TrialResults {
     }
 }
 
-/// Runs one simulation to convergence on the chosen engine.
-///
-/// Goes through [`Driver::run`] with the concrete `SmallRng`, so every
-/// engine executes its fully monomorphized chunk loop — the trial hot path
-/// has no per-step dynamic dispatch. Protocols whose state space fits under
-/// [`Cached::MAX_TABLE_ENTRIES`](avc_population::cached::MAX_TABLE_ENTRIES)
-/// are wrapped in a [`Cached`] dense transition table before the engine is
-/// built; larger ones keep the arithmetic path. The wrap changes no RNG
-/// draws and no results — only per-step cost.
-pub fn run_one<P: Protocol + Clone>(
-    protocol: &P,
-    config: Config,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    rng: &mut rand::rngs::SmallRng,
-    max_steps: u64,
-) -> RunOutcome {
-    run_one_observed(
-        protocol,
-        config,
-        engine,
-        rule,
-        rng,
-        max_steps,
-        &mut NullObserver,
-    )
-}
-
-/// As [`run_one`], but feeding driver progress to `observer`.
-pub fn run_one_observed<P: Protocol + Clone, O: Observer + ?Sized>(
-    protocol: &P,
-    config: Config,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    rng: &mut rand::rngs::SmallRng,
-    max_steps: u64,
-    observer: &mut O,
-) -> RunOutcome {
-    match Cached::try_new(protocol.clone()) {
-        Ok(cached) => run_engine_observed(&cached, config, engine, rule, rng, max_steps, observer),
-        Err(plain) => run_engine_observed(&plain, config, engine, rule, rng, max_steps, observer),
-    }
-}
-
-/// Everything a batch loop needs beyond the protocol value: a [`Scenario`]'s
-/// execution fields plus the [`Parallelism`] knob (which is deliberately
-/// *not* part of a scenario — it never affects results).
-///
-/// Both [`TrialPlan`] entry points and [`ScenarioPlan`] lower to this, so
-/// there is exactly one batch loop and one seeding policy in the workspace.
-struct BatchSpec<'s> {
-    instance: MajorityInstance,
-    engine: EngineKind,
-    scheduler: &'s SchedulerSpec,
-    faults: &'s [FaultEvent],
-    rule: ConvergenceRule,
-    max_steps: u64,
-    runs: u64,
-    seed: u64,
-    seed_child: Option<u64>,
-    parallelism: Parallelism,
-}
-
-impl<'s> BatchSpec<'s> {
-    /// A plain uniform-scheduler, fault-free batch — the [`TrialPlan`]
-    /// semantics, unchanged byte for byte.
-    fn from_plan(
-        plan: &TrialPlan,
-        engine: EngineKind,
-        rule: ConvergenceRule,
-    ) -> BatchSpec<'static> {
-        BatchSpec {
-            instance: plan.instance,
-            engine,
-            scheduler: &SchedulerSpec::Uniform,
-            faults: &[],
-            rule,
-            max_steps: plan.max_steps,
-            runs: plan.runs,
-            seed: plan.seed,
-            seed_child: None,
-            parallelism: plan.parallelism,
-        }
-    }
-
-    fn from_scenario(scenario: &'s Scenario, parallelism: Parallelism) -> BatchSpec<'s> {
-        BatchSpec {
-            instance: scenario.instance,
-            engine: scenario.engine,
-            scheduler: &scenario.scheduler,
-            faults: &scenario.faults,
-            rule: scenario.rule,
-            max_steps: scenario.max_steps,
-            runs: scenario.runs,
-            seed: scenario.seed,
-            seed_child: scenario.seed_child,
-            parallelism,
-        }
-    }
-
-    /// The trial seed streams: the master sequence, or one of its child
-    /// families when the scenario routes through `seed_child` (grid sweeps
-    /// give each cell its own family this way).
-    fn seeds(&self) -> SeedSequence {
-        match self.seed_child {
-            Some(child) => SeedSequence::new(self.seed).child(child),
-            None => SeedSequence::new(self.seed),
-        }
-    }
-
-    /// Threads that fill a dense table for `states` states: the batch's
-    /// workers, except that small tables stay on the calling thread.
-    fn table_workers(&self, states: u32) -> usize {
-        if u64::from(states).pow(2) < PARALLEL_TABLE_MIN_ENTRIES {
-            1
-        } else {
-            self.parallelism.worker_count()
-        }
-    }
-
-    /// A batch-private dense table and its build nanoseconds, for the
-    /// [`TrialPlan`] entry points, which have no spec to key a slot by.
-    fn own_table<P: Protocol + Clone + Sync>(&self, protocol: &P) -> (Result<Cached<P>, P>, u64) {
-        let started = Span::start();
-        let workers = self.table_workers(protocol.num_states());
-        let table = Cached::try_new_with_workers(protocol.clone(), workers);
-        let build_ns = table.as_ref().map_or(0, |_| started.elapsed_ns());
-        (table, build_ns)
-    }
-}
-
 /// Dense tables with fewer entries than this fill on the calling thread:
 /// spawning a worker would cost more than the whole fill.
 const PARALLEL_TABLE_MIN_ENTRIES: u64 = 1 << 16;
@@ -700,63 +533,6 @@ const PARALLEL_TABLE_MIN_ENTRIES: u64 = 1 << 16;
 /// A batch's protocol after table dispatch: the shared dense table, or the
 /// arithmetic protocol above the table bound.
 type Dispatch<'p, P> = Result<&'p Cached<P>, &'p P>;
-
-/// The arithmetic protocol behind a [`Dispatch`].
-fn dispatched_protocol<P: Protocol>(dispatch: Dispatch<'_, P>) -> &P {
-    match dispatch {
-        Ok(cached) => cached.inner(),
-        Err(plain) => plain,
-    }
-}
-
-/// Builds the spec's engine over an already-dispatched protocol (cached or
-/// arithmetic) through the [`build_erased_with_sink`] seam and drives one
-/// trial to convergence, with a [`CountingSink`] attached to the engine's
-/// telemetry seam. `protocol` is taken by value so batch callers can pass a
-/// `&Cached<P>` — engines over a shared reference reuse one table across
-/// every trial of a batch. The sink is borrowed, so the caller keeps the
-/// counts after the engine is dropped. Attaching it changes no RNG draws —
-/// the seam records only quantities the engine already computes. Fault-free
-/// specs run [`Driver::run_erased`]; faulted ones rebuild the per-trial
-/// [`FaultPlan`] (cheap: a sort of a handful of events) and run
-/// [`Driver::run_faulted_erased`].
-fn run_spec_trial_instrumented<P: Protocol + Clone, O: Observer + ?Sized>(
-    protocol: P,
-    config: Config,
-    spec: &BatchSpec<'_>,
-    rng: &mut rand::rngs::SmallRng,
-    observer: &mut O,
-    sink: &mut CountingSink,
-) -> RunOutcome {
-    let driver = Driver::new(spec.rule).with_max_steps(spec.max_steps);
-    let mut sim = build_erased_with_sink(protocol, config, spec.engine, spec.scheduler, sink)
-        .unwrap_or_else(|e| panic!("unrunnable scenario: {e}"));
-    if spec.faults.is_empty() {
-        driver.run_erased(sim.as_mut(), rng, observer)
-    } else {
-        let mut faults = FaultPlan::from_events(spec.faults.to_vec());
-        driver.run_faulted_erased(sim.as_mut(), rng, observer, &mut faults)
-    }
-}
-
-/// Builds the chosen engine over an already-dispatched protocol and drives
-/// it to convergence — the uniform-scheduler, fault-free special case of
-/// [`run_spec_trial`] for the single-run entry points.
-fn run_engine_observed<P: Protocol + Clone, O: Observer + ?Sized>(
-    protocol: P,
-    config: Config,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    rng: &mut rand::rngs::SmallRng,
-    max_steps: u64,
-    observer: &mut O,
-) -> RunOutcome {
-    let mut sim = build_erased(protocol, config, engine, &SchedulerSpec::Uniform)
-        .expect("the uniform scheduler is valid for every engine");
-    Driver::new(rule)
-        .with_max_steps(max_steps)
-        .run_erased(sim.as_mut(), rng, observer)
-}
 
 /// Runs an already-constructed engine to convergence on the monomorphized
 /// driver path (convenience for callers that build their own simulator,
@@ -770,200 +546,6 @@ pub fn drive_to_consensus<S: ChunkedSimulator + ?Sized>(
     Driver::new(rule)
         .with_max_steps(max_steps)
         .run(sim, rng, &mut NullObserver)
-}
-
-/// Runs a batch of independent trials of `protocol` on the plan's instance.
-///
-/// Trial `i` is seeded from stream `i` of `SeedSequence::new(plan.seed)`,
-/// making every batch reproducible run-for-run — including across
-/// [`Parallelism`] settings, which affect wall-clock time only.
-pub fn run_trials<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    plan: &TrialPlan,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-) -> TrialResults {
-    run_trials_core(protocol, plan, engine, rule).0
-}
-
-/// As [`run_trials`], folding the batch's throughput telemetry into `stats`.
-pub fn run_trials_with_stats<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    plan: &TrialPlan,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    stats: &StatsCollector,
-) -> TrialResults {
-    let (results, batch) = run_trials_core(protocol, plan, engine, rule);
-    stats.record(&batch);
-    results
-}
-
-/// As [`run_trials_with_stats`], additionally capturing per-trial telemetry
-/// and returning it aggregated into one [`CellTelemetry`].
-///
-/// Each trial runs with a [`CountingSink`] on the engine's telemetry seam
-/// (engine-level counters: steps, events, silent steps, chunk sizes,
-/// Fenwick descents, phase switches) and a [`TelemetryObserver`] on the
-/// driver's observer seam (wall-clock chunk latency). Convergence outcomes
-/// are folded in from the [`RunOutcome`]s. Per-trial snapshots are merged
-/// **in trial-index order after the batch completes**, so the `sim` half of
-/// the result is bit-identical at every [`Parallelism`] setting — the same
-/// guarantee [`TrialResults`] carries. The `wall` half (per-trial and
-/// per-chunk latencies, whole-cell wall time) is nondeterministic by
-/// nature and kept in the separate registry that exports can suppress.
-///
-/// The observer's deterministic half is deliberately discarded: its chunk
-/// histogram duplicates the sink's (both see the same `advance_chunk`
-/// reports), and double-counting would corrupt the merge.
-pub fn run_trials_with_telemetry<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    plan: &TrialPlan,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    stats: &StatsCollector,
-) -> (TrialResults, CellTelemetry) {
-    let spec = BatchSpec::from_plan(plan, engine, rule);
-    let (table, build_ns) = spec.own_table(protocol);
-    run_batch_with_telemetry(table.as_ref(), build_ns, &spec, stats)
-}
-
-/// The one instrumented batch loop behind [`run_trials_with_telemetry`] and
-/// [`ScenarioPlan::run_with_telemetry`]; `build_ns` is what the caller
-/// spent building `dispatch`'s table (recorded as
-/// [`keys::WALL_TABLE_BUILD_NS`]).
-fn run_batch_with_telemetry<P: Protocol + Clone + Sync>(
-    dispatch: Dispatch<'_, P>,
-    build_ns: u64,
-    spec: &BatchSpec<'_>,
-    stats: &StatsCollector,
-) -> (TrialResults, CellTelemetry) {
-    let seeds = spec.seeds();
-    let instance = spec.instance;
-    let protocol = dispatched_protocol(dispatch);
-    let (pairs, batch) = run_indexed_with_stats(spec.runs, spec.parallelism, |trial| {
-        let trial_span = Span::start();
-        let mut rng = seeds.rng_for(trial);
-        let config = Config::from_input(protocol, instance.a(), instance.b());
-        let mut sink = CountingSink::new();
-        let mut observer = TelemetryObserver::new();
-        let outcome = match dispatch {
-            Ok(cached) => run_spec_trial_instrumented(
-                cached,
-                config,
-                spec,
-                &mut rng,
-                &mut observer,
-                &mut sink,
-            ),
-            Err(plain) => {
-                run_spec_trial_instrumented(plain, config, spec, &mut rng, &mut observer, &mut sink)
-            }
-        };
-        let mut cell = CellTelemetry::new();
-        cell.sim = sink.snapshot();
-        let mut convergence = HistogramSnapshot::new();
-        if outcome.verdict.is_consensus() {
-            convergence.record(outcome.steps);
-        }
-        cell.sim.set(
-            keys::SIM_CONVERGENCE_STEPS,
-            MetricValue::Histogram(convergence),
-        );
-        cell.sim.set(keys::SIM_TRIALS, MetricValue::Counter(1));
-        cell.sim.set(
-            keys::SIM_TRIALS_CONVERGED,
-            MetricValue::Counter(u64::from(outcome.verdict.is_consensus())),
-        );
-        cell.wall = observer.wall_snapshot();
-        let mut trial_ns = HistogramSnapshot::new();
-        trial_ns.record(trial_span.elapsed_ns());
-        cell.wall
-            .set(keys::WALL_TRIAL_NS, MetricValue::Histogram(trial_ns));
-        let steps = outcome.steps;
-        ((outcome, cell), steps)
-    });
-    let mut telemetry = CellTelemetry::new();
-    let mut outcomes = Vec::with_capacity(pairs.len());
-    for (outcome, cell) in pairs {
-        telemetry.merge(&cell);
-        outcomes.push(outcome);
-    }
-    telemetry.wall.set(
-        keys::WALL_CELL_NS,
-        MetricValue::Counter(u64::try_from(batch.wall.as_nanos()).unwrap_or(u64::MAX)),
-    );
-    telemetry
-        .wall
-        .set(keys::WALL_TABLE_BUILD_NS, MetricValue::Counter(build_ns));
-    stats.record(&batch);
-    let results = TrialResults {
-        outcomes,
-        expected: instance.winner(),
-    };
-    (results, telemetry)
-}
-
-fn run_trials_core<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    plan: &TrialPlan,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-) -> (TrialResults, BatchStats) {
-    let spec = BatchSpec::from_plan(plan, engine, rule);
-    run_batch_core(spec.own_table(protocol).0.as_ref(), &spec)
-}
-
-/// The one uninstrumented batch loop behind [`run_trials`] and
-/// [`ScenarioPlan::run`].
-///
-/// Each worker builds the spec's engine **once** through the
-/// [`build_erased`] seam and replays every trial it claims through it,
-/// reinitializing in place with [`reset_erased`](avc_population::engine::ErasedChunkedSim::reset_erased) between
-/// trials. Reset is fresh-equivalent (`tests/reuse_reset.rs` pins outcomes
-/// *and* RNG stream position), so results are bit-identical to per-trial
-/// construction at every [`Parallelism`] setting — only the per-trial
-/// allocator traffic disappears. The instrumented loop
-/// ([`run_batch_with_telemetry`]) keeps per-trial construction: its
-/// engines borrow a per-trial [`CountingSink`], which cannot outlive one
-/// trial, and telemetry batches are not on the sweep hot path.
-fn run_batch_core<P: Protocol + Clone + Sync>(
-    dispatch: Dispatch<'_, P>,
-    spec: &BatchSpec<'_>,
-) -> (TrialResults, BatchStats) {
-    let seeds = spec.seeds();
-    let instance = spec.instance;
-    let protocol = dispatched_protocol(dispatch);
-    let driver = Driver::new(spec.rule).with_max_steps(spec.max_steps);
-    let build = || {
-        let config = Config::from_input(protocol, instance.a(), instance.b());
-        let sim = match dispatch {
-            Ok(cached) => build_erased(cached, config.clone(), spec.engine, spec.scheduler),
-            Err(plain) => build_erased(plain, config.clone(), spec.engine, spec.scheduler),
-        }
-        .unwrap_or_else(|e| panic!("unrunnable scenario: {e}"));
-        (sim, config)
-    };
-    let (outcomes, batch) =
-        run_indexed_with_ctx(spec.runs, spec.parallelism, build, |ctx, trial| {
-            let (sim, config) = ctx;
-            let mut rng = seeds.rng_for(trial);
-            // A freshly built engine is already in this state; resetting it
-            // anyway keeps one uniform per-trial path.
-            sim.reset_erased(config);
-            let outcome = if spec.faults.is_empty() {
-                driver.run_erased(sim.as_mut(), &mut rng, &mut NullObserver)
-            } else {
-                let mut faults = FaultPlan::from_events(spec.faults.to_vec());
-                driver.run_faulted_erased(sim.as_mut(), &mut rng, &mut NullObserver, &mut faults)
-            };
-            (outcome, outcome.steps)
-        });
-    let results = TrialResults {
-        outcomes,
-        expected: instance.winner(),
-    };
-    (results, batch)
 }
 
 /// Resolves a [`ProtocolSpec`] to a concrete protocol value and runs `$body`
@@ -1018,13 +600,11 @@ pub fn spec_states(spec: ProtocolSpec) -> u32 {
 /// Runs any [`Scenario`] — scheduler and fault scenarios included — through
 /// the deterministic parallel harness.
 ///
-/// This is [`TrialPlan`] generalized: the scenario carries every
-/// result-determining knob (protocol, engine, scheduler, faults, rule, step
-/// budget, seed policy) and the plan adds only the [`Parallelism`] setting,
-/// which never affects results. A uniform-scheduler, fault-free,
-/// child-free scenario runs the *same* seed streams and RNG draws as the
-/// equivalent [`TrialPlan`] call — the two entry points share one batch
-/// loop.
+/// The scenario carries every result-determining knob (protocol, engine,
+/// scheduler, faults, rule, step budget, seed policy); the plan adds only
+/// the [`Parallelism`] setting, which never affects results. All three
+/// entry points run the one batch loop of the [module docs](self) and
+/// differ only in what they hand back.
 #[derive(Debug, Clone)]
 pub struct ScenarioPlan {
     scenario: Scenario,
@@ -1059,10 +639,11 @@ impl ScenarioPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario is unrunnable: invalid AVC parameters, or a
-    /// non-uniform scheduler on a non-`agent` engine (pre-check with
-    /// [`avc_population::scenario::build_erased`] semantics via
-    /// [`Scenario`] validation at parse sites).
+    /// Panics if the scenario is unrunnable (a non-uniform scheduler on a
+    /// non-`agent` engine, an agent-addressed fault off the `agent`
+    /// engine, a fault outside the population or state space). Scenarios
+    /// from [`Scenario::from_json`] are checked for all of these at parse
+    /// time.
     #[must_use]
     pub fn run(&self) -> TrialResults {
         self.run_with_stats(&StatsCollector::new())
@@ -1072,38 +653,189 @@ impl ScenarioPlan {
     /// and taking the dense table from its slot.
     #[must_use]
     pub fn run_with_stats(&self, stats: &StatsCollector) -> TrialResults {
-        let spec = BatchSpec::from_scenario(&self.scenario, self.parallelism);
+        self.run_with_telemetry(stats).0
+    }
+
+    /// As [`ScenarioPlan::run_with_stats`], also returning the batch's
+    /// [`CellTelemetry`]: the engines' [`CountingSink`] counts and the
+    /// convergence outcomes in `sim`, and chunk latencies, trial times, the
+    /// batch wall time and the table build time in `wall`. The dense table
+    /// comes from `stats`' slot, so a cell on the previous cell's protocol
+    /// records a [`keys::WALL_TABLE_BUILD_NS`] of 0.
+    #[must_use]
+    pub fn run_with_telemetry(&self, stats: &StatsCollector) -> (TrialResults, CellTelemetry) {
         let key = self.scenario.protocol;
         with_resolved_protocol!(key, |protocol| {
-            let workers = spec.table_workers(protocol.num_states());
-            let (table, _) = stats.dense_table(key, &protocol, workers);
-            let (results, batch) = run_batch_core(table.as_deref().ok_or(&protocol), &spec);
-            stats.record(&batch);
-            results
+            let workers = self.table_workers(protocol.num_states());
+            let (table, build_ns) = stats.dense_table(key, &protocol, workers);
+            self.run_batch(table.as_deref().ok_or(&protocol), build_ns, stats)
         })
     }
 
-    /// As [`run_trials_with_telemetry`], for a scenario: per-trial
-    /// [`CountingSink`]/[`TelemetryObserver`] capture merged in trial-index
-    /// order into one [`CellTelemetry`]. The dense table comes from `stats`'
-    /// slot, so a cell on the previous cell's protocol records a
-    /// [`keys::WALL_TABLE_BUILD_NS`] of 0.
-    #[must_use]
-    pub fn run_with_telemetry(&self, stats: &StatsCollector) -> (TrialResults, CellTelemetry) {
-        let spec = BatchSpec::from_scenario(&self.scenario, self.parallelism);
-        let key = self.scenario.protocol;
-        with_resolved_protocol!(key, |protocol| {
-            let workers = spec.table_workers(protocol.num_states());
-            let (table, build_ns) = stats.dense_table(key, &protocol, workers);
-            run_batch_with_telemetry(table.as_deref().ok_or(&protocol), build_ns, &spec, stats)
-        })
+    /// The trial seed streams: the master sequence, or one of its child
+    /// families when the scenario routes through `seed_child` (grid sweeps
+    /// give each cell its own family this way).
+    fn seeds(&self) -> SeedSequence {
+        let seeds = SeedSequence::new(self.scenario.seed);
+        match self.scenario.seed_child {
+            Some(child) => seeds.child(child),
+            None => seeds,
+        }
+    }
+
+    /// Threads that fill a dense table for `states` states: the batch's
+    /// workers, except that small tables stay on the calling thread.
+    fn table_workers(&self, states: u32) -> usize {
+        if u64::from(states).pow(2) < PARALLEL_TABLE_MIN_ENTRIES {
+            1
+        } else {
+            self.parallelism.worker_count()
+        }
+    }
+
+    /// The one batch loop (see the [module docs](self)); `build_ns` is what
+    /// the caller spent building `dispatch`'s table, recorded as
+    /// [`keys::WALL_TABLE_BUILD_NS`]. Fault-free scenarios run
+    /// [`Driver::run_erased`]; faulted ones rebuild the per-trial
+    /// [`FaultPlan`] (a sort of a handful of events) and run
+    /// [`Driver::run_faulted_erased`].
+    fn run_batch<P: Protocol + Clone + Sync>(
+        &self,
+        dispatch: Dispatch<'_, P>,
+        build_ns: u64,
+        stats: &StatsCollector,
+    ) -> (TrialResults, CellTelemetry) {
+        let scenario = &self.scenario;
+        let seeds = self.seeds();
+        let driver = Driver::new(scenario.rule).with_max_steps(scenario.max_steps);
+        let (outcomes, shares, batch) = run_indexed_with_ctx(
+            scenario.runs,
+            self.parallelism,
+            || match dispatch {
+                Ok(cached) => BatchWorker::new(cached, scenario),
+                Err(plain) => BatchWorker::new(plain, scenario),
+            },
+            |worker, trial| {
+                let started = Span::start();
+                let mut rng = seeds.rng_for(trial);
+                // A freshly built engine is already in this state; resetting
+                // it anyway keeps one uniform per-trial path.
+                worker.sim.reset_erased(&worker.config);
+                let sim = worker.sim.as_mut();
+                let outcome = if scenario.faults.is_empty() {
+                    driver.run_erased(sim, &mut rng, &mut worker.observer)
+                } else {
+                    let mut faults = FaultPlan::from_events(scenario.faults.clone());
+                    driver.run_faulted_erased(sim, &mut rng, &mut worker.observer, &mut faults)
+                };
+                started.record_into(&mut worker.trial_ns);
+                (outcome, outcome.steps)
+            },
+            BatchWorker::into_telemetry,
+        );
+        let mut telemetry = CellTelemetry::new();
+        for share in &shares {
+            telemetry.merge(share);
+        }
+        telemetry.wall.set(
+            keys::WALL_CELL_NS,
+            MetricValue::Counter(u64::try_from(batch.wall.as_nanos()).unwrap_or(u64::MAX)),
+        );
+        telemetry
+            .wall
+            .set(keys::WALL_TABLE_BUILD_NS, MetricValue::Counter(build_ns));
+        stats.record(&batch);
+        let results = TrialResults {
+            outcomes,
+            expected: scenario.instance.winner(),
+        };
+        (results, telemetry)
+    }
+}
+
+/// One worker's state for a whole batch: its engine, which owns the
+/// worker's [`CountingSink`], the configuration every trial resets to, and
+/// the driver-side telemetry the sink cannot see.
+struct BatchWorker<'p> {
+    sim: Box<dyn ErasedChunkedSim + 'p>,
+    config: Config,
+    observer: TelemetryObserver,
+    trial_ns: HistogramSnapshot,
+}
+
+impl<'p> BatchWorker<'p> {
+    /// The scenario's engine over the batch's protocol (the shared table
+    /// or the arithmetic protocol), built through the workspace's one
+    /// builder with a sink of its own.
+    fn new<Q: Protocol + Clone + 'p>(protocol: Q, scenario: &Scenario) -> BatchWorker<'p> {
+        let config = Config::from_input(&protocol, scenario.instance.a(), scenario.instance.b());
+        let sim = build_erased_with_sink(
+            protocol,
+            config.clone(),
+            scenario.engine,
+            &scenario.scheduler,
+            CountingSink::new(),
+        )
+        .unwrap_or_else(|e| panic!("unrunnable scenario: {e}"));
+        BatchWorker {
+            sim,
+            config,
+            observer: TelemetryObserver::new(),
+            trial_ns: HistogramSnapshot::new(),
+        }
+    }
+
+    /// This worker's share of the cell telemetry. `sim` is the sink's
+    /// counts plus the observer's convergence outcomes; the observer's own
+    /// chunk histogram and fault count are dropped because they duplicate
+    /// the sink's. `wall` is the observer's chunk latencies plus the trial
+    /// times.
+    fn into_telemetry(self) -> CellTelemetry {
+        let sink = self
+            .sim
+            .sink_counts_erased()
+            .expect("batch engines own a CountingSink");
+        let mut sim = sink.snapshot();
+        let observed = self.observer.sim_snapshot();
+        for key in [
+            keys::SIM_CONVERGENCE_STEPS,
+            keys::SIM_TRIALS,
+            keys::SIM_TRIALS_CONVERGED,
+        ] {
+            let value = observed
+                .get(key)
+                .expect("the observer records every outcome");
+            sim.set(key, value.clone());
+        }
+        let mut wall = self.observer.wall_snapshot();
+        wall.set(keys::WALL_TRIAL_NS, MetricValue::Histogram(self.trial_ns));
+        CellTelemetry { sim, wall }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avc_protocols::{FourState, ThreeState, Voter};
+    use avc_population::driver::Observer;
+    use avc_population::faults::Fault;
+    use avc_population::scenario::build_erased;
+    use avc_population::telemetry::RegistrySnapshot;
+    use avc_population::{EngineKind, MajorityInstance, SchedulerSpec};
+    use std::any::Any;
+
+    /// A scenario on `protocol` with engine, runs and seed set.
+    fn scenario(
+        protocol: ProtocolSpec,
+        instance: MajorityInstance,
+        engine: EngineKind,
+        runs: u64,
+        seed: u64,
+    ) -> Scenario {
+        Scenario::new(protocol, instance)
+            .engine(engine)
+            .runs(runs)
+            .seed(seed)
+    }
 
     #[test]
     fn spec_states_agrees_with_the_state_count_formulas() {
@@ -1155,32 +887,34 @@ mod tests {
 
     #[test]
     fn trials_are_reproducible() {
-        let plan = TrialPlan::new(MajorityInstance::new(8, 5)).runs(10).seed(3);
-        let a = run_trials(
-            &FourState,
-            &plan,
+        let plan = ScenarioPlan::new(scenario(
+            ProtocolSpec::FourState,
+            MajorityInstance::new(8, 5),
             EngineKind::Jump,
-            ConvergenceRule::OutputConsensus,
-        );
-        let b = run_trials(
-            &FourState,
-            &plan,
-            EngineKind::Jump,
-            ConvergenceRule::OutputConsensus,
-        );
+            10,
+            3,
+        ));
+        let a = plan.run();
+        let b = plan.run();
         assert_eq!(a.outcomes(), b.outcomes());
     }
 
     #[test]
     fn four_state_never_errs() {
-        let plan = TrialPlan::new(MajorityInstance::one_extra(21)).runs(30);
         for engine in [
             EngineKind::Agent,
             EngineKind::Count,
             EngineKind::Jump,
             EngineKind::Adaptive,
         ] {
-            let r = run_trials(&FourState, &plan, engine, ConvergenceRule::OutputConsensus);
+            let s = scenario(
+                ProtocolSpec::FourState,
+                MajorityInstance::one_extra(21),
+                engine,
+                30,
+                0,
+            );
+            let r = ScenarioPlan::new(s).run();
             assert_eq!(r.error_fraction(), 0.0, "engine {engine:?}");
             assert_eq!(r.convergence_fraction(), 1.0);
         }
@@ -1189,15 +923,14 @@ mod tests {
     #[test]
     fn voter_errs_roughly_at_minority_fraction() {
         // P[error] = b/n = 5/20.
-        let plan = TrialPlan::new(MajorityInstance::new(15, 5))
-            .runs(300)
-            .seed(1);
-        let r = run_trials(
-            &Voter,
-            &plan,
+        let s = scenario(
+            ProtocolSpec::Voter,
+            MajorityInstance::new(15, 5),
             EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
+            300,
+            1,
         );
+        let r = ScenarioPlan::new(s).run();
         assert!(
             (r.error_fraction() - 0.25).abs() < 0.08,
             "{}",
@@ -1207,39 +940,42 @@ mod tests {
 
     #[test]
     fn tie_instances_have_zero_error_fraction() {
-        let plan = TrialPlan::new(MajorityInstance::new(5, 5)).runs(5);
-        let r = run_trials(
-            &Voter,
-            &plan,
+        let s = scenario(
+            ProtocolSpec::Voter,
+            MajorityInstance::new(5, 5),
             EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
+            5,
+            0,
         );
+        let r = ScenarioPlan::new(s).run();
         assert_eq!(r.error_fraction(), 0.0);
     }
 
     #[test]
     fn max_steps_shows_up_as_non_convergence() {
-        let plan = TrialPlan::new(MajorityInstance::new(50, 50))
-            .runs(5)
-            .max_steps(3);
-        let r = run_trials(
-            &Voter,
-            &plan,
+        let s = scenario(
+            ProtocolSpec::Voter,
+            MajorityInstance::new(50, 50),
             EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-        );
+            5,
+            0,
+        )
+        .max_steps(3);
+        let r = ScenarioPlan::new(s).run();
         assert!(r.convergence_fraction() < 1.0);
     }
 
     #[test]
     fn three_state_runs_under_state_consensus() {
-        let plan = TrialPlan::new(MajorityInstance::new(40, 20)).runs(20);
-        let r = run_trials(
-            &ThreeState::new(),
-            &plan,
+        let s = scenario(
+            ProtocolSpec::ThreeState,
+            MajorityInstance::new(40, 20),
             EngineKind::Auto,
-            ConvergenceRule::StateConsensus,
-        );
+            20,
+            0,
+        )
+        .rule(ConvergenceRule::StateConsensus);
+        let r = ScenarioPlan::new(s).run();
         assert_eq!(r.convergence_fraction(), 1.0);
         assert!(r.summary().mean > 0.0);
     }
@@ -1267,22 +1003,19 @@ mod tests {
 
     #[test]
     fn parallel_trials_match_serial_bit_for_bit() {
-        let base = TrialPlan::new(MajorityInstance::new(30, 21))
-            .runs(24)
-            .seed(7);
-        let serial = run_trials(
-            &FourState,
-            &base.parallelism(Parallelism::Serial),
+        let base = ScenarioPlan::new(scenario(
+            ProtocolSpec::FourState,
+            MajorityInstance::new(30, 21),
             EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-        );
+            24,
+            7,
+        ));
+        let serial = base.clone().parallelism(Parallelism::Serial).run();
         for workers in [2, 3, 8] {
-            let parallel = run_trials(
-                &FourState,
-                &base.parallelism(Parallelism::Threads(workers)),
-                EngineKind::Count,
-                ConvergenceRule::OutputConsensus,
-            );
+            let parallel = base
+                .clone()
+                .parallelism(Parallelism::Threads(workers))
+                .run();
             assert_eq!(serial.outcomes(), parallel.outcomes(), "{workers} workers");
             assert_eq!(serial.summary(), parallel.summary(), "{workers} workers");
         }
@@ -1290,18 +1023,17 @@ mod tests {
 
     #[test]
     fn stats_account_for_every_trial_and_event() {
-        let plan = TrialPlan::new(MajorityInstance::new(10, 5))
-            .runs(12)
-            .seed(2)
-            .parallelism(Parallelism::Threads(3));
-        let collector = StatsCollector::new();
-        let r = run_trials_with_stats(
-            &Voter,
-            &plan,
+        let s = scenario(
+            ProtocolSpec::Voter,
+            MajorityInstance::new(10, 5),
             EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-            &collector,
+            12,
+            2,
         );
+        let collector = StatsCollector::new();
+        let r = ScenarioPlan::new(s)
+            .parallelism(Parallelism::Threads(3))
+            .run_with_stats(&collector);
         let stats = collector.snapshot();
         assert_eq!(stats.trials, 12);
         let total_steps: u64 = r.outcomes().iter().map(|o| o.steps).sum();
@@ -1347,18 +1079,15 @@ mod tests {
 
     #[test]
     fn telemetry_matches_outcomes_and_stats() {
-        use avc_population::telemetry::keys;
-        let plan = TrialPlan::new(MajorityInstance::new(20, 11))
-            .runs(8)
-            .seed(5);
-        let collector = StatsCollector::new();
-        let (r, telemetry) = run_trials_with_telemetry(
-            &FourState,
-            &plan,
+        let s = scenario(
+            ProtocolSpec::FourState,
+            MajorityInstance::new(20, 11),
             EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-            &collector,
+            8,
+            5,
         );
+        let collector = StatsCollector::new();
+        let (r, telemetry) = ScenarioPlan::new(s).run_with_telemetry(&collector);
         let total_steps: u64 = r.outcomes().iter().map(|o| o.steps).sum();
         assert_eq!(telemetry.sim.counter(keys::SIM_STEPS), Some(total_steps));
         assert_eq!(telemetry.sim.counter(keys::SIM_TRIALS), Some(8));
@@ -1381,19 +1110,20 @@ mod tests {
 
     #[test]
     fn telemetry_sim_half_is_parallelism_invariant() {
-        use avc_population::telemetry::keys;
-        let base = TrialPlan::new(MajorityInstance::new(25, 18))
-            .runs(12)
-            .seed(9);
-        let run = |parallelism| {
-            let collector = StatsCollector::new();
-            run_trials_with_telemetry(
-                &ThreeState::new(),
-                &base.parallelism(parallelism),
+        let base = ScenarioPlan::new(
+            scenario(
+                ProtocolSpec::ThreeState,
+                MajorityInstance::new(25, 18),
                 EngineKind::Adaptive,
-                ConvergenceRule::StateConsensus,
-                &collector,
+                12,
+                9,
             )
+            .rule(ConvergenceRule::StateConsensus),
+        );
+        let run = |parallelism| {
+            base.clone()
+                .parallelism(parallelism)
+                .run_with_telemetry(&StatsCollector::new())
         };
         let (serial_r, serial_t) = run(Parallelism::Serial);
         for workers in [2, 5] {
@@ -1401,15 +1131,157 @@ mod tests {
             assert_eq!(serial_r.outcomes(), r.outcomes(), "{workers} workers");
             assert_eq!(serial_t.sim, t.sim, "{workers} workers");
         }
-        // RNG-invisibility: the uninstrumented path sees identical outcomes.
-        let plain = run_trials(
-            &ThreeState::new(),
-            &base,
-            EngineKind::Adaptive,
-            ConvergenceRule::StateConsensus,
-        );
+        // The outcome-only projection sees identical outcomes.
+        let plain = base.run();
         assert_eq!(plain.outcomes(), serial_r.outcomes());
         assert!(serial_t.sim.counter(keys::SIM_STEPS).unwrap() > 0);
+    }
+
+    /// Runs one trial of `scenario` on `sim`, as every batch loop has.
+    fn drive_trial<O: Observer>(
+        scenario: &Scenario,
+        sim: &mut dyn ErasedChunkedSim,
+        trial: u64,
+        observer: &mut O,
+    ) -> RunOutcome {
+        let seeds = match scenario.seed_child {
+            Some(child) => SeedSequence::new(scenario.seed).child(child),
+            None => SeedSequence::new(scenario.seed),
+        };
+        let mut rng = seeds.rng_for(trial);
+        let driver = Driver::new(scenario.rule).with_max_steps(scenario.max_steps);
+        if scenario.faults.is_empty() {
+            driver.run_erased(sim, &mut rng, observer)
+        } else {
+            let mut faults = FaultPlan::from_events(scenario.faults.clone());
+            driver.run_faulted_erased(sim, &mut rng, observer, &mut faults)
+        }
+    }
+
+    /// The algorithm the single loop replaced: a fresh engine per trial
+    /// over a lent `&mut CountingSink`, each trial's `sim` snapshot merged
+    /// in trial-index order. Also returns the outcomes of the same trials
+    /// on fresh `NoopSink` engines.
+    fn per_trial_reference<P: Protocol + Clone>(
+        protocol: P,
+        scenario: &Scenario,
+    ) -> (Vec<RunOutcome>, RegistrySnapshot, Vec<RunOutcome>) {
+        let (a, b) = (scenario.instance.a(), scenario.instance.b());
+        let (engine, scheduler) = (scenario.engine, &scenario.scheduler);
+        let (mut outcomes, mut sim, mut noop) = (Vec::new(), RegistrySnapshot::new(), Vec::new());
+        for trial in 0..scenario.runs {
+            let config = Config::from_input(&protocol, a, b);
+            let mut sink = CountingSink::new();
+            let mut engine_sim = build_erased_with_sink(
+                protocol.clone(),
+                config.clone(),
+                engine,
+                scheduler,
+                &mut sink,
+            )
+            .unwrap();
+            let outcome = drive_trial(scenario, engine_sim.as_mut(), trial, &mut NullObserver);
+            drop(engine_sim);
+            let mut cell = sink.snapshot();
+            let mut convergence = HistogramSnapshot::new();
+            if outcome.verdict.is_consensus() {
+                convergence.record(outcome.steps);
+            }
+            cell.set(
+                keys::SIM_CONVERGENCE_STEPS,
+                MetricValue::Histogram(convergence),
+            );
+            cell.set(keys::SIM_TRIALS, MetricValue::Counter(1));
+            cell.set(
+                keys::SIM_TRIALS_CONVERGED,
+                MetricValue::Counter(u64::from(outcome.verdict.is_consensus())),
+            );
+            sim.merge(&cell);
+            outcomes.push(outcome);
+
+            let mut plain = build_erased(protocol.clone(), config, engine, scheduler).unwrap();
+            noop.push(drive_trial(
+                scenario,
+                plain.as_mut(),
+                trial,
+                &mut NullObserver,
+            ));
+        }
+        (outcomes, sim, noop)
+    }
+
+    #[test]
+    fn single_loop_matches_the_per_trial_reference() {
+        let four = |engine| {
+            scenario(
+                ProtocolSpec::FourState,
+                MajorityInstance::new(41, 40),
+                engine,
+                7,
+                11,
+            )
+        };
+        let mut cases: Vec<Scenario> = EngineKind::CONCRETE.into_iter().map(four).collect();
+        // Budget-truncated trials record no convergence steps.
+        cases.push(four(EngineKind::Adaptive).max_steps(2_000));
+        cases.push(
+            scenario(
+                ProtocolSpec::Avc { m: 7, d: 1 },
+                MajorityInstance::new(31, 20),
+                EngineKind::Agent,
+                6,
+                4,
+            )
+            .scheduler(SchedulerSpec::Biased { hot: 8, bias: 0.9 })
+            .seed_child(2),
+        );
+        cases.push(
+            four(EngineKind::Agent)
+                .fault(
+                    30,
+                    Fault::Corrupt {
+                        from: 0,
+                        to: 1,
+                        agents: 3,
+                    },
+                )
+                .fault(60, Fault::StickAt { agent: 5 })
+                .fault(90, Fault::Crash { agent: 7 })
+                .max_steps(200_000),
+        );
+        let mut covered = RegistrySnapshot::new();
+        for case in &cases {
+            let (outcomes, sim, noop) = with_resolved_protocol!(case.protocol, |protocol| {
+                match Cached::try_new(protocol) {
+                    Ok(cached) => per_trial_reference(&cached, case),
+                    Err(plain) => per_trial_reference(&plain, case),
+                }
+            });
+            assert_eq!(
+                noop,
+                outcomes,
+                "the sink moved an outcome: {}",
+                case.canonical()
+            );
+            for parallelism in [
+                Parallelism::Serial,
+                Parallelism::Threads(2),
+                Parallelism::Threads(3),
+            ] {
+                let (r, t) = ScenarioPlan::new(case.clone())
+                    .parallelism(parallelism)
+                    .run_with_telemetry(&StatsCollector::new());
+                let label = format!("{parallelism:?} {}", case.canonical());
+                assert_eq!(r.outcomes(), &outcomes[..], "{label}");
+                assert_eq!(t.sim, sim, "{label}");
+            }
+            covered.merge(&sim);
+        }
+        // Between them the cases move every counter the merge has to carry.
+        for key in ["sim.faults", "sim.phase_switches", "sim.fenwick_descents"] {
+            assert!(covered.counter(key).unwrap() > 0, "{key} never moved");
+        }
+        assert!(covered.counter(keys::SIM_TRIALS_CONVERGED) < covered.counter(keys::SIM_TRIALS));
     }
 
     /// The slot's entry, with a fresh reference to its table.

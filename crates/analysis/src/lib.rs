@@ -18,14 +18,14 @@
 //! # Example: one Figure-3 cell
 //!
 //! ```
-//! use avc_analysis::harness::{run_trials, EngineKind, TrialPlan};
-//! use avc_population::{ConvergenceRule, MajorityInstance};
-//! use avc_protocols::FourState;
+//! use avc_analysis::harness::{EngineKind, ScenarioPlan};
+//! use avc_population::{MajorityInstance, ProtocolSpec, Scenario};
 //!
-//! let plan = TrialPlan::new(MajorityInstance::one_extra(101))
+//! let scenario = Scenario::new(ProtocolSpec::FourState, MajorityInstance::one_extra(101))
+//!     .engine(EngineKind::Jump)
 //!     .runs(20)
 //!     .seed(7);
-//! let results = run_trials(&FourState, &plan, EngineKind::Jump, ConvergenceRule::OutputConsensus);
+//! let results = ScenarioPlan::new(scenario).run();
 //! assert_eq!(results.error_fraction(), 0.0); // the four-state protocol is exact
 //! assert!(results.mean_parallel_time() > 0.0);
 //! ```

@@ -194,7 +194,7 @@ impl BatchEntry {
 /// Runs `trials` trials the pre-reuse way: the `Cached` table is shared, but
 /// every trial pays `Config::from_input` + `build_erased` (config clone,
 /// engine state, scheduler, box) before it can run.
-fn run_trials_fresh(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64, u64)>) {
+fn time_fresh_batch(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64, u64)>) {
     let inst = MajorityInstance::one_extra(n);
     let protocol = Cached::new(FourState);
     let driver = Driver::new(RULE).with_max_steps(max_steps(engine, n));
@@ -214,7 +214,7 @@ fn run_trials_fresh(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64, 
 /// Runs the same `trials` trials through one long-lived engine reset in
 /// place before each trial — the reuse seam's shape. The single build is
 /// timed too, so the comparison charges the reused path its setup.
-fn run_trials_reused(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64, u64)>) {
+fn time_reused_batch(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64, u64)>) {
     let inst = MajorityInstance::one_extra(n);
     let protocol = Cached::new(FourState);
     let driver = Driver::new(RULE).with_max_steps(max_steps(engine, n));
@@ -241,8 +241,8 @@ fn measure_batch(engine: EngineKind, n: u64, trials: u64, reps: usize) -> BatchE
     let mut steps = 0;
     let mut best_speedup: f64 = 0.0;
     for _ in 0..reps {
-        let (ft, fo) = run_trials_fresh(engine, n, trials);
-        let (rt, ro) = run_trials_reused(engine, n, trials);
+        let (ft, fo) = time_fresh_batch(engine, n, trials);
+        let (rt, ro) = time_reused_batch(engine, n, trials);
         assert_eq!(
             fo,
             ro,

@@ -7,7 +7,7 @@ use crate::engine::{
 };
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{CountingSink, NoopSink, Sink};
 use rand::RngCore;
 
 /// Window length over which the productive fraction is estimated.
@@ -275,6 +275,10 @@ impl<P: Protocol + Clone, T: Sink> ChunkedSimulator for AdaptiveSim<P, T> {
         self.in_sparse = false;
         self.window_start_steps = 0;
         self.window_start_events = 0;
+    }
+
+    fn sink_counts(&self) -> Option<&CountingSink> {
+        self.telemetry.counts()
     }
 }
 

@@ -6,7 +6,7 @@ use crate::faults::{Fault, FaultError};
 use crate::graph::Graph;
 use crate::protocol::{Opinion, Protocol, StateId};
 use crate::sched::{Scheduler, Uniform};
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{CountingSink, NoopSink, Sink};
 use rand::RngCore;
 
 /// A per-agent engine supporting arbitrary interaction graphs and
@@ -174,7 +174,12 @@ impl StateCell for StateId {
 /// passed split so the enum match happens once per chunk, not once per
 /// step. The scheduler inlines too: under [`Uniform`] this compiles to
 /// exactly the pre-scheduler loop (same draws, same order).
+///
+/// Kept out of line (one call per chunk): inlined into `advance_chunk`,
+/// the loop under the star-restricted scheduler ran at 0.6× the steps/s
+/// of this standalone function on an x86-64 release build.
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler, R: RngCore + ?Sized>(
     protocol: &P,
     graph: &Graph,
@@ -252,8 +257,10 @@ fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler, R: RngCore + ?Sized>(
 /// The faulted loop: same check-then-step order as [`chunk_loop`], plus
 /// the crash and stuck-at overlays. Kept separate (and simpler — the
 /// predicate is re-checked every step) so the fault-free path pays
-/// nothing for the fault machinery.
+/// nothing for the fault machinery, and out of line for the same reason
+/// as [`chunk_loop`].
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn chunk_loop_faulted<C: StateCell, P: Protocol, S: Scheduler, R: RngCore + ?Sized>(
     protocol: &P,
     graph: &Graph,
@@ -797,6 +804,10 @@ impl<P: Protocol, S: Scheduler, T: Sink> ChunkedSimulator for AgentSim<P, S, T> 
         };
         self.telemetry.on_chunk(report.steps, report.events);
         report
+    }
+
+    fn sink_counts(&self) -> Option<&CountingSink> {
+        self.telemetry.counts()
     }
 }
 

@@ -5,7 +5,7 @@ use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, S
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
 use crate::sampler::FenwickSampler;
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{CountingSink, NoopSink, Sink};
 use rand::{Rng, RngCore};
 
 /// A count-based engine: `O(log s)` per step, `O(s)` memory.
@@ -327,6 +327,10 @@ impl<P: Protocol, T: Sink> ChunkedSimulator for CountSim<P, T> {
         };
         self.telemetry.on_chunk(report.steps, report.events);
         report
+    }
+
+    fn sink_counts(&self) -> Option<&CountingSink> {
+        self.telemetry.counts()
     }
 }
 

@@ -4,7 +4,7 @@ use crate::config::Config;
 use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{CountingSink, NoopSink, Sink};
 use rand::{Rng, RngCore};
 
 /// Sentinel for "state not in the live list".
@@ -579,6 +579,10 @@ impl<P: Protocol, T: Sink> ChunkedSimulator for JumpSim<P, T> {
         };
         self.telemetry.on_chunk(report.steps, report.events);
         report
+    }
+
+    fn sink_counts(&self) -> Option<&CountingSink> {
+        self.telemetry.counts()
     }
 }
 

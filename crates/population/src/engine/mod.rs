@@ -31,6 +31,7 @@ use crate::config::Config;
 use crate::faults::{Fault, FaultError};
 use crate::protocol::Opinion;
 use crate::spec::{ConvergenceRule, RunOutcome, Verdict};
+use avc_telemetry::CountingSink;
 use rand::RngCore;
 
 /// Inline-checkable stopping rule for a chunked advance.
@@ -371,6 +372,12 @@ pub trait ChunkedSimulator: Simulator {
     /// different state count, or (for engines with per-agent identity) a
     /// different population size.
     fn reset(&mut self, config: &Config);
+
+    /// The counts of the attached telemetry sink: `Some` for a
+    /// [`CountingSink`], owned or lent, `None` for the default
+    /// [`NoopSink`](avc_telemetry::NoopSink). [`reset`](Self::reset) leaves
+    /// the sink alone, so an owned sink sums every trial the engine runs.
+    fn sink_counts(&self) -> Option<&CountingSink>;
 }
 
 /// An object-safe view of a [`ChunkedSimulator`], monomorphized over
@@ -396,6 +403,10 @@ pub trait ErasedChunkedSim: Simulator {
     /// As [`ChunkedSimulator::reset`], behind the erased seam — same
     /// fresh-equivalence contract, same no-allocation expectation.
     fn reset_erased(&mut self, config: &Config);
+
+    /// As [`ChunkedSimulator::sink_counts`], behind the erased seam: how a
+    /// trial batch reads back the sink its long-lived engine owns.
+    fn sink_counts_erased(&self) -> Option<&CountingSink>;
 }
 
 impl<S: ChunkedSimulator> ErasedChunkedSim for S {
@@ -409,6 +420,10 @@ impl<S: ChunkedSimulator> ErasedChunkedSim for S {
 
     fn reset_erased(&mut self, config: &Config) {
         self.reset(config);
+    }
+
+    fn sink_counts_erased(&self) -> Option<&CountingSink> {
+        self.sink_counts()
     }
 }
 

@@ -20,7 +20,7 @@ use crate::config::Config;
 use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{CountingSink, NoopSink, Sink};
 use rand::{Rng, RngCore};
 use rand_distr::{Distribution, Poisson};
 
@@ -465,6 +465,10 @@ impl<P: Protocol, T: Sink> ChunkedSimulator for TauLeapSim<P, T> {
         self.n = n;
         self.steps = 0;
         self.events = 0;
+    }
+
+    fn sink_counts(&self) -> Option<&CountingSink> {
+        self.telemetry.counts()
     }
 }
 

@@ -79,7 +79,20 @@ impl Fault {
     /// needs an engine with per-agent identity).
     #[must_use]
     pub fn is_agent_addressed(&self) -> bool {
-        !matches!(self, Fault::Corrupt { .. })
+        self.agent().is_some()
+    }
+
+    /// The agent this fault addresses, if it addresses one.
+    #[must_use]
+    pub fn agent(&self) -> Option<usize> {
+        match *self {
+            Fault::Corrupt { .. } => None,
+            Fault::BitFlip { agent, .. }
+            | Fault::Crash { agent }
+            | Fault::Revive { agent }
+            | Fault::StickAt { agent }
+            | Fault::Unstick { agent } => Some(agent),
+        }
     }
 }
 

@@ -374,6 +374,44 @@ pub enum SchedulerSpec {
     RestrictedCycle,
 }
 
+impl SchedulerSpec {
+    /// Checks the scheduler's parameters against a population of `n`
+    /// agents: the bounds its constructor and its pair sampler assert.
+    ///
+    /// # Errors
+    ///
+    /// A description of the violated bound.
+    fn validate(&self, n: u64) -> Result<(), String> {
+        let bad = |why: String| Err(format!("invalid scheduler `{self}`: {why}"));
+        match *self {
+            SchedulerSpec::Biased { hot, bias } => {
+                if hot < 2 || hot > n {
+                    return bad(format!("hot must be in 2..={n} (the population)"));
+                }
+                if !(0.0..1.0).contains(&bias) {
+                    return bad("bias must be in [0, 1)".to_string());
+                }
+            }
+            SchedulerSpec::Starved { laggards, period } => {
+                if laggards == 0 || laggards + 2 > n {
+                    return bad(format!(
+                        "laggards must be in 1..={} (two agents of {n} must stay eligible)",
+                        n.saturating_sub(2)
+                    ));
+                }
+                if period < 2 {
+                    return bad("period must be >= 2".to_string());
+                }
+            }
+            SchedulerSpec::RestrictedCycle if n < 3 => {
+                return bad(format!("a cycle needs at least three agents (n = {n})"));
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
 impl fmt::Display for SchedulerSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -664,7 +702,7 @@ impl Scenario {
             Some(v) => Some(u64_value(v, "seed_child")?),
             None => None,
         };
-        Ok(Scenario {
+        let scenario = Scenario {
             protocol,
             instance: MajorityInstance::new(a, b),
             engine,
@@ -675,7 +713,68 @@ impl Scenario {
             runs: u64_field(json, "runs")?,
             seed: u64_field(json, "seed")?,
             seed_child,
-        })
+        };
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    /// Checks that every trial of the scenario can run: the scheduler suits
+    /// the engine and the population, and every fault names agents and
+    /// states that exist, on an engine that can apply it. Each of these
+    /// would otherwise panic a trial worker; [`Scenario::from_json`] calls
+    /// this, so no parsed scenario does.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.instance.population();
+        if self.scheduler != SchedulerSpec::Uniform && self.engine != EngineKind::Agent {
+            return Err(format!(
+                "scheduler `{}` needs per-agent scheduling — set \"engine\": \"agent\" \
+                 (got `{}`)",
+                self.scheduler, self.engine
+            ));
+        }
+        self.scheduler.validate(n)?;
+        let states = self.protocol.state_count();
+        for (i, event) in self.faults.iter().enumerate() {
+            let fault = event.fault;
+            let bad = |why: String| {
+                Err(format!(
+                    "fault {i} (`{fault}` at step {}) {why}",
+                    event.at_step
+                ))
+            };
+            if let Fault::Corrupt { from, to, .. } = fault {
+                if let Some(state) = [from, to].into_iter().find(|&s| u64::from(s) >= states) {
+                    return bad(format!(
+                        "names state {state}, outside the {states} states of `{}`",
+                        self.protocol
+                    ));
+                }
+            }
+            if let Fault::BitFlip { bit, .. } = fault {
+                if bit >= 32 {
+                    return bad(format!("flips bit {bit} of a 32-bit state id"));
+                }
+            }
+            if let Some(agent) = fault.agent() {
+                if self.engine != EngineKind::Agent {
+                    return bad(format!(
+                        "addresses an agent, which needs per-agent identity — set \
+                         \"engine\": \"agent\" (got `{}`)",
+                        self.engine
+                    ));
+                }
+                if agent as u64 >= n {
+                    return bad(format!(
+                        "addresses agent {agent}, outside the population of n = {n}"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Parses a scenario from JSON text (e.g. a scenario file).

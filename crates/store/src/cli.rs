@@ -6,6 +6,9 @@
 //! avc resume <name> [flags]   alias for `sweep` — resuming IS rerunning
 //! avc merge <name> [flags]    fold shard stores into one unsharded store
 //! avc export <name> [flags]   write the sweep's CSVs from the store
+//! avc run <file> [flags]      execute one scenario (or grid) file
+//! avc report <name> [flags]   render the sweep's telemetry
+//! avc top [name] [flags]      tail the live telemetry journal
 //! avc ls [--cells]            list stored results by experiment
 //! avc show <hash-prefix>      inspect one stored cell
 //! avc help                    this summary plus the sweep registry
@@ -14,8 +17,8 @@
 //! Shared flags: `--out DIR` (CSV directory, default `results`), `--store
 //! DIR` (registry directory, default `<out>/store`), `--progress`,
 //! `--serial` / `--threads N`, plus each sweep's own flags (`--quick`,
-//! `--runs`, `--seed`, …). The legacy `avc-bench` binaries call
-//! [`legacy`], which is exactly `sweep` followed by `export`.
+//! `--runs`, `--seed`, …). Regenerating a paper artifact is `avc sweep
+//! <name>` followed by `avc export <name>`.
 
 use crate::json::Json;
 use crate::record::telemetry_from_json;
@@ -30,7 +33,7 @@ use avc_population::spec::Verdict;
 use avc_population::telemetry::export::{prometheus_text, read_lines_tolerant};
 use avc_population::telemetry::metrics::bucket_bounds;
 use avc_population::telemetry::{keys, CellTelemetry, HistogramSnapshot};
-use avc_population::{EngineKind, ProtocolSpec, Scenario, SchedulerSpec};
+use avc_population::{ProtocolSpec, Scenario};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -556,13 +559,6 @@ fn cmd_run(path: &str, args: &Args) -> Result<(), String> {
         return cmd_run_grid(path, &json, args);
     }
     let scenario = Scenario::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
-    if scenario.scheduler != SchedulerSpec::Uniform && scenario.engine != EngineKind::Agent {
-        return Err(format!(
-            "{path}: scheduler `{}` needs per-agent scheduling — set \"engine\": \"agent\" \
-             (got `{}`)",
-            scenario.scheduler, scenario.engine
-        ));
-    }
     println!("== avc run {path} ==");
     run_scenario(&scenario, args);
     Ok(())
@@ -741,16 +737,5 @@ pub fn main() -> i32 {
             eprintln!("avc: {message}");
             1
         }
-    }
-}
-
-/// The legacy single-binary behavior: run the named sweep to completion,
-/// then export its CSVs — checkpointing included. The ten `avc-bench`
-/// binaries are one-line wrappers over this.
-pub fn legacy(name: &str) {
-    let args = Args::from_env();
-    if let Err(message) = cmd_sweep(name, &args).and_then(|()| cmd_export(name, &args)) {
-        eprintln!("avc: {message}");
-        std::process::exit(1);
     }
 }

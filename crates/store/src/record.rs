@@ -74,7 +74,7 @@ pub struct CellResult {
     pub trials: Option<TrialSummary>,
     /// Pre-rendered table rows this cell contributes, keyed by the output
     /// file stem (`fig3_time`, `fig3_error`, …). Rendered once at run time
-    /// by the same code as the legacy path, then replayed verbatim at
+    /// by the experiment's own table code, then replayed verbatim at
     /// export — the trivially byte-stable route.
     pub tables: BTreeMap<String, Vec<Vec<String>>>,
     /// Named exact scalars needed to re-derive export artifacts that span

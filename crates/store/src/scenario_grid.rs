@@ -39,7 +39,7 @@ use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
 use avc_population::json::Json;
 use avc_population::spec::Verdict;
-use avc_population::{EngineKind, Scenario, SchedulerSpec};
+use avc_population::Scenario;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
@@ -166,14 +166,6 @@ impl ScenarioGrid {
                 .ok_or_else(|| format!("grid cell `{label}` needs a `scenario` object"))?;
             let scenario = Scenario::from_json(scenario_json)
                 .map_err(|e| format!("grid cell `{label}`: {e}"))?;
-            if scenario.scheduler != SchedulerSpec::Uniform && scenario.engine != EngineKind::Agent
-            {
-                return Err(format!(
-                    "grid cell `{label}`: scheduler `{}` needs per-agent scheduling — set \
-                     \"engine\": \"agent\" (got `{}`)",
-                    scenario.scheduler, scenario.engine
-                ));
-            }
             cells.push(GridCell { label, scenario });
         }
         Ok(ScenarioGrid {

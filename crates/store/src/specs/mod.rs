@@ -1,13 +1,10 @@
-//! Named sweep specs: one per legacy bench binary.
+//! Named sweep specs: one per paper artifact.
 //!
 //! Each spec turns parsed CLI flags into a [`Plan`] — the cell grid with
 //! content-addressed manifests plus the export assembly that regenerates
-//! the exact `results/*.csv` files the legacy binaries wrote. The legacy
-//! `avc-bench` bins are thin aliases over these specs, so the store path
-//! and the legacy path execute the *same* per-cell code
-//! (`fig3::run_cell`, `fig4::run_point`, …) and render rows through the
-//! same table builders: byte-identity between the two is by construction,
-//! not by test luck.
+//! the exact `results/*.csv` files. Cells run the experiment modules' own
+//! per-cell code (`fig3::run_cell`, `fig4::run_point`, …) and render rows
+//! through the same table builders.
 
 mod checks;
 mod figures;

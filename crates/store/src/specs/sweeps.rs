@@ -557,18 +557,13 @@ mod tests {
 
     #[test]
     fn trials_of_matches_results() {
-        use avc_analysis::harness::{run_trials, EngineKind, TrialPlan};
-        use avc_population::{ConvergenceRule, MajorityInstance};
-        use avc_protocols::FourState;
-        let plan = TrialPlan::new(MajorityInstance::one_extra(101))
+        use avc_analysis::harness::{EngineKind, ScenarioPlan};
+        use avc_population::{MajorityInstance, ProtocolSpec, Scenario};
+        let scenario = Scenario::new(ProtocolSpec::FourState, MajorityInstance::one_extra(101))
+            .engine(EngineKind::Jump)
             .runs(5)
             .seed(3);
-        let results = run_trials(
-            &FourState,
-            &plan,
-            EngineKind::Jump,
-            ConvergenceRule::OutputConsensus,
-        );
+        let results = ScenarioPlan::new(scenario).run();
         let trials = trials_of(&results);
         assert_eq!(trials.total_runs, 5);
         assert_eq!(trials.error_fraction, 0.0);

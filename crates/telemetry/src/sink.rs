@@ -54,6 +54,11 @@ pub trait Sink {
     /// The adaptive engine switched dense/sparse phase.
     #[inline(always)]
     fn on_phase_switch(&mut self) {}
+
+    /// The counts recorded so far, for a sink that keeps them.
+    fn counts(&self) -> Option<&CountingSink> {
+        None
+    }
 }
 
 /// The default sink: records nothing, compiles to nothing.
@@ -179,6 +184,10 @@ impl Sink for CountingSink {
     fn on_phase_switch(&mut self) {
         self.switches += 1;
     }
+
+    fn counts(&self) -> Option<&CountingSink> {
+        Some(self)
+    }
 }
 
 /// A mutable reference forwards to the underlying sink, so engines can
@@ -204,6 +213,10 @@ impl<T: Sink> Sink for &mut T {
     #[inline(always)]
     fn on_phase_switch(&mut self) {
         (**self).on_phase_switch();
+    }
+
+    fn counts(&self) -> Option<&CountingSink> {
+        (**self).counts()
     }
 }
 
@@ -250,6 +263,9 @@ mod tests {
         let mut sink = CountingSink::new();
         drive(&mut sink);
         assert_eq!(sink.steps, 5);
+        let lent = &mut sink;
+        assert_eq!(Sink::counts(&lent).map(|c| c.steps), Some(5));
+        assert!(NoopSink.counts().is_none());
         const {
             assert!(<&mut CountingSink as Sink>::ENABLED);
             assert!(!<&mut NoopSink as Sink>::ENABLED);

@@ -10,10 +10,10 @@
 //!
 //! Run with: `cargo run --release --example cell_cycle_switch`
 
-use avc::analysis::harness::{run_trials, EngineKind, TrialPlan};
+use avc::analysis::harness::{EngineKind, ScenarioPlan};
 use avc::analysis::table::{fmt_num, Table};
-use avc::population::{ConvergenceRule, MajorityInstance};
-use avc::protocols::{Avc, ThreeState};
+use avc::population::{ConvergenceRule, MajorityInstance, ProtocolSpec, Scenario};
+use avc::protocols::Avc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A population of molecules deciding between two fates.
@@ -30,26 +30,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
     );
 
-    let switch = ThreeState::new();
     let avc = Avc::with_states(64)?;
+    let avc_spec = ProtocolSpec::Avc {
+        m: avc.m(),
+        d: avc.d(),
+    };
     for (i, eps) in [0.002, 0.01, 0.05, 0.2].into_iter().enumerate() {
-        let plan = TrialPlan::new(MajorityInstance::with_margin(n, eps))
-            .runs(runs)
-            .seed(100 + i as u64);
-        let s = run_trials(
-            &switch,
-            &plan,
-            EngineKind::Jump,
-            ConvergenceRule::StateConsensus,
-        );
-        let a = run_trials(
-            &avc,
-            &plan,
-            EngineKind::Auto,
-            ConvergenceRule::OutputConsensus,
-        );
+        let instance = MajorityInstance::with_margin(n, eps);
+        let run =
+            |scenario: Scenario| ScenarioPlan::new(scenario.runs(runs).seed(100 + i as u64)).run();
+        let s = run(Scenario::new(ProtocolSpec::ThreeState, instance)
+            .engine(EngineKind::Jump)
+            .rule(ConvergenceRule::StateConsensus));
+        let a = run(Scenario::new(avc_spec, instance));
         table.push_row([
-            fmt_num(plan.instance().margin()),
+            fmt_num(instance.margin()),
             fmt_num(s.error_fraction()),
             fmt_num(s.mean_parallel_time()),
             fmt_num(a.error_fraction()),

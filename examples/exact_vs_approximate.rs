@@ -3,16 +3,21 @@
 //!
 //! Run with: `cargo run --release --example exact_vs_approximate`
 
-use avc::analysis::harness::{run_trials, EngineKind, TrialPlan};
+use avc::analysis::harness::{EngineKind, ScenarioPlan};
 use avc::analysis::table::{fmt_num, Table};
-use avc::population::{ConvergenceRule, MajorityInstance};
-use avc::protocols::{Avc, FourState, ThreeState, Voter};
+use avc::population::{ConvergenceRule, MajorityInstance, ProtocolSpec, Scenario};
+use avc::protocols::Avc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1_001;
-    let plan = TrialPlan::new(MajorityInstance::one_extra(n))
-        .runs(51)
-        .seed(7);
+    let run = |protocol, engine, rule| {
+        let scenario = Scenario::new(protocol, MajorityInstance::one_extra(n))
+            .engine(engine)
+            .rule(rule)
+            .runs(51)
+            .seed(7);
+        ScenarioPlan::new(scenario).run()
+    };
 
     let mut table = Table::new(
         format!("majority protocols at n = {n}, eps = 1/n, 51 runs"),
@@ -25,9 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
     );
 
-    let voter = run_trials(
-        &Voter,
-        &plan,
+    let voter = run(
+        ProtocolSpec::Voter,
         EngineKind::Count,
         ConvergenceRule::OutputConsensus,
     );
@@ -39,9 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "no".to_string(),
     ]);
 
-    let three = run_trials(
-        &ThreeState::new(),
-        &plan,
+    let three = run(
+        ProtocolSpec::ThreeState,
         EngineKind::Jump,
         ConvergenceRule::StateConsensus,
     );
@@ -53,9 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "no".to_string(),
     ]);
 
-    let four = run_trials(
-        &FourState,
-        &plan,
+    let four = run(
+        ProtocolSpec::FourState,
         EngineKind::Jump,
         ConvergenceRule::OutputConsensus,
     );
@@ -69,9 +71,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let avc = Avc::with_states(n)?;
     let states = avc.s();
-    let avc_res = run_trials(
-        &avc,
-        &plan,
+    let avc_res = run(
+        ProtocolSpec::Avc {
+            m: avc.m(),
+            d: avc.d(),
+        },
         EngineKind::Auto,
         ConvergenceRule::OutputConsensus,
     );

@@ -2,8 +2,8 @@
 //! minority opinion — statistically at simulation scale, and exhaustively
 //! (over all schedules) at model-checking scale.
 
-use avc::analysis::harness::{run_trials, EngineKind, TrialPlan};
-use avc::population::{ConvergenceRule, MajorityInstance};
+use avc::analysis::harness::ScenarioPlan;
+use avc::population::{MajorityInstance, ProtocolSpec, Scenario};
 use avc::protocols::{Avc, FourState};
 use avc::verify::reach::check_exact_majority;
 
@@ -11,17 +11,12 @@ use avc::verify::reach::check_exact_majority;
 #[test]
 fn avc_exact_across_margins_and_parameters() {
     for (m, d) in [(1u64, 1u32), (5, 1), (15, 1), (15, 3), (63, 2)] {
-        let avc = Avc::new(m, d).expect("valid parameters");
+        let avc = ProtocolSpec::Avc { m, d };
         for (n, eps) in [(101u64, 0.01), (501, 0.002), (1_001, 0.05)] {
-            let plan = TrialPlan::new(MajorityInstance::with_margin(n, eps))
+            let scenario = Scenario::new(avc, MajorityInstance::with_margin(n, eps))
                 .runs(25)
                 .seed(m * 100 + d as u64);
-            let results = run_trials(
-                &avc,
-                &plan,
-                EngineKind::Auto,
-                ConvergenceRule::OutputConsensus,
-            );
+            let results = ScenarioPlan::new(scenario).run();
             assert_eq!(
                 results.error_fraction(),
                 0.0,
@@ -36,16 +31,11 @@ fn avc_exact_across_margins_and_parameters() {
 /// analysis assumes A-majority w.l.o.g., the code must not).
 #[test]
 fn avc_exact_when_b_is_majority() {
-    let avc = Avc::new(9, 1).expect("valid parameters");
-    let plan = TrialPlan::new(MajorityInstance::new(200, 301))
+    let avc = ProtocolSpec::Avc { m: 9, d: 1 };
+    let scenario = Scenario::new(avc, MajorityInstance::new(200, 301))
         .runs(25)
         .seed(8);
-    let results = run_trials(
-        &avc,
-        &plan,
-        EngineKind::Auto,
-        ConvergenceRule::OutputConsensus,
-    );
+    let results = ScenarioPlan::new(scenario).run();
     assert_eq!(results.error_fraction(), 0.0);
 }
 
@@ -86,14 +76,13 @@ fn four_state_exhaustively_exact_small_n() {
 #[test]
 fn single_agent_advantage_always_decides_correctly() {
     let avc = Avc::with_states(1_001).expect("valid budget");
-    let plan = TrialPlan::new(MajorityInstance::one_extra(1_001))
+    let spec = ProtocolSpec::Avc {
+        m: avc.m(),
+        d: avc.d(),
+    };
+    let scenario = Scenario::new(spec, MajorityInstance::one_extra(1_001))
         .runs(60)
         .seed(13);
-    let results = run_trials(
-        &avc,
-        &plan,
-        EngineKind::Auto,
-        ConvergenceRule::OutputConsensus,
-    );
+    let results = ScenarioPlan::new(scenario).run();
     assert_eq!(results.error_fraction(), 0.0);
 }

@@ -1,14 +1,13 @@
-//! The parallel trial harness's central guarantee: a [`TrialPlan`] produces
+//! The parallel trial harness's central guarantee: a [`ScenarioPlan`] produces
 //! **bit-identical** per-trial outcomes and aggregate [`Summary`] statistics
 //! under every [`Parallelism`] setting. Trial `i` always consumes seed
 //! stream `i`, workers only affect scheduling, and `Summary::merge` is an
 //! exact monoid — so `Serial`, `Threads(2)` and `Threads(8)` must agree to
 //! the last bit.
 
-use avc::analysis::harness::{run_trials, EngineKind, Parallelism, TrialPlan};
+use avc::analysis::harness::{EngineKind, Parallelism, ScenarioPlan};
 use avc::analysis::stats::Summary;
-use avc::population::{ConvergenceRule, MajorityInstance};
-use avc::protocols::{Avc, ThreeState};
+use avc::population::{ConvergenceRule, MajorityInstance, ProtocolSpec, Scenario};
 use proptest::prelude::*;
 
 /// Bit-level `Summary` equality: `to_bits` on every statistic and every
@@ -31,24 +30,19 @@ fn bits_equal(a: &Summary, b: &Summary) -> bool {
 /// bit-identical summaries for AVC, across several master seeds.
 #[test]
 fn avc_trials_are_parallelism_invariant() {
-    let avc = Avc::new(9, 1).expect("valid parameters");
+    let avc = ProtocolSpec::Avc { m: 9, d: 1 };
     for seed in [0u64, 17, 4_242] {
-        let base = TrialPlan::new(MajorityInstance::new(40, 31))
-            .runs(20)
-            .seed(seed);
-        let serial = run_trials(
-            &avc,
-            &base.parallelism(Parallelism::Serial),
-            EngineKind::Auto,
-            ConvergenceRule::OutputConsensus,
+        let base = ScenarioPlan::new(
+            Scenario::new(avc, MajorityInstance::new(40, 31))
+                .runs(20)
+                .seed(seed),
         );
+        let serial = base.clone().parallelism(Parallelism::Serial).run();
         for workers in [2usize, 8] {
-            let sharded = run_trials(
-                &avc,
-                &base.parallelism(Parallelism::Threads(workers)),
-                EngineKind::Auto,
-                ConvergenceRule::OutputConsensus,
-            );
+            let sharded = base
+                .clone()
+                .parallelism(Parallelism::Threads(workers))
+                .run();
             assert_eq!(
                 serial.outcomes(),
                 sharded.outcomes(),
@@ -68,22 +62,19 @@ fn avc_trials_are_parallelism_invariant() {
 #[test]
 fn three_state_trials_are_parallelism_invariant() {
     for seed in [3u64, 99] {
-        let base = TrialPlan::new(MajorityInstance::new(50, 30))
-            .runs(24)
-            .seed(seed);
-        let serial = run_trials(
-            &ThreeState::new(),
-            &base.parallelism(Parallelism::Serial),
-            EngineKind::Count,
-            ConvergenceRule::StateConsensus,
+        let base = ScenarioPlan::new(
+            Scenario::new(ProtocolSpec::ThreeState, MajorityInstance::new(50, 30))
+                .engine(EngineKind::Count)
+                .rule(ConvergenceRule::StateConsensus)
+                .runs(24)
+                .seed(seed),
         );
+        let serial = base.clone().parallelism(Parallelism::Serial).run();
         for workers in [2usize, 8] {
-            let sharded = run_trials(
-                &ThreeState::new(),
-                &base.parallelism(Parallelism::Threads(workers)),
-                EngineKind::Count,
-                ConvergenceRule::StateConsensus,
-            );
+            let sharded = base
+                .clone()
+                .parallelism(Parallelism::Threads(workers))
+                .run();
             assert_eq!(serial.outcomes(), sharded.outcomes(), "seed {seed}");
             assert!(
                 bits_equal(&serial.summary(), &sharded.summary()),
@@ -101,21 +92,14 @@ fn three_state_trials_are_parallelism_invariant() {
 /// `Auto` is just a worker count — it too matches serial exactly.
 #[test]
 fn auto_parallelism_matches_serial() {
-    let plan = TrialPlan::new(MajorityInstance::one_extra(31))
-        .runs(16)
-        .seed(8);
-    let serial = run_trials(
-        &ThreeState::new(),
-        &plan.parallelism(Parallelism::Serial),
-        EngineKind::Auto,
-        ConvergenceRule::StateConsensus,
+    let plan = ScenarioPlan::new(
+        Scenario::new(ProtocolSpec::ThreeState, MajorityInstance::one_extra(31))
+            .rule(ConvergenceRule::StateConsensus)
+            .runs(16)
+            .seed(8),
     );
-    let auto = run_trials(
-        &ThreeState::new(),
-        &plan.parallelism(Parallelism::Auto),
-        EngineKind::Auto,
-        ConvergenceRule::StateConsensus,
-    );
+    let serial = plan.clone().parallelism(Parallelism::Serial).run();
+    let auto = plan.parallelism(Parallelism::Auto).run();
     assert_eq!(serial.outcomes(), auto.outcomes());
     assert!(bits_equal(&serial.summary(), &auto.summary()));
 }

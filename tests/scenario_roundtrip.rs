@@ -1,7 +1,9 @@
 //! Property suite for the scenario plane's canonical form: parse → print →
-//! parse is the identity, the canonical string is a fixed point, and the
-//! content hash is stable across re-serialization. Together these make a
-//! store manifest's embedded scenario a faithful re-run recipe.
+//! parse is the identity on every runnable scenario, the canonical string
+//! is a fixed point, and the content hash is stable across
+//! re-serialization. Together these make a store manifest's embedded
+//! scenario a faithful re-run recipe. Scenarios that could not run are
+//! rejected at parse time with the error [`Scenario::validate`] names.
 
 use avc::population::faults::{Fault, FaultEvent};
 use avc::population::json::Json;
@@ -9,6 +11,7 @@ use avc::population::{
     ConvergenceRule, EngineKind, MajorityInstance, Opinion, ProtocolSpec, Scenario, SchedulerSpec,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn protocol_spec(choice: usize, half_m: u64, d: u32) -> ProtocolSpec {
     match choice % 6 {
@@ -128,8 +131,29 @@ fn scenario(
     built
 }
 
+/// parse(canonical(s)) is `s` itself when `s` is runnable, else the error
+/// `s.validate()` names. Checked for `s` and for `s` on the agent engine,
+/// which takes every scheduler and fault, so most cases exercise the
+/// identity.
+fn assert_round_trip(original: &Scenario) -> Result<(), TestCaseError> {
+    for scenario in [original.clone(), original.clone().engine(EngineKind::Agent)] {
+        let parsed = Scenario::parse(&scenario.canonical());
+        match scenario.validate() {
+            Ok(()) => {
+                let reparsed = parsed.expect("a runnable scenario's canonical form parses");
+                prop_assert_eq!(&reparsed, &scenario);
+                // The canonical string is a fixed point, so the hash is stable.
+                prop_assert_eq!(reparsed.canonical(), scenario.canonical());
+                prop_assert_eq!(reparsed.hash(), scenario.hash());
+            }
+            Err(why) => prop_assert_eq!(parsed, Err(why)),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
-    /// parse(canonical(s)) == s for arbitrary scenarios.
+    /// parse(canonical(s)) == s for arbitrary runnable scenarios.
     #[test]
     fn parse_print_parse_is_identity(
         p in (0usize..6, 0u64..=20, 1u32..=4),
@@ -142,11 +166,7 @@ proptest! {
         seed_child in any::<u64>(),
     ) {
         let original = scenario(p, inst, e_choice, sched, faults, r, tail, seed_child);
-        let reparsed = Scenario::parse(&original.canonical()).expect("canonical form parses");
-        prop_assert_eq!(&reparsed, &original);
-        // The canonical string is a fixed point, so the hash is stable.
-        prop_assert_eq!(reparsed.canonical(), original.canonical());
-        prop_assert_eq!(reparsed.hash(), original.hash());
+        assert_round_trip(&original)?;
     }
 
     /// Pretty-printed (hand-authored style) JSON parses to the same value
@@ -161,12 +181,18 @@ proptest! {
         tail in (0u64..5_000_000, 1u64..200, any::<u64>()),
     ) {
         let original = scenario(p, inst, e_choice, sched, Vec::new(), r, tail, 1);
-        let pretty = Json::parse(&original.canonical())
-            .expect("canonical form is JSON")
-            .to_string_pretty();
-        let reparsed = Scenario::parse(&pretty).expect("pretty form parses");
-        prop_assert_eq!(reparsed.hash(), original.hash());
-        prop_assert_eq!(reparsed, original);
+        for scenario in [original.clone(), original.engine(EngineKind::Agent)] {
+            let pretty = Json::parse(&scenario.canonical())
+                .expect("canonical form is JSON")
+                .to_string_pretty();
+            match (Scenario::parse(&pretty), scenario.validate()) {
+                (Ok(reparsed), Ok(())) => {
+                    prop_assert_eq!(reparsed.hash(), scenario.hash());
+                    prop_assert_eq!(reparsed, scenario);
+                }
+                (parsed, why) => prop_assert_eq!(parsed.err(), why.err()),
+            }
+        }
     }
 }
 
@@ -191,22 +217,87 @@ fn committed_example_scenarios_parse() {
             .is_some_and(|n| n.ends_with(".grid.json"))
         {
             // Grid files bundle many scenarios; `ScenarioGrid::parse`
-            // validates every embedded one, including the non-uniform
-            // scheduler ⇒ agent-engine constraint per cell.
+            // parses (and so validates) every embedded one.
             let grid = avc::store::scenario_grid::ScenarioGrid::parse(&text)
                 .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
             assert!(!grid.cells.is_empty(), "{}", path.display());
             grids += 1;
             continue;
         }
-        let scenario = Scenario::parse(&text)
-            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        // Every committed example must be runnable: a non-uniform scheduler
-        // implies the agent engine.
-        if scenario.scheduler != SchedulerSpec::Uniform {
-            assert_eq!(scenario.engine, EngineKind::Agent, "{}", path.display());
-        }
+        Scenario::parse(&text).unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
         singles += 1;
     }
     assert!(singles > 0 && grids > 0, "{singles} singles, {grids} grids");
+}
+
+/// The scenarios that used to parse and then panic a trial worker, each
+/// rejected by `Scenario::parse` with its own message.
+#[test]
+fn unrunnable_scenarios_are_rejected_at_parse_time() {
+    let base = r#""protocol":"four_state","instance":{"a":23,"b":18},"rule":"output_consensus","runs":3,"seed":11"#;
+    let table = [
+        (
+            r#""engine":"count","faults":[{"at":0,"kind":"stick_at","agent":40}]"#,
+            "fault 0 (`stick(agent 40)` at step 0) addresses an agent, which needs per-agent \
+             identity — set \"engine\": \"agent\" (got `count`)",
+        ),
+        (
+            r#""engine":"tau_leap","faults":[{"at":5,"kind":"crash","agent":1}]"#,
+            "fault 0 (`crash(agent 1)` at step 5) addresses an agent, which needs per-agent \
+             identity — set \"engine\": \"agent\" (got `tau_leap`)",
+        ),
+        (
+            r#""engine":"agent","faults":[{"at":0,"kind":"stick_at","agent":4000}]"#,
+            "fault 0 (`stick(agent 4000)` at step 0) addresses agent 4000, outside the \
+             population of n = 41",
+        ),
+        (
+            r#""engine":"agent","faults":[{"at":0,"kind":"bit_flip","agent":2,"bit":32}]"#,
+            "fault 0 (`bitflip(agent 2, bit 32)` at step 0) flips bit 32 of a 32-bit state id",
+        ),
+        (
+            r#""engine":"count","faults":[{"at":0,"kind":"corrupt","from":0,"to":99,"agents":2}]"#,
+            "fault 0 (`corrupt(2: 0->99)` at step 0) names state 99, outside the 4 states of \
+             `four_state`",
+        ),
+        (
+            r#""engine":"count","scheduler":"epoch""#,
+            "scheduler `epoch` needs per-agent scheduling — set \"engine\": \"agent\" \
+             (got `count`)",
+        ),
+        (
+            r#""engine":"agent","scheduler":"biased(hot=50,bias=0.5)""#,
+            "invalid scheduler `biased(hot=50,bias=0.5)`: hot must be in 2..=41 (the population)",
+        ),
+        (
+            r#""engine":"agent","scheduler":"biased(hot=4,bias=1)""#,
+            "invalid scheduler `biased(hot=4,bias=1)`: bias must be in [0, 1)",
+        ),
+        (
+            r#""engine":"agent","scheduler":"starved(laggards=40,period=8)""#,
+            "invalid scheduler `starved(laggards=40,period=8)`: laggards must be in 1..=39 \
+             (two agents of 41 must stay eligible)",
+        ),
+        (
+            r#""engine":"agent","scheduler":"starved(laggards=3,period=1)""#,
+            "invalid scheduler `starved(laggards=3,period=1)`: period must be >= 2",
+        ),
+    ];
+    for (fields, message) in table {
+        let text = format!("{{{base},{fields}}}");
+        assert_eq!(Scenario::parse(&text), Err(message.to_string()), "{text}");
+    }
+    // The same scenarios on the agent engine, in range, are accepted.
+    let fine = format!(
+        r#"{{{base},"engine":"agent","scheduler":"epoch","faults":[{{"at":0,"kind":"stick_at","agent":40}},{{"at":0,"kind":"corrupt","from":0,"to":3,"agents":2}}]}}"#
+    );
+    assert!(Scenario::parse(&fine).is_ok(), "{fine}");
+    let cycle = r#"{"protocol":"voter","instance":{"a":1,"b":1},"engine":"agent","scheduler":"restricted(cycle)","rule":"output_consensus","runs":1,"seed":0}"#;
+    assert_eq!(
+        Scenario::parse(cycle),
+        Err(
+            "invalid scheduler `restricted(cycle)`: a cycle needs at least three agents (n = 2)"
+                .to_string()
+        )
+    );
 }
