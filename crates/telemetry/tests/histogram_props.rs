@@ -97,7 +97,7 @@ proptest! {
     /// Splitting one observation stream across any worker count and folding
     /// the per-worker registries — in index order or reversed — matches the
     /// single-worker registry exactly. This is the property the parallel
-    /// harness leans on when it merges per-trial telemetry.
+    /// harness leans on when it merges one telemetry block per worker.
     #[test]
     fn worker_split_merge_matches_single_worker(
         values in proptest::collection::vec(any::<u64>(), 1..96),
