@@ -722,7 +722,7 @@ impl Scenario {
     /// the engine and the population, and every fault names agents and
     /// states that exist, on an engine that can apply it. Each of these
     /// would otherwise panic a trial worker; [`Scenario::from_json`] calls
-    /// this, so no parsed scenario does.
+    /// this, so no parsed scenario panics one for these reasons.
     ///
     /// # Errors
     ///
