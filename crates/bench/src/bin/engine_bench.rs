@@ -1,43 +1,39 @@
-//! Engine microbenchmark: legacy per-step loop vs chunked driver loop.
+//! Engine microbenchmark: each engine's chunked driver loop, timed beside a
+//! frozen reference kernel.
 //!
 //! Measures every engine on a Figure-3-shaped workload (four-state protocol,
-//! one-extra instance, output-consensus rule, bounded step budget) under two
-//! stepping regimes that consume the RNG identically:
+//! one-extra instance, output-consensus rule, bounded step budget) through
+//! [`Driver::run`] over the engine's `advance_chunk`, built by the scenario
+//! plane's erased builder with the protocol behind the [`Cached`] dense
+//! transition table, exactly like the experiment harness does.
 //!
-//! * **legacy** — [`advance_upto_step_by_step`]: one `advance` call per
-//!   scheduler step through `&mut dyn RngCore`, the pre-driver loop shape;
-//! * **chunked** — [`Driver::run`] over the engine's monomorphized
-//!   `ChunkedSimulator::advance_chunk` with a concrete `SmallRng`.
+//! Every repetition also times a **reference kernel** ([`reference_ms`]): a
+//! bench-local xoshiro256++ generator driving Fenwick-tree descents, which
+//! calls no repository code, so its time moves only when the machine does.
+//! A cell's `ref_ms` is that kernel's median over the cell's repetitions.
 //!
-//! Both runs of a repetition start from the same seed and must finish at the
-//! same step count and majority count — the benchmark asserts this, so it
-//! doubles as an equivalence check.
-//!
-//! Both halves run the protocol through the [`Cached`] dense transition
-//! table, exactly like the experiment harness does.
-//!
-//! A third, **batch** regime measures the trial-batch reuse seam on small-n
+//! A second, **batch** regime measures the trial-batch reuse seam on small-n
 //! cells: a slice of trials run with per-trial `build_erased` construction
 //! (the pre-reuse harness shape) versus one long-lived engine reset in
-//! place per trial via `reset_erased`. The two paths must produce identical
-//! per-trial outcomes, and the agent and count engines must clear a 1.15×
-//! construction-reuse floor at the smallest cell (where per-trial setup is
-//! a structural share of a trial).
+//! place per trial. The two paths must produce identical per-trial outcomes,
+//! and the agent and count engines must clear a 1.15× construction-reuse
+//! floor at the smallest cell (where per-trial setup is a structural share
+//! of a trial).
 //!
 //! Flags: `--quick` (small population only, fewer reps), `--out PATH` (write
-//! the JSON report), `--check PATH` (compare against a committed report and
-//! fail if any engine's speedup regressed by more than 25%), `--profile`
+//! the JSON report), `--check PATH` (compare against a committed report: each
+//! cell's `chunked_ms` must stay within its committed time rescaled by this
+//! run's `ref_ms` over the committed `ref_ms`, times 1.25 on every cell and
+//! times 1.02 on the agent and count cells, whose hot loops carry the
+//! telemetry `Sink` seam with its default `NoopSink`), `--profile`
 //! (per-phase breakdown — sampling vs transition vs bookkeeping — for the
 //! agent and count engines, appended to the report), `--profile-out PATH`
 //! (write the per-phase breakdown as telemetry registry snapshots; implies
-//! `--profile`), `--gate-telemetry PATH` (telemetry overhead gate: the
-//! chunked hot loop, which now carries the `Sink` seam with its default
-//! `NoopSink`, must stay within 2% of a committed pre-telemetry report
-//! after normalizing for machine speed by the legacy column).
+//! `--profile`).
 
 use avc_population::cached::Cached;
 use avc_population::driver::{Driver, NullObserver};
-use avc_population::engine::{advance_upto_step_by_step, ErasedChunkedSim, StopCondition};
+use avc_population::engine::ErasedChunkedSim;
 use avc_population::graph::Graph;
 use avc_population::sampler::FenwickSampler;
 use avc_population::scenario::build_erased;
@@ -55,12 +51,14 @@ use std::time::Instant;
 
 /// The convergence rule of the Figure 3 workload.
 const RULE: ConvergenceRule = ConvergenceRule::OutputConsensus;
-/// Seed shared by the legacy and chunked halves of each repetition.
+/// Seed of every measured run.
 const SEED: u64 = 42;
-/// The tolerated speedup regression factor for `--check`.
+/// The tolerated machine-scaled chunked-time inflation for `--check`, on
+/// every cell.
 const TOLERANCE: f64 = 1.25;
-/// The tolerated chunked-time inflation factor for `--gate-telemetry`.
-const TELEMETRY_TOLERANCE: f64 = 1.02;
+/// The tighter bound `--check` holds the [`GATED_ENGINES`] cells to: the
+/// telemetry overhead gate (the `NoopSink` seam must compile to nothing).
+const SINK_TOLERANCE: f64 = 1.02;
 /// The minimum construction-reuse speedup the batch mode demands on the
 /// engines whose per-trial setup cost is structural (graph + agent vector
 /// for `agent`, Fenwick tree + boxes for `count`).
@@ -72,7 +70,7 @@ const BATCH_FLOOR_ENGINES: [&str; 2] = ["agent", "count"];
 /// in ~20 steps), so the smallest cell is where the reuse win is structural
 /// rather than noise; larger cells are reported ungated.
 const BATCH_FLOOR_N: u64 = 5;
-/// The hot-loop cells the telemetry gate covers: the two engines whose
+/// The hot-loop cells [`SINK_TOLERANCE`] covers: the two engines whose
 /// chunked loop pays a per-step cost, so any non-compiled-out `Sink` work
 /// shows up here first.
 const GATED_ENGINES: [&str; 2] = ["agent", "count"];
@@ -93,26 +91,128 @@ struct Entry {
     n: u64,
     max_steps: u64,
     steps: u64,
-    legacy_ms: f64,
+    ref_ms: f64,
     chunked_ms: f64,
 }
 
 impl Entry {
-    fn speedup(&self) -> f64 {
-        self.legacy_ms / self.chunked_ms
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("engine", Json::str(self.engine)),
             ("n", Json::Int(self.n as i64)),
             ("max_steps", Json::Int(self.max_steps as i64)),
             ("steps", Json::Int(self.steps as i64)),
-            ("legacy_ms", Json::str(format!("{:.3}", self.legacy_ms))),
+            ("ref_ms", Json::str(format!("{:.3}", self.ref_ms))),
             ("chunked_ms", Json::str(format!("{:.3}", self.chunked_ms))),
-            ("speedup", Json::str(format!("{:.3}", self.speedup()))),
         ])
     }
+}
+
+/// Leaves of the reference Fenwick tree (32 KiB of weights: cache-resident).
+const REF_LEAVES: usize = 4096;
+/// Draws per reference repetition.
+const REF_OPS: u32 = 1 << 19;
+
+/// xoshiro256++ (the algorithm behind 64-bit `SmallRng`), seeded through
+/// SplitMix64 — the reference kernel's own generator.
+struct Xoshiro {
+    s: [u64; 4],
+}
+
+impl Xoshiro {
+    fn new(mut seed: u64) -> Xoshiro {
+        let mut next = || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        Xoshiro {
+            s: [next(), next(), next(), next()],
+        }
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        out
+    }
+
+    /// A uniform draw from `0..bound` (multiply-shift; `bound > 0`).
+    fn below(&mut self, bound: u64) -> u64 {
+        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
+    }
+}
+
+/// The reference kernel's Fenwick tree over [`REF_LEAVES`] weights.
+struct RefFenwick {
+    tree: Vec<u64>,
+    total: u64,
+}
+
+impl RefFenwick {
+    fn uniform(weight: u64) -> RefFenwick {
+        let mut f = RefFenwick {
+            tree: vec![0; REF_LEAVES + 1],
+            total: 0,
+        };
+        for i in 0..REF_LEAVES {
+            f.add(i, weight as i64);
+        }
+        f
+    }
+
+    fn add(&mut self, index: usize, delta: i64) {
+        self.total = self.total.wrapping_add_signed(delta);
+        let mut i = index + 1;
+        while i <= REF_LEAVES {
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The leaf whose cumulative range holds `target` (`target < total`).
+    fn descend(&self, mut target: u64) -> usize {
+        let mut pos = 0;
+        let mut step = REF_LEAVES;
+        while step > 0 {
+            let next = pos + step;
+            if next <= REF_LEAVES && self.tree[next] <= target {
+                target -= self.tree[next];
+                pos = next;
+            }
+            step >>= 1;
+        }
+        pos
+    }
+}
+
+/// Times one repetition of the frozen reference kernel: [`REF_OPS`]
+/// weighted picks by Fenwick descent, each moving one unit of weight to a
+/// uniform leaf (the count-engine step shape). It calls no repository code,
+/// so its time is a machine-speed proxy that no change to the engines can
+/// move; changing it invalidates every committed report.
+fn reference_ms() -> f64 {
+    let mut rng = Xoshiro::new(2015);
+    let mut tree = RefFenwick::uniform(64);
+    let started = Instant::now();
+    for _ in 0..REF_OPS {
+        let from = tree.descend(rng.below(tree.total));
+        let to = (rng.next_u64() as usize) & (REF_LEAVES - 1);
+        tree.add(from, -1);
+        tree.add(to, 1);
+    }
+    let elapsed = started.elapsed().as_secs_f64() * 1e3;
+    black_box(&tree.tree);
+    elapsed
 }
 
 /// Builds one engine through the scenario plane's erased builder — the
@@ -124,18 +224,6 @@ fn build(engine: EngineKind, n: u64) -> Box<dyn ErasedChunkedSim> {
     let protocol = Cached::new(FourState);
     build_erased(protocol, config, engine, &SchedulerSpec::Uniform)
         .expect("the uniform scheduler is valid for every engine")
-}
-
-/// Runs the legacy per-step loop: dyn-dispatched `advance` through a
-/// `&mut dyn RngCore`, exactly the shape of the pre-driver harness.
-fn run_legacy(engine: EngineKind, n: u64, max_steps: u64) -> (f64, u64, u64) {
-    let mut sim = build(engine, n);
-    let mut rng = SmallRng::seed_from_u64(SEED);
-    let stop = StopCondition::for_rule(RULE, sim.population()).with_max_steps(max_steps);
-    let started = Instant::now();
-    let _ = advance_upto_step_by_step(sim.as_mut(), &mut rng as &mut dyn RngCore, stop);
-    let elapsed = started.elapsed().as_secs_f64() * 1e3;
-    (elapsed, sim.steps(), sim.count_a())
 }
 
 /// Runs the chunked driver loop: one erased call per chunk into the
@@ -407,21 +495,16 @@ fn profile(engine: EngineKind, n: u64, reps: usize) -> Profile {
     }
 }
 
+/// Measures one cell: every repetition times the reference kernel and then
+/// the chunked run, so both medians see the same stretch of machine load.
 fn measure(engine: EngineKind, n: u64, reps: usize) -> Entry {
     let max_steps = max_steps(engine, n);
-    let mut legacy = Vec::with_capacity(reps);
+    let mut reference = Vec::with_capacity(reps);
     let mut chunked = Vec::with_capacity(reps);
     let mut steps = 0;
     for _ in 0..reps {
-        let (lt, ls, la) = run_legacy(engine, n, max_steps);
-        let (ct, cs, ca) = run_chunked(engine, n, max_steps);
-        assert_eq!(
-            (ls, la),
-            (cs, ca),
-            "{}/{n}: legacy and chunked runs diverged",
-            engine.name()
-        );
-        legacy.push(lt);
+        reference.push(reference_ms());
+        let (ct, cs, _) = run_chunked(engine, n, max_steps);
         chunked.push(ct);
         steps = cs;
     }
@@ -430,72 +513,23 @@ fn measure(engine: EngineKind, n: u64, reps: usize) -> Entry {
         n,
         max_steps,
         steps,
-        legacy_ms: median(&mut legacy),
+        ref_ms: median(&mut reference),
         chunked_ms: median(&mut chunked),
     }
 }
 
-/// Compares freshly measured speedups to a committed report: every engine
-/// present in both must retain at least `committed / TOLERANCE`. Batch
-/// cells are deliberately *not* compared against the committed report:
-/// their microsecond-scale trials make run-to-run medians too noisy for a
-/// ratio gate, and the absolute [`BATCH_FLOOR`] check (which runs on every
-/// invocation, `--check` or not) already catches the structural
-/// regression — construction creeping back into the per-trial loop.
+/// Compares freshly measured chunked times to a committed report. Raw wall
+/// times are not comparable across machines (or across load on one), so
+/// each committed `chunked_ms` is first rescaled by this run's
+/// `ref_ms / committed ref_ms`; every cell present in both must then stay
+/// within [`TOLERANCE`] of it, and the [`GATED_ENGINES`] cells within
+/// [`SINK_TOLERANCE`]. Batch cells are deliberately *not* compared against
+/// the committed report: their microsecond-scale trials make run-to-run
+/// medians too noisy for a ratio gate, and the absolute [`BATCH_FLOOR`]
+/// check (which runs on every invocation, `--check` or not) already catches
+/// the structural regression — construction creeping back into the
+/// per-trial loop.
 fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
-    let committed = Json::parse(&text)?;
-    let committed = committed
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("committed report has no entries array")?;
-    let mut compared = 0;
-    for old in committed {
-        let (engine, n) = (
-            old.get("engine").and_then(Json::as_str).unwrap_or(""),
-            old.get("n").and_then(Json::as_int).unwrap_or(0),
-        );
-        let Some(new) = entries
-            .iter()
-            .find(|e| e.engine == engine && e.n as i64 == n)
-        else {
-            continue; // quick mode measures a subset of the committed grid
-        };
-        let old_speedup: f64 = old
-            .get("speedup")
-            .and_then(Json::as_str)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("{engine}/{n}: malformed committed speedup"))?;
-        let floor = old_speedup / TOLERANCE;
-        println!(
-            "check {engine}/{n}: committed {old_speedup:.3}x, floor {floor:.3}x, current {:.3}x",
-            new.speedup()
-        );
-        if new.speedup() < floor {
-            return Err(format!(
-                "{engine}/{n}: speedup regressed to {:.3}x (committed {old_speedup:.3}x, floor {floor:.3}x)",
-                new.speedup()
-            ));
-        }
-        compared += 1;
-    }
-    if compared == 0 {
-        return Err("no overlapping entries between current and committed reports".into());
-    }
-    println!("perf check passed ({compared} cells within {TOLERANCE}x of committed)");
-    Ok(())
-}
-
-/// The telemetry overhead gate: on the agent and count cells, the chunked
-/// loop (whose engines now carry the `Sink` seam with its default
-/// `NoopSink`) must match a committed pre-telemetry report to within
-/// [`TELEMETRY_TOLERANCE`]. Raw wall times are not comparable across
-/// machines, so each committed chunked time is first rescaled by this
-/// machine's legacy/committed-legacy ratio — the legacy per-step loop is the
-/// same workload measured in the same process, so it serves as the
-/// machine-speed proxy.
-fn gate_telemetry(entries: &[Entry], committed_path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(committed_path)
         .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
     let committed = Json::parse(&text)?;
@@ -512,43 +546,44 @@ fn gate_telemetry(entries: &[Entry], committed_path: &str) -> Result<(), String>
             old.get("engine").and_then(Json::as_str).unwrap_or(""),
             old.get("n").and_then(Json::as_int).unwrap_or(0),
         );
-        if !GATED_ENGINES.contains(&engine) {
-            continue;
-        }
         let Some(new) = entries
             .iter()
             .find(|e| e.engine == engine && e.n as i64 == n)
         else {
             continue; // quick mode measures a subset of the committed grid
         };
-        let old_legacy = ms_field(old, "legacy_ms")
-            .ok_or_else(|| format!("{engine}/{n}: malformed committed legacy_ms"))?;
+        let old_ref = ms_field(old, "ref_ms")
+            .ok_or_else(|| format!("{engine}/{n}: malformed committed ref_ms"))?;
         let old_chunked = ms_field(old, "chunked_ms")
             .ok_or_else(|| format!("{engine}/{n}: malformed committed chunked_ms"))?;
-        let scaled = old_chunked * (new.legacy_ms / old_legacy);
-        let ceiling = scaled * TELEMETRY_TOLERANCE;
+        let scaled = old_chunked * (new.ref_ms / old_ref);
+        let tolerance = if GATED_ENGINES.contains(&engine) {
+            SINK_TOLERANCE
+        } else {
+            TOLERANCE
+        };
+        let ceiling = scaled * tolerance;
         println!(
-            "gate {engine}/{n}: committed {old_chunked:.3} ms, machine-scaled {scaled:.3} ms, \
-             ceiling {ceiling:.3} ms, current {:.3} ms",
-            new.chunked_ms
+            "check {engine}/{n}: committed {old_chunked:.3} ms at ref {old_ref:.3} ms, \
+             machine-scaled {scaled:.3} ms, ceiling {ceiling:.3} ms ({tolerance}x), \
+             current {:.3} ms at ref {:.3} ms",
+            new.chunked_ms, new.ref_ms
         );
         if new.chunked_ms > ceiling {
             return Err(format!(
                 "{engine}/{n}: chunked loop at {:.3} ms exceeds {ceiling:.3} ms \
-                 (committed {old_chunked:.3} ms scaled for machine speed, +{:.0}%)",
-                new.chunked_ms,
-                (TELEMETRY_TOLERANCE - 1.0) * 100.0
+                 (committed {old_chunked:.3} ms scaled for machine speed, times {tolerance})",
+                new.chunked_ms
             ));
         }
         compared += 1;
     }
     if compared == 0 {
-        return Err("no overlapping gated cells between current and committed reports".into());
+        return Err("no overlapping entries between current and committed reports".into());
     }
     println!(
-        "telemetry overhead gate passed ({compared} hot-loop cells within \
-         {:.0}% of committed)",
-        (TELEMETRY_TOLERANCE - 1.0) * 100.0
+        "perf check passed ({compared} cells within {TOLERANCE}x of committed, \
+         {GATED_ENGINES:?} within {SINK_TOLERANCE}x)"
     );
     Ok(())
 }
@@ -567,13 +602,8 @@ fn main() {
         for engine in EngineKind::CONCRETE {
             let entry = measure(engine, n, reps);
             println!(
-                "{:>8} n={:<7} steps={:<9} legacy {:>9.3} ms  chunked {:>9.3} ms  speedup {:.3}x",
-                entry.engine,
-                entry.n,
-                entry.steps,
-                entry.legacy_ms,
-                entry.chunked_ms,
-                entry.speedup()
+                "{:>8} n={:<7} steps={:<9} ref {:>8.3} ms  chunked {:>9.3} ms",
+                entry.engine, entry.n, entry.steps, entry.ref_ms, entry.chunked_ms,
             );
             entries.push(entry);
         }
@@ -689,13 +719,6 @@ fn main() {
     if let Some(path) = args.get("check") {
         if let Err(message) = check(&entries, path) {
             eprintln!("perf check FAILED: {message}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = args.get("gate-telemetry") {
-        if let Err(message) = gate_telemetry(&entries, path) {
-            eprintln!("telemetry overhead gate FAILED: {message}");
             std::process::exit(1);
         }
     }

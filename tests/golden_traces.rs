@@ -1,24 +1,29 @@
-//! Golden-trace regression tests: tiny fixed-seed [`CountSim`] runs with
-//! checked-in expected count trajectories for all eight protocols plus the
-//! parallel composition. Any edit
-//! that changes a transition function, the pair sampler, or the RNG stream
-//! shifts these traces and fails loudly.
+//! Golden-trace regression tests: tiny fixed-seed runs with checked-in
+//! expected count trajectories, driven one `Simulator::advance` at a time.
+//! All eight protocols plus the parallel composition run on `CountSim`;
+//! the agent, jump, adaptive and τ-leaping engines each pin their own
+//! per-step `advance` on one protocol. Any edit that changes a transition
+//! function, an engine's step, the pair sampler, or the RNG stream shifts
+//! these traces and fails loudly.
 //!
 //! To regenerate after an *intentional* semantic change:
 //! `cargo test --test golden_traces -- --ignored --nocapture` and paste the
 //! printed blocks over the `EXPECTED_*` constants.
 
-use avc::population::engine::{CountSim, Simulator};
+use avc::population::engine::{AdaptiveSim, Simulator};
 use avc::population::rngutil::SeedSequence;
-use avc::population::{Config, Protocol};
+use avc::population::scenario::build_erased;
+use avc::population::{Config, EngineKind, Protocol, SchedulerSpec};
 use avc::protocols::compose::{Lead, Parallel};
 use avc::protocols::{Avc, Bef, Degssu, Epidemic, FourState, LeaderElection, ThreeState, Voter};
 
-/// Runs `protocol` from `(a, b)` on [`CountSim`] with trial stream 0 of
+/// Runs `protocol` from `(a, b)` on `engine` (built by the scenario plane's
+/// builder under the uniform scheduler) with trial stream 0 of
 /// `SeedSequence::new(seed)` and records `steps counts` every `stride`
 /// advances (plus the initial configuration), stopping early if the
 /// configuration goes silent.
 fn trace<P: Protocol + Clone>(
+    engine: EngineKind,
     protocol: &P,
     a: u64,
     b: u64,
@@ -26,9 +31,15 @@ fn trace<P: Protocol + Clone>(
     advances: u64,
     stride: u64,
 ) -> String {
-    let mut rng = SeedSequence::new(seed).rng_for(0);
     let config = Config::from_input(protocol, a, b);
-    let mut sim = CountSim::new(protocol.clone(), config);
+    let mut sim = build_erased(protocol.clone(), config, engine, &SchedulerSpec::Uniform)
+        .expect("the uniform scheduler runs on every engine");
+    record(sim.as_mut(), seed, advances, stride)
+}
+
+/// The stepping loop behind [`trace`], over an already-built engine.
+fn record<S: Simulator + ?Sized>(sim: &mut S, seed: u64, advances: u64, stride: u64) -> String {
+    let mut rng = SeedSequence::new(seed).rng_for(0);
     let mut lines = vec![format!("{} {:?}", sim.steps(), sim.counts())];
     for k in 1..=advances {
         if sim.advance(&mut rng) == 0 {
@@ -134,6 +145,53 @@ const EXPECTED_DEGSSU: &str = "\
 54 [3, 5, 0, 0, 0, 2, 2, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 60 [2, 5, 0, 0, 0, 1, 2, 1, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]";
 
+const EXPECTED_AGENT_AVC: &str = "\
+0 [6, 0, 0, 0, 0, 0, 0, 9]
+6 [5, 0, 1, 0, 0, 1, 0, 8]
+12 [2, 2, 3, 0, 0, 1, 1, 6]
+18 [1, 2, 2, 0, 0, 5, 1, 4]
+24 [0, 2, 4, 1, 1, 1, 3, 3]
+30 [0, 2, 2, 0, 2, 3, 5, 1]
+36 [0, 2, 1, 1, 1, 5, 4, 1]
+42 [0, 1, 1, 1, 1, 7, 4, 0]
+48 [0, 0, 2, 2, 2, 5, 4, 0]
+54 [0, 0, 0, 3, 3, 6, 3, 0]
+60 [0, 0, 0, 3, 3, 6, 3, 0]";
+
+const EXPECTED_JUMP_FOUR_STATE: &str = "\
+0 [9, 6, 0, 0]
+6 [6, 3, 4, 2]
+16 [4, 1, 6, 4]
+26 [4, 1, 6, 4]
+36 [4, 1, 6, 4]
+58 [3, 0, 10, 2]
+silent at 89";
+
+const EXPECTED_TAU_LEAP_VOTER: &str = "\
+0 [700, 300]
+1125 [659, 341]
+2322 [678, 322]
+3530 [653, 347]
+4858 [654, 346]
+6068 [689, 311]
+7129 [687, 313]
+8237 [684, 316]
+9315 [699, 301]
+10283 [709, 291]
+11302 [696, 304]";
+
+const EXPECTED_ADAPTIVE_THREE_STATE: &str = "\
+0 [3000, 40, 0]
+512 [2994, 34, 12]
+1024 [2987, 32, 21]
+1536 [2983, 24, 33]
+2048 [2982, 20, 38]
+2560 [2982, 17, 41]
+3072 [2985, 16, 39]
+3584 [2988, 16, 36]
+4096 [2995, 13, 32]
+silent at 15493";
+
 /// The composite used by the composition golden trace: four-state majority
 /// running in parallel with a one-way epidemic, outputs led by the
 /// majority component. Packs as `first * |second| + second` (8 states).
@@ -143,18 +201,24 @@ fn composite() -> Parallel<FourState, Epidemic> {
 
 #[test]
 fn voter_trace_is_stable() {
-    assert_eq!(trace(&Voter, 9, 6, 101, 30, 6), EXPECTED_VOTER);
+    assert_eq!(
+        trace(EngineKind::Count, &Voter, 9, 6, 101, 30, 6),
+        EXPECTED_VOTER
+    );
 }
 
 #[test]
 fn four_state_trace_is_stable() {
-    assert_eq!(trace(&FourState, 9, 6, 102, 30, 6), EXPECTED_FOUR_STATE);
+    assert_eq!(
+        trace(EngineKind::Count, &FourState, 9, 6, 102, 30, 6),
+        EXPECTED_FOUR_STATE
+    );
 }
 
 #[test]
 fn three_state_trace_is_stable() {
     assert_eq!(
-        trace(&ThreeState::new(), 9, 6, 103, 30, 6),
+        trace(EngineKind::Count, &ThreeState::new(), 9, 6, 103, 30, 6),
         EXPECTED_THREE_STATE
     );
 }
@@ -162,7 +226,10 @@ fn three_state_trace_is_stable() {
 #[test]
 fn avc_trace_is_stable() {
     let avc = Avc::new(5, 1).expect("valid parameters");
-    assert_eq!(trace(&avc, 9, 6, 104, 30, 6), EXPECTED_AVC);
+    assert_eq!(
+        trace(EngineKind::Count, &avc, 9, 6, 104, 30, 6),
+        EXPECTED_AVC
+    );
 }
 
 /// Leader election starts from the all-leaders configuration (every agent
@@ -171,7 +238,7 @@ fn avc_trace_is_stable() {
 #[test]
 fn leader_election_trace_is_stable() {
     assert_eq!(
-        trace(&LeaderElection, 15, 0, 105, 60, 6),
+        trace(EngineKind::Count, &LeaderElection, 15, 0, 105, 60, 6),
         EXPECTED_LEADER_ELECTION
     );
 }
@@ -180,7 +247,10 @@ fn leader_election_trace_is_stable() {
 /// transition orientation alongside the sampler stream.
 #[test]
 fn epidemic_trace_is_stable() {
-    assert_eq!(trace(&Epidemic, 3, 12, 109, 60, 6), EXPECTED_EPIDEMIC);
+    assert_eq!(
+        trace(EngineKind::Count, &Epidemic, 3, 12, 109, 60, 6),
+        EXPECTED_EPIDEMIC
+    );
 }
 
 /// Parallel composition `FourState × Epidemic`: pins the product packing
@@ -189,7 +259,10 @@ fn epidemic_trace_is_stable() {
 /// either component, shifts this trace.
 #[test]
 fn compose_trace_is_stable() {
-    assert_eq!(trace(&composite(), 9, 6, 106, 30, 6), EXPECTED_COMPOSE);
+    assert_eq!(
+        trace(EngineKind::Count, &composite(), 9, 6, 106, 30, 6),
+        EXPECTED_COMPOSE
+    );
 }
 
 /// BEF cancel/split/merge/adopt token dynamics at `L = 3` (10 states);
@@ -198,7 +271,10 @@ fn compose_trace_is_stable() {
 #[test]
 fn bef_trace_is_stable() {
     let bef = Bef::new(3).expect("valid parameters");
-    assert_eq!(trace(&bef, 9, 6, 107, 60, 6), EXPECTED_BEF);
+    assert_eq!(
+        trace(EngineKind::Count, &bef, 9, 6, 107, 60, 6),
+        EXPECTED_BEF
+    );
 }
 
 /// DEGSSU clocked dynamics at `L = 3`, `T = 2` (26 states); pins the
@@ -207,29 +283,129 @@ fn bef_trace_is_stable() {
 #[test]
 fn degssu_trace_is_stable() {
     let degssu = Degssu::new(3, 2).expect("valid parameters");
-    assert_eq!(trace(&degssu, 9, 6, 108, 60, 6), EXPECTED_DEGSSU);
+    assert_eq!(
+        trace(EngineKind::Count, &degssu, 9, 6, 108, 60, 6),
+        EXPECTED_DEGSSU
+    );
+}
+
+/// `AgentSim`'s per-step `advance` (one scheduler step on the clique, the
+/// narrow `u8` state cells) on AVC.
+#[test]
+fn agent_advance_trace_is_stable() {
+    let avc = Avc::new(5, 1).expect("valid parameters");
+    assert_eq!(
+        trace(EngineKind::Agent, &avc, 9, 6, 110, 60, 6),
+        EXPECTED_AGENT_AVC
+    );
+}
+
+/// `JumpSim`'s per-step `advance` is one jump: a geometric run of skipped
+/// silent steps plus one productive interaction, until the configuration
+/// goes silent.
+#[test]
+fn jump_advance_trace_is_stable() {
+    assert_eq!(
+        trace(EngineKind::Jump, &FourState, 9, 6, 111, 40, 4),
+        EXPECTED_JUMP_FOUR_STATE
+    );
+}
+
+/// `TauLeapSim`'s per-step `advance` is one Poisson leap.
+#[test]
+fn tau_leap_advance_trace_is_stable() {
+    assert_eq!(
+        trace(EngineKind::TauLeap, &Voter, 700, 300, 112, 30, 3),
+        EXPECTED_TAU_LEAP_VOTER
+    );
+}
+
+/// `AdaptiveSim`'s per-step `advance`: single dense steps through the first
+/// 4096-step window, the dense→sparse switch at its end, then one jump per
+/// advance until the configuration goes silent.
+#[test]
+fn adaptive_advance_trace_crosses_into_the_sparse_phase() {
+    let three = ThreeState::new();
+    assert_eq!(
+        trace(EngineKind::Adaptive, &three, 3000, 40, 113, 6000, 512),
+        EXPECTED_ADAPTIVE_THREE_STATE
+    );
+    let mut sim = AdaptiveSim::new(three, Config::from_input(&three, 3000, 40));
+    assert_eq!(
+        record(&mut sim, 113, 6000, 512),
+        EXPECTED_ADAPTIVE_THREE_STATE
+    );
+    assert!(
+        sim.is_sparse_phase(),
+        "the trace must end in the sparse phase"
+    );
 }
 
 /// Regeneration helper (see the module docs). Ignored by default.
 #[test]
 #[ignore = "prints the current traces for manual regeneration"]
 fn print_traces() {
-    println!("voter:\n{}\n", trace(&Voter, 9, 6, 101, 30, 6));
-    println!("four_state:\n{}\n", trace(&FourState, 9, 6, 102, 30, 6));
+    println!(
+        "voter:\n{}\n",
+        trace(EngineKind::Count, &Voter, 9, 6, 101, 30, 6)
+    );
+    println!(
+        "four_state:\n{}\n",
+        trace(EngineKind::Count, &FourState, 9, 6, 102, 30, 6)
+    );
     println!(
         "three_state:\n{}\n",
-        trace(&ThreeState::new(), 9, 6, 103, 30, 6)
+        trace(EngineKind::Count, &ThreeState::new(), 9, 6, 103, 30, 6)
     );
     let avc = Avc::new(5, 1).expect("valid parameters");
-    println!("avc:\n{}\n", trace(&avc, 9, 6, 104, 30, 6));
+    println!(
+        "avc:\n{}\n",
+        trace(EngineKind::Count, &avc, 9, 6, 104, 30, 6)
+    );
     println!(
         "leader_election:\n{}\n",
-        trace(&LeaderElection, 15, 0, 105, 60, 6)
+        trace(EngineKind::Count, &LeaderElection, 15, 0, 105, 60, 6)
     );
-    println!("epidemic:\n{}\n", trace(&Epidemic, 3, 12, 109, 60, 6));
-    println!("compose:\n{}\n", trace(&composite(), 9, 6, 106, 30, 6));
+    println!(
+        "epidemic:\n{}\n",
+        trace(EngineKind::Count, &Epidemic, 3, 12, 109, 60, 6)
+    );
+    println!(
+        "compose:\n{}\n",
+        trace(EngineKind::Count, &composite(), 9, 6, 106, 30, 6)
+    );
     let bef = Bef::new(3).expect("valid parameters");
-    println!("bef:\n{}\n", trace(&bef, 9, 6, 107, 60, 6));
+    println!(
+        "bef:\n{}\n",
+        trace(EngineKind::Count, &bef, 9, 6, 107, 60, 6)
+    );
     let degssu = Degssu::new(3, 2).expect("valid parameters");
-    println!("degssu:\n{}\n", trace(&degssu, 9, 6, 108, 60, 6));
+    println!(
+        "degssu:\n{}\n",
+        trace(EngineKind::Count, &degssu, 9, 6, 108, 60, 6)
+    );
+    println!(
+        "agent_avc:\n{}\n",
+        trace(EngineKind::Agent, &avc, 9, 6, 110, 60, 6)
+    );
+    println!(
+        "jump_four_state:\n{}\n",
+        trace(EngineKind::Jump, &FourState, 9, 6, 111, 40, 4)
+    );
+    println!(
+        "tau_leap_voter:\n{}\n",
+        trace(EngineKind::TauLeap, &Voter, 700, 300, 112, 30, 3)
+    );
+    println!(
+        "adaptive_three_state:\n{}\n",
+        trace(
+            EngineKind::Adaptive,
+            &ThreeState::new(),
+            3000,
+            40,
+            113,
+            6000,
+            512
+        )
+    );
 }
