@@ -6,11 +6,11 @@
 //! with very different spectral gaps (clique, star, random-regular, grid,
 //! cycle) and reports both, demonstrating the slowdown tracks `1/gap`.
 
-use crate::harness::{drive_to_consensus, run_indexed_with_stats, Parallelism, StatsCollector};
+use crate::harness::{run_indexed_with_stats, Parallelism, StatsCollector};
 use crate::stats::Summary;
 use crate::table::{fmt_num, Table};
 use avc_population::cached::Cached;
-use avc_population::engine::AgentSim;
+use avc_population::engine::{AgentSim, Simulator};
 use avc_population::graph::Graph;
 use avc_population::rngutil::SeedSequence;
 use avc_population::spectral::{spectral_gap, PowerIterationOptions};
@@ -160,12 +160,8 @@ pub fn run_point(config: &Config, gi: usize, stats: &StatsCollector) -> Point {
         let mut rng = topology_seeds.rng_for(trial);
         let initial = PopulationConfig::from_input(&FourState, inst.a(), inst.b());
         let mut sim = AgentSim::new(protocol_ref, initial, graph_ref.clone());
-        let out = drive_to_consensus(
-            &mut sim,
-            ConvergenceRule::OutputConsensus,
-            &mut rng,
-            config.max_steps,
-        );
+        let out =
+            sim.run_to_consensus_with(&mut rng, config.max_steps, ConvergenceRule::OutputConsensus);
         (out, out.steps)
     });
     stats.record(&batch);

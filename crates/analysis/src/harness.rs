@@ -6,13 +6,11 @@
 //! `avc run` file, a test — is a [`Scenario`] run by [`ScenarioPlan`], and
 //! all of them take the same loop. Each worker builds its engine once,
 //! lazily, through [`build_erased_with_sink`] with a [`CountingSink`] the
-//! engine *owns*, and
-//! [`reset_erased`](avc_population::engine::ErasedChunkedSim::reset_erased)s
+//! engine *owns*, as a `Box<dyn Simulator>`, and [`reset`](Simulator::reset)s
 //! it in place before every trial it claims. Reset leaves the sink alone,
 //! so the sink sums the worker's trials. Once the worker runs out of
-//! trials it reads the sink back
-//! ([`sink_counts_erased`](avc_population::engine::ErasedChunkedSim::sink_counts_erased))
-//! together with its [`TelemetryObserver`] and trial times, and the batch
+//! trials it reads the sink back ([`Simulator::sink_counts`]) together
+//! with its [`TelemetryObserver`] and trial times, and the batch
 //! merges one [`CellTelemetry`] per worker. Every `sim.*` value is an
 //! integer sum or a histogram bucket add, so that merge does not depend on
 //! which worker ran which trial.
@@ -32,8 +30,8 @@
 
 use crate::stats::{fraction, Summary};
 use avc_population::cached::Cached;
-use avc_population::driver::{Driver, NullObserver};
-use avc_population::engine::{ChunkedSimulator, ErasedChunkedSim};
+use avc_population::driver::Driver;
+use avc_population::engine::Simulator;
 use avc_population::faults::FaultPlan;
 use avc_population::rngutil::SeedSequence;
 use avc_population::scenario::build_erased_with_sink;
@@ -41,7 +39,7 @@ use avc_population::spec::RunOutcome;
 use avc_population::telemetry::{
     keys, CellTelemetry, CountingSink, HistogramSnapshot, MetricValue, Span, TelemetryObserver,
 };
-use avc_population::{Config, ConvergenceRule, Opinion, Protocol, ProtocolSpec, Scenario};
+use avc_population::{Config, Opinion, Protocol, ProtocolSpec, Scenario};
 use avc_protocols::{Avc, Bef, Degssu, FourState, ThreeState, Voter};
 use std::any::Any;
 use std::fmt;
@@ -534,20 +532,6 @@ const PARALLEL_TABLE_MIN_ENTRIES: u64 = 1 << 16;
 /// arithmetic protocol above the table bound.
 type Dispatch<'p, P> = Result<&'p Cached<P>, &'p P>;
 
-/// Runs an already-constructed engine to convergence on the monomorphized
-/// driver path (convenience for callers that build their own simulator,
-/// e.g. on a non-clique graph).
-pub fn drive_to_consensus<S: ChunkedSimulator + ?Sized>(
-    sim: &mut S,
-    rule: ConvergenceRule,
-    rng: &mut rand::rngs::SmallRng,
-    max_steps: u64,
-) -> RunOutcome {
-    Driver::new(rule)
-        .with_max_steps(max_steps)
-        .run(sim, rng, &mut NullObserver)
-}
-
 /// Resolves a [`ProtocolSpec`] to a concrete protocol value and runs `$body`
 /// with it bound to `$protocol` — the spec-to-instance mapping the scenario
 /// plane leaves to this crate (`avc-population` cannot depend on
@@ -696,9 +680,8 @@ impl ScenarioPlan {
     /// The one batch loop (see the [module docs](self)); `build_ns` is what
     /// the caller spent building `dispatch`'s table, recorded as
     /// [`keys::WALL_TABLE_BUILD_NS`]. Fault-free scenarios run
-    /// [`Driver::run_erased`]; faulted ones rebuild the per-trial
-    /// [`FaultPlan`] (a sort of a handful of events) and run
-    /// [`Driver::run_faulted_erased`].
+    /// [`Driver::run`]; faulted ones rebuild the per-trial [`FaultPlan`] (a
+    /// sort of a handful of events) and run [`Driver::run_faulted`].
     fn run_batch<P: Protocol + Clone + Sync>(
         &self,
         dispatch: Dispatch<'_, P>,
@@ -720,13 +703,13 @@ impl ScenarioPlan {
                 let mut rng = seeds.rng_for(trial);
                 // A freshly built engine is already in this state; resetting
                 // it anyway keeps one uniform per-trial path.
-                worker.sim.reset_erased(&worker.config);
+                worker.sim.reset(&worker.config);
                 let sim = worker.sim.as_mut();
                 let outcome = if scenario.faults.is_empty() {
-                    driver.run_erased(sim, &mut rng, &mut worker.observer)
+                    driver.run(sim, &mut rng, &mut worker.observer)
                 } else {
                     let mut faults = FaultPlan::from_events(scenario.faults.clone());
-                    driver.run_faulted_erased(sim, &mut rng, &mut worker.observer, &mut faults)
+                    driver.run_faulted(sim, &mut rng, &mut worker.observer, &mut faults)
                 };
                 started.record_into(&mut worker.trial_ns);
                 (outcome, outcome.steps)
@@ -757,7 +740,7 @@ impl ScenarioPlan {
 /// worker's [`CountingSink`], the configuration every trial resets to, and
 /// the driver-side telemetry the sink cannot see.
 struct BatchWorker<'p> {
-    sim: Box<dyn ErasedChunkedSim + 'p>,
+    sim: Box<dyn Simulator + 'p>,
     config: Config,
     observer: TelemetryObserver,
     trial_ns: HistogramSnapshot,
@@ -793,7 +776,7 @@ impl<'p> BatchWorker<'p> {
     fn into_telemetry(self) -> CellTelemetry {
         let sink = self
             .sim
-            .sink_counts_erased()
+            .sink_counts()
             .expect("batch engines own a CountingSink");
         let mut sim = sink.snapshot();
         let observed = self.observer.sim_snapshot();
@@ -816,11 +799,11 @@ impl<'p> BatchWorker<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avc_population::driver::Observer;
+    use avc_population::driver::{NullObserver, Observer};
     use avc_population::faults::Fault;
     use avc_population::scenario::build_erased;
     use avc_population::telemetry::RegistrySnapshot;
-    use avc_population::{EngineKind, MajorityInstance, SchedulerSpec};
+    use avc_population::{ConvergenceRule, EngineKind, MajorityInstance, SchedulerSpec};
     use std::any::Any;
 
     /// A scenario on `protocol` with engine, runs and seed set.
@@ -1140,7 +1123,7 @@ mod tests {
     /// Runs one trial of `scenario` on `sim`, as every batch loop has.
     fn drive_trial<O: Observer>(
         scenario: &Scenario,
-        sim: &mut dyn ErasedChunkedSim,
+        sim: &mut dyn Simulator,
         trial: u64,
         observer: &mut O,
     ) -> RunOutcome {
@@ -1151,10 +1134,10 @@ mod tests {
         let mut rng = seeds.rng_for(trial);
         let driver = Driver::new(scenario.rule).with_max_steps(scenario.max_steps);
         if scenario.faults.is_empty() {
-            driver.run_erased(sim, &mut rng, observer)
+            driver.run(sim, &mut rng, observer)
         } else {
             let mut faults = FaultPlan::from_events(scenario.faults.clone());
-            driver.run_faulted_erased(sim, &mut rng, observer, &mut faults)
+            driver.run_faulted(sim, &mut rng, observer, &mut faults)
         }
     }
 

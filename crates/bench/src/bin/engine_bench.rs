@@ -33,7 +33,7 @@
 
 use avc_population::cached::Cached;
 use avc_population::driver::{Driver, NullObserver};
-use avc_population::engine::ErasedChunkedSim;
+use avc_population::engine::Simulator;
 use avc_population::graph::Graph;
 use avc_population::sampler::FenwickSampler;
 use avc_population::scenario::build_erased;
@@ -218,7 +218,7 @@ fn reference_ms() -> f64 {
 /// Builds one engine through the scenario plane's erased builder — the
 /// same seam every harness client uses, so the bench measures the shipped
 /// dispatch path.
-fn build(engine: EngineKind, n: u64) -> Box<dyn ErasedChunkedSim> {
+fn build(engine: EngineKind, n: u64) -> Box<dyn Simulator> {
     let inst = MajorityInstance::one_extra(n);
     let config = Config::from_input(&FourState, inst.a(), inst.b());
     let protocol = Cached::new(FourState);
@@ -226,22 +226,22 @@ fn build(engine: EngineKind, n: u64) -> Box<dyn ErasedChunkedSim> {
         .expect("the uniform scheduler is valid for every engine")
 }
 
-/// Runs the chunked driver loop: one erased call per chunk into the
-/// engine's monomorphized `advance_chunk` over a concrete `SmallRng`
+/// Runs the chunked driver loop: one virtual call per chunk into the
+/// engine's `advance_chunk` over a concrete `SmallRng`
 /// (construction stays outside the timed region).
 fn run_chunked(engine: EngineKind, n: u64, max_steps: u64) -> (f64, u64, u64) {
     let mut sim = build(engine, n);
     let driver = Driver::new(RULE).with_max_steps(max_steps);
     let mut rng = SmallRng::seed_from_u64(SEED);
     let started = Instant::now();
-    let _ = driver.run_erased(sim.as_mut(), &mut rng, &mut NullObserver);
+    let _ = driver.run(sim.as_mut(), &mut rng, &mut NullObserver);
     let elapsed = started.elapsed().as_secs_f64() * 1e3;
     (elapsed, sim.steps(), sim.count_a())
 }
 
 /// One measured (engine, n) cell of the trial-batch mode: the same slice of
 /// trials run with per-trial construction versus one build plus
-/// `reset_erased` per trial (the harness's batch loop since the reuse seam).
+/// `reset` per trial (the harness's batch loop since the reuse seam).
 struct BatchEntry {
     engine: &'static str,
     n: u64,
@@ -293,7 +293,7 @@ fn time_fresh_batch(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64, 
         let mut sim = build_erased(&protocol, config, engine, &SchedulerSpec::Uniform)
             .expect("the uniform scheduler is valid for every engine");
         let mut rng = SmallRng::seed_from_u64(SEED ^ trial);
-        let _ = driver.run_erased(sim.as_mut(), &mut rng, &mut NullObserver);
+        let _ = driver.run(sim.as_mut(), &mut rng, &mut NullObserver);
         outcomes.push((sim.steps(), sim.count_a()));
     }
     (started.elapsed().as_secs_f64() * 1e3, outcomes)
@@ -312,9 +312,9 @@ fn time_reused_batch(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64,
     let mut sim = build_erased(&protocol, config.clone(), engine, &SchedulerSpec::Uniform)
         .expect("the uniform scheduler is valid for every engine");
     for trial in 0..trials {
-        sim.reset_erased(&config);
+        sim.reset(&config);
         let mut rng = SmallRng::seed_from_u64(SEED ^ trial);
-        let _ = driver.run_erased(sim.as_mut(), &mut rng, &mut NullObserver);
+        let _ = driver.run(sim.as_mut(), &mut rng, &mut NullObserver);
         outcomes.push((sim.steps(), sim.count_a()));
     }
     (started.elapsed().as_secs_f64() * 1e3, outcomes)
@@ -322,7 +322,7 @@ fn time_reused_batch(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64,
 
 /// Measures one batch cell; both paths must produce identical per-trial
 /// (steps, majority count) sequences — the fresh-equivalence contract of
-/// `reset_erased`, asserted here on every repetition.
+/// `reset`, asserted here on every repetition.
 fn measure_batch(engine: EngineKind, n: u64, trials: u64, reps: usize) -> BatchEntry {
     let mut fresh = Vec::with_capacity(reps);
     let mut reused = Vec::with_capacity(reps);

@@ -1,14 +1,17 @@
 //! The shared run driver: one loop that owns convergence-rule evaluation
-//! and feeds pluggable observers, over any engine's chunked advance.
+//! and feeds pluggable observers, over any engine's
+//! [`Simulator::advance_chunk`].
 //!
 //! Every consumer of a simulation — consensus runs, trace recording,
 //! dynamics snapshots, store sweeps — used to carry its own stepping loop.
 //! The [`Driver`] replaces them all: it translates a [`ConvergenceRule`]
 //! into an inline-checkable [`StopCondition`], slices the run into chunks
 //! bounded by the next *checkpoint* (observer sample, silence check, or
-//! step budget), and lets the engine burn through each chunk in a
-//! monomorphized tight loop. Between chunks it evaluates the rule, notifies
-//! the [`Observer`], and decides the [`Verdict`].
+//! step budget), and lets the engine burn through each chunk in its own
+//! tight loop. Between chunks it evaluates the rule, notifies the
+//! [`Observer`], and decides the [`Verdict`]. The engine may be concrete or
+//! a `dyn Simulator`; either way the driver makes one `advance_chunk` call
+//! per chunk.
 //!
 //! # Cadence guarantees
 //!
@@ -24,21 +27,16 @@
 //! # Why RNG order is preserved
 //!
 //! Checkpoints only ever *shorten* a chunk's step budget; they never draw
-//! randomness and never reorder the engine's draws. Each engine's chunked
-//! loop consumes the RNG exactly as repeated single-step
-//! [`Simulator::advance`] would (pinned by
-//! `tests/advance_upto_equivalence.rs`), so trajectories are bit-identical
-//! for every chunking, observer cadence, and dispatch path.
+//! randomness and never reorder the engine's draws. Each engine's chunk
+//! loop consumes the RNG identically however a run is split into chunks
+//! (pinned by `tests/advance_upto_equivalence.rs`), so trajectories are
+//! bit-identical for every chunking, observer cadence, and dispatch path.
 
-use crate::engine::{
-    silent_verdict, AdvanceReport, ChunkedSimulator, ErasedChunkedSim, Simulator, StopCondition,
-    StopReason,
-};
+use crate::engine::{silent_verdict, AdvanceReport, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultPlan};
 use crate::protocol::{Opinion, StateId};
 use crate::spec::{ConvergenceRule, RunOutcome, Verdict};
 use rand::rngs::SmallRng;
-use rand::RngCore;
 
 /// A cheap borrowed summary of a simulation's observable state, passed to
 /// [`Observer`] callbacks.
@@ -126,9 +124,7 @@ impl Observer for NullObserver {}
 /// Runs a simulation to a [`Verdict`] under a [`ConvergenceRule`].
 ///
 /// Construct with [`Driver::new`], configure with the builder methods, then
-/// call [`Driver::run`] (monomorphized hot path) or [`Driver::run_dyn`]
-/// (object-safe path). Both evaluate the rule with identical semantics and
-/// consume the RNG identically.
+/// call [`Driver::run`] (or [`Driver::run_faulted`] with a fault plan).
 #[derive(Debug, Clone, Copy)]
 pub struct Driver {
     rule: ConvergenceRule,
@@ -170,31 +166,15 @@ impl Driver {
         self
     }
 
-    /// Runs `sim` on the monomorphized fast path: the engine's
-    /// [`ChunkedSimulator::advance_chunk`] is instantiated for the concrete
-    /// RNG type, so the per-step loop has zero dynamic dispatch.
-    pub fn run<S, R, O>(&self, sim: &mut S, rng: &mut R, observer: &mut O) -> RunOutcome
-    where
-        S: ChunkedSimulator + ?Sized,
-        R: RngCore + ?Sized,
-        O: Observer + ?Sized,
-    {
-        self.drive(sim, rng, observer, None, |s, r, stop| {
-            s.advance_chunk(r, stop)
-        })
-    }
-
-    /// Runs `sim` through the object-safe [`Simulator::advance_upto`]
-    /// boundary (same semantics and RNG consumption as [`Driver::run`];
-    /// engines still run their chunk loops, only the RNG stays `dyn`).
-    pub fn run_dyn<S, O>(&self, sim: &mut S, rng: &mut dyn RngCore, observer: &mut O) -> RunOutcome
+    /// Runs `sim` to a verdict: one [`Simulator::advance_chunk`] call per
+    /// chunk, so a `dyn Simulator` costs one virtual call per chunk and the
+    /// RNG stream is the same as a concrete engine's.
+    pub fn run<S, O>(&self, sim: &mut S, rng: &mut SmallRng, observer: &mut O) -> RunOutcome
     where
         S: Simulator + ?Sized,
         O: Observer + ?Sized,
     {
-        self.drive(sim, rng, observer, None, |s, r, stop| {
-            s.advance_upto(r, stop)
-        })
+        self.drive(sim, rng, observer, None)
     }
 
     /// As [`Driver::run`], injecting the faults of `faults` as the run
@@ -218,33 +198,10 @@ impl Driver {
     /// Panics if the engine rejects a fault
     /// (see [`Simulator::inject`]) — a mis-specified stress scenario is a
     /// programming error, not a run outcome.
-    pub fn run_faulted<S, R, O>(
+    pub fn run_faulted<S, O>(
         &self,
         sim: &mut S,
-        rng: &mut R,
-        observer: &mut O,
-        faults: &mut FaultPlan,
-    ) -> RunOutcome
-    where
-        S: ChunkedSimulator + ?Sized,
-        R: RngCore + ?Sized,
-        O: Observer + ?Sized,
-    {
-        self.drive(sim, rng, observer, Some(faults), |s, r, stop| {
-            s.advance_chunk(r, stop)
-        })
-    }
-
-    /// As [`Driver::run_faulted`] over the object-safe
-    /// [`Simulator::advance_upto`] boundary.
-    ///
-    /// # Panics
-    ///
-    /// As [`Driver::run_faulted`].
-    pub fn run_faulted_dyn<S, O>(
-        &self,
-        sim: &mut S,
-        rng: &mut dyn RngCore,
+        rng: &mut SmallRng,
         observer: &mut O,
         faults: &mut FaultPlan,
     ) -> RunOutcome
@@ -252,41 +209,33 @@ impl Driver {
         S: Simulator + ?Sized,
         O: Observer + ?Sized,
     {
-        self.drive(sim, rng, observer, Some(faults), |s, r, stop| {
-            s.advance_upto(r, stop)
-        })
+        self.drive(sim, rng, observer, Some(faults))
     }
 
-    /// As [`Driver::run`] over the erased [`ErasedChunkedSim`] boundary —
-    /// the scenario builder's dispatch seam.
-    ///
-    /// The chunk loop behind `advance_chunk_erased` is the same
-    /// `advance_chunk::<SmallRng>` monomorphization [`Driver::run`] uses, so
-    /// the RNG stream and trajectory are bit-identical to concrete
-    /// dispatch; the only added cost is one virtual call per chunk.
+    /// Forwards to [`Driver::run`]. Part of the surface the end-to-end
+    /// benchmark under `sweep_bench/` calls; new code calls `run`.
     pub fn run_erased<O>(
         &self,
-        sim: &mut dyn ErasedChunkedSim,
+        sim: &mut dyn Simulator,
         rng: &mut SmallRng,
         observer: &mut O,
     ) -> RunOutcome
     where
         O: Observer + ?Sized,
     {
-        self.drive(sim, rng, observer, None, |s, r, stop| {
-            s.advance_chunk_erased(r, stop)
-        })
+        self.run(sim, rng, observer)
     }
 
-    /// As [`Driver::run_faulted`] over the erased [`ErasedChunkedSim`]
-    /// boundary. An empty plan makes this exactly [`Driver::run_erased`].
+    /// Forwards to [`Driver::run_faulted`]. Part of the surface the
+    /// end-to-end benchmark under `sweep_bench/` calls; new code calls
+    /// `run_faulted`.
     ///
     /// # Panics
     ///
     /// As [`Driver::run_faulted`].
     pub fn run_faulted_erased<O>(
         &self,
-        sim: &mut dyn ErasedChunkedSim,
+        sim: &mut dyn Simulator,
         rng: &mut SmallRng,
         observer: &mut O,
         faults: &mut FaultPlan,
@@ -294,26 +243,21 @@ impl Driver {
     where
         O: Observer + ?Sized,
     {
-        self.drive(sim, rng, observer, Some(faults), |s, r, stop| {
-            s.advance_chunk_erased(r, stop)
-        })
+        self.run_faulted(sim, rng, observer, faults)
     }
 
-    /// The single driver loop both entry points share. `chunk` hides which
-    /// advance boundary is in use.
-    fn drive<S, R, O, F>(
+    /// The single driver loop [`Driver::run`] and [`Driver::run_faulted`]
+    /// share.
+    fn drive<S, O>(
         &self,
         sim: &mut S,
-        rng: &mut R,
+        rng: &mut SmallRng,
         observer: &mut O,
         mut faults: Option<&mut FaultPlan>,
-        mut chunk: F,
     ) -> RunOutcome
     where
         S: Simulator + ?Sized,
-        R: RngCore + ?Sized,
         O: Observer + ?Sized,
-        F: FnMut(&mut S, &mut R, StopCondition) -> AdvanceReport,
     {
         let n = sim.population();
         let stop = StopCondition::for_rule(self.rule, n);
@@ -370,7 +314,7 @@ impl Driver {
                 .min(next_sample)
                 .min(next_silence)
                 .min(next_fault);
-            let report = chunk(sim, rng, stop.with_max_steps(target));
+            let report = sim.advance_chunk(rng, stop.with_max_steps(target));
             observer.on_chunk(&SimView::of(sim), &report);
             if sim.steps() >= next_sample {
                 next_sample = sim
@@ -431,7 +375,6 @@ mod tests {
     use crate::config::Config;
     use crate::engine::{CountSim, JumpSim};
     use crate::protocol::tests_support::{Annihilate, Voter};
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     /// Records every callback for assertion.
@@ -451,21 +394,6 @@ mod tests {
         }
         fn on_event(&mut self, view: &SimView<'_>, event: &DriverEvent) {
             self.events.push((view.steps, *event));
-        }
-    }
-
-    #[test]
-    fn run_and_run_dyn_are_bit_identical() {
-        for seed in 0..5u64 {
-            let mut a = CountSim::new(Voter, Config::from_input(&Voter, 30, 20));
-            let mut b = a.clone();
-            let mut rng_a = SmallRng::seed_from_u64(seed);
-            let mut rng_b = SmallRng::seed_from_u64(seed);
-            let driver = Driver::new(ConvergenceRule::OutputConsensus);
-            let out_a = driver.run(&mut a, &mut rng_a, &mut NullObserver);
-            let out_b = driver.run_dyn(&mut b, &mut rng_b, &mut NullObserver);
-            assert_eq!(out_a, out_b);
-            assert_eq!(a.counts(), b.counts());
         }
     }
 

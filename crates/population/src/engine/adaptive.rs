@@ -2,13 +2,11 @@
 //! silent steps dominate.
 
 use crate::config::Config;
-use crate::engine::{
-    AdvanceReport, ChunkedSimulator, CountSim, JumpSim, Simulator, StopCondition, StopReason,
-};
+use crate::engine::{AdvanceReport, CountSim, JumpSim, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
 use avc_telemetry::{CountingSink, NoopSink, Sink};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// Window length over which the productive fraction is estimated.
 const WINDOW: u64 = 4_096;
@@ -50,7 +48,7 @@ const SWITCH_DIVISOR: u64 = 16;
 pub struct AdaptiveSim<P: Protocol + Clone, T = NoopSink> {
     dense: CountSim<P>,
     /// Allocated at the first dense→sparse switch and retained across
-    /// [`ChunkedSimulator::reset`], so reused trial batches switch phases
+    /// [`Simulator::reset`], so reused trial batches switch phases
     /// without reconstructing a `JumpSim`. Stale (ignored) while
     /// `in_sparse` is false.
     sparse: Option<JumpSim<P>>,
@@ -96,11 +94,6 @@ impl<P: Protocol + Clone, T: Sink> AdaptiveSim<P, T> {
     /// The attached telemetry sink.
     pub fn telemetry(&self) -> &T {
         &self.telemetry
-    }
-
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
     }
 
     /// Whether the engine has switched to the jump-chain phase.
@@ -208,30 +201,7 @@ impl<P: Protocol + Clone, T: Sink> Simulator for AdaptiveSim<P, T> {
         })
     }
 
-    fn advance(&mut self, rng: &mut dyn RngCore) -> u64 {
-        if self.in_sparse {
-            return self
-                .sparse
-                .as_mut()
-                .expect("in_sparse without a JumpSim")
-                .advance(rng);
-        }
-        let advanced = self.dense.advance(rng);
-        self.maybe_switch();
-        advanced
-    }
-
-    fn advance_upto(&mut self, rng: &mut dyn RngCore, stop: StopCondition) -> AdvanceReport {
-        self.advance_chunk(rng, stop)
-    }
-}
-
-impl<P: Protocol + Clone, T: Sink> ChunkedSimulator for AdaptiveSim<P, T> {
-    fn advance_chunk<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        stop: StopCondition,
-    ) -> AdvanceReport {
+    fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport {
         let (steps0, events0) = (self.steps(), self.events());
         // Dense chunks are additionally bounded by the next window boundary
         // so the productive-fraction estimate is evaluated at exactly the
@@ -286,7 +256,6 @@ impl<P: Protocol + Clone, T: Sink> ChunkedSimulator for AdaptiveSim<P, T> {
 mod tests {
     use super::*;
     use crate::protocol::tests_support::{Annihilate, Voter};
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]

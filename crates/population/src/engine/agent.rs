@@ -1,13 +1,13 @@
 //! Per-agent simulation engine.
 
 use crate::config::Config;
-use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, StopReason};
+use crate::engine::{AdvanceReport, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::graph::Graph;
 use crate::protocol::{Opinion, Protocol, StateId};
 use crate::sched::{Scheduler, Uniform};
 use avc_telemetry::{CountingSink, NoopSink, Sink};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// A per-agent engine supporting arbitrary interaction graphs and
 /// pluggable [`Scheduler`] strategies.
@@ -180,7 +180,7 @@ impl StateCell for StateId {
 /// of this standalone function on an x86-64 release build.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler, R: RngCore + ?Sized>(
+fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler>(
     protocol: &P,
     graph: &Graph,
     scheduler: &mut S,
@@ -191,7 +191,7 @@ fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler, R: RngCore + ?Sized>(
     unanimous: &mut Option<StateId>,
     steps: &mut u64,
     events: &mut u64,
-    rng: &mut R,
+    rng: &mut SmallRng,
     stop: StopCondition,
 ) -> StopReason {
     let n = states.len() as u64;
@@ -261,7 +261,7 @@ fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler, R: RngCore + ?Sized>(
 /// as [`chunk_loop`].
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn chunk_loop_faulted<C: StateCell, P: Protocol, S: Scheduler, R: RngCore + ?Sized>(
+fn chunk_loop_faulted<C: StateCell, P: Protocol, S: Scheduler>(
     protocol: &P,
     graph: &Graph,
     scheduler: &mut S,
@@ -273,7 +273,7 @@ fn chunk_loop_faulted<C: StateCell, P: Protocol, S: Scheduler, R: RngCore + ?Siz
     unanimous: &mut Option<StateId>,
     steps: &mut u64,
     events: &mut u64,
-    rng: &mut R,
+    rng: &mut SmallRng,
     stop: StopCondition,
 ) -> StopReason {
     let n = states.len() as u64;
@@ -480,11 +480,6 @@ impl<P: Protocol, S: Scheduler, T: Sink> AgentSim<P, S, T> {
         &self.telemetry
     }
 
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
-    }
-
     /// The interaction graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -681,20 +676,6 @@ impl<P: Protocol, S: Scheduler, T: Sink> Simulator for AgentSim<P, S, T> {
         applied
     }
 
-    fn advance(&mut self, rng: &mut dyn RngCore) -> u64 {
-        // One scheduler step: a one-step budget with no predicates armed
-        // consumes the RNG identically to a dedicated single-step path.
-        let stop = StopCondition::never().with_max_steps(self.steps + 1);
-        self.advance_chunk(rng, stop);
-        1
-    }
-
-    fn advance_upto(&mut self, rng: &mut dyn RngCore, stop: StopCondition) -> AdvanceReport {
-        self.advance_chunk(rng, stop)
-    }
-}
-
-impl<P: Protocol, S: Scheduler, T: Sink> ChunkedSimulator for AgentSim<P, S, T> {
     fn reset(&mut self, config: &Config) {
         assert_eq!(
             config.num_states(),
@@ -731,11 +712,7 @@ impl<P: Protocol, S: Scheduler, T: Sink> ChunkedSimulator for AgentSim<P, S, T> 
         self.events = 0;
     }
 
-    fn advance_chunk<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        stop: StopCondition,
-    ) -> AdvanceReport {
+    fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport {
         let (steps0, events0) = (self.steps, self.events);
         let reason = match (&mut self.states, self.faults.as_deref()) {
             (States::Narrow(v), None) => chunk_loop(
@@ -816,8 +793,7 @@ mod tests {
     use super::*;
     use crate::protocol::tests_support::{Annihilate, Voter};
     use crate::spec::Verdict;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn voter_reaches_consensus_on_clique() {

@@ -1,11 +1,12 @@
 //! Species-count simulation engine for the complete graph.
 
 use crate::config::Config;
-use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, StopReason};
+use crate::engine::{AdvanceReport, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
 use crate::sampler::FenwickSampler;
 use avc_telemetry::{CountingSink, NoopSink, Sink};
+use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
 /// A count-based engine: `O(log s)` per step, `O(s)` memory.
@@ -116,11 +117,6 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
     /// The attached telemetry sink.
     pub fn telemetry(&self) -> &T {
         &self.telemetry
-    }
-
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
     }
 
     /// The protocol being executed.
@@ -258,17 +254,6 @@ impl<P: Protocol, T: Sink> Simulator for CountSim<P, T> {
         Ok(moved)
     }
 
-    fn advance(&mut self, rng: &mut dyn RngCore) -> u64 {
-        self.step(rng);
-        1
-    }
-
-    fn advance_upto(&mut self, rng: &mut dyn RngCore, stop: StopCondition) -> AdvanceReport {
-        self.advance_chunk(rng, stop)
-    }
-}
-
-impl<P: Protocol, T: Sink> ChunkedSimulator for CountSim<P, T> {
     fn reset(&mut self, config: &Config) {
         assert_eq!(
             config.num_states(),
@@ -296,11 +281,7 @@ impl<P: Protocol, T: Sink> ChunkedSimulator for CountSim<P, T> {
         self.events = 0;
     }
 
-    fn advance_chunk<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        stop: StopCondition,
-    ) -> AdvanceReport {
+    fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport {
         let (steps0, events0) = (self.steps, self.events);
         // Every step advances exactly one scheduler step, so the loop can
         // never report `Silent` — a silent configuration just keeps taking
@@ -339,7 +320,6 @@ mod tests {
     use super::*;
     use crate::protocol::tests_support::{Annihilate, Voter};
     use crate::spec::{ConvergenceRule, Verdict};
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]

@@ -1,10 +1,11 @@
 //! Jump-chain simulation engine with null-step skipping.
 
 use crate::config::Config;
-use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, StopReason};
+use crate::engine::{AdvanceReport, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
 use avc_telemetry::{CountingSink, NoopSink, Sink};
+use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
 /// Sentinel for "state not in the live list".
@@ -201,11 +202,6 @@ impl<P: Protocol, T: Sink> JumpSim<P, T> {
     /// The attached telemetry sink.
     pub fn telemetry(&self) -> &T {
         &self.telemetry
-    }
-
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
     }
 
     /// The protocol being executed.
@@ -496,16 +492,6 @@ impl<P: Protocol, T: Sink> Simulator for JumpSim<P, T> {
         Ok(moved)
     }
 
-    fn advance(&mut self, rng: &mut dyn RngCore) -> u64 {
-        self.step(rng)
-    }
-
-    fn advance_upto(&mut self, rng: &mut dyn RngCore, stop: StopCondition) -> AdvanceReport {
-        self.advance_chunk(rng, stop)
-    }
-}
-
-impl<P: Protocol, T: Sink> ChunkedSimulator for JumpSim<P, T> {
     fn reset(&mut self, config: &Config) {
         assert_eq!(
             config.num_states(),
@@ -550,11 +536,7 @@ impl<P: Protocol, T: Sink> ChunkedSimulator for JumpSim<P, T> {
         }
     }
 
-    fn advance_chunk<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        stop: StopCondition,
-    ) -> AdvanceReport {
+    fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport {
         let (steps0, events0) = (self.steps, self.events);
         // One jump lands exactly on a productive step, so `count_a` and
         // unanimity change only at step boundaries the loop observes: the
@@ -592,7 +574,6 @@ mod tests {
     use crate::engine::CountSim;
     use crate::protocol::tests_support::{Annihilate, Voter};
     use crate::spec::{ConvergenceRule, Verdict};
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     /// Exhaustively re-derives the null rows and compares with the

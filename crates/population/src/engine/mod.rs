@@ -11,9 +11,12 @@
 //! | [`JumpSim`]  | `O(live states)` *per productive step* | long runs dominated by silent interactions (small-`s` protocols at small margins) |
 //! | [`TauLeapSim`] | `O(live states²)` *per leap* | **approximate** accelerated runs (Poisson τ-leaping, as in chemical-reaction-network simulation) |
 //!
-//! All engines implement [`Simulator`]; the exact ones produce
-//! identically-distributed trajectories of the configuration process
-//! (tested in `tests/engine_equivalence.rs`).
+//! All engines implement the one object-safe [`Simulator`] trait, whose only
+//! kernel is [`Simulator::advance_chunk`] over the workspace's RNG,
+//! [`SmallRng`]; single steps ([`Simulator::advance`]) and whole runs
+//! ([`Simulator::run_to_consensus`]) are provided on top of it. The exact
+//! engines produce identically-distributed trajectories of the
+//! configuration process (tested in `tests/engine_equivalence.rs`).
 
 mod adaptive;
 mod agent;
@@ -32,7 +35,7 @@ use crate::faults::{Fault, FaultError};
 use crate::protocol::Opinion;
 use crate::spec::{ConvergenceRule, RunOutcome, Verdict};
 use avc_telemetry::CountingSink;
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// Inline-checkable stopping rule for a chunked advance.
 ///
@@ -54,7 +57,7 @@ use rand::RngCore;
 pub struct StopCondition {
     /// Stop once `steps ≥ max_steps` (checked *after* the predicates, and
     /// *before* each step — batching engines may still overshoot it within
-    /// one batch; see [`Simulator::advance_upto`]).
+    /// one batch; see [`Simulator::advance_chunk`]).
     pub max_steps: u64,
     /// Stop when `count_a ≤ a_le`.
     pub a_le: Option<u64>,
@@ -171,7 +174,7 @@ pub enum StopReason {
     Silent,
 }
 
-/// What one [`Simulator::advance_upto`] call did.
+/// What one [`Simulator::advance_chunk`] call did.
 ///
 /// Both counters are **deltas** for this call, not totals; totals stay
 /// available via [`Simulator::steps`] / [`Simulator::events`].
@@ -186,16 +189,16 @@ pub struct AdvanceReport {
     pub reason: StopReason,
 }
 
-/// Reference implementation of [`Simulator::advance_upto`]: the exact
-/// check-then-step order every chunked loop must reproduce, driven one
-/// `advance` at a time.
+/// Reference loop for [`Simulator::advance_chunk`]: the exact
+/// check-then-step order every chunk loop must reproduce, driven one
+/// [`Simulator::advance`] at a time.
 ///
-/// Kept public so tests can pin chunked implementations against it; engines
-/// override `advance_upto` with monomorphized loops that consume the RNG
-/// identically.
+/// Kept public so tests can pin chunk loops against it: split into one-step
+/// chunks, a run must pass through the same configurations and consume the
+/// RNG identically to one long chunk.
 pub fn advance_upto_step_by_step<S: Simulator + ?Sized>(
     sim: &mut S,
-    rng: &mut dyn RngCore,
+    rng: &mut SmallRng,
     stop: StopCondition,
 ) -> AdvanceReport {
     let (steps0, events0) = (sim.steps(), sim.events());
@@ -219,11 +222,15 @@ pub fn advance_upto_step_by_step<S: Simulator + ?Sized>(
 
 /// A population-protocol simulation in progress.
 ///
-/// The trait is object safe so heterogeneous engines can be driven by the
-/// same experiment harness; randomness is injected as `&mut dyn RngCore`.
-/// Hot paths that know the concrete engine and RNG types should go through
-/// [`ChunkedSimulator`] (via [`crate::driver::Driver::run`]) instead, which
-/// monomorphizes the inner loop end to end.
+/// The trait is object safe, so heterogeneous engines can be boxed as
+/// `Box<dyn Simulator>` (the scenario plane's builder returns one) and
+/// driven by the same harness. Its one kernel is
+/// [`advance_chunk`](Self::advance_chunk): each engine implements it as a
+/// tight loop over the concrete [`SmallRng`], with the RNG draws, predicate
+/// checks and bookkeeping inlined, so a boxed engine costs one virtual call
+/// per chunk (thousands to millions of steps), not per step.
+/// [`advance`](Self::advance) and the `run_to_consensus*` methods are
+/// provided on top of it.
 pub trait Simulator {
     /// Number of agents `n`.
     fn population(&self) -> u64;
@@ -252,9 +259,8 @@ pub trait Simulator {
 
     /// Whether no productive ordered pair remains.
     ///
-    /// May cost `O(live states²)`; the generic run loop only consults it
-    /// under [`ConvergenceRule::Silence`] or when `advance` reports a
-    /// terminal configuration.
+    /// May cost `O(live states²)`; the driver only consults it under
+    /// [`ConvergenceRule::Silence`].
     fn config_is_silent(&self) -> bool;
 
     /// Applies a fault to the current configuration, between steps.
@@ -273,81 +279,22 @@ pub trait Simulator {
     ///
     /// [`FaultError::Unsupported`] for fault classes the engine cannot
     /// express; [`FaultError::OutOfRange`] for bad state or agent indices.
-    fn inject(&mut self, fault: Fault) -> Result<u64, FaultError> {
-        Err(FaultError::Unsupported {
-            engine: "unknown engine",
-            fault,
-        })
-    }
-
-    /// Advances the simulation by at least one scheduler step.
-    ///
-    /// Returns the number of steps advanced; `0` means the configuration is
-    /// silent (terminal) and the simulation cannot progress.
-    fn advance(&mut self, rng: &mut dyn RngCore) -> u64;
+    fn inject(&mut self, fault: Fault) -> Result<u64, FaultError>;
 
     /// Advances repeatedly until `stop` says to stop, checking the
     /// predicates *before* the budget *before* each step.
     ///
-    /// Consumes the RNG identically to driving [`Simulator::advance`] one
-    /// step at a time (the default does exactly that; engines override it
-    /// with a loop monomorphized via [`ChunkedSimulator::advance_chunk`]),
-    /// so the chunk boundary never perturbs the trajectory and the run
-    /// stops at the exact step a predicate first holds.
+    /// Implementations must reproduce the check-then-step order of
+    /// [`advance_upto_step_by_step`] and consume the RNG so that any split
+    /// of a run into chunks is invisible: the same configurations at every
+    /// chunk boundary and the same RNG stream (pinned by
+    /// `tests/advance_upto_equivalence.rs`). The run therefore stops at the
+    /// exact step a predicate first holds.
     ///
     /// Engines that batch steps ([`JumpSim`], [`TauLeapSim`]) may overshoot
     /// `stop.max_steps` within their final batch; the report counts the
     /// true steps taken either way.
-    fn advance_upto(&mut self, rng: &mut dyn RngCore, stop: StopCondition) -> AdvanceReport {
-        advance_upto_step_by_step(self, rng, stop)
-    }
-
-    /// Runs until the convergence rule holds or `max_steps` is exceeded.
-    ///
-    /// Note that engines that skip silent steps in batches may overshoot
-    /// `max_steps`; the reported [`RunOutcome::steps`] is always the true
-    /// step count at the moment the run stopped.
-    ///
-    /// This is the dyn-dispatch entry point; it delegates to
-    /// [`crate::driver::Driver`], which owns the rule-evaluation loop.
-    fn run_to_consensus_with(
-        &mut self,
-        rng: &mut dyn RngCore,
-        max_steps: u64,
-        rule: ConvergenceRule,
-    ) -> RunOutcome {
-        crate::driver::Driver::new(rule)
-            .with_max_steps(max_steps)
-            .run_dyn(self, rng, &mut crate::driver::NullObserver)
-    }
-
-    /// Runs under [`ConvergenceRule::OutputConsensus`] (the paper's
-    /// convergence notion for AVC and the four-state protocol).
-    fn run_to_consensus(&mut self, rng: &mut dyn RngCore, max_steps: u64) -> RunOutcome {
-        self.run_to_consensus_with(rng, max_steps, ConvergenceRule::OutputConsensus)
-    }
-}
-
-/// A [`Simulator`] whose chunked advance is generic over the RNG type.
-///
-/// This is the monomorphized fast path: with a concrete `R` the per-step
-/// RNG draws, predicate checks, and engine bookkeeping all inline into one
-/// tight loop with zero dynamic dispatch. The trait is deliberately *not*
-/// object safe — callers that only have a `dyn Simulator` use
-/// [`Simulator::advance_upto`] instead, which every engine overrides to
-/// forward here (with `R = dyn RngCore`, still hoisting the per-step
-/// virtual `advance` call out of the loop).
-pub trait ChunkedSimulator: Simulator {
-    /// As [`Simulator::advance_upto`], monomorphized over the RNG.
-    ///
-    /// Implementations must reproduce the exact check-then-step order of
-    /// [`advance_upto_step_by_step`] and consume the RNG identically
-    /// (pinned by `tests/advance_upto_equivalence.rs`).
-    fn advance_chunk<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        stop: StopCondition,
-    ) -> AdvanceReport;
+    fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport;
 
     /// Reinitializes the engine in place to the given starting
     /// configuration, reusing every internal allocation.
@@ -378,54 +325,56 @@ pub trait ChunkedSimulator: Simulator {
     /// [`NoopSink`](avc_telemetry::NoopSink). [`reset`](Self::reset) leaves
     /// the sink alone, so an owned sink sums every trial the engine runs.
     fn sink_counts(&self) -> Option<&CountingSink>;
-}
 
-/// An object-safe view of a [`ChunkedSimulator`], monomorphized over
-/// [`SmallRng`](rand::rngs::SmallRng).
-///
-/// [`ChunkedSimulator::advance_chunk`] is generic over the RNG and therefore
-/// not object safe, so heterogeneous engines cannot be boxed behind it. This
-/// trait closes the gap for the one RNG the harness actually uses: the
-/// blanket impl forwards to `advance_chunk::<SmallRng>` — the *same*
-/// monomorphized tight loop the concrete-type path compiles — so boxing an
-/// engine as `Box<dyn ErasedChunkedSim>` costs exactly one virtual call per
-/// chunk (thousands-to-millions of steps), not per step, and the RNG stream
-/// is bit-identical to concrete dispatch (pinned by
-/// `tests/erased_dispatch.rs`).
-pub trait ErasedChunkedSim: Simulator {
-    /// As [`ChunkedSimulator::advance_chunk`] with `R = SmallRng`.
-    fn advance_chunk_erased(
-        &mut self,
-        rng: &mut rand::rngs::SmallRng,
-        stop: StopCondition,
-    ) -> AdvanceReport;
-
-    /// As [`ChunkedSimulator::reset`], behind the erased seam — same
-    /// fresh-equivalence contract, same no-allocation expectation.
-    fn reset_erased(&mut self, config: &Config);
-
-    /// As [`ChunkedSimulator::sink_counts`], behind the erased seam: how a
-    /// trial batch reads back the sink its long-lived engine owns.
-    fn sink_counts_erased(&self) -> Option<&CountingSink>;
-}
-
-impl<S: ChunkedSimulator> ErasedChunkedSim for S {
-    fn advance_chunk_erased(
-        &mut self,
-        rng: &mut rand::rngs::SmallRng,
-        stop: StopCondition,
-    ) -> AdvanceReport {
-        self.advance_chunk(rng, stop)
+    /// Advances the simulation by at least one scheduler step: one
+    /// [`advance_chunk`](Self::advance_chunk) with a one-step budget and no
+    /// predicates (a batching engine takes one whole batch; the sink
+    /// records it as one chunk).
+    ///
+    /// Returns the number of steps advanced; `0` means the configuration is
+    /// silent (terminal) and the simulation cannot progress.
+    fn advance(&mut self, rng: &mut SmallRng) -> u64 {
+        let stop = StopCondition::never().with_max_steps(self.steps().saturating_add(1));
+        self.advance_chunk(rng, stop).steps
     }
 
+    /// Runs until the convergence rule holds or `max_steps` is exceeded.
+    ///
+    /// Note that engines that skip silent steps in batches may overshoot
+    /// `max_steps`; the reported [`RunOutcome::steps`] is always the true
+    /// step count at the moment the run stopped.
+    ///
+    /// Delegates to [`crate::driver::Driver`], which owns the
+    /// rule-evaluation loop.
+    fn run_to_consensus_with(
+        &mut self,
+        rng: &mut SmallRng,
+        max_steps: u64,
+        rule: ConvergenceRule,
+    ) -> RunOutcome {
+        crate::driver::Driver::new(rule)
+            .with_max_steps(max_steps)
+            .run(self, rng, &mut crate::driver::NullObserver)
+    }
+
+    /// Runs under [`ConvergenceRule::OutputConsensus`] (the paper's
+    /// convergence notion for AVC and the four-state protocol).
+    fn run_to_consensus(&mut self, rng: &mut SmallRng, max_steps: u64) -> RunOutcome {
+        self.run_to_consensus_with(rng, max_steps, ConvergenceRule::OutputConsensus)
+    }
+
+    /// Forwards to [`reset`](Self::reset). Part of the surface the
+    /// end-to-end benchmark under `sweep_bench/` calls; new code calls
+    /// `reset`.
     fn reset_erased(&mut self, config: &Config) {
         self.reset(config);
     }
-
-    fn sink_counts_erased(&self) -> Option<&CountingSink> {
-        self.sink_counts()
-    }
 }
+
+/// The former name of [`Simulator`], kept as part of the surface the
+/// end-to-end benchmark under `sweep_bench/` calls; new code names
+/// `Simulator`.
+pub use self::Simulator as ErasedChunkedSim;
 
 pub(crate) fn silent_verdict<S: Simulator + ?Sized>(sim: &S, n: u64) -> Verdict {
     let a = sim.count_a();
@@ -436,14 +385,4 @@ pub(crate) fn silent_verdict<S: Simulator + ?Sized>(sim: &S, n: u64) -> Verdict 
     } else {
         Verdict::Stuck
     }
-}
-
-/// Whether a configuration (given as species counts) is silent under
-/// `protocol`: no ordered pair of distinct agents can change it.
-///
-/// Delegates to [`Protocol::config_silent`](crate::Protocol::config_silent):
-/// brute force over live species pairs by default, a precomputed bitset scan
-/// for [`Cached`](crate::cached::Cached) protocols.
-pub fn config_silent<P: crate::Protocol>(protocol: &P, counts: &[u64]) -> bool {
-    protocol.config_silent(counts)
 }

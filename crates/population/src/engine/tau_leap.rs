@@ -17,11 +17,12 @@
 //! verification tools) uses the exact engines.
 
 use crate::config::Config;
-use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, StopReason};
+use crate::engine::{AdvanceReport, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
 use avc_telemetry::{CountingSink, NoopSink, Sink};
-use rand::{Rng, RngCore};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use rand_distr::{Distribution, Poisson};
 
 /// Relative-change control parameter of the leap-size criterion.
@@ -137,11 +138,6 @@ impl<P: Protocol, T: Sink> TauLeapSim<P, T> {
     /// The attached telemetry sink.
     pub fn telemetry(&self) -> &T {
         &self.telemetry
-    }
-
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
     }
 
     /// The protocol being executed.
@@ -400,21 +396,7 @@ impl<P: Protocol, T: Sink> Simulator for TauLeapSim<P, T> {
         Ok(moved)
     }
 
-    fn advance(&mut self, rng: &mut dyn RngCore) -> u64 {
-        self.step(rng)
-    }
-
-    fn advance_upto(&mut self, rng: &mut dyn RngCore, stop: StopCondition) -> AdvanceReport {
-        self.advance_chunk(rng, stop)
-    }
-}
-
-impl<P: Protocol, T: Sink> ChunkedSimulator for TauLeapSim<P, T> {
-    fn advance_chunk<R: RngCore + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        stop: StopCondition,
-    ) -> AdvanceReport {
+    fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport {
         let (steps0, events0) = (self.steps, self.events);
         // Configuration state is only observable at leap boundaries, so
         // predicates resolve at the first boundary where they hold; both
@@ -478,7 +460,6 @@ mod tests {
     use crate::engine::CountSim;
     use crate::protocol::tests_support::{Annihilate, Voter};
     use crate::rngutil::SeedSequence;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]

@@ -12,18 +12,17 @@
 //!
 //! [`build_erased`] is the **single** place in the workspace where an
 //! engine choice becomes a simulator: it matches on [`EngineKind`] and
-//! [`SchedulerSpec`] once and returns a boxed
-//! [`ErasedChunkedSim`]. The erasure
+//! [`SchedulerSpec`] once and returns a `Box<dyn Simulator>`. The erasure
 //! costs one virtual call per *chunk* — the chunk loops behind it are the
-//! same `advance_chunk::<SmallRng>` monomorphizations concrete dispatch
-//! compiles, so trajectories and RNG streams are bit-identical (pinned by
+//! same [`Simulator::advance_chunk`] code concrete dispatch runs, so
+//! trajectories and RNG streams are bit-identical (pinned by
 //! `tests/erased_dispatch.rs`).
 //!
 //! Protocols are named here ([`ProtocolSpec`]) but *resolved* one crate up:
 //! `avc-population` cannot depend on `avc-protocols`, so the
 //! spec-to-instance mapping lives in `avc_analysis::harness::ScenarioPlan`.
 
-use crate::engine::{AdaptiveSim, AgentSim, CountSim, ErasedChunkedSim, JumpSim, TauLeapSim};
+use crate::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, TauLeapSim};
 use crate::faults::{Fault, FaultEvent};
 use crate::graph::Graph;
 use crate::hash::sha256_hex;
@@ -967,7 +966,7 @@ pub fn build_erased<'a, P>(
     config: Config,
     engine: EngineKind,
     scheduler: &SchedulerSpec,
-) -> Result<Box<dyn ErasedChunkedSim + 'a>, String>
+) -> Result<Box<dyn Simulator + 'a>, String>
 where
     P: Protocol + Clone + 'a,
 {
@@ -989,7 +988,7 @@ pub fn build_erased_with_sink<'a, P, T>(
     engine: EngineKind,
     scheduler: &SchedulerSpec,
     sink: T,
-) -> Result<Box<dyn ErasedChunkedSim + 'a>, String>
+) -> Result<Box<dyn Simulator + 'a>, String>
 where
     P: Protocol + Clone + 'a,
     T: Sink + 'a,

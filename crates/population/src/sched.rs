@@ -40,9 +40,9 @@ use rand::{Rng, RngCore};
 /// interact at `step` (the 0-based index of the step being scheduled).
 /// They may keep internal state (epoch buffers, phase counters) but must
 /// derive all randomness from `rng`, so trajectories stay deterministic
-/// per seed. Like [`ChunkedSimulator`](crate::engine::ChunkedSimulator),
-/// the trait is generic over the RNG and therefore not object safe — the
-/// engine monomorphizes the scheduler into its hot loop.
+/// per seed. [`Scheduler::next_pair`] is generic over the RNG, so the
+/// trait is not object safe: [`AgentSim`](crate::engine::AgentSim) takes the
+/// scheduler as a type parameter and compiles it into its chunk loop.
 pub trait Scheduler {
     /// Selects the ordered pair interacting at `step`.
     fn next_pair<R: RngCore + ?Sized>(
@@ -57,7 +57,8 @@ pub trait Scheduler {
 
     /// Returns the scheduler to its freshly-constructed state without
     /// reallocating, so a reused engine replays exactly like a new one
-    /// (the trial-batch reuse seam of `ChunkedSimulator::reset`).
+    /// (the trial-batch reuse seam of
+    /// [`Simulator::reset`](crate::engine::Simulator::reset)).
     ///
     /// Stateless strategies need nothing; stateful ones (epoch buffers,
     /// phase counters) must clear every field that influences future

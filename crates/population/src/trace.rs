@@ -3,13 +3,13 @@
 //! The paper's analysis (§4) reasons about the *trajectory* of derived
 //! quantities — the maximum weight per sign, the number of strong /
 //! intermediate / weak nodes — not just the convergence time. This module
-//! drives any [`ChunkedSimulator`] while sampling a user probe at a fixed step
+//! drives any [`Simulator`] while sampling a user probe at a fixed step
 //! cadence, producing the data behind the dynamics experiments.
 
 use crate::driver::{Driver, DriverEvent, Observer, SimView};
-use crate::engine::{AdvanceReport, ChunkedSimulator};
+use crate::engine::{AdvanceReport, Simulator};
 use crate::spec::{ConvergenceRule, RunOutcome};
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// One sampled point of a trajectory.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,9 +118,9 @@ impl<F: FnMut(&[u64]) -> Vec<f64>> Observer for Recorder<'_, F> {
 ///
 /// Panics if `cadence` is zero or the probe returns a vector of the wrong
 /// length.
-pub fn record<S, R>(
+pub fn record<S>(
     sim: &mut S,
-    rng: &mut R,
+    rng: &mut SmallRng,
     cadence: u64,
     max_steps: u64,
     rule: ConvergenceRule,
@@ -128,8 +128,7 @@ pub fn record<S, R>(
     probe: impl FnMut(&[u64]) -> Vec<f64>,
 ) -> Trace
 where
-    S: ChunkedSimulator + ?Sized,
-    R: RngCore + ?Sized,
+    S: Simulator + ?Sized,
 {
     assert!(cadence > 0, "cadence must be positive");
     let mut recorder = Recorder {

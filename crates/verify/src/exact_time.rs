@@ -139,9 +139,7 @@ fn is_converged<P: Protocol>(
             graph.all_output(protocol, id, Opinion::A) || graph.all_output(protocol, id, Opinion::B)
         }
         ConvergenceRule::StateConsensus => graph.config(id).contains(&n),
-        ConvergenceRule::Silence => {
-            avc_population::engine::config_silent(protocol, graph.config(id))
-        }
+        ConvergenceRule::Silence => protocol.config_silent(graph.config(id)),
         ConvergenceRule::OutputCount { opinion, count } => {
             let with: u64 = graph
                 .config(id)

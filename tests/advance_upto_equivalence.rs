@@ -1,18 +1,20 @@
-//! Property tests: the chunked `advance_upto` path is observably identical
-//! to repeated single-step `advance` for every engine and any chunking.
+//! Property tests: an engine's `advance_chunk` is observably identical to
+//! repeated single-step `advance` for every engine and any chunking.
 //!
-//! The driver refactor moved the hot loop from one dyn-dispatched `advance`
-//! per scheduler step into each engine's monomorphized `advance_chunk`.
-//! That is only sound if chunking is invisible: for *any* split of a run
-//! into chunk budgets, the chunked engine must consume the RNG in exactly
-//! the same order as the per-step loop and pass through exactly the same
+//! `advance_chunk` is each engine's only kernel, and `advance` is one
+//! `advance_chunk` with a one-step budget. Chunking must be invisible: for
+//! *any* split of a run into chunk budgets, the engine must consume the RNG
+//! in exactly the same order as the step-by-step reference loop
+//! (`advance_upto_step_by_step`) and pass through exactly the same
 //! configurations at each budget boundary. These properties drive both
 //! paths from identical seeds over arbitrary budget splits and require
-//! bit-identical steps, events, and species counts at every boundary.
+//! bit-identical steps, events, and species counts at every boundary. (The
+//! per-step paths themselves are pinned at fixed seeds by
+//! `tests/golden_traces.rs`.)
 
 use avc::population::engine::{
-    advance_upto_step_by_step, AdaptiveSim, AgentSim, ChunkedSimulator, CountSim, JumpSim,
-    StopCondition, TauLeapSim,
+    advance_upto_step_by_step, AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, StopCondition,
+    TauLeapSim,
 };
 use avc::population::{Config, ConvergenceRule};
 use avc::protocols::{FourState, ThreeState, Voter};
@@ -23,7 +25,7 @@ use rand::SeedableRng;
 /// Drives `reference` via the per-step loop and `chunked` via
 /// `advance_chunk`, splitting the run at the same cumulative budgets, and
 /// asserts the two stay bit-identical at every boundary.
-fn assert_chunking_invisible<S: ChunkedSimulator>(
+fn assert_chunking_invisible<S: Simulator>(
     mut reference: S,
     mut chunked: S,
     seed: u64,

@@ -17,8 +17,7 @@
 //! (`advance_upto_step_by_step`), which must report identical numbers.
 
 use avc::population::engine::{
-    advance_upto_step_by_step, ChunkedSimulator, JumpSim, Simulator, StopCondition, StopReason,
-    TauLeapSim,
+    advance_upto_step_by_step, JumpSim, Simulator, StopCondition, StopReason, TauLeapSim,
 };
 use avc::population::{Config, ConvergenceRule, Opinion};
 use avc::protocols::FourState;
@@ -27,7 +26,7 @@ use rand::SeedableRng;
 
 /// Runs the chunked path and the per-step reference path from the same
 /// seed, asserts they agree, and returns (steps, events, reason, count_a).
-fn pin<S: ChunkedSimulator>(
+fn pin<S: Simulator>(
     make: impl Fn() -> S,
     seed: u64,
     stop: StopCondition,

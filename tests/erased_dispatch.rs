@@ -1,9 +1,9 @@
 //! Byte-identity of the scenario plane's erased dispatch seam.
 //!
-//! The scenario builder returns a `Box<dyn ErasedChunkedSim>` whose
-//! `advance_chunk_erased` forwards to the same `advance_chunk::<SmallRng>`
-//! monomorphization concrete dispatch uses, so erased runs must match
-//! concrete runs *exactly*: identical outcomes, identical trajectories,
+//! The scenario builder returns a `Box<dyn Simulator>`, whose
+//! `advance_chunk` is the same code a concretely typed engine runs, so
+//! erased runs must match concrete runs *exactly*: identical outcomes,
+//! identical trajectories,
 //! and — the sharp check — identical RNG stream positions afterwards
 //! (a single extra or missing draw shifts every later trial). These tests
 //! pin that invariant across all five engines, under a non-uniform
@@ -92,7 +92,7 @@ fn erased_run<P: Protocol + Clone + 'static>(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut sim =
         build_erased(protocol.clone(), config, kind, scheduler).expect("buildable scenario");
-    let out = driver().run_erased(sim.as_mut(), &mut rng, &mut NullObserver);
+    let out = driver().run(sim.as_mut(), &mut rng, &mut NullObserver);
     (out, sim.counts().to_vec(), rng.next_u64())
 }
 
@@ -201,7 +201,7 @@ fn faulted_erased_matches_faulted_concrete() {
     let mut sim = build_erased(protocol, config, EngineKind::Agent, &SchedulerSpec::Uniform)
         .expect("buildable scenario");
     let mut plan = FaultPlan::from_events(events);
-    let out = driver().run_faulted_erased(sim.as_mut(), &mut rng, &mut NullObserver, &mut plan);
+    let out = driver().run_faulted(sim.as_mut(), &mut rng, &mut NullObserver, &mut plan);
     let erased = (out, sim.counts().to_vec(), rng.next_u64());
 
     assert_eq!(

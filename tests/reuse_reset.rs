@@ -1,19 +1,19 @@
 //! Fresh-equivalence of the trial-batch reuse seam.
 //!
-//! `ChunkedSimulator::reset` (and its erased forwarding,
-//! `ErasedChunkedSim::reset_erased`) promises that a reused engine replays
-//! exactly like a freshly built one: identical outcomes, identical final
+//! `Simulator::reset` promises that a reused engine replays exactly like a
+//! freshly built one: identical outcomes, identical final
 //! configurations, and — the sharp check — an identical RNG stream
 //! position afterwards (one extra or missing draw would shift every later
 //! trial, and worker→trial assignment races, so any divergence would make
 //! batch results scheduling-dependent). These tests pin that contract
-//! across all five engines through the erased seam the batch loop uses,
+//! across all five engines through the `Box<dyn Simulator>` the batch loop
+//! uses,
 //! for dirty states both mid-run and post-consensus, for resets that
 //! change the population (count-space engines), and for the stateful
 //! epoch-batched scheduler.
 
 use avc::population::driver::{Driver, NullObserver};
-use avc::population::engine::ErasedChunkedSim;
+use avc::population::engine::Simulator;
 use avc::population::scenario::build_erased;
 use avc::population::spec::RunOutcome;
 use avc::population::{Config, ConvergenceRule, EngineKind, Protocol, SchedulerSpec};
@@ -38,9 +38,9 @@ fn driver() -> Driver {
 
 /// Drives `sim` to convergence and returns the outcome, the final counts,
 /// and the RNG's next draw — the stream-position witness.
-fn drive(sim: &mut dyn ErasedChunkedSim, seed: u64) -> (RunOutcome, Vec<u64>, u64) {
+fn drive(sim: &mut dyn Simulator, seed: u64) -> (RunOutcome, Vec<u64>, u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let out = driver().run_erased(sim, &mut rng, &mut NullObserver);
+    let out = driver().run(sim, &mut rng, &mut NullObserver);
     (out, sim.counts().to_vec(), rng.next_u64())
 }
 
@@ -71,7 +71,7 @@ fn reset_run<P: Protocol + Clone + 'static>(
     let mut sim = build_erased(protocol.clone(), dirty.clone(), engine, scheduler)
         .expect("runnable combination");
     let _ = drive(sim.as_mut(), dirty_seed);
-    sim.reset_erased(config);
+    sim.reset(config);
     drive(sim.as_mut(), seed)
 }
 
@@ -167,7 +167,7 @@ fn many_consecutive_resets_stay_fresh_equivalent() {
             .expect("runnable combination");
         for trial in 0..8u64 {
             let seed = 1000 + trial;
-            sim.reset_erased(&config);
+            sim.reset(&config);
             let reused = drive(sim.as_mut(), seed);
             let fresh = fresh_run(&FourState, &config, engine, &SchedulerSpec::Uniform, seed);
             assert_fresh_equivalent(&fresh, &reused, &format!("{engine:?} trial {trial}"));

@@ -16,7 +16,7 @@ use avc::protocols::{Avc, FourState, ThreeState};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn drive_faulted<S: avc::population::engine::ChunkedSimulator>(
+fn drive_faulted<S: Simulator>(
     sim: &mut S,
     plan: &mut FaultPlan,
     seed: u64,

@@ -9,7 +9,7 @@
 //! [`Verdict`]. Both layers are pinned here.
 
 use avc::population::driver::{Driver, NullObserver};
-use avc::population::engine::{config_silent, CountSim, JumpSim, Simulator, StopCondition};
+use avc::population::engine::{CountSim, JumpSim, Simulator, StopCondition};
 use avc::population::protocol::tests_support::{Annihilate, Voter};
 use avc::population::spec::Verdict;
 use avc::population::{Config, ConvergenceRule, MajorityInstance, Opinion, Protocol, StateId};
@@ -129,11 +129,11 @@ fn output_count_projects_b_through_the_complement() {
 /// is the `n = 1` degenerate case the engines themselves refuse.
 #[test]
 fn single_agent_configurations_are_silent() {
-    assert!(config_silent(&Voter, &[1, 0]));
-    assert!(config_silent(&Voter, &[0, 1]));
-    assert!(config_silent(&Annihilate, &[0, 1, 0]));
+    assert!(Voter.config_silent(&[1, 0]));
+    assert!(Voter.config_silent(&[0, 1]));
+    assert!(Annihilate.config_silent(&[0, 1, 0]));
     // Two copies of a productive pair, by contrast, are live.
-    assert!(!config_silent(&Annihilate, &[1, 1, 0]));
+    assert!(!Annihilate.config_silent(&[1, 1, 0]));
 }
 
 /// An already-unanimous start converges at step zero: the driver checks
