@@ -523,12 +523,13 @@ fn measure(engine: EngineKind, n: u64, reps: usize) -> Entry {
 /// each committed `chunked_ms` is first rescaled by this run's
 /// `ref_ms / committed ref_ms`; every cell present in both must then stay
 /// within [`TOLERANCE`] of it, and the [`GATED_ENGINES`] cells within
-/// [`SINK_TOLERANCE`]. Batch cells are deliberately *not* compared against
-/// the committed report: their microsecond-scale trials make run-to-run
-/// medians too noisy for a ratio gate, and the absolute [`BATCH_FLOOR`]
-/// check (which runs on every invocation, `--check` or not) already catches
-/// the structural regression — construction creeping back into the
-/// per-trial loop.
+/// [`SINK_TOLERANCE`]. Every cell is checked before the verdict, so one run
+/// names all the cells over their ceiling. Batch cells are deliberately
+/// *not* compared against the committed report: their microsecond-scale
+/// trials make run-to-run medians too noisy for a ratio gate, and the
+/// absolute [`BATCH_FLOOR`] check (which runs on every invocation,
+/// `--check` or not) already catches the structural regression —
+/// construction creeping back into the per-trial loop.
 fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(committed_path)
         .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
@@ -541,6 +542,7 @@ fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
         obj.get(key).and_then(Json::as_str)?.parse().ok()
     };
     let mut compared = 0;
+    let mut failures = Vec::new();
     for old in committed {
         let (engine, n) = (
             old.get("engine").and_then(Json::as_str).unwrap_or(""),
@@ -570,7 +572,7 @@ fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
             new.chunked_ms, new.ref_ms
         );
         if new.chunked_ms > ceiling {
-            return Err(format!(
+            failures.push(format!(
                 "{engine}/{n}: chunked loop at {:.3} ms exceeds {ceiling:.3} ms \
                  (committed {old_chunked:.3} ms scaled for machine speed, times {tolerance})",
                 new.chunked_ms
@@ -580,6 +582,9 @@ fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
     }
     if compared == 0 {
         return Err("no overlapping entries between current and committed reports".into());
+    }
+    if !failures.is_empty() {
+        return Err(failures.join("; "));
     }
     println!(
         "perf check passed ({compared} cells within {TOLERANCE}x of committed, \
