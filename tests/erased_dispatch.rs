@@ -3,11 +3,10 @@
 //! The scenario builder returns a `Box<dyn Simulator>`, whose
 //! `advance_chunk` is the same code a concretely typed engine runs, so
 //! erased runs must match concrete runs *exactly*: identical outcomes,
-//! identical trajectories,
-//! and — the sharp check — identical RNG stream positions afterwards
-//! (a single extra or missing draw shifts every later trial). These tests
-//! pin that invariant across all five engines, under a non-uniform
-//! scheduler, and through the faulted driver path.
+//! identical trajectories, and — the sharp check — identical RNG stream
+//! positions afterwards (a single extra or missing draw shifts every later
+//! trial). These tests pin that invariant across all five engines, under a
+//! non-uniform scheduler, and through the faulted driver path.
 
 use avc::population::driver::{Driver, NullObserver};
 use avc::population::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, TauLeapSim};

@@ -1,16 +1,15 @@
 //! Fresh-equivalence of the trial-batch reuse seam.
 //!
 //! `Simulator::reset` promises that a reused engine replays exactly like a
-//! freshly built one: identical outcomes, identical final
-//! configurations, and — the sharp check — an identical RNG stream
-//! position afterwards (one extra or missing draw would shift every later
-//! trial, and worker→trial assignment races, so any divergence would make
-//! batch results scheduling-dependent). These tests pin that contract
-//! across all five engines through the `Box<dyn Simulator>` the batch loop
-//! uses,
-//! for dirty states both mid-run and post-consensus, for resets that
-//! change the population (count-space engines), and for the stateful
-//! epoch-batched scheduler.
+//! freshly built one: identical outcomes, identical final configurations,
+//! and — the sharp check — an identical RNG stream position afterwards (one
+//! extra or missing draw would shift every later trial, and worker→trial
+//! assignment races, so any divergence would make batch results
+//! scheduling-dependent). These tests pin that contract across all five
+//! engines through the `Box<dyn Simulator>` the batch loop uses, for dirty
+//! states both mid-run and post-consensus, for resets that change the
+//! population (count-space engines), and for the stateful epoch-batched
+//! scheduler.
 
 use avc::population::driver::{Driver, NullObserver};
 use avc::population::engine::Simulator;
