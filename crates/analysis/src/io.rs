@@ -1,11 +1,14 @@
 //! Crash-safe file output.
 //!
-//! Every artifact this workspace persists — `results/*.csv` tables and the
-//! experiment registry's JSONL records — goes through [`atomic_write`]: the
-//! bytes land in a temporary sibling file, are fsynced, and are then renamed
-//! over the destination. A reader (or a resumed sweep) therefore sees either
-//! the old complete file or the new complete file, never a torn prefix, even
-//! across `kill -9` or power loss mid-write.
+//! Every file this workspace replaces whole — `results/*.csv` tables, the
+//! experiment registry's compaction, bench reports — goes through
+//! [`atomic_write`]: the bytes land in a temporary sibling file, are
+//! fsynced, and are then renamed over the destination. A reader therefore
+//! sees either the old complete file or the new complete file, never a torn
+//! prefix, even across `kill -9` or power loss mid-write. Files that only
+//! grow — the registry's `records.jsonl` and the sweep's `telemetry.jsonl`
+//! — are appended a line at a time instead, through the telemetry crate's
+//! `JsonlWriter`.
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};

@@ -31,13 +31,14 @@
 //! (write the per-phase breakdown as telemetry registry snapshots; implies
 //! `--profile`).
 
+use avc_analysis::io::atomic_write;
 use avc_population::cached::Cached;
 use avc_population::driver::{Driver, NullObserver};
 use avc_population::engine::Simulator;
 use avc_population::graph::Graph;
 use avc_population::sampler::FenwickSampler;
 use avc_population::scenario::build_erased;
-use avc_population::telemetry::export::{atomic_write, snapshot_to_json};
+use avc_population::telemetry::export::snapshot_to_json;
 use avc_population::telemetry::{MetricValue, RegistrySnapshot};
 use avc_population::{
     Config, ConvergenceRule, EngineKind, MajorityInstance, Protocol, SchedulerSpec,
@@ -717,7 +718,7 @@ fn main() {
             if quick { "quick" } else { "full" },
             cells.join(",")
         );
-        atomic_write(std::path::Path::new(path), body.as_bytes()).expect("write profile report");
+        atomic_write(path, body).expect("write profile report");
         println!("[profile written to {path}]");
     }
 

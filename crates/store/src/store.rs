@@ -1,21 +1,29 @@
 //! The on-disk registry: a JSONL file of [`Record`]s with a last-wins index.
 //!
-//! Layout: `<dir>/records.jsonl`, one record per line, append-ordered. Every
-//! mutation rewrites the whole file through
-//! [`avc_analysis::io::atomic_write`] (write temp sibling,
-//! fsync, rename), so a reader — including a resumed sweep after `kill -9` —
-//! always sees a complete prefix of history, never a torn line. A torn tail
-//! can still exist if the file was ever appended by external tooling; the
-//! loader tolerates exactly that case (an unparseable *final* line) and
-//! treats it as absent.
+//! Layout: `<dir>/records.jsonl`, one record per line, append-ordered.
+//! [`Store::append`] writes through the telemetry crate's [`JsonlWriter`]:
+//! the new line goes at the end of the file's newline-terminated prefix and
+//! is `fdatasync`ed before the record joins the in-memory index, so a sweep
+//! of N cells writes each record once. A crash mid-append (`kill -9`,
+//! power loss) can leave at most a torn final line; [`Store::open`] trusts
+//! only newline-terminated lines, and the next append overwrites the
+//! fragment — even a complete record missing its `\n`. Any other line that
+//! does not parse is an error, never silently dropped.
+//!
+//! One writer per store: the first append locks `records.jsonl`, so a
+//! second process appending to the same store gets an error instead of
+//! interleaving lines. Readers (`avc export`, `ls`, `show`, `report`,
+//! `top`) take no lock.
 //!
 //! Duplicate hashes (a cell re-recorded, e.g. after a schema-compatible
 //! rerun) resolve last-wins in the index; [`Store::compact`] rewrites the
-//! file with only the surviving records.
+//! file with only the surviving records through
+//! [`avc_analysis::io::atomic_write`] (write temp sibling, fsync, rename).
 
 use crate::json::Json;
 use crate::record::Record;
 use avc_analysis::io::atomic_write;
+use avc_population::telemetry::export::JsonlWriter;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -27,46 +35,42 @@ pub struct Store {
     records: Vec<Record>,
     /// hash → index of the latest record with that hash.
     index: BTreeMap<String, usize>,
+    /// Appends to `records.jsonl`; locks it at the first append.
+    writer: JsonlWriter,
 }
 
 impl Store {
-    /// Opens (or initializes) the registry under `dir`.
+    /// Opens (or initializes) the registry under `dir`. Nothing is written
+    /// or locked until the first append.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; corrupt non-final lines and schema-foreign
-    /// records are reported as [`io::ErrorKind::InvalidData`] with the line
-    /// number, so silent data loss is impossible.
+    /// Propagates I/O errors; corrupt newline-terminated lines and
+    /// schema-foreign records are reported as [`io::ErrorKind::InvalidData`]
+    /// with the line number, so silent data loss is impossible.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Store> {
         let dir = dir.into();
+        let path = dir.join("records.jsonl");
+        let (writer, text) = JsonlWriter::open_with_text(&path)?;
         let mut store = Store {
             dir,
             records: Vec::new(),
             index: BTreeMap::new(),
+            writer,
         };
-        let path = store.records_path();
-        if !path.exists() {
-            return Ok(store);
-        }
-        let text = std::fs::read_to_string(&path)?;
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
+        for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let parsed = Json::parse(line).and_then(|j| Record::from_json(&j));
-            match parsed {
-                Ok(record) => store.push(record),
-                // A torn final line is the legacy-append crash signature:
-                // drop it, the cell will simply rerun.
-                Err(_) if i + 1 == lines.len() => break,
-                Err(e) => {
-                    return Err(io::Error::new(
+            let record = Json::parse(line)
+                .and_then(|j| Record::from_json(&j))
+                .map_err(|e| {
+                    io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("{}:{}: {e}", path.display(), i + 1),
-                    ));
-                }
-            }
+                    )
+                })?;
+            store.push(record);
         }
         Ok(store)
     }
@@ -74,7 +78,7 @@ impl Store {
     /// The registry's JSONL path.
     #[must_use]
     pub fn records_path(&self) -> PathBuf {
-        self.dir.join("records.jsonl")
+        self.writer.path().to_path_buf()
     }
 
     /// The registry directory.
@@ -116,19 +120,16 @@ impl Store {
         self.index.values().map(|&i| &self.records[i])
     }
 
-    /// Appends a record durably (whole-file write-temp-fsync-rename).
+    /// Appends a record durably: one line written and `fdatasync`ed.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; on error the on-disk registry is unchanged
-    /// (the in-memory copy is rolled back too).
+    /// Propagates I/O errors, including another writer holding the store
+    /// ([`io::ErrorKind::WouldBlock`]). On error the file is cut back to
+    /// the records before it and the in-memory store is unchanged.
     pub fn append(&mut self, record: Record) -> io::Result<()> {
+        self.writer.append(&record.to_json().to_string_compact())?;
         self.push(record);
-        if let Err(e) = self.persist() {
-            let record = self.records.pop().expect("just pushed");
-            self.reindex_after_removal(&record.hash);
-            return Err(e);
-        }
         Ok(())
     }
 
@@ -154,33 +155,21 @@ impl Store {
             .enumerate()
             .map(|(i, r)| (r.hash.clone(), i))
             .collect();
-        self.persist()?;
+        let mut out = String::new();
+        for record in &self.records {
+            out.push_str(&record.to_json().to_string_compact());
+            out.push('\n');
+        }
+        let path = self.records_path();
+        atomic_write(&path, out)?;
+        // The rename replaced the file the writer held; append to the new one.
+        self.writer = JsonlWriter::open(&path)?;
         Ok(removed)
     }
 
     fn push(&mut self, record: Record) {
         self.index.insert(record.hash.clone(), self.records.len());
         self.records.push(record);
-    }
-
-    fn reindex_after_removal(&mut self, hash: &str) {
-        match self.records.iter().rposition(|r| r.hash == hash) {
-            Some(i) => {
-                self.index.insert(hash.to_string(), i);
-            }
-            None => {
-                self.index.remove(hash);
-            }
-        }
-    }
-
-    fn persist(&self) -> io::Result<()> {
-        let mut out = String::new();
-        for record in &self.records {
-            out.push_str(&record.to_json().to_string_compact());
-            out.push('\n');
-        }
-        atomic_write(self.records_path(), out)
     }
 }
 
@@ -241,21 +230,75 @@ mod tests {
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.get(&hash).unwrap().result.notes, vec!["new"]);
+        drop(reopened);
+
+        // Appends after a compaction land in the rewritten file.
+        store.append(record("fig4", 11, "after")).unwrap();
+        assert_eq!(Store::open(&dir).unwrap().len(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn tolerates_torn_final_line() {
-        let dir = temp_store("torn");
+        // What an uninterrupted writer produces.
+        let dir = temp_store("torn-reference");
         let mut store = Store::open(&dir).unwrap();
         store.append(record("fig3", 11, "whole")).unwrap();
-        let path = store.records_path();
-        let mut text = fs::read_to_string(&path).unwrap();
-        text.push_str("{\"schema\":1,\"hash\":\"dead"); // torn mid-write
-        fs::write(&path, &text).unwrap();
+        let whole = fs::read(store.records_path()).unwrap();
+        store.append(record("fig3", 13, "next")).unwrap();
+        let expected = fs::read(store.records_path()).unwrap();
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+
+        // A crash while appending a record leaves any prefix of its line:
+        // nothing, part of it, or the whole record without its newline.
+        // Reopening drops it, and the next append overwrites it.
+        let dir = temp_store("torn");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("records.jsonl");
+        let torn = record("fig3", 101, "torn mid-write")
+            .to_json()
+            .to_string_compact();
+        let torn_hash = record("fig3", 101, "").hash;
+        for cut in 0..=torn.len() {
+            let mut bytes = whole.clone();
+            bytes.extend_from_slice(&torn.as_bytes()[..cut]);
+            fs::write(&path, bytes).unwrap();
+
+            let mut reopened = Store::open(&dir).unwrap();
+            assert_eq!(reopened.len(), 1, "cut at {cut}");
+            assert!(reopened.get(&torn_hash).is_none(), "cut at {cut}");
+            reopened.append(record("fig3", 13, "next")).unwrap();
+            drop(reopened);
+
+            let again = Store::open(&dir).unwrap();
+            assert_eq!(again.len(), 2, "cut at {cut}");
+            assert!(again.get(&torn_hash).is_none(), "cut at {cut}");
+            assert_eq!(fs::read(&path).unwrap(), expected, "cut at {cut}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn second_writer_is_refused() {
+        let dir = temp_store("two-writers");
+        let mut first = Store::open(&dir).unwrap();
+        let mut second = Store::open(&dir).unwrap();
+        first.append(record("fig3", 11, "first")).unwrap();
+        let err = second.append(record("fig3", 13, "second")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(second.is_empty());
 
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.len(), 1);
+        let hash = record("fig3", 11, "").hash;
+        assert_eq!(reopened.get(&hash).unwrap().result.notes, vec!["first"]);
+
+        // Once the first writer is gone, the second's view is stale: it
+        // still may not write over the first's record.
+        drop(first);
+        assert!(second.append(record("fig3", 13, "second")).is_err());
+        assert_eq!(Store::open(&dir).unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

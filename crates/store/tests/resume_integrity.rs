@@ -33,10 +33,23 @@ fn read_csvs(dir: &Path) -> (Vec<u8>, Vec<u8>) {
     (read("fig3_time"), read("fig3_error"))
 }
 
+/// Durable records: newline-terminated lines only, since a kill can land
+/// mid-append and leave a torn final line.
 fn record_count(dir: &Path) -> usize {
-    std::fs::read_to_string(dir.join("store/records.jsonl"))
-        .map(|text| text.lines().filter(|l| !l.trim().is_empty()).count())
+    std::fs::read(dir.join("store/records.jsonl"))
+        .map(|bytes| bytes.iter().filter(|&&b| b == b'\n').count())
         .unwrap_or(0)
+}
+
+/// Appends an unterminated fragment, as a kill mid-append leaves one.
+fn inject_torn_tail(path: &Path, fragment: &[u8]) {
+    use std::io::Write;
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .unwrap_or_else(|e| panic!("open {} for torn-tail injection: {e}", path.display()));
+    f.write_all(fragment).expect("inject torn tail");
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -82,18 +95,13 @@ fn killed_sweep_resumes_to_byte_identical_export() {
     let _ = child.wait();
 
     // The kill can leave an unterminated final line in the telemetry
-    // journal; make that certain by appending one ourselves. The resumed
-    // sweep must drop exactly this fragment and continue the stream.
+    // journal and in the records file; make that certain by appending one
+    // to each ourselves. The resumed sweep must drop exactly these
+    // fragments and continue both streams.
     let journal_path = victim.join("store/telemetry.jsonl");
-    {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&journal_path)
-            .expect("open journal for torn-tail injection");
-        f.write_all(b"{\"hash\":\"torn").expect("inject torn tail");
-    }
+    let records_path = victim.join("store/records.jsonl");
+    inject_torn_tail(&journal_path, b"{\"hash\":\"torn");
+    inject_torn_tail(&records_path, b"{\"schema\":1,\"hash\":\"torn");
 
     // The store must hold a durable, loadable prefix of the grid.
     let survived = record_count(&victim);
@@ -172,6 +180,21 @@ fn killed_sweep_resumes_to_byte_identical_export() {
             "durable record {hash} has no telemetry journal line"
         );
     }
+
+    // The records file likewise: the resumed appends overwrote the torn
+    // fragment, and every line is a whole record.
+    let records = std::fs::read_to_string(&records_path).expect("records readable after resume");
+    assert!(
+        records.ends_with('\n'),
+        "resumed records.jsonl left an unterminated tail"
+    );
+    for line in records.lines() {
+        let parsed = avc_store::json::Json::parse(line)
+            .unwrap_or_else(|e| panic!("torn or corrupt record line `{line}`: {e}"));
+        avc_store::record::Record::from_json(&parsed)
+            .unwrap_or_else(|e| panic!("record line `{line}` does not load: {e}"));
+    }
+    assert_eq!(records.lines().count(), TOTAL_CELLS);
 
     let _ = std::fs::remove_dir_all(&reference);
     let _ = std::fs::remove_dir_all(&victim);

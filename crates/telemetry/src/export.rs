@@ -7,14 +7,17 @@
 //! strings, so a snapshot's JSON is byte-stable: same metrics in, same
 //! bytes out, on every platform.
 //!
-//! [`JsonlWriter`] follows the store's durability discipline: every append
-//! rewrites the whole file through a temp-file + fsync + rename, so a
-//! crash leaves either the old file or the new one — and a reader that
-//! arrives mid-write of some *other* tool's stream still only trusts
-//! newline-terminated lines ([`read_lines_tolerant`] drops a torn tail).
+//! [`JsonlWriter`] is the workspace's one JSONL appender: the store's
+//! `records.jsonl` and the sweep's `telemetry.jsonl` are both written
+//! through it. Each append writes only the new line, at the end of the
+//! file's newline-terminated prefix, and `fdatasync`s it, so a sweep of N
+//! cells writes each line once. Readers trust only newline-terminated
+//! lines ([`read_lines_tolerant`] drops a torn tail), so a crash
+//! mid-append loses at most the line being written, and the next writer
+//! overwrites the fragment.
 
-use std::fs::{self, File};
-use std::io::{self, ErrorKind, Read, Write};
+use std::fs::{self, File, OpenOptions, TryLockError};
+use std::io::{self, ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::metrics::{bucket_bounds, HistogramSnapshot};
@@ -124,32 +127,23 @@ fn prometheus_name(name: &str) -> String {
     format!("avc_{mapped}")
 }
 
-/// Atomically replaces `path` with `bytes`: write to a sibling temp file,
-/// fsync it, rename over the target. A crash leaves either the old content
-/// or the new, never a mix.
-///
-/// This duplicates `avc_analysis::io::atomic_write` deliberately — this
-/// crate sits below `avc-analysis` in the dependency graph and must stay
-/// dependency-free.
-///
-/// # Errors
-///
-/// Any I/O error from create/write/sync/rename.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    fs::create_dir_all(dir)?;
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("telemetry");
-    let tmp = dir.join(format!(".{file_name}.tmp"));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    Ok(())
+/// Reads `path` cut to its newline-terminated prefix, dropping a torn
+/// (unterminated) final fragment. A missing file reads as empty. Also
+/// returns the file's whole length, fragment included.
+fn read_terminated(path: &Path) -> io::Result<(String, u64)> {
+    let mut raw = match fs::read(path) {
+        Ok(raw) => raw,
+        Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    let whole = raw.len() as u64;
+    raw.truncate(
+        raw.iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |last| last + 1),
+    );
+    let text = String::from_utf8(raw).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
+    Ok((text, whole))
 }
 
 /// Reads the newline-terminated lines of `path`, dropping a torn
@@ -159,30 +153,24 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 ///
 /// Any I/O error other than the file not existing.
 pub fn read_lines_tolerant(path: &Path) -> io::Result<Vec<String>> {
-    let mut raw = String::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_string(&mut raw)?;
-        }
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
-    let terminated = match raw.rfind('\n') {
-        Some(last) => &raw[..=last],
-        None => "",
-    };
-    Ok(terminated
+    let (text, _) = read_terminated(path)?;
+    Ok(text
         .lines()
         .filter(|l| !l.trim().is_empty())
         .map(str::to_owned)
         .collect())
 }
 
-/// An append-only JSONL event stream with atomic whole-file rewrites.
+/// An append-only JSONL stream, one writer per file.
 ///
-/// Opening loads any existing complete lines (a torn tail from a crashed
-/// writer is silently dropped), so append-after-resume continues the
-/// stream rather than truncating it.
+/// Opening trusts only newline-terminated lines and remembers where they
+/// end. Each [`append`](JsonlWriter::append) writes one line there, cuts
+/// the file after it and calls `sync_data`, so a torn tail left by a
+/// crashed writer — even a complete line missing its `\n` — is
+/// overwritten, not extended. The first append takes an exclusive lock on
+/// the file, held until the writer is dropped: a second writer of the same
+/// stream gets an error instead of interleaving lines. Readers take no
+/// lock.
 ///
 /// # Example
 ///
@@ -194,22 +182,41 @@ pub fn read_lines_tolerant(path: &Path) -> io::Result<Vec<String>> {
 #[derive(Debug)]
 pub struct JsonlWriter {
     path: PathBuf,
-    lines: Vec<String>,
+    /// Length of the newline-terminated prefix: where the next line goes.
+    len: u64,
+    /// The file's length when opened, torn tail included.
+    opened_len: u64,
+    /// The locked file, opened by the first append.
+    file: Option<File>,
 }
 
 impl JsonlWriter {
     /// Opens (or starts) the stream at `path`, keeping existing complete
-    /// lines.
+    /// lines. Nothing is written or locked until the first append.
     ///
     /// # Errors
     ///
     /// Any I/O error from reading an existing file.
     pub fn open(path: &Path) -> io::Result<JsonlWriter> {
-        let lines = read_lines_tolerant(path)?;
-        Ok(JsonlWriter {
+        Ok(JsonlWriter::open_with_text(path)?.0)
+    }
+
+    /// As [`JsonlWriter::open`], also returning the stream's
+    /// newline-terminated text (the lines a reader trusts).
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error from reading an existing file; invalid UTF-8 before
+    /// the last newline is [`ErrorKind::InvalidData`].
+    pub fn open_with_text(path: &Path) -> io::Result<(JsonlWriter, String)> {
+        let (text, opened_len) = read_terminated(path)?;
+        let writer = JsonlWriter {
             path: path.to_path_buf(),
-            lines,
-        })
+            len: text.len() as u64,
+            opened_len,
+            file: None,
+        };
+        Ok((writer, text))
     }
 
     /// The stream's file path.
@@ -218,33 +225,83 @@ impl JsonlWriter {
         &self.path
     }
 
-    /// Lines currently in the stream (existing + appended).
-    #[must_use]
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Appends one line (must be a single JSON value without newlines) and
-    /// atomically persists the whole stream.
+    /// Appends one line (a single JSON value without newlines) durably.
     ///
     /// # Errors
     ///
-    /// Any I/O error from the atomic rewrite; on error the in-memory
-    /// stream is rolled back so a retry sees consistent state.
+    /// Another writer holding the file's lock
+    /// ([`ErrorKind::WouldBlock`]), the file having changed since it was
+    /// opened, or any I/O error from the write or `sync_data`. A failed
+    /// append cuts the file back to the lines before it.
     pub fn append(&mut self, line: &str) -> io::Result<()> {
         debug_assert!(!line.contains('\n'), "JSONL lines must be single-line");
-        self.lines.push(line.to_owned());
-        let mut buf = String::with_capacity(self.lines.iter().map(|l| l.len() + 1).sum());
-        for l in &self.lines {
-            buf.push_str(l);
-            buf.push('\n');
-        }
-        if let Err(e) = atomic_write(&self.path, buf.as_bytes()) {
-            self.lines.pop();
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self
+                .file
+                .insert(lock_for_append(&self.path, self.opened_len)?),
+        };
+        let mut buf = Vec::with_capacity(line.len() + 1);
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+        let end = self.len + buf.len() as u64;
+        let written = file
+            .seek(SeekFrom::Start(self.len))
+            .and_then(|_| file.write_all(&buf))
+            .and_then(|()| file.set_len(end))
+            .and_then(|()| file.sync_data());
+        if let Err(e) = written {
+            // Best effort: whatever a failed cut leaves past the prefix,
+            // the next append overwrites.
+            let _ = file.set_len(self.len);
             return Err(e);
         }
+        self.len = end;
         Ok(())
     }
+}
+
+/// Opens `path` for writing, creating it (and its directory) if missing,
+/// and locks it exclusively. Fails if another writer holds the lock or if
+/// the file's length is no longer `opened_len`, i.e. someone wrote to it
+/// since it was read.
+fn lock_for_append(path: &Path, opened_len: u64) -> io::Result<File> {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    fs::create_dir_all(dir)?;
+    let (file, created) = match OpenOptions::new().write(true).create_new(true).open(path) {
+        Ok(file) => (file, true),
+        Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+            (OpenOptions::new().write(true).open(path)?, false)
+        }
+        Err(e) => return Err(e),
+    };
+    match file.try_lock() {
+        Ok(()) => {}
+        Err(TryLockError::WouldBlock) => {
+            return Err(io::Error::new(
+                ErrorKind::WouldBlock,
+                format!("{} is locked by another writer", path.display()),
+            ));
+        }
+        Err(TryLockError::Error(e)) => return Err(e),
+    }
+    if file.metadata()?.len() != opened_len {
+        return Err(io::Error::other(format!(
+            "{} changed since it was opened",
+            path.display()
+        )));
+    }
+    if created {
+        // Persist the new directory entry. Some filesystems refuse to
+        // sync a directory; the file's own data is synced per append.
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(file)
 }
 
 #[cfg(test)]
@@ -302,22 +359,37 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        fs::create_dir_all(&dir).unwrap();
+        let _ = fs::remove_dir_all(&dir);
         let path = dir.join("stream.jsonl");
-        let _ = fs::remove_file(&path);
 
+        // What an uninterrupted writer produces; the first append creates
+        // the directory and the file.
         let mut w = JsonlWriter::open(&path).unwrap();
-        w.append("{\"a\":1}").unwrap();
-        w.append("{\"b\":2}").unwrap();
+        for line in ["{\"a\":1}", "{\"b\":2}", "{\"c\":3}"] {
+            w.append(line).unwrap();
+        }
         drop(w);
+        let expected = fs::read(&path).unwrap();
+        assert_eq!(expected, b"{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n");
 
-        // Simulate a torn tail from a crashed writer.
-        let mut raw = fs::read_to_string(&path).unwrap();
-        raw.push_str("{\"torn\":");
-        fs::write(&path, &raw).unwrap();
-
-        let reopened = JsonlWriter::open(&path).unwrap();
-        assert_eq!(reopened.lines(), ["{\"a\":1}", "{\"b\":2}"]);
+        // A crash while appending a line longer than the next one leaves
+        // any prefix of it: nothing, part of it, or the whole line without
+        // its newline.
+        let torn = "{\"torn\":\"longer than the next line\"}";
+        for cut in 0..=torn.len() {
+            fs::write(&path, format!("{{\"a\":1}}\n{{\"b\":2}}\n{}", &torn[..cut])).unwrap();
+            let mut w = JsonlWriter::open(&path).unwrap();
+            assert_eq!(
+                read_lines_tolerant(&path).unwrap(),
+                ["{\"a\":1}", "{\"b\":2}"],
+                "cut at {cut}"
+            );
+            w.append("{\"c\":3}").unwrap();
+            drop(w);
+            let (_, text) = JsonlWriter::open_with_text(&path).unwrap();
+            assert_eq!(text.as_bytes(), expected, "cut at {cut}");
+            assert_eq!(fs::read(&path).unwrap(), expected, "cut at {cut}");
+        }
 
         fs::remove_dir_all(&dir).unwrap();
     }

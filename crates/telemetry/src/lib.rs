@@ -15,9 +15,10 @@
 //!   generic over — [`NoopSink`] compiles to nothing, the
 //!   default everywhere — and a [`Span`] wall-clock timer for
 //!   phase/chunk/cell timing.
-//! * **Export** ([`export`]): a JSONL event stream with the store's
-//!   atomic write-temp-then-rename discipline and torn-tail-tolerant
-//!   loading, plus the Prometheus text exposition format.
+//! * **Export** ([`export`]): the workspace's one JSONL appender (each
+//!   append writes and `fdatasync`s one line; one locked writer per file;
+//!   torn-tail-tolerant loading), which the store's records also go
+//!   through, plus the Prometheus text exposition format.
 //!
 //! # Determinism contract
 //!
