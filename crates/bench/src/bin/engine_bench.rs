@@ -5,7 +5,12 @@
 //! one-extra instance, output-consensus rule, bounded step budget) through
 //! [`Driver::run`] over the engine's `advance_chunk`, built by the scenario
 //! plane's erased builder with the protocol behind the [`Cached`] dense
-//! transition table, exactly like the experiment harness does.
+//! transition table, exactly like the experiment harness does. Beside that
+//! grid, the [`PROTOCOL_CELLS`] run the count engine at n = 100 001 on AVC
+//! at 130, 2050 and 16 340 states and on the largest BEF and DEGSSU of the
+//! rival grids, each behind the table only where it fits the `Cached`
+//! bound, as the harness dispatches it. The batch and profile regimes below
+//! run four_state.
 //!
 //! Every repetition also times a **reference kernel** ([`reference_ms`]): a
 //! bench-local xoshiro256++ generator driving Fenwick-tree descents, which
@@ -20,12 +25,13 @@
 //! floor at the smallest cell (where per-trial setup is a structural share
 //! of a trial).
 //!
-//! Flags: `--quick` (small population only, fewer reps), `--out PATH` (write
-//! the JSON report), `--check PATH` (compare against a committed report: each
-//! cell's `chunked_ms` must stay within its committed time rescaled by this
-//! run's `ref_ms` over the committed `ref_ms`, times 1.25 on every cell and
-//! times 1.02 on the agent and count cells, whose hot loops carry the
-//! telemetry `Sink` seam with its default `NoopSink`), `--profile`
+//! Flags: `--quick` (small population only, one AVC cell, fewer reps),
+//! `--out PATH` (write the JSON report), `--check PATH` (compare against a
+//! committed report: each cell's `chunked_ms` must stay within its committed
+//! time rescaled by this run's `ref_ms` over the committed `ref_ms`, times
+//! 1.25 on every cell and times 1.02 on the four_state agent and count
+//! cells, whose hot loops carry the telemetry `Sink` seam with its default
+//! `NoopSink`), `--profile`
 //! (per-phase breakdown — sampling vs transition vs bookkeeping — for the
 //! agent and count engines, appended to the report), `--profile-out PATH`
 //! (write the per-phase breakdown as telemetry registry snapshots; implies
@@ -41,9 +47,9 @@ use avc_population::scenario::build_erased;
 use avc_population::telemetry::export::snapshot_to_json;
 use avc_population::telemetry::{MetricValue, RegistrySnapshot};
 use avc_population::{
-    Config, ConvergenceRule, EngineKind, MajorityInstance, Protocol, SchedulerSpec,
+    Config, ConvergenceRule, EngineKind, MajorityInstance, Protocol, ProtocolSpec, SchedulerSpec,
 };
-use avc_protocols::FourState;
+use avc_protocols::{Avc, Bef, Degssu, FourState};
 use avc_store::json::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -73,8 +79,27 @@ const BATCH_FLOOR_ENGINES: [&str; 2] = ["agent", "count"];
 const BATCH_FLOOR_N: u64 = 5;
 /// The hot-loop cells [`SINK_TOLERANCE`] covers: the two engines whose
 /// chunked loop pays a per-step cost, so any non-compiled-out `Sink` work
-/// shows up here first.
+/// shows up here first. Only their four_state cells are held to it.
 const GATED_ENGINES: [&str; 2] = ["agent", "count"];
+
+/// The count-engine cells beyond four_state, all at n = 100 001: AVC at
+/// s = 130, 2050 and 16 340 (`m = s − 3`), BEF at `l = 13` (30 states) and
+/// DEGSSU at `l = 13, t = 4` (142 states). `--quick` keeps the first.
+const PROTOCOL_CELLS: [ProtocolSpec; 5] = [
+    ProtocolSpec::Avc { m: 127, d: 1 },
+    ProtocolSpec::Avc { m: 2_047, d: 1 },
+    ProtocolSpec::Avc { m: 16_337, d: 1 },
+    ProtocolSpec::Bef { levels: 13 },
+    ProtocolSpec::Degssu {
+        levels: 13,
+        phase: 4,
+    },
+];
+/// Population of the [`PROTOCOL_CELLS`].
+const PROTOCOL_N: u64 = 100_001;
+/// Step budget of the [`PROTOCOL_CELLS`]: about 20 parallel rounds at
+/// [`PROTOCOL_N`], the dense start of each run.
+const PROTOCOL_MAX_STEPS: u64 = 2_000_000;
 
 /// Step budget keeping each measurement bounded; the per-agent engine
 /// pays every scheduler step, so it gets a tighter cap at scale.
@@ -86,8 +111,9 @@ fn max_steps(engine: EngineKind, n: u64) -> u64 {
     }
 }
 
-/// One measured (engine, n) cell.
+/// One measured (protocol, engine, n) cell.
 struct Entry {
+    protocol: String,
     engine: &'static str,
     n: u64,
     max_steps: u64,
@@ -99,6 +125,7 @@ struct Entry {
 impl Entry {
     fn to_json(&self) -> Json {
         Json::obj([
+            ("protocol", Json::str(&self.protocol)),
             ("engine", Json::str(self.engine)),
             ("n", Json::Int(self.n as i64)),
             ("max_steps", Json::Int(self.max_steps as i64)),
@@ -216,22 +243,40 @@ fn reference_ms() -> f64 {
     elapsed
 }
 
-/// Builds one engine through the scenario plane's erased builder — the
-/// same seam every harness client uses, so the bench measures the shipped
-/// dispatch path.
-fn build(engine: EngineKind, n: u64) -> Box<dyn Simulator> {
-    let inst = MajorityInstance::one_extra(n);
-    let config = Config::from_input(&FourState, inst.a(), inst.b());
-    let protocol = Cached::new(FourState);
-    build_erased(protocol, config, engine, &SchedulerSpec::Uniform)
+/// Builds one engine on the one-extra instance through the scenario
+/// plane's erased builder — the same seam every harness client uses, so
+/// the bench measures the shipped dispatch path: the dense table where
+/// the protocol fits the `Cached` bound, the arithmetic protocol above it.
+fn build(spec: ProtocolSpec, engine: EngineKind, n: u64) -> Box<dyn Simulator> {
+    fn erased<P: Protocol + Clone + 'static>(
+        protocol: P,
+        engine: EngineKind,
+        n: u64,
+    ) -> Box<dyn Simulator> {
+        let inst = MajorityInstance::one_extra(n);
+        let config = Config::from_input(&protocol, inst.a(), inst.b());
+        match Cached::try_new(protocol) {
+            Ok(table) => build_erased(table, config, engine, &SchedulerSpec::Uniform),
+            Err(plain) => build_erased(plain, config, engine, &SchedulerSpec::Uniform),
+        }
         .expect("the uniform scheduler is valid for every engine")
+    }
+    match spec {
+        ProtocolSpec::Avc { m, d } => erased(Avc::new(m, d).expect("valid AVC"), engine, n),
+        ProtocolSpec::Bef { levels } => erased(Bef::new(levels).expect("valid BEF"), engine, n),
+        ProtocolSpec::Degssu { levels, phase } => {
+            erased(Degssu::new(levels, phase).expect("valid DEGSSU"), engine, n)
+        }
+        ProtocolSpec::FourState => erased(FourState, engine, n),
+        other => unreachable!("no bench cell runs {other}"),
+    }
 }
 
 /// Runs the chunked driver loop: one virtual call per chunk into the
 /// engine's `advance_chunk` over a concrete `SmallRng`
 /// (construction stays outside the timed region).
-fn run_chunked(engine: EngineKind, n: u64, max_steps: u64) -> (f64, u64, u64) {
-    let mut sim = build(engine, n);
+fn run_chunked(spec: ProtocolSpec, engine: EngineKind, n: u64, max_steps: u64) -> (f64, u64, u64) {
+    let mut sim = build(spec, engine, n);
     let driver = Driver::new(RULE).with_max_steps(max_steps);
     let mut rng = SmallRng::seed_from_u64(SEED);
     let started = Instant::now();
@@ -427,9 +472,9 @@ fn replay_transitions(protocol: &Cached<FourState>, steps: u64) -> f64 {
     started.elapsed().as_secs_f64() * 1e3
 }
 
-/// Times `steps` iterations of the count engine's two sampling draws
-/// (first-agent `select`, second-agent fused `select_pair`) against the
-/// frozen initial distribution.
+/// Times `steps` iterations of the count engine's sampling: two draws and
+/// the fused `select_two` descent that resolves both agents' species,
+/// against the frozen initial distribution.
 fn replay_count_sampling(n: u64, steps: u64) -> f64 {
     let inst = MajorityInstance::one_extra(n);
     let config = Config::from_input(&FourState, inst.a(), inst.b());
@@ -438,8 +483,9 @@ fn replay_count_sampling(n: u64, steps: u64) -> f64 {
     let mut rng = SmallRng::seed_from_u64(SEED);
     let started = Instant::now();
     for _ in 0..steps {
-        black_box(sampler.select(rng.gen_range(0..total)));
-        black_box(sampler.select_pair(rng.gen_range(0..total - 1)));
+        let first = rng.gen_range(0..total);
+        let second = rng.gen_range(0..total - 1);
+        black_box(sampler.select_two(first, second));
     }
     started.elapsed().as_secs_f64() * 1e3
 }
@@ -466,7 +512,7 @@ fn profile(engine: EngineKind, n: u64, reps: usize) -> Profile {
     let mut transition = Vec::with_capacity(reps);
     let mut steps = 0;
     for _ in 0..reps {
-        let (t, s, _) = run_chunked(engine, n, max_steps);
+        let (t, s, _) = run_chunked(ProtocolSpec::FourState, engine, n, max_steps);
         total.push(t);
         steps = s;
         sampling.push(match engine {
@@ -498,18 +544,18 @@ fn profile(engine: EngineKind, n: u64, reps: usize) -> Profile {
 
 /// Measures one cell: every repetition times the reference kernel and then
 /// the chunked run, so both medians see the same stretch of machine load.
-fn measure(engine: EngineKind, n: u64, reps: usize) -> Entry {
-    let max_steps = max_steps(engine, n);
+fn measure(spec: ProtocolSpec, engine: EngineKind, n: u64, max_steps: u64, reps: usize) -> Entry {
     let mut reference = Vec::with_capacity(reps);
     let mut chunked = Vec::with_capacity(reps);
     let mut steps = 0;
     for _ in 0..reps {
         reference.push(reference_ms());
-        let (ct, cs, _) = run_chunked(engine, n, max_steps);
+        let (ct, cs, _) = run_chunked(spec, engine, n, max_steps);
         chunked.push(ct);
         steps = cs;
     }
     Entry {
+        protocol: spec.to_string(),
         engine: engine.name(),
         n,
         max_steps,
@@ -523,9 +569,11 @@ fn measure(engine: EngineKind, n: u64, reps: usize) -> Entry {
 /// times are not comparable across machines (or across load on one), so
 /// each committed `chunked_ms` is first rescaled by this run's
 /// `ref_ms / committed ref_ms`; every cell present in both must then stay
-/// within [`TOLERANCE`] of it, and the [`GATED_ENGINES`] cells within
-/// [`SINK_TOLERANCE`]. Every cell is checked before the verdict, so one run
-/// names all the cells over their ceiling. Batch cells are deliberately
+/// within [`TOLERANCE`] of it, and the four_state [`GATED_ENGINES`] cells
+/// within [`SINK_TOLERANCE`]. A committed entry without a `protocol` is a
+/// four_state cell (the reports before the [`PROTOCOL_CELLS`]). Every cell
+/// is checked before the verdict, so one run names all the cells over
+/// their ceiling. Batch cells are deliberately
 /// *not* compared against the committed report: their microsecond-scale
 /// trials make run-to-run medians too noisy for a ratio gate, and the
 /// absolute [`BATCH_FLOOR`] check (which runs on every invocation,
@@ -545,36 +593,40 @@ fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
     let mut compared = 0;
     let mut failures = Vec::new();
     for old in committed {
-        let (engine, n) = (
+        let (protocol, engine, n) = (
+            old.get("protocol")
+                .and_then(Json::as_str)
+                .unwrap_or("four_state"),
             old.get("engine").and_then(Json::as_str).unwrap_or(""),
             old.get("n").and_then(Json::as_int).unwrap_or(0),
         );
         let Some(new) = entries
             .iter()
-            .find(|e| e.engine == engine && e.n as i64 == n)
+            .find(|e| e.protocol == protocol && e.engine == engine && e.n as i64 == n)
         else {
             continue; // quick mode measures a subset of the committed grid
         };
-        let old_ref = ms_field(old, "ref_ms")
-            .ok_or_else(|| format!("{engine}/{n}: malformed committed ref_ms"))?;
+        let cell = format!("{protocol}/{engine}/{n}");
+        let old_ref =
+            ms_field(old, "ref_ms").ok_or_else(|| format!("{cell}: malformed committed ref_ms"))?;
         let old_chunked = ms_field(old, "chunked_ms")
-            .ok_or_else(|| format!("{engine}/{n}: malformed committed chunked_ms"))?;
+            .ok_or_else(|| format!("{cell}: malformed committed chunked_ms"))?;
         let scaled = old_chunked * (new.ref_ms / old_ref);
-        let tolerance = if GATED_ENGINES.contains(&engine) {
+        let tolerance = if protocol == "four_state" && GATED_ENGINES.contains(&engine) {
             SINK_TOLERANCE
         } else {
             TOLERANCE
         };
         let ceiling = scaled * tolerance;
         println!(
-            "check {engine}/{n}: committed {old_chunked:.3} ms at ref {old_ref:.3} ms, \
+            "check {cell}: committed {old_chunked:.3} ms at ref {old_ref:.3} ms, \
              machine-scaled {scaled:.3} ms, ceiling {ceiling:.3} ms ({tolerance}x), \
              current {:.3} ms at ref {:.3} ms",
             new.chunked_ms, new.ref_ms
         );
         if new.chunked_ms > ceiling {
             failures.push(format!(
-                "{engine}/{n}: chunked loop at {:.3} ms exceeds {ceiling:.3} ms \
+                "{cell}: chunked loop at {:.3} ms exceeds {ceiling:.3} ms \
                  (committed {old_chunked:.3} ms scaled for machine speed, times {tolerance})",
                 new.chunked_ms
             ));
@@ -589,7 +641,7 @@ fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
     }
     println!(
         "perf check passed ({compared} cells within {TOLERANCE}x of committed, \
-         {GATED_ENGINES:?} within {SINK_TOLERANCE}x)"
+         four_state {GATED_ENGINES:?} within {SINK_TOLERANCE}x)"
     );
     Ok(())
 }
@@ -603,16 +655,30 @@ fn main() {
         (&[1_001, 100_001], 5)
     };
 
+    let protocol_cells = if quick {
+        &PROTOCOL_CELLS[..1]
+    } else {
+        &PROTOCOL_CELLS[..]
+    };
+    let cells = ns
+        .iter()
+        .flat_map(|&n| {
+            EngineKind::CONCRETE
+                .map(|engine| (ProtocolSpec::FourState, engine, n, max_steps(engine, n)))
+        })
+        .chain(
+            protocol_cells
+                .iter()
+                .map(|&spec| (spec, EngineKind::Count, PROTOCOL_N, PROTOCOL_MAX_STEPS)),
+        );
     let mut entries = Vec::new();
-    for &n in ns {
-        for engine in EngineKind::CONCRETE {
-            let entry = measure(engine, n, reps);
-            println!(
-                "{:>8} n={:<7} steps={:<9} ref {:>8.3} ms  chunked {:>9.3} ms",
-                entry.engine, entry.n, entry.steps, entry.ref_ms, entry.chunked_ms,
-            );
-            entries.push(entry);
-        }
+    for (spec, engine, n, max_steps) in cells {
+        let entry = measure(spec, engine, n, max_steps, reps);
+        println!(
+            "{:>8} {:>8} n={:<7} steps={:<9} ref {:>8.3} ms  chunked {:>9.3} ms",
+            entry.protocol, entry.engine, entry.n, entry.steps, entry.ref_ms, entry.chunked_ms,
+        );
+        entries.push(entry);
     }
 
     // Trial-batch mode: small-n fig3-shaped cells, where per-trial
@@ -674,7 +740,6 @@ fn main() {
     let mut fields = vec![
         ("bench", Json::str("engine_bench")),
         ("mode", Json::str(if quick { "quick" } else { "full" })),
-        ("protocol", Json::str("four_state")),
         ("rule", Json::str("output_consensus")),
         ("seed", Json::Int(SEED as i64)),
         (

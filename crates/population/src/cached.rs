@@ -40,8 +40,10 @@ pub struct Cached<P> {
     words_per_row: usize,
 }
 
-/// Keep tables at or below this many entries (`s ≤ 4096`).
-pub const MAX_TABLE_ENTRIES: u64 = 4_096 * 4_096;
+/// Keep tables at or below this many entries (`s ≤ 1024`, 8 MiB). Above
+/// it, AVC's arithmetic transition is no slower than a table that misses
+/// the cache (DESIGN.md §2.2 records the crossover).
+pub const MAX_TABLE_ENTRIES: u64 = 1_024 * 1_024;
 
 impl<P: Protocol> Cached<P> {
     /// Whether a protocol with `num_states` states fits under
@@ -55,10 +57,8 @@ impl<P: Protocol> Cached<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the protocol has more than 4 096 states (the table would
-    /// exceed 128 MiB; at that size the arithmetic transition is cheaper
-    /// than the cache misses anyway). Use [`Cached::try_new`] to fall back
-    /// to the arithmetic protocol instead.
+    /// Panics if the table would exceed [`MAX_TABLE_ENTRIES`]. Use
+    /// [`Cached::try_new`] to fall back to the arithmetic protocol instead.
     pub fn new(inner: P) -> Cached<P> {
         match Cached::try_new(inner) {
             Ok(cached) => cached,

@@ -17,7 +17,8 @@ use rand::{Rng, RngCore};
 /// proportional to counts; second proportional to counts with the first
 /// agent removed). This is the work-horse engine for AVC with large state
 /// counts (the "n-state" instances of Figure 3 and the large-`s` curves of
-/// Figure 4).
+/// Figure 4). The sampler's weights are the engine's only copy of the
+/// counts, so the population is at most `u32::MAX` agents.
 ///
 /// # Example
 ///
@@ -42,7 +43,6 @@ use rand::{Rng, RngCore};
 #[derive(Debug, Clone)]
 pub struct CountSim<P, T = NoopSink> {
     protocol: P,
-    counts: Vec<u64>,
     sampler: FenwickSampler,
     output_a: Vec<bool>,
     count_a: u64,
@@ -59,7 +59,8 @@ impl<P: Protocol> CountSim<P> {
     /// # Panics
     ///
     /// Panics if the configuration's state count differs from the
-    /// protocol's, or the population has fewer than two agents.
+    /// protocol's, or the population has fewer than two agents or more
+    /// than `u32::MAX`.
     pub fn new(protocol: P, config: Config) -> CountSim<P> {
         assert_eq!(
             config.num_states(),
@@ -68,8 +69,8 @@ impl<P: Protocol> CountSim<P> {
         );
         let n = config.population();
         assert!(n >= 2, "need at least two agents, got {n}");
-        let counts = config.into_counts();
-        let sampler = FenwickSampler::from_weights(&counts);
+        let counts = config.as_slice();
+        let sampler = FenwickSampler::from_weights(counts);
         let output_a: Vec<bool> = (0..counts.len())
             .map(|q| protocol.output(q as StateId) == Opinion::A)
             .collect();
@@ -82,7 +83,6 @@ impl<P: Protocol> CountSim<P> {
         let unanimous = counts.iter().position(|&c| c == n).map(|i| i as StateId);
         CountSim {
             protocol,
-            counts,
             sampler,
             output_a,
             count_a,
@@ -102,7 +102,6 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
     pub fn with_telemetry<T2: Sink>(self, telemetry: T2) -> CountSim<P, T2> {
         CountSim {
             protocol: self.protocol,
-            counts: self.counts,
             sampler: self.sampler,
             output_a: self.output_a,
             count_a: self.count_a,
@@ -126,20 +125,25 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
 
     /// The current configuration as an owned [`Config`].
     pub fn config(&self) -> Config {
-        Config::from_counts(self.counts.clone())
+        Config::from_counts(self.sampler.weights().to_vec())
     }
 
-    fn bump(&mut self, state: StateId, delta: i64) {
-        let idx = state as usize;
-        let new = self.counts[idx] as i64 + delta;
-        debug_assert!(new >= 0, "count underflow at state {state}");
-        self.counts[idx] = new as u64;
-        self.sampler.add(idx, delta);
-        if self.output_a[idx] {
-            self.count_a = (self.count_a as i64 + delta) as u64;
+    /// Moves `agents` agents from state `from` to state `to`: one
+    /// [`FenwickSampler::shift`] for the single agent of a step, two `add`s
+    /// for a fault's batch. The caller clears `unanimous` first.
+    #[inline]
+    fn relocate(&mut self, from: StateId, to: StateId, agents: u64) {
+        let (f, t) = (from as usize, to as usize);
+        if agents == 1 {
+            self.sampler.shift(f, t);
+        } else {
+            self.sampler.add(f, -(agents as i64));
+            self.sampler.add(t, agents as i64);
         }
-        if self.counts[idx] == self.n {
-            self.unanimous = Some(state);
+        self.count_a = self.count_a + agents * u64::from(self.output_a[t])
+            - agents * u64::from(self.output_a[f]);
+        if self.sampler.weight(t) == self.n {
+            self.unanimous = Some(to);
         }
     }
 
@@ -149,31 +153,22 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
     fn step<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         self.steps += 1;
         if T::ENABLED {
-            // Both draws below descend the tree once each; depth is a
-            // function of the (fixed) category count, so recording it here
-            // adds nothing to the descents themselves.
+            // The fused draw below walks the tree once per agent; depth is
+            // a function of the (fixed) category count, so recording it
+            // here adds nothing to the descent itself.
             let depth = self.sampler.descent_depth();
             self.telemetry.on_descent(depth);
             self.telemetry.on_descent(depth);
         }
         let total = self.sampler.total();
-        // First agent by species, proportional to counts.
-        let i = self.sampler.select(rng.gen_range(0..total)) as StateId;
-        // Second agent among the remaining n−1, proportional to counts with
-        // one agent of species i removed. Instead of materialising that
-        // distribution in the tree (two `add` walks per step), invert its
-        // CDF directly: removing one agent of species i shifts every prefix
-        // sum at or past i down by one, so the inverse at t is `select(t)`
-        // when that lands before i and `select(t+1)` otherwise — the same
-        // species from the same single draw. Both inverse-CDF answers come
-        // out of one fused tree descent.
-        let t = rng.gen_range(0..total - 1);
-        let (s0, s1) = self.sampler.select_pair(t);
-        let j = if (s0 as StateId) < i {
-            s0 as StateId
-        } else {
-            s1 as StateId
-        };
+        // First agent by species, proportional to counts; second among the
+        // remaining n−1, proportional to counts with one agent of the first
+        // species removed. One fused descent resolves both species from
+        // the two draws (see `FenwickSampler::select_two`).
+        let first = rng.gen_range(0..total);
+        let second = rng.gen_range(0..total - 1);
+        let (i, j) = self.sampler.select_two(first, second);
+        let (i, j) = (i as StateId, j as StateId);
 
         let (x, y) = self.protocol.transition(i, j);
         debug_assert!(
@@ -185,10 +180,20 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
         }
         self.events += 1;
         self.unanimous = None;
-        self.bump(i, -1);
-        self.bump(j, -1);
-        self.bump(x, 1);
-        self.bump(y, 1);
+        // The multiset change {i, j} → {x, y} as net moves: one per agent
+        // whose state changes.
+        if x == i {
+            self.relocate(j, y, 1);
+        } else if y == j {
+            self.relocate(i, x, 1);
+        } else if x == j {
+            self.relocate(i, y, 1);
+        } else if y == i {
+            self.relocate(j, x, 1);
+        } else {
+            self.relocate(i, x, 1);
+            self.relocate(j, y, 1);
+        }
     }
 }
 
@@ -206,7 +211,7 @@ impl<P: Protocol, T: Sink> Simulator for CountSim<P, T> {
     }
 
     fn counts(&self) -> &[u64] {
-        &self.counts
+        self.sampler.weights()
     }
 
     fn count_a(&self) -> u64 {
@@ -222,7 +227,7 @@ impl<P: Protocol, T: Sink> Simulator for CountSim<P, T> {
     }
 
     fn config_is_silent(&self) -> bool {
-        self.protocol.config_silent(&self.counts)
+        self.protocol.config_silent(self.sampler.weights())
     }
 
     fn inject(&mut self, fault: Fault) -> Result<u64, FaultError> {
@@ -243,13 +248,12 @@ impl<P: Protocol, T: Sink> Simulator for CountSim<P, T> {
         if from == to {
             return Ok(0);
         }
-        let moved = agents.min(self.counts[from as usize]);
+        let moved = agents.min(self.sampler.weight(from as usize));
         if moved == 0 {
             return Ok(0);
         }
         self.unanimous = None;
-        self.bump(from, -(moved as i64));
-        self.bump(to, moved as i64);
+        self.relocate(from, to, moved);
         self.telemetry.on_fault();
         Ok(moved)
     }
@@ -262,17 +266,16 @@ impl<P: Protocol, T: Sink> Simulator for CountSim<P, T> {
         );
         let n = config.population();
         assert!(n >= 2, "need at least two agents, got {n}");
-        self.counts.copy_from_slice(config.as_slice());
-        self.sampler.reassign(&self.counts);
-        self.count_a = self
-            .counts
+        self.sampler.reassign(config.as_slice());
+        self.count_a = config
+            .as_slice()
             .iter()
             .zip(&self.output_a)
             .filter(|(_, &is_a)| is_a)
             .map(|(&c, _)| c)
             .sum();
-        self.unanimous = self
-            .counts
+        self.unanimous = config
+            .as_slice()
             .iter()
             .position(|&c| c == n)
             .map(|i| i as StateId);
@@ -342,14 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn sampler_and_counts_stay_consistent() {
+    fn net_moves_keep_the_tree_of_a_fresh_build() {
         let mut sim = CountSim::new(Voter, Config::from_input(&Voter, 10, 10));
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..500 {
             sim.advance(&mut rng);
-            for (idx, &c) in sim.counts().iter().enumerate() {
-                assert_eq!(sim.sampler.weight(idx), c);
-            }
+            assert_eq!(sim.sampler, FenwickSampler::from_weights(sim.counts()));
             assert_eq!(sim.sampler.total(), 20);
         }
     }

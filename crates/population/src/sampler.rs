@@ -15,7 +15,8 @@
 
 use rand::Rng;
 
-/// A dynamic categorical distribution over `0..len` with `u64` weights.
+/// A dynamic categorical distribution over `0..len` with integer weights
+/// whose total is at most `u32::MAX`.
 ///
 /// # Example
 ///
@@ -30,8 +31,10 @@ use rand::Rng;
 /// assert!(i == 0 || i == 2);
 /// sampler.add(0, -2);
 /// assert_eq!(sampler.weight(0), 0);
+/// sampler.shift(2, 1);
+/// assert_eq!(sampler.weights(), &[0, 1, 2]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FenwickSampler {
     /// `tree[i]` holds the sum of a block of weights ending at index `i`
     /// (1-based Fenwick layout; `tree[0]` is unused). The tree is padded to
@@ -39,10 +42,11 @@ pub struct FenwickSampler {
     /// descent needs no bounds checks and every level's probe is a plain
     /// load — the padding is invisible to callers (`len` stays the logical
     /// category count, and padded categories can never be selected because
-    /// their weight is zero).
-    tree: Vec<u64>,
-    /// Plain copy of the current weights. Serves `weight()` in O(1) and the
-    /// linear-scan select fast path for small `len`.
+    /// their weight is zero). Every node is at most the total, which is
+    /// capped at `u32::MAX`, so `u32` nodes halve the tree's footprint.
+    tree: Vec<u32>,
+    /// Plain copy of the current weights. Serves `weight()` and `weights()`
+    /// in O(1) and the linear-scan select fast path for small `len`.
     leaves: Vec<u64>,
     len: usize,
     total: u64,
@@ -50,11 +54,15 @@ pub struct FenwickSampler {
     top_bit: usize,
 }
 
-/// At or below this many categories, `select`/`select_pair` scan the flat
+/// At or below this many categories, `select`/`select_two` scan the flat
 /// weight array instead of descending the tree: a branchless cumulative
 /// scan over one or two cache lines beats the tree's chain of dependent
 /// loads. Above it, the `O(log len)` descent wins.
 const LINEAR_SCAN_LIMIT: usize = 64;
+
+/// The largest total weight a sampler holds: the bound that lets the tree
+/// store `u32` nodes.
+const MAX_TOTAL: u64 = u32::MAX as u64;
 
 impl FenwickSampler {
     /// Creates a sampler over `len` categories, all with weight zero.
@@ -71,24 +79,14 @@ impl FenwickSampler {
     }
 
     /// Creates a sampler initialized with the given weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights sum to more than `u32::MAX`.
     #[must_use]
     pub fn from_weights(weights: &[u64]) -> FenwickSampler {
         let mut sampler = FenwickSampler::new(weights.len());
-        // O(capacity) bulk build: seed the leaves, then accumulate each node
-        // into its parent block (padded nodes carry partial sums of real
-        // leaves, so they propagate too).
-        sampler.leaves.copy_from_slice(weights);
-        for (i, &w) in weights.iter().enumerate() {
-            sampler.tree[i + 1] = w;
-            sampler.total += w;
-        }
-        for i in 1..=sampler.top_bit {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= sampler.top_bit {
-                let v = sampler.tree[i];
-                sampler.tree[parent] += v;
-            }
-        }
+        sampler.reassign(weights);
         sampler
     }
 
@@ -103,19 +101,27 @@ impl FenwickSampler {
     ///
     /// Panics if `weights.len()` differs from the sampler's category count
     /// (a reused sampler keeps its shape; changing `len` would need a
-    /// realloc anyway, so callers should construct a new sampler instead).
+    /// realloc anyway, so callers should construct a new sampler instead),
+    /// or if the weights sum to more than `u32::MAX`.
     pub fn reassign(&mut self, weights: &[u64]) {
         assert_eq!(
             weights.len(),
             self.len,
             "reassign must keep the category count"
         );
-        self.tree.fill(0);
-        self.total = 0;
+        let total = weights
+            .iter()
+            .try_fold(0u64, |sum, &w| sum.checked_add(w))
+            .filter(|&sum| sum <= MAX_TOTAL)
+            .expect("total weight exceeds u32::MAX");
+        // O(capacity) bulk build: seed the leaves, then accumulate each node
+        // into its parent block (padded nodes carry partial sums of real
+        // leaves, so they propagate too). No node exceeds the total.
+        self.total = total;
         self.leaves.copy_from_slice(weights);
-        for (i, &w) in weights.iter().enumerate() {
-            self.tree[i + 1] = w;
-            self.total += w;
+        self.tree.fill(0);
+        for (node, &w) in self.tree[1..].iter_mut().zip(weights) {
+            *node = w as u32;
         }
         for i in 1..=self.top_bit {
             let parent = i + (i & i.wrapping_neg());
@@ -144,10 +150,11 @@ impl FenwickSampler {
         self.total
     }
 
-    /// Levels a `select`/`select_pair` tree descent walks at the current
-    /// size: `0` on the linear-scan fast path (`len <= 64`), else
-    /// `log₂(top_bit)`. Constant per sampler, so telemetry can record it
-    /// without touching the descent itself.
+    /// Levels one `select` tree descent walks at the current size: `0` on
+    /// the linear-scan fast path (`len <= 64`), else `log₂(top_bit)`.
+    /// [`FenwickSampler::select_two`] runs two such draws. Constant per
+    /// sampler, so telemetry can record it without touching the descent
+    /// itself.
     #[must_use]
     pub fn descent_depth(&self) -> u32 {
         if self.len <= LINEAR_SCAN_LIMIT {
@@ -161,27 +168,62 @@ impl FenwickSampler {
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range or the weight would underflow.
+    /// Panics if `index` is out of range, the weight would underflow, or
+    /// the total would exceed `u32::MAX`.
     pub fn add(&mut self, index: usize, delta: i64) {
         assert!(index < self.len, "index {index} out of range {}", self.len);
+        let d = delta.unsigned_abs();
         if delta >= 0 {
-            let d = delta as u64;
+            assert!(d <= MAX_TOTAL - self.total, "total weight exceeds u32::MAX");
             self.total += d;
             self.leaves[index] += d;
             let mut i = index + 1;
             while i <= self.top_bit {
-                self.tree[i] += d;
+                self.tree[i] += d as u32;
                 i += i & i.wrapping_neg();
             }
         } else {
-            let d = delta.unsigned_abs();
             assert!(self.weight(index) >= d, "weight underflow at index {index}");
             self.total -= d;
             self.leaves[index] -= d;
             let mut i = index + 1;
             while i <= self.top_bit {
-                self.tree[i] -= d;
+                self.tree[i] -= d as u32;
                 i += i & i.wrapping_neg();
+            }
+        }
+    }
+
+    /// Moves one unit of weight from category `from` to category `to`:
+    /// the same weights and the bit-identical tree as `add(from, -1)` then
+    /// `add(to, 1)`, in fewer writes.
+    ///
+    /// The two update paths climb toward the root and meet at the first
+    /// block that holds both categories; from there on the −1 and the +1
+    /// cancel, so each walk stops where they meet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range or `from` has weight zero.
+    #[inline]
+    pub fn shift(&mut self, from: usize, to: usize) {
+        assert!(
+            from < self.len && to < self.len,
+            "shift {from} -> {to} out of range {}",
+            self.len
+        );
+        assert!(self.leaves[from] > 0, "weight underflow at index {from}");
+        self.leaves[from] -= 1;
+        self.leaves[to] += 1;
+        // Both paths end at the root `top_bit`, so they always meet.
+        let (mut down, mut up) = (from + 1, to + 1);
+        while down != up {
+            if down < up {
+                self.tree[down] -= 1;
+                down += down & down.wrapping_neg();
+            } else {
+                self.tree[up] += 1;
+                up += up & up.wrapping_neg();
             }
         }
     }
@@ -192,13 +234,19 @@ impl FenwickSampler {
         self.leaves[index]
     }
 
+    /// Every category's current weight, in index order.
+    #[must_use]
+    pub fn weights(&self) -> &[u64] {
+        &self.leaves
+    }
+
     /// Sum of weights of categories `0..end`.
     #[must_use]
     pub fn prefix_sum(&self, end: usize) -> u64 {
         let mut i = end.min(self.len);
         let mut sum = 0;
         while i > 0 {
-            sum += self.tree[i];
+            sum += u64::from(self.tree[i]);
             i -= i & i.wrapping_neg();
         }
         sum
@@ -225,7 +273,8 @@ impl FenwickSampler {
             }
             return pos;
         }
-        let mut rem = target;
+        // `target < total <= u32::MAX`, so the remainder fits a node.
+        let mut rem = target as u32;
         let mut pos = 0;
         // The padded root `tree[top_bit]` is the full sum, which a target
         // `< total` can never take, so the descent starts one level below.
@@ -236,7 +285,7 @@ impl FenwickSampler {
         // weight zero, so a target `< total` can never land on one.
         while step > 0 {
             let v = self.tree[pos + step];
-            let take = (v <= rem) as u64;
+            let take = (v <= rem) as u32;
             rem -= v & take.wrapping_neg();
             pos += step & (take as usize).wrapping_neg();
             step >>= 1;
@@ -244,51 +293,61 @@ impl FenwickSampler {
         pos // 0-based index of the selected category
     }
 
-    /// Runs the inverse-CDF walks for `target` and `target + 1` in a single
-    /// fused descent, returning `(select(target), select(target + 1))`.
+    /// Resolves an ordered pair of agents drawn without replacement: the
+    /// first agent's category is the inverse CDF at `first` (`< total`);
+    /// the second's is the inverse CDF at `second` (`< total − 1`) of the
+    /// weights with one unit removed from the first agent's category.
     ///
-    /// The two walkers probe the same tree node at every level until their
-    /// paths diverge, so the second answer is nearly free compared to two
-    /// independent walks. The results are bit-identical to calling
-    /// [`FenwickSampler::select`] twice.
+    /// Removing that unit shifts every cumulative weight at or past the
+    /// first category down by one, so the second answer is `select(second)`
+    /// when that lands before the first category and `select(second + 1)`
+    /// otherwise. The three inverse-CDF walks run in one descent (one
+    /// linear pass at `len <= 64`): their loads are independent, and the
+    /// walkers for `second` and `second + 1` probe the same node until
+    /// their paths diverge. The result equals those separate `select`s.
     ///
     /// # Panics
     ///
-    /// Panics if `target + 1 >= total()`.
+    /// Panics if `first >= total()` or `second + 1 >= total()`.
+    #[inline]
     #[must_use]
-    pub fn select_pair(&self, target: u64) -> (usize, usize) {
+    pub fn select_two(&self, first: u64, second: u64) -> (usize, usize) {
         assert!(
-            target < self.total && target + 1 < self.total,
-            "select_pair target beyond total weight"
+            first < self.total && second < self.total.saturating_sub(1),
+            "select_two target beyond total weight"
         );
-        if self.len <= LINEAR_SCAN_LIMIT {
+        let (i, j0, j1) = if self.len <= LINEAR_SCAN_LIMIT {
             let mut acc = 0u64;
-            let mut pos0 = 0usize;
-            let mut pos1 = 0usize;
+            let (mut i, mut j0, mut j1) = (0usize, 0usize, 0usize);
             for &w in &self.leaves {
                 acc += w;
-                pos0 += (acc <= target) as usize;
-                pos1 += (acc <= target + 1) as usize;
+                i += (acc <= first) as usize;
+                j0 += (acc <= second) as usize;
+                j1 += (acc <= second + 1) as usize;
             }
-            return (pos0, pos1);
-        }
-        let mut rem0 = target;
-        let mut rem1 = target + 1;
-        let mut pos0 = 0;
-        let mut pos1 = 0;
-        let mut step = self.top_bit >> 1;
-        while step > 0 {
-            let v0 = self.tree[pos0 + step];
-            let take0 = (v0 <= rem0) as u64;
-            rem0 -= v0 & take0.wrapping_neg();
-            pos0 += step & (take0 as usize).wrapping_neg();
-            let v1 = self.tree[pos1 + step];
-            let take1 = (v1 <= rem1) as u64;
-            rem1 -= v1 & take1.wrapping_neg();
-            pos1 += step & (take1 as usize).wrapping_neg();
-            step >>= 1;
-        }
-        (pos0, pos1)
+            (i, j0, j1)
+        } else {
+            let (mut rem, mut rem0, mut rem1) = (first as u32, second as u32, second as u32 + 1);
+            let (mut i, mut j0, mut j1) = (0usize, 0usize, 0usize);
+            let mut step = self.top_bit >> 1;
+            while step > 0 {
+                let v = self.tree[i + step];
+                let take = (v <= rem) as u32;
+                rem -= v & take.wrapping_neg();
+                i += step & (take as usize).wrapping_neg();
+                let v0 = self.tree[j0 + step];
+                let take0 = (v0 <= rem0) as u32;
+                rem0 -= v0 & take0.wrapping_neg();
+                j0 += step & (take0 as usize).wrapping_neg();
+                let v1 = self.tree[j1 + step];
+                let take1 = (v1 <= rem1) as u32;
+                rem1 -= v1 & take1.wrapping_neg();
+                j1 += step & (take1 as usize).wrapping_neg();
+                step >>= 1;
+            }
+            (i, j0, j1)
+        };
+        (i, if j0 < i { j0 } else { j1 })
     }
 
     /// Draws a category with probability proportional to its weight.
@@ -433,7 +492,7 @@ mod tests {
             assert_eq!(s.select(t), 0);
         }
         for t in 0..6 {
-            assert_eq!(s.select_pair(t), (0, 0));
+            assert_eq!(s.select_two(t, t), (0, 0));
         }
         s.add(0, -7);
         assert_eq!(s.total(), 0);
@@ -502,19 +561,32 @@ mod tests {
         s.reassign(&[1, 2]);
     }
 
+    /// The pair [`FenwickSampler::select_two`] must return, built from
+    /// separate `select` walks.
+    fn two_walks(s: &FenwickSampler, first: u64, second: u64) -> (usize, usize) {
+        let i = s.select(first);
+        let j = s.select(second);
+        (i, if j < i { j } else { s.select(second + 1) })
+    }
+
     #[test]
-    fn select_pair_matches_two_independent_walks() {
+    fn select_two_matches_independent_walks() {
         let mut rng = SmallRng::seed_from_u64(2024);
         use rand::Rng;
-        for len in [1usize, 2, 3, 5, 8, 13, 64, 257] {
+        for len in [1usize, 2, 3, 5, 8, 13, 64, 65, 257, 2_050] {
             let weights: Vec<u64> = (0..len).map(|_| rng.gen_range(0..5)).collect();
             let s = FenwickSampler::from_weights(&weights);
             if s.total() < 2 {
                 continue;
             }
             for _ in 0..200 {
-                let t = rng.gen_range(0..s.total() - 1);
-                assert_eq!(s.select_pair(t), (s.select(t), s.select(t + 1)));
+                let first = rng.gen_range(0..s.total());
+                let second = rng.gen_range(0..s.total() - 1);
+                assert_eq!(
+                    s.select_two(first, second),
+                    two_walks(&s, first, second),
+                    "len {len}"
+                );
             }
         }
     }
@@ -537,21 +609,81 @@ mod tests {
             for t in 0..small.total() {
                 assert_eq!(small.select(t), large.select(t), "len {len} target {t}");
             }
-            for t in 0..small.total().saturating_sub(1) {
-                assert_eq!(
-                    small.select_pair(t),
-                    large.select_pair(t),
-                    "len {len} target {t}"
-                );
+            for first in 0..small.total() {
+                for second in 0..small.total().saturating_sub(1) {
+                    let pair = small.select_two(first, second);
+                    assert_eq!(pair, large.select_two(first, second), "len {len}");
+                    assert_eq!(pair, two_walks(&small, first, second), "len {len}");
+                }
             }
         }
     }
 
     #[test]
     #[should_panic(expected = "beyond total")]
-    fn select_pair_rejects_target_whose_successor_overflows_total() {
+    fn select_two_rejects_second_target_past_the_reduced_total() {
         let s = FenwickSampler::from_weights(&[1, 1]);
-        let _ = s.select_pair(1);
+        let _ = s.select_two(0, 1);
+    }
+
+    #[test]
+    fn shift_leaves_the_tree_of_two_adds() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        use rand::Rng;
+        for len in [1usize, 2, 7, 64, 65, 1_000] {
+            let weights: Vec<u64> = (0..len).map(|_| rng.gen_range(1..4)).collect();
+            let mut shifted = FenwickSampler::from_weights(&weights);
+            let mut added = shifted.clone();
+            for _ in 0..500 {
+                let from = rng.gen_range(0..len);
+                if shifted.weight(from) == 0 {
+                    continue;
+                }
+                let to = rng.gen_range(0..len);
+                shifted.shift(from, to);
+                added.add(from, -1);
+                added.add(to, 1);
+                assert_eq!(shifted, added, "len {len}: shift {from} -> {to}");
+            }
+        }
+    }
+
+    #[test]
+    fn total_of_exactly_u32_max_is_accepted() {
+        let max = u64::from(u32::MAX);
+        // Both sides of the linear-scan cutoff.
+        for len in [3usize, 100] {
+            let mut weights = vec![0; len];
+            weights[0] = max - 1;
+            weights[len - 1] = 1;
+            let mut s = FenwickSampler::from_weights(&weights);
+            assert_eq!(s.total(), max);
+            assert_eq!(s.select(max - 1), len - 1);
+            assert_eq!(s.select_two(max - 2, max - 2), (0, len - 1));
+            s.shift(0, 1);
+            s.add(1, -1);
+            s.add(1, 1);
+            assert_eq!(s.weight(0), max - 2);
+            assert_eq!(s.select(max - 2), 1);
+            assert_eq!(s, {
+                weights[0] = max - 2;
+                weights[1] = 1;
+                FenwickSampler::from_weights(&weights)
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn build_past_u32_max_panics() {
+        let _ = FenwickSampler::from_weights(&[u64::from(u32::MAX), 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn add_past_u32_max_panics() {
+        let mut s = FenwickSampler::from_weights(&[u64::from(u32::MAX), 0]);
+        s.add(1, 1);
     }
 
     #[test]

@@ -718,10 +718,11 @@ impl Scenario {
     }
 
     /// Checks that every trial of the scenario can run: the scheduler suits
-    /// the engine and the population, and every fault names agents and
-    /// states that exist, on an engine that can apply it. Each of these
-    /// would otherwise panic a trial worker; [`Scenario::from_json`] calls
-    /// this, so no parsed scenario panics one for these reasons.
+    /// the engine and the population, the population fits the engine's
+    /// counts, and every fault names agents and states that exist, on an
+    /// engine that can apply it. Each of these would otherwise panic a
+    /// trial worker; [`Scenario::from_json`] calls this, so no parsed
+    /// scenario panics one for these reasons.
     ///
     /// # Errors
     ///
@@ -736,6 +737,18 @@ impl Scenario {
             ));
         }
         self.scheduler.validate(n)?;
+        let count_space = matches!(
+            self.engine,
+            EngineKind::Count | EngineKind::Auto | EngineKind::Adaptive
+        );
+        if count_space && n > u64::from(u32::MAX) {
+            return Err(format!(
+                "population n = {n} exceeds {}, the most agents the `{}` engine's count \
+                 sampler holds — set \"engine\": \"agent\" or \"jump\"",
+                u32::MAX,
+                self.engine
+            ));
+        }
         let states = self.protocol.state_count();
         for (i, event) in self.faults.iter().enumerate() {
             let fault = event.fault;

@@ -410,14 +410,116 @@ impl Avc {
     }
 }
 
+/// The dense layout of [`Avc::encode`] as id ranges, for the arithmetic
+/// [`Protocol::transition`]: value, sign, level and the `ϕ` re-encoding
+/// are piecewise linear in the id. Built from the protocol's fields, so
+/// it costs nothing to make per call.
+#[derive(Clone, Copy)]
+struct Layout {
+    m: i64,
+    d: u32,
+    /// `−0`; `+0` is the next id.
+    neg_zero: StateId,
+    /// `+3`, the first positive strong state (`s` when `m = 1`).
+    pos_strong: StateId,
+}
+
+impl Layout {
+    fn strong(self, q: StateId) -> bool {
+        q + self.d < self.neg_zero || q >= self.pos_strong
+    }
+
+    fn weak(self, q: StateId) -> bool {
+        q.wrapping_sub(self.neg_zero) < 2
+    }
+
+    fn plus(self, q: StateId) -> bool {
+        q > self.neg_zero
+    }
+
+    /// The weak state `±0` with the sign of `q`.
+    fn weak_like(self, q: StateId) -> StateId {
+        self.neg_zero + StateId::from(self.plus(q))
+    }
+
+    /// Whether `q` is an intermediate state at the deepest level `d`.
+    fn deepest(self, q: StateId) -> bool {
+        q + 1 == self.neg_zero || q + 1 == self.pos_strong
+    }
+
+    /// `Shift-to-Zero`: an intermediate below level `d` moves one level
+    /// toward zero, which is the next id on both signs.
+    fn shift_to_zero(self, q: StateId) -> StateId {
+        let below_d = (q + self.d >= self.neg_zero && q + 1 < self.neg_zero)
+            || (q > self.neg_zero + 1 && q + 1 < self.pos_strong);
+        q + StateId::from(below_d)
+    }
+
+    /// The value of a non-weak state: `2q − m` on the negative strong
+    /// states, `±1` on the intermediates, `2(q − 2d) − m` on the positive
+    /// strong states.
+    fn value(self, q: StateId) -> i64 {
+        let q = i64::from(q);
+        if q + i64::from(self.d) < i64::from(self.neg_zero) {
+            2 * q - self.m
+        } else if q >= i64::from(self.pos_strong) {
+            2 * (q - 2 * i64::from(self.d)) - self.m
+        } else if q < i64::from(self.neg_zero) {
+            -1
+        } else {
+            1
+        }
+    }
+
+    /// `ϕ` then encode, for an odd `u` with `|u| ≤ m`. A negative `u`
+    /// lands on id `(u + m)/2` (`−1` on `−1_1`); a positive one skips the
+    /// ids no positive odd value maps to: `d + 1` below `+1_1` (`−1_2 …
+    /// −1_d`, `−0`, `+0`) and `2d` below `+3`.
+    fn phi(self, u: i64) -> StateId {
+        let base = ((u + self.m) >> 1) as StateId;
+        base + StateId::from(u >= 1) * (self.d + 1) + StateId::from(u >= 3) * (self.d - 1)
+    }
+}
+
 impl Protocol for Avc {
     fn num_states(&self) -> u32 {
         self.s() as u32
     }
 
+    /// [`Avc::update`] computed directly on the dense ids; it equals
+    /// `encode(update(decode(a), decode(b)))` for every pair, which the
+    /// tests check exhaustively.
     fn transition(&self, initiator: StateId, responder: StateId) -> (StateId, StateId) {
-        let (x, y) = self.update(self.decode(initiator), self.decode(responder));
-        (self.encode(x), self.encode(y))
+        let k = self.strong_per_sign;
+        let d = self.d;
+        let layout = Layout {
+            m: self.m,
+            d,
+            neg_zero: k + d,
+            pos_strong: k + 2 * d + 2,
+        };
+        let (a, b) = (initiator, responder);
+        let (weak_a, weak_b) = (layout.weak(a), layout.weak(b));
+        if !weak_a && !weak_b && (layout.strong(a) || layout.strong(b)) {
+            // Averaging: both values are odd, so the sum is even; round the
+            // average down and up to odd values.
+            let avg = (layout.value(a) + layout.value(b)) >> 1;
+            return (layout.phi((avg - 1) | 1), layout.phi(avg | 1));
+        }
+        if weak_a != weak_b {
+            // Zero meets non-zero: the weak node adopts the partner's sign,
+            // and a partner intermediate below level d shifts toward zero.
+            return if weak_a {
+                (layout.weak_like(b), layout.shift_to_zero(b))
+            } else {
+                (layout.shift_to_zero(a), layout.weak_like(a))
+            };
+        }
+        if !weak_a && layout.plus(a) != layout.plus(b) && (layout.deepest(a) || layout.deepest(b)) {
+            // Neutralization of opposite intermediates.
+            return (layout.weak_like(a), layout.weak_like(b));
+        }
+        (layout.shift_to_zero(a), layout.shift_to_zero(b))
     }
 
     fn output(&self, state: StateId) -> Opinion {
@@ -640,6 +742,34 @@ mod tests {
                         "sum invariant violated for {} , {} (m={m}, d={d})",
                         p.state_label(a),
                         p.state_label(b),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transition_equals_update_on_decoded_states() {
+        let mut params = vec![
+            (1u64, 1u32),
+            (1, 4),
+            (3, 1),
+            (3, 3),
+            (5, 2),
+            (9, 4),
+            (21, 3),
+        ];
+        params.push((Avc::with_states(130).unwrap().m(), 1));
+        params.push((Avc::with_states(2_050).unwrap().m(), 1));
+        for (m, d) in params {
+            let p = avc(m, d);
+            for a in 0..p.num_states() {
+                for b in 0..p.num_states() {
+                    let (x, y) = p.update(p.decode(a), p.decode(b));
+                    assert_eq!(
+                        p.transition(a, b),
+                        (p.encode(x), p.encode(y)),
+                        "({a}, {b}) at m={m}, d={d}"
                     );
                 }
             }

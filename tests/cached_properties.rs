@@ -119,7 +119,7 @@ fn assert_builds_match_reference<P: Protocol + Clone + Sync>(protocol: &P) {
 
 #[test]
 fn split_builds_match_the_serial_reference() {
-    for s in [4, 66, 514, 2_050] {
+    for s in [4, 66, 514, 1_024] {
         assert_builds_match_reference(&Avc::with_states(s).expect("valid AVC budget"));
     }
     assert_builds_match_reference(&Bef::new(10).expect("valid BEF levels"));
@@ -260,26 +260,26 @@ impl Protocol for WideProtocol {
 
 #[test]
 fn table_size_boundary_is_exact() {
-    // 4096² entries is exactly the cap; one more state overflows it.
-    assert_eq!(MAX_TABLE_ENTRIES, 4_096 * 4_096);
-    assert!(Cached::<WideProtocol>::fits(4_096));
-    assert!(!Cached::<WideProtocol>::fits(4_097));
+    // 1024² entries is exactly the cap; one more state overflows it.
+    assert_eq!(MAX_TABLE_ENTRIES, 1_024 * 1_024);
+    assert!(Cached::<WideProtocol>::fits(1_024));
+    assert!(!Cached::<WideProtocol>::fits(1_025));
 
     // At the boundary, the cache builds and answers correctly at the
     // corners of the table.
-    let plain = WideProtocol { s: 4_096 };
-    let cached = Cached::try_new(plain.clone()).expect("4096 states fit");
-    for (a, b) in [(0, 0), (0, 4_095), (4_095, 0), (4_095, 4_095), (17, 1_234)] {
+    let plain = WideProtocol { s: 1_024 };
+    let cached = Cached::try_new(plain.clone()).expect("1024 states fit");
+    for (a, b) in [(0, 0), (0, 1_023), (1_023, 0), (1_023, 1_023), (17, 834)] {
         assert_eq!(cached.transition(a, b), plain.transition(a, b));
         assert_eq!(cached.is_silent(a, b), plain.is_silent(a, b));
     }
 
     // One state past the boundary, try_new declines and returns the
     // protocol unchanged; new() panics.
-    let too_wide = WideProtocol { s: 4_097 };
-    let back = Cached::try_new(too_wide).expect_err("4097 states must not fit");
-    assert_eq!(back.num_states(), 4_097);
-    let panicked = std::panic::catch_unwind(|| Cached::new(WideProtocol { s: 4_097 })).is_err();
+    let too_wide = WideProtocol { s: 1_025 };
+    let back = Cached::try_new(too_wide).expect_err("1025 states must not fit");
+    assert_eq!(back.num_states(), 1_025);
+    let panicked = std::panic::catch_unwind(|| Cached::new(WideProtocol { s: 1_025 })).is_err();
     assert!(panicked, "Cached::new must panic past the bound");
 }
 

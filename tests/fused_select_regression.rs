@@ -1,24 +1,30 @@
-//! Pins the fused double-select rewrite of `CountSim`'s second-agent draw.
+//! Pins `CountSim`'s step against an independent replica of the plain
+//! step it replaced.
 //!
-//! PR 4 replaced the two independent Fenwick walks — `select(t)` then
-//! conditionally `select(t + 1)` — with one fused `select_pair(t)` descent.
-//! The optimization is only sound if it is invisible: the same `(i, j)`
-//! species pair must come out of the same RNG draws, so that golden traces
-//! and every seeded experiment stay byte-identical. This test drives the
-//! real engine against an independent replica of the *old* two-walk step
-//! loop and checks counts and RNG stream stay in lockstep.
+//! The engine resolves both agents' species in one fused descent, applies
+//! each productive step as net count moves, and runs AVC on its table-free
+//! transition. Each rewrite is only sound if it is invisible: the same
+//! `(i, j)` species pair must come out of the same RNG draws and land in
+//! the same configuration, so that golden traces and every seeded
+//! experiment stay byte-identical. This test drives the real engine against
+//! a replica of the plain loop — independent `select` walks, four `add`s
+//! and, for AVC, `encode(update(decode, decode))` — and checks counts at
+//! every step and the RNG stream afterwards. The AVC cases run at 130, 2050
+//! and 16 340 states, where the draws take the tree descent rather than the
+//! 64-state linear scan.
 
 use avc_population::engine::{CountSim, Simulator};
 use avc_population::sampler::FenwickSampler;
 use avc_population::{Config, Protocol, StateId};
-use avc_protocols::{FourState, ThreeState};
+use avc_protocols::{Avc, FourState, ThreeState};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// One step of the pre-PR-4 `CountSim` loop: identical draws, but the
-/// second agent's species is resolved with two independent `select` walks.
-fn old_style_step<P: Protocol>(
-    protocol: &P,
+/// One step of the plain `CountSim` loop: identical draws, but the second
+/// agent's species is resolved with two independent `select` walks and the
+/// step moves the four agents' counts one `add` at a time.
+fn old_style_step(
+    delta: &impl Fn(StateId, StateId) -> (StateId, StateId),
     counts: &mut [u64],
     sampler: &mut FenwickSampler,
     rng: &mut SmallRng,
@@ -32,7 +38,7 @@ fn old_style_step<P: Protocol>(
     } else {
         sampler.select(t + 1) as StateId
     };
-    let (x, y) = protocol.transition(i, j);
+    let (x, y) = delta(i, j);
     if (x == i && y == j) || (x == j && y == i) {
         return;
     }
@@ -42,19 +48,25 @@ fn old_style_step<P: Protocol>(
     }
 }
 
-/// Runs `steps` steps on both implementations from the same seed and
-/// asserts identical configurations throughout and an identical RNG stream
-/// afterwards.
-fn assert_lockstep<P: Protocol + Clone>(protocol: P, a: u64, b: u64, seed: u64, steps: u64) {
+/// Runs `steps` steps of `CountSim` on `protocol` and of the replica on
+/// `delta` from the same seed, and asserts identical configurations
+/// throughout and an identical RNG stream afterwards.
+fn assert_lockstep<P: Protocol>(
+    protocol: P,
+    delta: impl Fn(StateId, StateId) -> (StateId, StateId),
+    (a, b): (u64, u64),
+    seed: u64,
+    steps: u64,
+) {
     let config = Config::from_input(&protocol, a, b);
     let mut counts: Vec<u64> = config.as_slice().to_vec();
     let mut sampler = FenwickSampler::from_weights(&counts);
-    let mut sim = CountSim::new(protocol.clone(), config);
+    let mut sim = CountSim::new(protocol, config);
     let mut rng_new = SmallRng::seed_from_u64(seed);
     let mut rng_old = SmallRng::seed_from_u64(seed);
     for step in 0..steps {
         sim.advance(&mut rng_new);
-        old_style_step(&protocol, &mut counts, &mut sampler, &mut rng_old);
+        old_style_step(&delta, &mut counts, &mut sampler, &mut rng_old);
         assert_eq!(
             sim.counts(),
             counts.as_slice(),
@@ -74,7 +86,13 @@ fn assert_lockstep<P: Protocol + Clone>(protocol: P, a: u64, b: u64, seed: u64, 
 #[test]
 fn fused_select_is_invisible_on_four_state() {
     for seed in 0..5 {
-        assert_lockstep(FourState, 60, 41, seed, 4_000);
+        assert_lockstep(
+            FourState,
+            |a, b| FourState.transition(a, b),
+            (60, 41),
+            seed,
+            4_000,
+        );
     }
 }
 
@@ -83,12 +101,29 @@ fn fused_select_is_invisible_on_three_state() {
     // Asymmetric protocol: initiator/responder order matters, so any (i, j)
     // swap introduced by the fused walk would show up immediately.
     for seed in 5..10 {
-        assert_lockstep(ThreeState::new(), 35, 25, seed, 4_000);
+        let three = ThreeState::new();
+        assert_lockstep(three, |a, b| three.transition(a, b), (35, 25), seed, 4_000);
     }
 }
 
 #[test]
-fn select_pair_matches_two_walks_on_random_weights() {
+fn fused_select_is_invisible_on_avc_tree_path() {
+    for (s, seed) in [(130, 10), (2_050, 11), (16_340, 12)] {
+        let avc = Avc::with_states(s).expect("valid AVC budget");
+        let reference = avc.clone();
+        let delta = move |a, b| {
+            let (x, y) = reference.update(reference.decode(a), reference.decode(b));
+            (reference.encode(x), reference.encode(y))
+        };
+        assert_lockstep(avc, delta, (1_001, 1_000), seed, 20_000);
+    }
+}
+
+/// The fused draw equals separate walks: `select(first)`, then
+/// `select(second)` or `select(second + 1)`, on both sides of the 64-state
+/// linear-scan cutoff.
+#[test]
+fn select_two_matches_two_walks_on_random_weights() {
     let mut rng = SmallRng::seed_from_u64(99);
     for _ in 0..50 {
         let len = rng.gen_range(1..200usize);
@@ -98,10 +133,16 @@ fn select_pair_matches_two_walks_on_random_weights() {
             continue;
         }
         for _ in 0..100 {
-            let t = rng.gen_range(0..sampler.total() - 1);
-            let (p0, p1) = sampler.select_pair(t);
-            assert_eq!(p0, sampler.select(t));
-            assert_eq!(p1, sampler.select(t + 1));
+            let first = rng.gen_range(0..sampler.total());
+            let second = rng.gen_range(0..sampler.total() - 1);
+            let i = sampler.select(first);
+            let j0 = sampler.select(second);
+            let j = if j0 < i {
+                j0
+            } else {
+                sampler.select(second + 1)
+            };
+            assert_eq!(sampler.select_two(first, second), (i, j), "len {len}");
         }
     }
 }

@@ -2,9 +2,11 @@
 //! expected count trajectories, driven one `Simulator::advance` at a time.
 //! All eight protocols plus the parallel composition run on `CountSim`;
 //! the agent, jump, adaptive and τ-leaping engines each pin their own
-//! per-step `advance` on one protocol. Any edit that changes a transition
-//! function, an engine's step, the pair sampler, or the RNG stream shifts
-//! these traces and fails loudly.
+//! per-step `advance` on one protocol. Two AVC traces at 130 and 2050
+//! states pin `CountSim`'s Fenwick tree path, which every other trace
+//! (at most 26 states) skips for the linear scan. Any edit that changes a
+//! transition function, an engine's step, the pair sampler, or the RNG
+//! stream shifts these traces and fails loudly.
 //!
 //! To regenerate after an *intentional* semantic change:
 //! `cargo test --test golden_traces -- --ignored --nocapture` and paste the
@@ -40,17 +42,31 @@ fn trace<P: Protocol + Clone>(
 /// The stepping loop behind [`trace`], over an already-built engine.
 fn record<S: Simulator + ?Sized>(sim: &mut S, seed: u64, advances: u64, stride: u64) -> String {
     let mut rng = SeedSequence::new(seed).rng_for(0);
-    let mut lines = vec![format!("{} {:?}", sim.steps(), sim.counts())];
+    let mut lines = vec![format!("{} {}", sim.steps(), counts_line(sim.counts()))];
     for k in 1..=advances {
         if sim.advance(&mut rng) == 0 {
             lines.push(format!("silent at {}", sim.steps()));
             break;
         }
         if k % stride == 0 {
-            lines.push(format!("{} {:?}", sim.steps(), sim.counts()));
+            lines.push(format!("{} {}", sim.steps(), counts_line(sim.counts())));
         }
     }
     lines.join("\n")
+}
+
+/// A configuration as one trace line: the whole count vector up to 32
+/// states, and only the occupied `(state, count)` pairs above that.
+fn counts_line(counts: &[u64]) -> String {
+    if counts.len() <= 32 {
+        return format!("{counts:?}");
+    }
+    let live: Vec<(usize, u64)> = (0..)
+        .zip(counts)
+        .filter(|&(_, &c)| c > 0)
+        .map(|(q, &c)| (q, c))
+        .collect();
+    format!("{live:?}")
 }
 
 const EXPECTED_VOTER: &str = "\
@@ -110,6 +126,32 @@ const EXPECTED_AVC: &str = "\
 18 [0, 1, 5, 1, 1, 1, 4, 2]
 24 [0, 0, 4, 3, 1, 2, 4, 1]
 30 [0, 0, 4, 4, 0, 2, 4, 1]";
+
+const EXPECTED_AVC_130: &str = "\
+0 [(0, 16), (129, 17)]
+30 [(0, 5), (10, 2), (20, 1), (23, 1), (24, 1), (40, 2), (66, 4), (81, 1), (85, 2), (89, 2), (97, 2), (98, 1), (99, 2), (101, 1), (105, 1), (129, 5)]
+60 [(25, 2), (27, 1), (35, 1), (36, 1), (39, 1), (47, 3), (53, 1), (55, 3), (61, 1), (66, 3), (67, 1), (74, 3), (75, 2), (84, 1), (85, 1), (86, 1), (89, 1), (98, 1), (99, 3), (107, 2)]
+90 [(25, 1), (36, 1), (41, 1), (47, 2), (56, 2), (59, 2), (60, 2), (61, 1), (62, 2), (68, 1), (69, 3), (70, 2), (73, 2), (74, 3), (75, 1), (76, 1), (78, 1), (83, 1), (87, 2), (98, 1), (99, 1)]
+120 [(38, 1), (51, 1), (52, 1), (54, 1), (57, 2), (58, 2), (59, 1), (60, 1), (61, 1), (62, 2), (63, 2), (66, 1), (68, 1), (69, 1), (70, 1), (71, 4), (72, 2), (76, 1), (77, 1), (78, 2), (80, 1), (81, 1), (82, 1), (87, 1)]
+150 [(45, 1), (55, 1), (58, 1), (60, 3), (61, 2), (62, 2), (63, 2), (66, 2), (67, 2), (68, 2), (69, 4), (70, 1), (72, 6), (73, 1), (74, 1), (77, 1), (87, 1)]
+180 [(57, 1), (58, 2), (60, 2), (62, 2), (63, 1), (66, 2), (67, 2), (68, 5), (69, 5), (70, 5), (71, 4), (72, 2)]
+210 [(61, 1), (62, 3), (63, 1), (66, 5), (67, 5), (68, 7), (69, 7), (70, 3), (71, 1)]
+240 [(62, 1), (63, 1), (66, 6), (67, 8), (68, 10), (69, 6), (70, 1)]
+270 [(63, 1), (66, 2), (67, 15), (68, 12), (69, 3)]
+300 [(63, 1), (66, 1), (67, 14), (68, 17)]";
+
+const EXPECTED_AVC_2050: &str = "\
+0 [(0, 16), (2049, 17)]
+60 [(0, 1), (384, 1), (528, 1), (708, 2), (735, 1), (929, 1), (930, 1), (964, 2), (977, 1), (978, 1), (1023, 2), (1026, 1), (1051, 2), (1089, 2), (1090, 2), (1097, 1), (1153, 1), (1156, 2), (1217, 1), (1281, 1), (1363, 2), (1418, 1), (1574, 1), (1673, 1), (2049, 1)]
+120 [(718, 1), (737, 1), (829, 1), (856, 1), (866, 1), (928, 1), (952, 1), (957, 1), (983, 1), (1040, 1), (1062, 1), (1063, 1), (1067, 1), (1068, 1), (1069, 1), (1070, 1), (1074, 2), (1076, 1), (1078, 2), (1118, 1), (1122, 1), (1162, 1), (1166, 1), (1173, 1), (1178, 1), (1179, 1), (1184, 1), (1193, 1), (1226, 2), (1275, 1)]
+180 [(961, 1), (1017, 1), (1021, 1), (1026, 2), (1032, 4), (1036, 1), (1043, 1), (1044, 1), (1048, 4), (1052, 1), (1053, 2), (1055, 1), (1056, 2), (1057, 1), (1079, 1), (1080, 1), (1084, 1), (1088, 1), (1091, 2), (1103, 1), (1104, 1), (1131, 1), (1132, 1)]
+240 [(1027, 1), (1039, 1), (1040, 1), (1041, 2), (1047, 2), (1048, 1), (1049, 1), (1051, 2), (1052, 2), (1055, 4), (1056, 1), (1060, 1), (1061, 4), (1062, 2), (1063, 2), (1064, 1), (1069, 1), (1074, 1), (1075, 1), (1076, 1), (1092, 1)]
+300 [(1039, 1), (1046, 1), (1053, 1), (1054, 1), (1055, 7), (1056, 4), (1057, 5), (1058, 2), (1059, 4), (1060, 4), (1062, 2), (1063, 1)]
+360 [(1052, 1), (1053, 1), (1054, 2), (1055, 3), (1056, 7), (1057, 10), (1058, 6), (1059, 3)]
+420 [(1055, 2), (1056, 13), (1057, 17), (1058, 1)]
+480 [(1056, 16), (1057, 17)]
+540 [(1056, 16), (1057, 17)]
+600 [(1056, 16), (1057, 17)]";
 
 const EXPECTED_COMPOSE: &str = "\
 0 [9, 0, 0, 6, 0, 0, 0, 0]
@@ -229,6 +271,29 @@ fn avc_trace_is_stable() {
     assert_eq!(
         trace(EngineKind::Count, &avc, 9, 6, 104, 30, 6),
         EXPECTED_AVC
+    );
+}
+
+/// AVC at 130 states (m = 127) from a margin of one: past the 64-state
+/// linear scan, so both draws of every step descend the Fenwick tree, and
+/// the averaging reaches the ±1 intermediate states.
+#[test]
+fn avc_tree_path_trace_is_stable_at_130_states() {
+    let avc = Avc::with_states(130).expect("valid budget");
+    assert_eq!(
+        trace(EngineKind::Count, &avc, 17, 16, 114, 300, 30),
+        EXPECTED_AVC_130
+    );
+}
+
+/// AVC at 2050 states (m = 2047) from a margin of one: an 11-level tree
+/// descent, run on until the strong values have averaged out.
+#[test]
+fn avc_tree_path_trace_is_stable_at_2050_states() {
+    let avc = Avc::with_states(2050).expect("valid budget");
+    assert_eq!(
+        trace(EngineKind::Count, &avc, 17, 16, 115, 600, 60),
+        EXPECTED_AVC_2050
     );
 }
 
@@ -361,6 +426,16 @@ fn print_traces() {
     println!(
         "avc:\n{}\n",
         trace(EngineKind::Count, &avc, 9, 6, 104, 30, 6)
+    );
+    let avc_130 = Avc::with_states(130).expect("valid budget");
+    println!(
+        "avc_130:\n{}\n",
+        trace(EngineKind::Count, &avc_130, 17, 16, 114, 300, 30)
+    );
+    let avc_2050 = Avc::with_states(2050).expect("valid budget");
+    println!(
+        "avc_2050:\n{}\n",
+        trace(EngineKind::Count, &avc_2050, 17, 16, 115, 600, 60)
     );
     println!(
         "leader_election:\n{}\n",

@@ -119,11 +119,13 @@ proptest! {
     }
 
     /// Fenwick sampler matches a naive prefix-sum oracle under arbitrary
-    /// weight updates.
+    /// weight updates, and every `shift(from, to)` leaves the sampler
+    /// bit-identical, tree included, to `add(from, -1); add(to, 1)`.
     #[test]
     fn fenwick_matches_naive_oracle(
         initial in proptest::collection::vec(0u64..50, 1..40),
         updates in proptest::collection::vec((0usize..40, -20i64..20), 0..60),
+        moves in proptest::collection::vec((0usize..40, 0usize..40), 0..60),
     ) {
         let mut naive = initial.clone();
         let mut sampler = FenwickSampler::from_weights(&initial);
@@ -132,6 +134,19 @@ proptest! {
             let delta = delta.max(-(naive[idx] as i64));
             naive[idx] = (naive[idx] as i64 + delta) as u64;
             sampler.add(idx, delta);
+        }
+        for (from, to) in moves {
+            let (from, to) = (from % naive.len(), to % naive.len());
+            if naive[from] == 0 {
+                continue;
+            }
+            naive[from] -= 1;
+            naive[to] += 1;
+            let mut added = sampler.clone();
+            added.add(from, -1);
+            added.add(to, 1);
+            sampler.shift(from, to);
+            prop_assert_eq!(&sampler, &added);
         }
         let total: u64 = naive.iter().sum();
         prop_assert_eq!(sampler.total(), total);

@@ -292,6 +292,26 @@ fn unrunnable_scenarios_are_rejected_at_parse_time() {
         r#"{{{base},"engine":"agent","scheduler":"epoch","faults":[{{"at":0,"kind":"stick_at","agent":40}},{{"at":0,"kind":"corrupt","from":0,"to":3,"agents":2}}]}}"#
     );
     assert!(Scenario::parse(&fine).is_ok(), "{fine}");
+    // Count-space engines hold at most u32::MAX agents; the per-agent and
+    // jump engines take any population the instance can name.
+    let big = |engine: &str| {
+        format!(
+            r#"{{"protocol":"four_state","instance":{{"a":2147483648,"b":2147483648}},"engine":"{engine}","rule":"output_consensus","runs":1,"seed":0}}"#
+        )
+    };
+    for engine in ["count", "auto", "adaptive"] {
+        assert_eq!(
+            Scenario::parse(&big(engine)),
+            Err(format!(
+                "population n = 4294967296 exceeds 4294967295, the most agents the `{engine}` \
+                 engine's count sampler holds — set \"engine\": \"agent\" or \"jump\""
+            )),
+            "{engine}"
+        );
+    }
+    for engine in ["agent", "jump"] {
+        assert!(Scenario::parse(&big(engine)).is_ok(), "{engine}");
+    }
     let cycle = r#"{"protocol":"voter","instance":{"a":1,"b":1},"engine":"agent","scheduler":"restricted(cycle)","rule":"output_consensus","runs":1,"seed":0}"#;
     assert_eq!(
         Scenario::parse(cycle),
