@@ -130,7 +130,8 @@ pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Vec<Cell> {
 ///
 /// # Panics
 ///
-/// Panics if either index is out of range.
+/// Panics if either index is out of range, or if an AVC cell's `n` is
+/// above [`Avc::MAX_STATES`].
 #[must_use]
 pub fn cell_scenario(config: &Config, ni: usize, pi: usize) -> Scenario {
     let n = config.ns[ni];
@@ -146,7 +147,7 @@ pub fn cell_scenario(config: &Config, ni: usize, pi: usize) -> Scenario {
             ConvergenceRule::OutputConsensus,
         ),
         _ => {
-            let avc = Avc::with_states(n).expect("n >= 11 is a valid state budget");
+            let avc = Avc::with_states(n).expect("n-state AVC needs 4 <= n <= Avc::MAX_STATES");
             (
                 ProtocolSpec::Avc {
                     m: avc.m(),

@@ -136,10 +136,12 @@ pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Vec<Point> {
 ///
 /// # Panics
 ///
-/// Panics if either index is out of range, or the state count is below 4.
+/// Panics if either index is out of range, or the state count is below 4
+/// or above [`Avc::MAX_STATES`].
 #[must_use]
 pub fn cell_scenario(config: &Config, si: usize, ei: usize) -> Scenario {
-    let avc = Avc::with_states(config.state_counts[si]).expect("state count >= 4");
+    let avc =
+        Avc::with_states(config.state_counts[si]).expect("state count in 4..=Avc::MAX_STATES");
     let instance = MajorityInstance::with_margin(config.n, config.epsilons[ei]);
     Scenario::new(
         ProtocolSpec::Avc {
@@ -159,7 +161,8 @@ pub fn cell_scenario(config: &Config, si: usize, ei: usize) -> Scenario {
 /// As [`cell_scenario`].
 #[must_use]
 pub fn run_point(config: &Config, si: usize, ei: usize, stats: &StatsCollector) -> Point {
-    let avc = Avc::with_states(config.state_counts[si]).expect("state count >= 4");
+    let avc =
+        Avc::with_states(config.state_counts[si]).expect("state count in 4..=Avc::MAX_STATES");
     let eps = config.epsilons[ei];
     let scenario = cell_scenario(config, si, ei);
     let achieved_epsilon = scenario.instance.margin();

@@ -769,27 +769,15 @@ impl<'p> BatchWorker<'p> {
     }
 
     /// This worker's share of the cell telemetry. `sim` is the sink's
-    /// counts plus the observer's convergence outcomes; the observer's own
-    /// chunk histogram and fault count are dropped because they duplicate
-    /// the sink's. `wall` is the observer's chunk latencies plus the trial
-    /// times.
+    /// counts plus the observer's convergence outcomes (disjoint keys);
+    /// `wall` is the observer's chunk latencies plus the trial times.
     fn into_telemetry(self) -> CellTelemetry {
         let sink = self
             .sim
             .sink_counts()
             .expect("batch engines own a CountingSink");
         let mut sim = sink.snapshot();
-        let observed = self.observer.sim_snapshot();
-        for key in [
-            keys::SIM_CONVERGENCE_STEPS,
-            keys::SIM_TRIALS,
-            keys::SIM_TRIALS_CONVERGED,
-        ] {
-            let value = observed
-                .get(key)
-                .expect("the observer records every outcome");
-            sim.set(key, value.clone());
-        }
+        sim.merge(&self.observer.sim_snapshot());
         let mut wall = self.observer.wall_snapshot();
         wall.set(keys::WALL_TRIAL_NS, MetricValue::Histogram(self.trial_ns));
         CellTelemetry { sim, wall }
@@ -842,9 +830,18 @@ mod tests {
         // `ProtocolSpec::validate` (in avc-population, which cannot see the
         // constructors) must accept exactly what the constructors accept at
         // the boundary values, or valid scenarios would panic at resolution.
+        assert_eq!(Avc::MAX_STATES, 1 << 31);
         assert_eq!(Bef::MAX_LEVELS, 32);
         assert_eq!(Degssu::MAX_LEVELS, 32);
         assert_eq!(Degssu::MAX_PHASE, 64);
+        for (m, d) in [(1, 1), (Avc::MAX_STATES - 3, 1), (1, (1 << 30) - 1)] {
+            assert!(ProtocolSpec::Avc { m, d }.validate().is_ok());
+            assert!(Avc::new(m, d).is_ok());
+        }
+        for (m, d) in [(Avc::MAX_STATES - 1, 1), (1, 1 << 30), (u64::MAX, u32::MAX)] {
+            assert!(ProtocolSpec::Avc { m, d }.validate().is_err());
+            assert!(Avc::new(m, d).is_err());
+        }
         for levels in [1, Bef::MAX_LEVELS] {
             assert!(ProtocolSpec::Bef { levels }.validate().is_ok());
             assert!(Bef::new(levels).is_ok());

@@ -573,7 +573,8 @@ fn measure(spec: ProtocolSpec, engine: EngineKind, n: u64, max_steps: u64, reps:
 /// within [`SINK_TOLERANCE`]. A committed entry without a `protocol` is a
 /// four_state cell (the reports before the [`PROTOCOL_CELLS`]). Every cell
 /// is checked before the verdict, so one run names all the cells over
-/// their ceiling. Batch cells are deliberately
+/// their ceiling, and every committed cell this run did not measure is
+/// named as skipped. Batch cells are deliberately
 /// *not* compared against the committed report: their microsecond-scale
 /// trials make run-to-run medians too noisy for a ratio gate, and the
 /// absolute [`BATCH_FLOOR`] check (which runs on every invocation,
@@ -600,13 +601,16 @@ fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
             old.get("engine").and_then(Json::as_str).unwrap_or(""),
             old.get("n").and_then(Json::as_int).unwrap_or(0),
         );
+        let cell = format!("{protocol}/{engine}/{n}");
         let Some(new) = entries
             .iter()
             .find(|e| e.protocol == protocol && e.engine == engine && e.n as i64 == n)
         else {
-            continue; // quick mode measures a subset of the committed grid
+            // Quick mode measures a subset of the committed grid, and a
+            // committed engine may since have been removed.
+            println!("check {cell}: not measured in this run, skipped");
+            continue;
         };
-        let cell = format!("{protocol}/{engine}/{n}");
         let old_ref =
             ms_field(old, "ref_ms").ok_or_else(|| format!("{cell}: malformed committed ref_ms"))?;
         let old_chunked = ms_field(old, "chunked_ms")

@@ -1,20 +1,19 @@
 //! Simulation engines.
 //!
-//! Five engines execute the same discrete-time scheduler (uniform random
-//! ordered pair per step) with different cost models (the first four
-//! exactly, τ-leaping approximately):
+//! Four engines execute the same discrete-time scheduler (uniform random
+//! ordered pair per step) exactly, with different cost models:
 //!
 //! | Engine | Per-step cost | Sweet spot |
 //! |---|---|---|
 //! | [`AgentSim`] | `O(1)` | arbitrary interaction graphs, ground truth |
 //! | [`CountSim`] | `O(log s)` | cliques with many states (large-`s` AVC) |
 //! | [`JumpSim`]  | `O(live states)` *per productive step* | long runs dominated by silent interactions (small-`s` protocols at small margins) |
-//! | [`TauLeapSim`] | `O(live states²)` *per leap* | **approximate** accelerated runs (Poisson τ-leaping, as in chemical-reaction-network simulation) |
+//! | [`AdaptiveSim`] | `CountSim`'s, then `JumpSim`'s | whole runs that start dense and end sparse (the default, `auto`) |
 //!
 //! All engines implement the one object-safe [`Simulator`] trait, whose only
 //! kernel is [`Simulator::advance_chunk`] over the workspace's RNG,
 //! [`SmallRng`]; single steps ([`Simulator::advance`]) and whole runs
-//! ([`Simulator::run_to_consensus`]) are provided on top of it. The exact
+//! ([`Simulator::run_to_consensus`]) are provided on top of it. The
 //! engines produce identically-distributed trajectories of the
 //! configuration process (tested in `tests/engine_equivalence.rs`).
 
@@ -22,13 +21,11 @@ mod adaptive;
 mod agent;
 mod count;
 mod jump;
-mod tau_leap;
 
 pub use adaptive::AdaptiveSim;
 pub use agent::AgentSim;
 pub use count::CountSim;
 pub use jump::JumpSim;
-pub use tau_leap::TauLeapSim;
 
 use crate::config::Config;
 use crate::faults::{Fault, FaultError};
@@ -291,9 +288,9 @@ pub trait Simulator {
     /// `tests/advance_upto_equivalence.rs`). The run therefore stops at the
     /// exact step a predicate first holds.
     ///
-    /// Engines that batch steps ([`JumpSim`], [`TauLeapSim`]) may overshoot
-    /// `stop.max_steps` within their final batch; the report counts the
-    /// true steps taken either way.
+    /// Engines that batch steps ([`JumpSim`], and [`AdaptiveSim`] in its
+    /// sparse phase) may overshoot `stop.max_steps` within their final
+    /// batch; the report counts the true steps taken either way.
     fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport;
 
     /// Reinitializes the engine in place to the given starting

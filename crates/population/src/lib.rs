@@ -15,7 +15,7 @@
 //! * [`Protocol`] — the state machine abstraction (states, transition,
 //!   output, input encoding);
 //! * [`Config`] — a configuration as a multiset of states (species counts);
-//! * three simulation engines with different cost models:
+//! * four exact simulation engines with different cost models:
 //!   * [`AgentSim`](engine::AgentSim) — per-agent, supports arbitrary
 //!     [interaction graphs](graph::Graph);
 //!   * [`CountSim`](engine::CountSim) — species counts + Fenwick-tree
@@ -26,7 +26,9 @@
 //!     is proportional to the number of *productive* interactions. This is
 //!     what makes slow protocols (e.g. the four-state exact-majority
 //!     protocol at `ε = 1/n`, whose convergence takes `Θ(n² log n)` raw
-//!     steps) simulable at the paper's full scale.
+//!     steps) simulable at the paper's full scale;
+//!   * [`AdaptiveSim`](engine::AdaptiveSim) — `CountSim` while most
+//!     interactions are productive, then `JumpSim` (the default, `auto`).
 //! * [`spec`] — the majority-problem specification and convergence rules.
 //!
 //! # Quick example

@@ -22,7 +22,7 @@
 //! `avc-population` cannot depend on `avc-protocols`, so the
 //! spec-to-instance mapping lives in `avc_analysis::harness::ScenarioPlan`.
 
-use crate::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, TauLeapSim};
+use crate::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator};
 use crate::faults::{Fault, FaultEvent};
 use crate::graph::Graph;
 use crate::hash::sha256_hex;
@@ -50,20 +50,16 @@ pub enum EngineKind {
     Jump,
     /// Explicit adaptive engine ([`AdaptiveSim`]).
     Adaptive,
-    /// Approximate Poisson τ-leaping engine ([`TauLeapSim`]). Never
-    /// selected automatically; exact semantics are the default everywhere.
-    TauLeap,
 }
 
 impl EngineKind {
-    /// The five concrete engines in bench order (excludes the
+    /// The four concrete engines in bench order (excludes the
     /// [`EngineKind::Auto`] alias, which resolves to `Adaptive`).
-    pub const CONCRETE: [EngineKind; 5] = [
+    pub const CONCRETE: [EngineKind; 4] = [
         EngineKind::Agent,
         EngineKind::Count,
         EngineKind::Jump,
         EngineKind::Adaptive,
-        EngineKind::TauLeap,
     ];
 
     /// The canonical name, as used in scenario files, store manifests, and
@@ -76,7 +72,6 @@ impl EngineKind {
             EngineKind::Count => "count",
             EngineKind::Jump => "jump",
             EngineKind::Adaptive => "adaptive",
-            EngineKind::TauLeap => "tau_leap",
         }
     }
 }
@@ -90,8 +85,7 @@ impl fmt::Display for EngineKind {
 impl FromStr for EngineKind {
     type Err = String;
 
-    /// Parses a canonical engine name (`tau-leap` is accepted as a legacy
-    /// spelling of `tau_leap`).
+    /// Parses a canonical engine name.
     fn from_str(s: &str) -> Result<EngineKind, String> {
         match s {
             "auto" => Ok(EngineKind::Auto),
@@ -99,9 +93,8 @@ impl FromStr for EngineKind {
             "count" => Ok(EngineKind::Count),
             "jump" => Ok(EngineKind::Jump),
             "adaptive" => Ok(EngineKind::Adaptive),
-            "tau_leap" | "tau-leap" => Ok(EngineKind::TauLeap),
             other => Err(format!(
-                "unknown engine `{other}` (auto|agent|count|jump|adaptive|tau_leap)"
+                "unknown engine `{other}` (auto|agent|count|jump|adaptive)"
             )),
         }
     }
@@ -167,6 +160,7 @@ mod protocol_names {
 /// Parameter bounds mirrored from `avc-protocols` (this crate cannot
 /// depend on it); `avc-analysis` cross-checks that the constructors accept
 /// exactly what these bounds admit.
+const AVC_MAX_STATES: u64 = 1 << 31;
 const BEF_MAX_LEVELS: u32 = 32;
 const DEGSSU_MAX_LEVELS: u32 = 32;
 const DEGSSU_MAX_PHASE: u32 = 64;
@@ -240,6 +234,13 @@ impl ProtocolSpec {
                 }
                 if d == 0 {
                     return Err(format!("invalid protocol `{self}`: avc d must be >= 1"));
+                }
+                let s = m.checked_add(2 * u64::from(d) + 1);
+                if s.is_none_or(|s| s > AVC_MAX_STATES) {
+                    return Err(format!(
+                        "invalid protocol `{self}`: avc s = m + 2d + 1 must be <= \
+                         {AVC_MAX_STATES}"
+                    ));
                 }
             }
             ProtocolSpec::Bef { levels } => {
@@ -677,7 +678,13 @@ impl Scenario {
             .ok_or("scenario needs an `instance` field")?;
         let a = u64_field(instance, "a")?;
         let b = u64_field(instance, "b")?;
-        if a + b < 2 {
+        let Some(n) = a.checked_add(b) else {
+            return Err(format!(
+                "instance needs a + b <= {} agents (got {a} + {b})",
+                u64::MAX
+            ));
+        };
+        if n < 2 {
             return Err(format!("instance needs a + b >= 2 agents (got {a} + {b})"));
         }
         let scheduler = match obj.get("scheduler") {
@@ -1020,7 +1027,6 @@ where
             }
             EngineKind::Count => Box::new(CountSim::new(protocol, config).with_telemetry(sink)),
             EngineKind::Jump => Box::new(JumpSim::new(protocol, config).with_telemetry(sink)),
-            EngineKind::TauLeap => Box::new(TauLeapSim::new(protocol, config).with_telemetry(sink)),
             EngineKind::Auto | EngineKind::Adaptive => {
                 Box::new(AdaptiveSim::new(protocol, config).with_telemetry(sink))
             }
@@ -1114,13 +1120,17 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for engine in [EngineKind::Auto, EngineKind::Agent, EngineKind::TauLeap] {
+        for engine in std::iter::once(EngineKind::Auto).chain(EngineKind::CONCRETE) {
             assert_eq!(engine.name().parse::<EngineKind>().unwrap(), engine);
         }
-        assert_eq!(
-            "tau-leap".parse::<EngineKind>().unwrap(),
-            EngineKind::TauLeap
-        );
+        // The removed approximate engine's two spellings no longer parse
+        // (split so that a search for the engine finds only its history).
+        for removed in [concat!("tau", "_leap"), concat!("tau", "-leap")] {
+            assert_eq!(
+                removed.parse::<EngineKind>().unwrap_err(),
+                format!("unknown engine `{removed}` (auto|agent|count|jump|adaptive)")
+            );
+        }
         for protocol in [
             ProtocolSpec::Avc { m: 17, d: 3 },
             ProtocolSpec::Bef { levels: 10 },
@@ -1189,6 +1199,19 @@ mod tests {
             "invalid protocol `avc(m=3,d=0)`: avc d must be >= 1"
         );
         assert!("avc(m=3,d=1)".parse::<ProtocolSpec>().is_ok());
+        // s = m + 2d + 1 <= 2³¹, so state ids fit u32 (checked without
+        // overflow even at u64::MAX).
+        assert!("avc(m=2147483645,d=1)".parse::<ProtocolSpec>().is_ok());
+        for spec in [
+            "avc(m=2147483647,d=1)",
+            "avc(m=4294967297,d=1)",
+            "avc(m=18446744073709551615,d=4294967295)",
+        ] {
+            assert_eq!(
+                spec.parse::<ProtocolSpec>().unwrap_err(),
+                format!("invalid protocol `{spec}`: avc s = m + 2d + 1 must be <= 2147483648")
+            );
+        }
     }
 
     #[test]

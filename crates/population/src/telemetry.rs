@@ -8,9 +8,9 @@
 //! This module adds the one piece that needs driver types:
 //! [`TelemetryObserver`], which plugs into [`Driver`](crate::driver::Driver)
 //! runs and records per-chunk wall latency (nondeterministic, kept in the
-//! `wall` registry) alongside per-chunk step sizes and convergence outcomes
-//! (deterministic, kept in `sim` — see the `avc_telemetry` crate docs for
-//! the split).
+//! `wall` registry) alongside convergence outcomes (deterministic, kept in
+//! `sim` — see the `avc_telemetry` crate docs for the split). Chunk sizes
+//! and faults are the engine's to count, through its [`CountingSink`].
 
 pub use avc_telemetry::*;
 
@@ -22,10 +22,8 @@ use crate::engine::AdvanceReport;
 /// An [`Observer`] that turns driver progress into telemetry.
 ///
 /// Records, per run:
-/// * `sim.chunk_steps` — distribution of chunk step counts;
 /// * `sim.convergence_steps` / `sim.trials` / `sim.trials_converged` —
 ///   convergence outcomes from [`DriverEvent::Finished`];
-/// * `sim.faults` — [`DriverEvent::Fault`] injections;
 /// * `wall.chunk_ns` — wall-clock latency between consecutive chunk
 ///   boundaries.
 ///
@@ -53,12 +51,10 @@ use crate::engine::AdvanceReport;
 #[derive(Debug, Default)]
 pub struct TelemetryObserver {
     cadence: Option<u64>,
-    chunk_steps: HistogramSnapshot,
     chunk_ns: HistogramSnapshot,
     convergence_steps: HistogramSnapshot,
     trials: u64,
     converged: u64,
-    faults: u64,
     last_boundary: Option<Span>,
 }
 
@@ -90,10 +86,6 @@ impl TelemetryObserver {
     pub fn sim_snapshot(&self) -> RegistrySnapshot {
         let mut snap = RegistrySnapshot::new();
         snap.set(
-            "sim.chunk_steps",
-            MetricValue::Histogram(self.chunk_steps.clone()),
-        );
-        snap.set(
             keys::SIM_CONVERGENCE_STEPS,
             MetricValue::Histogram(self.convergence_steps.clone()),
         );
@@ -102,7 +94,6 @@ impl TelemetryObserver {
             keys::SIM_TRIALS_CONVERGED,
             MetricValue::Counter(self.converged),
         );
-        snap.set("sim.faults", MetricValue::Counter(self.faults));
         snap
     }
 
@@ -132,8 +123,7 @@ impl Observer for TelemetryObserver {
         self.cadence
     }
 
-    fn on_chunk(&mut self, _view: &SimView<'_>, report: &AdvanceReport) {
-        self.chunk_steps.record(report.steps);
+    fn on_chunk(&mut self, _view: &SimView<'_>, _report: &AdvanceReport) {
         if let Some(span) = self.last_boundary {
             span.record_into(&mut self.chunk_ns);
         }
@@ -153,9 +143,7 @@ impl Observer for TelemetryObserver {
                 }
                 self.last_boundary = None;
             }
-            DriverEvent::Fault(_) => {
-                self.faults += 1;
-            }
+            DriverEvent::Fault(_) => {}
         }
     }
 }
@@ -173,7 +161,8 @@ mod tests {
 
     #[test]
     fn observer_records_chunks_and_convergence() {
-        let mut sim = CountSim::new(Voter, Config::from_input(&Voter, 25, 15));
+        let config = Config::from_input(&Voter, 25, 15);
+        let mut sim = CountSim::new(Voter, config).with_telemetry(CountingSink::new());
         let mut rng = SmallRng::seed_from_u64(2);
         let mut obs = TelemetryObserver::new().with_cadence(16);
         let out = Driver::new(ConvergenceRule::OutputConsensus).run(&mut sim, &mut rng, &mut obs);
@@ -184,11 +173,9 @@ mod tests {
         let conv = cell.sim.histogram("sim.convergence_steps").unwrap();
         assert_eq!(conv.count, 1);
         assert_eq!(conv.sum, out.steps);
-        let chunks = cell.sim.histogram("sim.chunk_steps").unwrap();
-        assert_eq!(chunks.sum, out.steps);
-        // Wall latencies were recorded for every chunk boundary pair.
+        // Wall latencies were recorded for every chunk the engine ran.
         let ns = cell.wall.histogram("wall.chunk_ns").unwrap();
-        assert_eq!(ns.count, chunks.count);
+        assert_eq!(ns.count, sim.sink_counts().unwrap().chunks);
     }
 
     #[test]

@@ -118,6 +118,13 @@ pub enum AvcParameterError {
     InvalidD(u32),
     /// A state budget `s` must be at least `m_min + 2d + 1 = 4` for `d = 1`.
     BudgetTooSmall(u64),
+    /// `s = m + 2d + 1` must be at most [`Avc::MAX_STATES`].
+    TooManyStates {
+        /// The maximum weight asked for.
+        m: u64,
+        /// The intermediate levels asked for.
+        d: u32,
+    },
 }
 
 impl fmt::Display for AvcParameterError {
@@ -130,6 +137,11 @@ impl fmt::Display for AvcParameterError {
             AvcParameterError::BudgetTooSmall(s) => {
                 write!(f, "state budget must be >= 4, got {s}")
             }
+            AvcParameterError::TooManyStates { m, d } => write!(
+                f,
+                "s = m + 2d + 1 must be <= {}, got m = {m}, d = {d}",
+                Avc::MAX_STATES
+            ),
         }
     }
 }
@@ -176,18 +188,27 @@ pub struct Avc {
 }
 
 impl Avc {
+    /// The most states `s = m + 2d + 1` an instance may have, `2³¹`: state
+    /// ids are `u32`, and [`Protocol::transition`] adds `d` to an id.
+    pub const MAX_STATES: u64 = 1 << 31;
+
     /// Creates the protocol with the given maximum weight `m` (odd, `≥ 1`)
     /// and number of intermediate levels `d` (`≥ 1`).
     ///
     /// # Errors
     ///
-    /// Returns an error if `m` is even or zero, or `d` is zero.
+    /// Returns an error if `m` is even or zero, `d` is zero, or
+    /// `s = m + 2d + 1` exceeds [`Avc::MAX_STATES`].
     pub fn new(m: u64, d: u32) -> Result<Avc, AvcParameterError> {
         if m == 0 || m.is_multiple_of(2) {
             return Err(AvcParameterError::InvalidM(m));
         }
         if d == 0 {
             return Err(AvcParameterError::InvalidD(d));
+        }
+        let s = m.checked_add(2 * u64::from(d) + 1);
+        if s.is_none_or(|s| s > Avc::MAX_STATES) {
+            return Err(AvcParameterError::TooManyStates { m, d });
         }
         let name = format!("avc(m={m},d={d})");
         Ok(Avc {
@@ -208,7 +229,7 @@ impl Avc {
     /// # Errors
     ///
     /// Returns an error if `budget < 4` (four states are necessary for
-    /// exact majority).
+    /// exact majority) or if `s` would exceed [`Avc::MAX_STATES`].
     pub fn with_states(budget: u64) -> Result<Avc, AvcParameterError> {
         if budget < 4 {
             return Err(AvcParameterError::BudgetTooSmall(budget));
@@ -567,6 +588,42 @@ mod tests {
         assert_eq!(Avc::new(0, 1).unwrap_err(), AvcParameterError::InvalidM(0));
         assert_eq!(Avc::new(5, 0).unwrap_err(), AvcParameterError::InvalidD(0));
         assert!(Avc::new(1, 1).is_ok());
+        // s = m + 2d + 1 is bounded by MAX_STATES = 2³¹, so ids fit u32.
+        // At the bound the arithmetic transition still equals the decoded
+        // update on the end ids (no engine: O(1) memory at 2³¹ states).
+        for (m, d) in [(Avc::MAX_STATES - 3, 1), (1, (1 << 30) - 1)] {
+            let p = avc(m, d);
+            assert_eq!(p.s(), Avc::MAX_STATES);
+            let last = p.num_states() - 1;
+            let zero = (m / 2) as StateId + d;
+            let ids = [0, 1, d, zero - 1, zero, zero + 1, zero + 2, last - 1, last];
+            for &a in &ids {
+                for &b in &ids {
+                    let (x, y) = p.update(p.decode(a), p.decode(b));
+                    assert_eq!(
+                        p.transition(a, b),
+                        (p.encode(x), p.encode(y)),
+                        "({a}, {b}) at m={m}, d={d}"
+                    );
+                }
+            }
+        }
+        for (m, d) in [
+            (Avc::MAX_STATES - 1, 1),
+            (4_294_967_297, 1),
+            (1, 1 << 30),
+            (u64::MAX, u32::MAX),
+        ] {
+            assert_eq!(
+                Avc::new(m, d).unwrap_err(),
+                AvcParameterError::TooManyStates { m, d }
+            );
+        }
+        assert_eq!(
+            Avc::with_states(Avc::MAX_STATES + 1).unwrap().s(),
+            Avc::MAX_STATES
+        );
+        assert!(Avc::with_states(Avc::MAX_STATES + 2).is_err());
     }
 
     #[test]

@@ -5,16 +5,16 @@
 //! monomorphized [`Sink`] seam without pulling anything into
 //! their hot loops. It provides four layers:
 //!
-//! * **Cells** ([`metrics`]): lock-free `AtomicU64` counters, gauges, and
-//!   fixed-bucket log₂-scale histograms, each with a plain mergeable
-//!   snapshot form.
-//! * **Registry** ([`registry`]): named metrics with deterministic
-//!   (`BTreeMap`) snapshot ordering, mergeable across trial workers exactly
-//!   like the analysis crate's `Summary` monoid.
+//! * **Histograms** ([`metrics`]): a fixed-bucket log₂-scale
+//!   [`HistogramSnapshot`], owned by one sink or observer and mergeable.
+//! * **Named metrics** ([`registry`]): [`RegistrySnapshot`], counters,
+//!   gauges and histograms by name, in deterministic (`BTreeMap`) order,
+//!   mergeable across trial workers exactly like the analysis crate's
+//!   `Summary` monoid.
 //! * **Instrumentation** ([`sink`], [`span`]): the `Sink` trait engines are
-//!   generic over — [`NoopSink`] compiles to nothing, the
-//!   default everywhere — and a [`Span`] wall-clock timer for
-//!   phase/chunk/cell timing.
+//!   generic over — [`NoopSink`] compiles to nothing, the default
+//!   everywhere; [`CountingSink`] counts, one per engine — and a [`Span`]
+//!   wall-clock timer for trial, chunk and cell timing.
 //! * **Export** ([`export`]): the workspace's one JSONL appender (each
 //!   append writes and `fdatasync`s one line; one locked writer per file;
 //!   torn-tail-tolerant loading), which the store's records also go
@@ -41,7 +41,7 @@ pub mod sink;
 pub mod span;
 
 pub use cell::{wall_suppressed, CellTelemetry};
-pub use metrics::{Counter, Gauge, HistogramSnapshot, LogHistogram};
-pub use registry::{MetricValue, Registry, RegistrySnapshot};
+pub use metrics::HistogramSnapshot;
+pub use registry::{MetricValue, RegistrySnapshot};
 pub use sink::{CountingSink, NoopSink, Sink};
 pub use span::Span;

@@ -1,13 +1,9 @@
-//! The metric cells: counters, gauges, and log₂-bucket histograms.
+//! The log₂-bucket histogram.
 //!
-//! Every cell is a thin wrapper over `AtomicU64` with `Relaxed` ordering —
-//! recording is a single uncontended `fetch_add` on the hot path, and the
-//! cells are freely shareable across trial workers without locks. Each cell
-//! has a plain (non-atomic) *snapshot* form that merges associatively and
+//! [`HistogramSnapshot`] is a plain (non-atomic) histogram owned by one
+//! sink or observer on one thread. It merges associatively and
 //! commutatively, so per-worker telemetry folds into one total in any
 //! order with the same result.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of histogram buckets: one per possible `u64` bit length, plus a
 /// dedicated zero bucket.
@@ -48,68 +44,7 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
     }
 }
 
-/// A monotone event counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter at zero.
-    #[must_use]
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds `delta`.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// The current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-written-value cell (merged across workers by maximum, the only
-/// order-free combination).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge at zero.
-    #[must_use]
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Raises the value to at least `value`.
-    #[inline]
-    pub fn raise(&self, value: u64) {
-        self.0.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A fixed-bucket log₂-scale histogram over `u64` with lock-free recording.
+/// A fixed-bucket log₂-scale histogram over `u64`.
 ///
 /// Bucket `k` counts values of bit length `k` (see [`bucket_index`]), so 65
 /// buckets cover the full `u64` range with one cache-cheap `leading_zeros`
@@ -119,68 +54,22 @@ impl Gauge {
 /// # Example
 ///
 /// ```
-/// use avc_telemetry::LogHistogram;
-/// let h = LogHistogram::new();
+/// use avc_telemetry::HistogramSnapshot;
+/// let mut h = HistogramSnapshot::new();
 /// for v in [0, 1, 5, 5, 900] {
 ///     h.record(v);
 /// }
-/// let s = h.snapshot();
-/// assert_eq!(s.count, 5);
-/// assert_eq!(s.sum, 911);
-/// assert_eq!(s.buckets[0], 1); // the zero
-/// assert_eq!(s.buckets[3], 2); // the fives: [4, 8)
+/// assert_eq!(h.count, 5);
+/// assert_eq!(h.sum, 911);
+/// assert_eq!(h.buckets[0], 1); // the zero
+/// assert_eq!(h.buckets[3], 2); // the fives: [4, 8)
 /// ```
-#[derive(Debug)]
-pub struct LogHistogram {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; NUM_BUCKETS],
-}
-
-impl Default for LogHistogram {
-    fn default() -> LogHistogram {
-        LogHistogram::new()
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> LogHistogram {
-        LogHistogram {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A plain copy of the current state.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// The plain, mergeable form of a [`LogHistogram`] (also usable directly as
-/// a single-threaded histogram via [`HistogramSnapshot::record`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.
     pub count: u64,
-    /// Sum of all observed values (wrapping on overflow, matching the
-    /// atomic `fetch_add`; step counts fit comfortably in practice).
+    /// Sum of all observed values (wrapping on overflow; step counts fit
+    /// comfortably in practice).
     pub sum: u64,
     /// Per-bucket observation counts, indexed by [`bucket_index`].
     pub buckets: [u64; NUM_BUCKETS],
@@ -209,8 +98,7 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
-    /// Records one observation (non-atomic counterpart of
-    /// [`LogHistogram::record`], for single-owner sinks).
+    /// Records one observation.
     #[inline]
     pub fn record(&mut self, value: u64) {
         self.count += 1;
@@ -291,31 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-        let g = Gauge::new();
-        g.set(7);
-        g.raise(3);
-        assert_eq!(g.get(), 7);
-        g.raise(9);
-        assert_eq!(g.get(), 9);
-    }
-
-    #[test]
-    fn atomic_and_plain_histograms_agree() {
-        let atomic = LogHistogram::new();
-        let mut plain = HistogramSnapshot::new();
-        for v in [0u64, 1, 7, 8, 1 << 40, u64::MAX] {
-            atomic.record(v);
-            plain.record(v);
-        }
-        assert_eq!(atomic.snapshot(), plain);
-    }
-
-    #[test]
     fn quantile_bound_tracks_bucket_edges() {
         let mut h = HistogramSnapshot::new();
         for _ in 0..99 {
@@ -325,22 +188,5 @@ mod tests {
         assert_eq!(h.quantile_bound(0.5), Some(15));
         assert_eq!(h.quantile_bound(1.0), Some((1 << 21) - 1));
         assert_eq!(HistogramSnapshot::new().quantile_bound(0.5), None);
-    }
-
-    #[test]
-    fn concurrent_recording_loses_nothing() {
-        let h = LogHistogram::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for v in 0..1_000u64 {
-                        h.record(v);
-                    }
-                });
-            }
-        });
-        let s = h.snapshot();
-        assert_eq!(s.count, 4_000);
-        assert_eq!(s.sum, 4 * (0..1_000).sum::<u64>());
     }
 }

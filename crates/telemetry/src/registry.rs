@@ -1,25 +1,14 @@
-//! Named metrics with deterministic snapshot ordering.
+//! Named metrics with deterministic ordering.
 //!
-//! A [`Registry`] owns named [`Counter`]/[`Gauge`]/[`LogHistogram`] cells.
-//! Registration takes a lock; recording through the returned `Arc` handles
-//! is lock-free. Snapshots come out as a [`RegistrySnapshot`] — a
-//! `BTreeMap` keyed by metric name, so iteration (and therefore every
-//! export) is deterministically ordered, and snapshots merge associatively
-//! and commutatively like the analysis crate's `Summary` monoid.
+//! A [`RegistrySnapshot`] is a `BTreeMap` of [`MetricValue`]s keyed by
+//! metric name, so iteration (and therefore every export) is
+//! deterministically ordered, and snapshots merge associatively and
+//! commutatively like the analysis crate's `Summary` monoid.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
-use crate::metrics::{Counter, Gauge, HistogramSnapshot, LogHistogram};
-
-/// One live metric cell inside a [`Registry`].
-#[derive(Debug)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<LogHistogram>),
-}
+use crate::metrics::HistogramSnapshot;
 
 /// The plain value of one metric at snapshot time.
 ///
@@ -82,8 +71,8 @@ impl MetricValue {
     }
 }
 
-/// A deterministic, mergeable point-in-time copy of a [`Registry`] (or of
-/// any hand-assembled set of metrics — sinks build these directly).
+/// A deterministic, mergeable set of named metric values (sinks and
+/// observers build these directly).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
     entries: BTreeMap<String, MetricValue>,
@@ -163,122 +152,9 @@ impl RegistrySnapshot {
     }
 }
 
-/// A set of named live metric cells.
-///
-/// Registration locks briefly; the returned `Arc` handles record lock-free
-/// and stay valid after the registry is dropped. Registering the same name
-/// twice returns the same cell, so independent components can share a
-/// metric by name.
-///
-/// # Example
-///
-/// ```
-/// use avc_telemetry::Registry;
-/// let reg = Registry::new();
-/// let steps = reg.counter("sim.steps");
-/// steps.add(128);
-/// let snap = reg.snapshot();
-/// assert_eq!(snap.counter("sim.steps"), Some(128));
-/// ```
-#[derive(Debug, Default)]
-pub struct Registry {
-    metrics: Mutex<BTreeMap<String, Metric>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// The counter named `name`, creating it if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut metrics = self.metrics.lock().expect("registry poisoned");
-        match metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            other => panic!("{name} already registered as {other:?}, wanted counter"),
-        }
-    }
-
-    /// The gauge named `name`, creating it if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut metrics = self.metrics.lock().expect("registry poisoned");
-        match metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            other => panic!("{name} already registered as {other:?}, wanted gauge"),
-        }
-    }
-
-    /// The histogram named `name`, creating it if absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
-        let mut metrics = self.metrics.lock().expect("registry poisoned");
-        match metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Arc::new(LogHistogram::new())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            other => panic!("{name} already registered as {other:?}, wanted histogram"),
-        }
-    }
-
-    /// A plain, mergeable copy of every metric's current value, in name
-    /// order.
-    #[must_use]
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        let metrics = self.metrics.lock().expect("registry poisoned");
-        let mut snap = RegistrySnapshot::new();
-        for (name, metric) in metrics.iter() {
-            let value = match metric {
-                Metric::Counter(c) => MetricValue::Counter(c.get()),
-                Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-            };
-            snap.set(name, value);
-        }
-        snap
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registration_is_idempotent_and_shared() {
-        let reg = Registry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
-        a.add(2);
-        b.add(3);
-        assert_eq!(reg.snapshot().counter("x"), Some(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_mismatch_panics() {
-        let reg = Registry::new();
-        let _ = reg.counter("x");
-        let _ = reg.gauge("x");
-    }
 
     #[test]
     fn snapshot_merge_follows_kind_laws() {
@@ -312,11 +188,10 @@ mod tests {
 
     #[test]
     fn snapshot_iteration_is_name_ordered() {
-        let reg = Registry::new();
-        let _ = reg.counter("zeta");
-        let _ = reg.counter("alpha");
-        let _ = reg.counter("mid");
-        let snap = reg.snapshot();
+        let mut snap = RegistrySnapshot::new();
+        for name in ["zeta", "alpha", "mid"] {
+            snap.set(name, MetricValue::Counter(0));
+        }
         let names: Vec<&str> = snap.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["alpha", "mid", "zeta"]);
     }

@@ -5,9 +5,7 @@
 //! compiler specializes the hot loop per sink. The default [`NoopSink`]
 //! has empty `#[inline(always)]` hooks and `ENABLED = false`, so every
 //! recording site folds to nothing — the engines' code, and their RNG
-//! streams, are byte-for-byte what they were before the seam existed. The
-//! CI bench gate (`engine_bench --gate-telemetry`) holds that claim to a
-//! measured ≤2% ceiling.
+//! streams, are byte-for-byte what they were before the seam existed.
 //!
 //! [`CountingSink`] is the working implementation: plain (non-atomic) `u64`
 //! fields because a sink is owned by exactly one engine on one thread;
@@ -118,18 +116,6 @@ impl CountingSink {
         self.steps - self.events
     }
 
-    /// Folds another sink's counts in (for aggregating per-trial sinks).
-    pub fn merge(&mut self, other: &CountingSink) {
-        self.steps += other.steps;
-        self.events += other.events;
-        self.chunks += other.chunks;
-        self.chunk_steps.merge(&other.chunk_steps);
-        self.descents += other.descents;
-        self.descent_depth_sum += other.descent_depth_sum;
-        self.faults += other.faults;
-        self.switches += other.switches;
-    }
-
     /// The deterministic `sim.*` snapshot of this sink's counts. Every
     /// value here derives from the simulation alone, so for a fixed seed it
     /// is identical at any worker count.
@@ -225,15 +211,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counting_sink_accumulates_and_merges() {
+    fn counting_sink_accumulates() {
         let mut a = CountingSink::new();
         a.on_chunk(100, 20);
         a.on_descent(7);
         a.on_fault();
-        let mut b = CountingSink::new();
-        b.on_chunk(50, 5);
-        b.on_phase_switch();
-        a.merge(&b);
+        a.on_chunk(50, 5);
+        a.on_phase_switch();
         assert_eq!(a.steps, 150);
         assert_eq!(a.events, 25);
         assert_eq!(a.silent_steps(), 125);

@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::metrics::{HistogramSnapshot, LogHistogram};
+use crate::metrics::HistogramSnapshot;
 
 /// A started wall-clock timer.
 ///
@@ -54,16 +54,7 @@ impl Span {
         self.elapsed_ns() / 1_000_000
     }
 
-    /// Records the elapsed nanoseconds into an atomic histogram and
-    /// returns them.
-    pub fn record(&self, histogram: &LogHistogram) -> u64 {
-        let ns = self.elapsed_ns();
-        histogram.record(ns);
-        ns
-    }
-
-    /// Records the elapsed nanoseconds into a plain histogram and returns
-    /// them.
+    /// Records the elapsed nanoseconds into a histogram and returns them.
     pub fn record_into(&self, histogram: &mut HistogramSnapshot) -> u64 {
         let ns = self.elapsed_ns();
         histogram.record(ns);

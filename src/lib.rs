@@ -58,9 +58,7 @@ pub use avc_verify as verify;
 /// assert!(sim.run_to_consensus(&mut rng, u64::MAX).verdict.is_consensus());
 /// ```
 pub mod prelude {
-    pub use avc_population::engine::{
-        AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, TauLeapSim,
-    };
+    pub use avc_population::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator};
     pub use avc_population::graph::Graph;
     pub use avc_population::rngutil::SeedSequence;
     pub use avc_population::{

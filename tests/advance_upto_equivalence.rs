@@ -14,7 +14,6 @@
 
 use avc::population::engine::{
     advance_upto_step_by_step, AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, StopCondition,
-    TauLeapSim,
 };
 use avc::population::{Config, ConvergenceRule};
 use avc::protocols::{FourState, ThreeState, Voter};
@@ -125,22 +124,6 @@ proptest! {
         increments in proptest::collection::vec(0u64..5_000, 0..8),
     ) {
         let make = || AdaptiveSim::new(ThreeState::new(), Config::from_input(&ThreeState::new(), a, b));
-        let stop = stop_for(case, a + b, max_steps);
-        assert_chunking_invisible(make(), make(), seed, stop, &increments)?;
-    }
-
-    /// TauLeapSim: chunking is invisible; leaps land where they land, but
-    /// identically on both paths.
-    #[test]
-    fn tau_leap_engine_chunking_is_invisible(
-        a in 1u64..40,
-        b in 1u64..40,
-        seed in any::<u64>(),
-        case in any::<u8>(),
-        max_steps in 1u64..3_000,
-        increments in proptest::collection::vec(0u64..200, 0..8),
-    ) {
-        let make = || TauLeapSim::new(FourState, Config::from_input(&FourState, a, b));
         let stop = stop_for(case, a + b, max_steps);
         assert_chunking_invisible(make(), make(), seed, stop, &increments)?;
     }

@@ -1,14 +1,12 @@
-//! Regression pins for batching engines at stopping boundaries.
+//! Regression pins for the batching engine at stopping boundaries.
 //!
-//! `JumpSim` advances in geometric silent-step batches and `TauLeapSim` in
-//! Poisson leaps, so a *step budget* can legitimately be overshot by the
-//! final batch: the budget is checked before each batch (exactly as the
-//! per-step loop checks it before each `advance`), and the reported step
-//! count is always the true chain position, never clamped back to the
-//! budget. *Predicates*, by contrast, are exact on `JumpSim` — jumps land
-//! precisely on productive steps, the only places counts change — while on
-//! `TauLeapSim` they are observable only at leap boundaries (an engine
-//! approximation predating the chunked driver, not introduced by it).
+//! `JumpSim` advances in geometric silent-step batches, so a *step budget*
+//! can legitimately be overshot by the final batch: the budget is checked
+//! before each batch (exactly as the per-step loop checks it before each
+//! `advance`), and the reported step count is always the true chain
+//! position, never clamped back to the budget. *Predicates*, by contrast,
+//! are exact — jumps land precisely on productive steps, the only places
+//! counts change.
 //!
 //! These tests pin the exact reported step/event counts at those
 //! boundaries for fixed seeds, so any change to batch bookkeeping, check
@@ -17,7 +15,7 @@
 //! (`advance_upto_step_by_step`), which must report identical numbers.
 
 use avc::population::engine::{
-    advance_upto_step_by_step, JumpSim, Simulator, StopCondition, StopReason, TauLeapSim,
+    advance_upto_step_by_step, JumpSim, Simulator, StopCondition, StopReason,
 };
 use avc::population::{Config, ConvergenceRule, Opinion};
 use avc::protocols::FourState;
@@ -74,20 +72,6 @@ fn jump_overshoots_step_budget_by_its_final_batch() {
 }
 
 #[test]
-fn tau_leap_overshoots_step_budget_by_its_final_leap() {
-    let make = || TauLeapSim::new(FourState, Config::from_input(&FourState, 900, 100));
-    for (budget, steps, events) in [(1_000u64, 1_006u64, 124u64), (2_000, 2_017, 191)] {
-        let stop = StopCondition::never().with_max_steps(budget);
-        let pinned = pin(make, 7, stop);
-        assert_eq!(pinned, (steps, events, StopReason::StepBudget, pinned.3));
-        assert!(
-            steps > budget,
-            "this seed/budget pair is chosen to exhibit overshoot"
-        );
-    }
-}
-
-#[test]
 fn jump_stops_exactly_where_an_output_count_predicate_first_holds() {
     // Jumps land exactly on productive steps, so the OutputCount predicate
     // stops the chunk at the precise step the count is first reached — no
@@ -105,33 +89,6 @@ fn jump_stops_exactly_where_an_output_count_predicate_first_holds() {
         (steps, events, reason, count_a),
         (672, 138, StopReason::Predicate, 90),
         "B-count predicate must fire at the exact productive step"
-    );
-}
-
-#[test]
-fn tau_leap_sees_predicates_at_leap_boundaries() {
-    // τ-leaping applies whole leaps atomically: the predicate is evaluated
-    // at leap boundaries only. These pins document that granularity (an
-    // engine approximation, not a chunking artifact — the per-step
-    // reference loop reports the same numbers, as `pin` asserts).
-    let make = || TauLeapSim::new(FourState, Config::from_input(&FourState, 60, 40));
-
-    let count_stop = StopCondition::for_rule(
-        ConvergenceRule::OutputCount {
-            opinion: Opinion::B,
-            count: 20,
-        },
-        100,
-    );
-    assert_eq!(
-        pin(make, 3, count_stop),
-        (252, 78, StopReason::Predicate, 80)
-    );
-
-    let consensus_stop = StopCondition::for_rule(ConvergenceRule::OutputConsensus, 100);
-    assert_eq!(
-        pin(make, 3, consensus_stop),
-        (2_030, 136, StopReason::Predicate, 100)
     );
 }
 

@@ -5,11 +5,11 @@
 //! erased runs must match concrete runs *exactly*: identical outcomes,
 //! identical trajectories, and — the sharp check — identical RNG stream
 //! positions afterwards (a single extra or missing draw shifts every later
-//! trial). These tests pin that invariant across all five engines, under a
+//! trial). These tests pin that invariant across every engine, under a
 //! non-uniform scheduler, and through the faulted driver path.
 
 use avc::population::driver::{Driver, NullObserver};
-use avc::population::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, TauLeapSim};
+use avc::population::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator};
 use avc::population::faults::{Fault, FaultPlan};
 use avc::population::graph::Graph;
 use avc::population::scenario::build_erased;
@@ -62,13 +62,6 @@ fn concrete_run<P: Protocol + Clone + 'static>(
                 sim.counts().to_vec(),
             )
         }
-        "tau_leap" => {
-            let mut sim = TauLeapSim::new(protocol.clone(), config);
-            (
-                d.run(&mut sim, &mut rng, &mut NullObserver),
-                sim.counts().to_vec(),
-            )
-        }
         _ => {
             let mut sim = AdaptiveSim::new(protocol.clone(), config);
             (
@@ -96,7 +89,7 @@ fn erased_run<P: Protocol + Clone + 'static>(
 }
 
 #[test]
-fn erased_matches_concrete_on_all_five_engines() {
+fn erased_matches_concrete_on_every_engine() {
     let protocol = Avc::new(7, 1).unwrap();
     let instance = MajorityInstance::with_margin(501, 0.05);
     for kind in EngineKind::CONCRETE {

@@ -1,8 +1,8 @@
 //! Golden-trace regression tests: tiny fixed-seed runs with checked-in
 //! expected count trajectories, driven one `Simulator::advance` at a time.
 //! All eight protocols plus the parallel composition run on `CountSim`;
-//! the agent, jump, adaptive and τ-leaping engines each pin their own
-//! per-step `advance` on one protocol. Two AVC traces at 130 and 2050
+//! the agent, jump and adaptive engines each pin their own per-step
+//! `advance` on one protocol. Two AVC traces at 130 and 2050
 //! states pin `CountSim`'s Fenwick tree path, which every other trace
 //! (at most 26 states) skips for the linear scan. Any edit that changes a
 //! transition function, an engine's step, the pair sampler, or the RNG
@@ -209,19 +209,6 @@ const EXPECTED_JUMP_FOUR_STATE: &str = "\
 58 [3, 0, 10, 2]
 silent at 89";
 
-const EXPECTED_TAU_LEAP_VOTER: &str = "\
-0 [700, 300]
-1125 [659, 341]
-2322 [678, 322]
-3530 [653, 347]
-4858 [654, 346]
-6068 [689, 311]
-7129 [687, 313]
-8237 [684, 316]
-9315 [699, 301]
-10283 [709, 291]
-11302 [696, 304]";
-
 const EXPECTED_ADAPTIVE_THREE_STATE: &str = "\
 0 [3000, 40, 0]
 512 [2994, 34, 12]
@@ -376,15 +363,6 @@ fn jump_advance_trace_is_stable() {
     );
 }
 
-/// `TauLeapSim`'s per-step `advance` is one Poisson leap.
-#[test]
-fn tau_leap_advance_trace_is_stable() {
-    assert_eq!(
-        trace(EngineKind::TauLeap, &Voter, 700, 300, 112, 30, 3),
-        EXPECTED_TAU_LEAP_VOTER
-    );
-}
-
 /// `AdaptiveSim`'s per-step `advance`: single dense steps through the first
 /// 4096-step window, the dense→sparse switch at its end, then one jump per
 /// advance until the configuration goes silent.
@@ -466,10 +444,6 @@ fn print_traces() {
     println!(
         "jump_four_state:\n{}\n",
         trace(EngineKind::Jump, &FourState, 9, 6, 111, 40, 4)
-    );
-    println!(
-        "tau_leap_voter:\n{}\n",
-        trace(EngineKind::TauLeap, &Voter, 700, 300, 112, 30, 3)
     );
     println!(
         "adaptive_three_state:\n{}\n",

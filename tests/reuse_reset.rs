@@ -5,8 +5,8 @@
 //! and — the sharp check — an identical RNG stream position afterwards (one
 //! extra or missing draw would shift every later trial, and worker→trial
 //! assignment races, so any divergence would make batch results
-//! scheduling-dependent). These tests pin that contract across all five
-//! engines through the `Box<dyn Simulator>` the batch loop uses, for dirty
+//! scheduling-dependent). These tests pin that contract across every
+//! engine through the `Box<dyn Simulator>` the batch loop uses, for dirty
 //! states both mid-run and post-consensus, for resets that change the
 //! population (count-space engines), and for the stateful epoch-batched
 //! scheduler.
@@ -22,14 +22,6 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
 const MAX_STEPS: u64 = 2_000_000;
-
-const ENGINES: [EngineKind; 5] = [
-    EngineKind::Agent,
-    EngineKind::Count,
-    EngineKind::Jump,
-    EngineKind::Adaptive,
-    EngineKind::TauLeap,
-];
 
 fn driver() -> Driver {
     Driver::new(ConvergenceRule::OutputConsensus).with_max_steps(MAX_STEPS)
@@ -88,7 +80,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Same-shape reuse (the batch loop's case: every trial of a cell runs
-    /// the same config) is fresh-equivalent on all five engines.
+    /// the same config) is fresh-equivalent on every engine.
     #[test]
     fn reset_replays_like_fresh_same_config(
         a in 3u64..40,
@@ -97,7 +89,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let config = Config::from_input(&FourState, a, b);
-        for engine in ENGINES {
+        for engine in EngineKind::CONCRETE {
             let fresh = fresh_run(&FourState, &config, engine, &SchedulerSpec::Uniform, seed);
             let reused = reset_run(
                 &FourState, &config, &config, engine, &SchedulerSpec::Uniform, dirty_seed, seed,
@@ -119,7 +111,7 @@ proptest! {
         let avc = Avc::new(3, 2).expect("valid parameters");
         let dirty = Config::from_input(&avc, a1, b1);
         let config = Config::from_input(&avc, a2, b2);
-        for engine in [EngineKind::Count, EngineKind::Jump, EngineKind::Adaptive, EngineKind::TauLeap] {
+        for engine in [EngineKind::Count, EngineKind::Jump, EngineKind::Adaptive] {
             let fresh = fresh_run(&avc, &config, engine, &SchedulerSpec::Uniform, seed);
             let reused = reset_run(
                 &avc, &dirty, &config, engine, &SchedulerSpec::Uniform, dirty_seed, seed,
@@ -161,7 +153,7 @@ proptest! {
 #[test]
 fn many_consecutive_resets_stay_fresh_equivalent() {
     let config = Config::from_input(&FourState, 23, 14);
-    for engine in ENGINES {
+    for engine in EngineKind::CONCRETE {
         let mut sim = build_erased(FourState, config.clone(), engine, &SchedulerSpec::Uniform)
             .expect("runnable combination");
         for trial in 0..8u64 {

@@ -65,8 +65,7 @@ fn assert_all_correct(scenario: &Scenario, label: &str) {
 /// Both rivals decide margin-1 majority correctly on every exact engine —
 /// the count-space engines (with their dense cached transition tables at
 /// these state counts), the jump chain, the per-agent engine, and the
-/// adaptive/auto selectors. Tau-leaping is excluded: it is the one
-/// deliberately approximate engine.
+/// adaptive/auto selectors.
 #[test]
 fn rivals_converge_exactly_on_every_exact_engine() {
     let engines = [

@@ -7,7 +7,7 @@
 //! protocol changed behaviour, not that the dice rolled differently.
 
 use avc::population::driver::{Driver, DriverEvent, NullObserver, Observer, SimView};
-use avc::population::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, TauLeapSim};
+use avc::population::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator};
 use avc::population::faults::{Fault, FaultError, FaultEvent, FaultPlan};
 use avc::population::graph::Graph;
 use avc::population::spec::Verdict;
@@ -179,7 +179,6 @@ fn corruption_is_supported_by_every_engine() {
     check(&mut CountSim::new(FourState, config()), "CountSim");
     check(&mut JumpSim::new(FourState, config()), "JumpSim");
     check(&mut AdaptiveSim::new(FourState, config()), "AdaptiveSim");
-    check(&mut TauLeapSim::new(FourState, config()), "TauLeapSim");
     check(
         &mut AgentSim::new(FourState, config(), Graph::clique(60)),
         "AgentSim",

@@ -35,13 +35,12 @@ fn protocol_spec(choice: usize, half_m: u64, d: u32) -> ProtocolSpec {
 }
 
 fn engine_kind(choice: usize) -> EngineKind {
-    match choice % 6 {
+    match choice % 5 {
         0 => EngineKind::Auto,
         1 => EngineKind::Agent,
         2 => EngineKind::Count,
         3 => EngineKind::Jump,
-        4 => EngineKind::Adaptive,
-        _ => EngineKind::TauLeap,
+        _ => EngineKind::Adaptive,
     }
 }
 
@@ -158,7 +157,7 @@ proptest! {
     fn parse_print_parse_is_identity(
         p in (0usize..6, 0u64..=20, 1u32..=4),
         inst in (1u64..500, 1u64..500),
-        e_choice in 0usize..6,
+        e_choice in 0usize..5,
         sched in (0usize..6, any::<u64>(), any::<u64>()),
         faults in proptest::collection::vec((0usize..6, 0u64..10_000, any::<u64>(), any::<u64>()), 0..4),
         r in (0usize..4, 0u64..1_000),
@@ -175,7 +174,7 @@ proptest! {
     fn pretty_form_is_equivalent(
         p in (0usize..6, 0u64..=20, 1u32..=4),
         inst in (1u64..500, 1u64..500),
-        e_choice in 0usize..6,
+        e_choice in 0usize..5,
         sched in (0usize..6, any::<u64>(), any::<u64>()),
         r in (0usize..4, 0u64..1_000),
         tail in (0u64..5_000_000, 1u64..200, any::<u64>()),
@@ -242,9 +241,9 @@ fn unrunnable_scenarios_are_rejected_at_parse_time() {
              identity — set \"engine\": \"agent\" (got `count`)",
         ),
         (
-            r#""engine":"tau_leap","faults":[{"at":5,"kind":"crash","agent":1}]"#,
+            r#""engine":"jump","faults":[{"at":5,"kind":"crash","agent":1}]"#,
             "fault 0 (`crash(agent 1)` at step 5) addresses an agent, which needs per-agent \
-             identity — set \"engine\": \"agent\" (got `tau_leap`)",
+             identity — set \"engine\": \"agent\" (got `jump`)",
         ),
         (
             r#""engine":"agent","faults":[{"at":0,"kind":"stick_at","agent":4000}]"#,
@@ -311,6 +310,32 @@ fn unrunnable_scenarios_are_rejected_at_parse_time() {
     }
     for engine in ["agent", "jump"] {
         assert!(Scenario::parse(&big(engine)).is_ok(), "{engine}");
+    }
+    // A population whose a + b overflows u64 is refused before any engine
+    // sees it (wrapped, it would name n = 2 agents).
+    let overflow = r#"{"schema":1,"protocol":"four_state","instance":{"a":"18446744073709551615","b":3},"engine":"count","rule":"output_consensus","runs":1,"seed":0,"max_steps":1000}"#;
+    assert_eq!(
+        Scenario::parse(overflow),
+        Err(
+            "instance needs a + b <= 18446744073709551615 agents (got 18446744073709551615 + 3)"
+                .to_string()
+        )
+    );
+    // AVC's state ids are u32: s = m + 2d + 1 is bounded by 2³¹, past
+    // which ids would truncate and name a different protocol.
+    let avc = |m: u64| {
+        format!(
+            r#"{{"schema":1,"protocol":"avc(m={m},d=1)","instance":{{"a":6,"b":5}},"engine":"count","rule":"output_consensus","runs":3,"seed":0,"max_steps":100000}}"#
+        )
+    };
+    assert!(Scenario::parse(&avc(2_147_483_645)).is_ok());
+    for m in [2_147_483_647u64, 4_294_967_297] {
+        assert_eq!(
+            Scenario::parse(&avc(m)),
+            Err(format!(
+                "invalid protocol `avc(m={m},d=1)`: avc s = m + 2d + 1 must be <= 2147483648"
+            ))
+        );
     }
     let cycle = r#"{"protocol":"voter","instance":{"a":1,"b":1},"engine":"agent","scheduler":"restricted(cycle)","rule":"output_consensus","runs":1,"seed":0}"#;
     assert_eq!(
