@@ -1,40 +1,32 @@
-//! Paper experiments, one module per figure/study.
+//! The two paper experiments that are not batches of seeded scenarios.
 //!
 //! Each module exposes a `Config` (with paper defaults and a `quick()`
-//! downscaled variant for CI), a `run` function producing [`Table`]s, and is
-//! driven by a binary of the same name in the `avc-bench` crate.
+//! downscaled variant for CI), its runner and its [`Table`] builder; the
+//! `avc` CLI drives both as the `dynamics` and `graph_gap` sweeps. The
+//! scenario studies — Figures 3 and 4, the four-state scaling, the
+//! three-state error law, the `d` ablation and the robustness grid — are
+//! declared once each in `avc_store::specs` and built by the scenario-grid
+//! plan builder, like the `*.grid.json` files.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
-//! | [`fig3`] | Figure 3: 3-state vs 4-state vs n-state AVC at `ε = 1/n` (time + error fraction) |
-//! | [`fig4`] | Figure 4: AVC time vs `ε` for 13 state counts, and the `s·ε` collapse |
-//! | [`four_state_scaling`] | Theorem B.1: empirical `Θ(1/ε)` scaling of the four-state protocol |
-//! | [`three_state_error`] | \[PVV09] error law `exp(−Θ(ε²n))` behind Figure 3 (right) |
-//! | [`ablation_d`] | §6 discussion: sensitivity of AVC to the level count `d` |
 //! | [`dynamics`] | §4 analysis structure: weight halving + population split along a run |
 //! | [`graph_gap`] | \[DV12]: four-state time vs interaction-graph spectral gap |
-//! | [`robustness`] | §2 model discussion: exactness under adversarial schedulers and injected faults |
 //!
 //! [`Table`]: crate::table::Table
 
-pub mod ablation_d;
 pub mod dynamics;
-pub mod fig3;
-pub mod fig4;
-pub mod four_state_scaling;
 pub mod graph_gap;
-pub mod robustness;
-pub mod three_state_error;
 
 /// Writes a table as CSV under `results/` and prints its markdown rendering.
 ///
-/// The experiment binaries all report through this helper so outputs land
+/// `avc export` reports every table through this helper so outputs land
 /// consistently in one place.
 ///
 /// # Panics
 ///
-/// Panics if the CSV cannot be written (experiment binaries have no
-/// meaningful recovery).
+/// Panics if the CSV cannot be written (an export has no meaningful
+/// recovery).
 pub fn report(table: &crate::table::Table, out_dir: &str, file_stem: &str) {
     let path = std::path::Path::new(out_dir).join(format!("{file_stem}.csv"));
     table

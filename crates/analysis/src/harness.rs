@@ -35,7 +35,7 @@ use avc_population::engine::Simulator;
 use avc_population::faults::FaultPlan;
 use avc_population::rngutil::SeedSequence;
 use avc_population::scenario::build_erased_with_sink;
-use avc_population::spec::RunOutcome;
+use avc_population::spec::{RunOutcome, Verdict};
 use avc_population::telemetry::{
     keys, CellTelemetry, CountingSink, HistogramSnapshot, MetricValue, Span, TelemetryObserver,
 };
@@ -522,6 +522,37 @@ impl TrialResults {
             .map(|o| o.parallel_time)
             .collect()
     }
+
+    /// The runs counted by verdict. A consensus is correct when it names
+    /// the expected winner, or whenever the instance is tied.
+    #[must_use]
+    pub fn tally(&self) -> Tally {
+        let mut tally = Tally::default();
+        for outcome in &self.outcomes {
+            match outcome.verdict {
+                Verdict::Consensus(op) if self.expected.is_none_or(|w| w == op) => {
+                    tally.correct += 1;
+                }
+                Verdict::Consensus(_) => tally.wrong += 1,
+                Verdict::MaxSteps => tally.timed_out += 1,
+                Verdict::Stuck => tally.stuck += 1,
+            }
+        }
+        tally
+    }
+}
+
+/// A batch's runs counted by verdict ([`TrialResults::tally`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Runs that reached the expected consensus.
+    pub correct: u64,
+    /// Runs that reached the other consensus.
+    pub wrong: u64,
+    /// Runs that hit the step budget.
+    pub timed_out: u64,
+    /// Runs that fell silent without meeting their convergence rule.
+    pub stuck: u64,
 }
 
 /// Dense tables with fewer entries than this fill on the calling thread:

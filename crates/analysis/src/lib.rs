@@ -10,10 +10,11 @@
 //! * [`mean_field`] — the ODE limit of the three-state protocol \[PVV09];
 //! * [`table`] — plain CSV / markdown table rendering (no serde);
 //! * [`harness`] — seeded multi-trial runners with automatic engine choice;
-//! * [`experiments`] — one module per figure/experiment of the paper
-//!   (Figure 3, Figure 4, the lower-bound scaling experiments, and the
-//!   ablations discussed in §6);
-//! * [`cli`] — a tiny argument parser shared by the experiment binaries.
+//! * [`experiments`] — the two experiments that are not scenario batches
+//!   (the traced §4 dynamics and the interaction-graph study); the
+//!   scenario studies are declared in `avc_store::specs`;
+//! * [`cli`] — a tiny argument parser shared by the `avc` CLI and the
+//!   benchmarks.
 //!
 //! # Example: one Figure-3 cell
 //!

@@ -29,7 +29,6 @@ use avc_analysis::cli::Args;
 use avc_analysis::harness::{ScenarioPlan, StatsCollector};
 use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
-use avc_population::spec::Verdict;
 use avc_population::telemetry::export::{prometheus_text, read_lines_tolerant};
 use avc_population::telemetry::metrics::bucket_bounds;
 use avc_population::telemetry::{keys, CellTelemetry, HistogramSnapshot};
@@ -65,14 +64,15 @@ fn build_plan(name: &str, args: &Args) -> Result<Plan, String> {
     if name.ends_with(".json") {
         return crate::scenario_grid::load_plan(name, args);
     }
-    specs::build(name, args).ok_or_else(|| {
+    let plan = specs::try_build(name, args).ok_or_else(|| {
         let known: Vec<&str> = specs::NAMES.iter().map(|(n, _)| *n).collect();
         format!(
             "unknown sweep `{name}` — known sweeps: {} (or a path to a scenario-grid \
              *.grid.json file)",
             known.join(", ")
         )
-    })
+    })?;
+    plan.map_err(|e| format!("{name}: {e}"))
 }
 
 /// The grid slice to execute (`--shard i/k`, default the full grid).
@@ -303,12 +303,14 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
         ],
     );
     let mut missing = 0usize;
+    let mut stored = 0usize;
     let mut table_builds = 0u64;
     for cell in &plan.cells {
         let Some(record) = store.get(&cell.manifest.hash()) else {
             missing += 1;
             continue;
         };
+        stored += 1;
         let Some(telemetry) = &record.result.telemetry else {
             missing += 1;
             continue;
@@ -345,10 +347,22 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
         ]);
     }
     if aggregate.is_empty() {
-        return Err(format!(
-            "no telemetry recorded for `{name}` — run `avc sweep {name}` (cells stored before \
-             the telemetry schema carry no block; rerun after deleting them to backfill)"
-        ));
+        // Only scenario batches run an engine the harness instruments; their
+        // manifests embed the scenario.
+        let batches = plan
+            .cells
+            .iter()
+            .any(|c| c.manifest.get("scenario").is_some());
+        return Err(if stored == 0 {
+            format!("no cells of `{name}` stored — run `avc sweep {name}` with the same flags")
+        } else if !batches {
+            format!("`{name}` runs no scenario batch, so its cells record no engine telemetry")
+        } else {
+            format!(
+                "the stored cells of `{name}` predate its telemetry — delete them and rerun \
+                 `avc sweep {name}` to backfill"
+            )
+        });
     }
 
     if args.flag("prometheus") {
@@ -610,28 +624,19 @@ fn run_scenario(scenario: &Scenario, args: &Args) -> u64 {
         scenario.runs,
         scenario.seed
     );
-    let winner = scenario.instance.winner();
     let started = std::time::Instant::now();
     let (results, telemetry) = ScenarioPlan::new(scenario.clone())
         .parallelism(args.parallelism())
         .run_with_telemetry(&collector(args));
     let wall = started.elapsed().as_secs_f64();
 
-    let mut correct = 0u64;
-    let mut wrong = 0u64;
-    let mut timeouts = 0u64;
-    let mut stuck = 0u64;
-    for outcome in results.outcomes() {
-        match outcome.verdict {
-            Verdict::Consensus(op) if winner.is_none() || Some(op) == winner => correct += 1,
-            Verdict::Consensus(_) => wrong += 1,
-            Verdict::MaxSteps => timeouts += 1,
-            Verdict::Stuck => stuck += 1,
-        }
-    }
+    let tally = results.tally();
     println!(
-        "outcomes: {correct} correct, {wrong} wrong, {timeouts} timed out, {stuck} stuck \
-         (error fraction {})",
+        "outcomes: {} correct, {} wrong, {} timed out, {} stuck (error fraction {})",
+        tally.correct,
+        tally.wrong,
+        tally.timed_out,
+        tally.stuck,
         fmt_num(results.error_fraction())
     );
     let times = results.converged_times();
@@ -656,7 +661,7 @@ fn run_scenario(scenario: &Scenario, args: &Args) -> u64 {
         .steps_per_sec()
         .map_or("-".to_string(), |r| format!("{r:.3e}"));
     println!("telemetry: {steps} steps, {rate} steps/s, {wall:.1}s wall");
-    wrong
+    tally.wrong
 }
 
 fn usage() -> String {

@@ -1,5 +1,9 @@
-//! Scenario-grid sweeps: a [`Plan`] loaded from a JSON file instead of a
-//! registered spec module.
+//! Scenario sweeps: the one builder that turns labelled scenarios into a
+//! [`Plan`] (`ScenarioSweep::plan`), and the grid files it loads.
+//!
+//! The registered scenario studies (`fig3`, `fig4`, `lb_four_state`,
+//! `err_three_state`, `ablation_d`, `robustness`) declare their cells in
+//! `crate::specs`; a grid file declares them in JSON.
 //!
 //! A grid file is a committed `examples/scenarios/*.grid.json` document
 //! bundling many declarative [`Scenario`]s into one sweep — the route by
@@ -34,11 +38,10 @@ use crate::record::CellResult;
 use crate::specs::{scenario_params, trials_of};
 use crate::sweep::{Cell, Export, Plan};
 use avc_analysis::cli::Args;
-use avc_analysis::harness::{spec_states, ScenarioPlan};
+use avc_analysis::harness::{spec_states, Parallelism, ScenarioPlan, TrialResults};
 use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
 use avc_population::json::Json;
-use avc_population::spec::Verdict;
 use avc_population::Scenario;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -212,6 +215,99 @@ impl ScenarioGrid {
     }
 }
 
+/// One labelled scenario of a sweep: the batch its cell runs, the
+/// manifest params the sweep pins beside the common ones, and how the
+/// batch becomes the cell's table rows.
+pub(crate) struct SweepCell {
+    /// Unique cell label (the manifest's `cell` param).
+    pub label: String,
+    /// The scenario the cell's batch runs.
+    pub scenario: Scenario,
+    /// Manifest params beyond those every cell carries (`cell`, `engine`,
+    /// `n`, `runs`, `seed` and the embedded scenario with its hash).
+    pub params: Vec<(&'static str, String)>,
+    /// The cell's table rows and named values, from its batch's results.
+    pub rows: Box<dyn Fn(&TrialResults) -> CellResult>,
+}
+
+/// A sweep of labelled scenarios: a grid file or one of the registered
+/// scenario studies. [`ScenarioSweep::plan`] is the one place such a sweep
+/// becomes a [`Plan`].
+pub(crate) struct ScenarioSweep {
+    /// Experiment name in the store.
+    pub name: String,
+    /// One-line banner shown by `avc sweep`.
+    pub banner: String,
+    /// Cells in grid order.
+    pub cells: Vec<SweepCell>,
+    /// The export's titled, still empty tables (by CSV stem) and its
+    /// trailer lines, from the results in cell order; the plan fills each
+    /// table with every cell's rows for its stem.
+    #[allow(clippy::type_complexity)]
+    pub export: Box<dyn Fn(&[&CellResult]) -> Export>,
+}
+
+impl ScenarioSweep {
+    /// The runnable plan: each cell's manifest, and a run that makes one
+    /// harness call and stores the trial payload, the cell's rows and the
+    /// batch telemetry. Scenarios are assumed runnable: grid files are
+    /// validated at parse time, and specs check theirs while building.
+    #[must_use]
+    pub(crate) fn plan(self, parallelism: Parallelism) -> Plan {
+        let name = self.name;
+        let cells = self
+            .cells
+            .into_iter()
+            .map(|cell| {
+                let scenario = cell.scenario;
+                let manifest = Manifest::new(
+                    &name,
+                    [
+                        ("cell", cell.label.clone()),
+                        ("engine", scenario.engine.to_string()),
+                        ("n", scenario.instance.population().to_string()),
+                        ("runs", scenario.runs.to_string()),
+                        ("seed", scenario.seed.to_string()),
+                    ]
+                    .into_iter()
+                    .chain(cell.params)
+                    .chain(scenario_params(&scenario)),
+                );
+                let rows = cell.rows;
+                Cell {
+                    manifest,
+                    label: cell.label,
+                    run: Box::new(move |stats| {
+                        let (results, telemetry) = ScenarioPlan::new(scenario.clone())
+                            .parallelism(parallelism)
+                            .run_with_telemetry(stats);
+                        CellResult {
+                            trials: Some(trials_of(&results)),
+                            telemetry: Some(telemetry),
+                            ..rows(&results)
+                        }
+                    }),
+                }
+            })
+            .collect();
+        let export = self.export;
+        Plan {
+            name,
+            banner: self.banner,
+            cells,
+            export: Box::new(move |results| {
+                let mut export = export(results);
+                for (stem, table) in &mut export.tables {
+                    for row in results.iter().flat_map(|r| r.rows(stem)) {
+                        table.push_row(row.clone());
+                    }
+                }
+                export
+            }),
+        }
+    }
+}
+
 /// The grid CSV columns, in order.
 const COLUMNS: [&str; 17] = [
     "cell",
@@ -241,56 +337,33 @@ pub fn load_plan(path: &str, args: &Args) -> Result<Plan, String> {
     Ok(plan_of(&grid, args))
 }
 
-/// Builds the [`Plan`] for a parsed grid.
+/// Builds the [`Plan`] for a parsed grid: one generic row per cell (its
+/// scenario, verdict tally and time statistics) and a wrong-consensus
+/// trailer.
 #[must_use]
 pub fn plan_of(grid: &ScenarioGrid, args: &Args) -> Plan {
     let quick = args.flag("quick");
-    let parallelism = args.parallelism();
-    let cells = grid.profile_cells(quick);
     let stem = grid.name.clone();
-    let plan_cells = cells
+    let cells = grid
+        .profile_cells(quick)
         .into_iter()
         .map(|cell| {
             let scenario = cell.scenario;
             let states = spec_states(scenario.protocol);
-            let manifest = Manifest::new(
-                &grid.name,
-                [
-                    ("cell", cell.label.clone()),
-                    ("protocol", scenario.protocol.to_string()),
-                    ("states", states.to_string()),
-                    ("engine", scenario.engine.to_string()),
-                    ("scheduler", scenario.scheduler.to_string()),
-                    ("n", scenario.instance.population().to_string()),
-                    ("a", scenario.instance.a().to_string()),
-                    ("b", scenario.instance.b().to_string()),
-                    ("runs", scenario.runs.to_string()),
-                    ("seed", scenario.seed.to_string()),
-                ]
-                .into_iter()
-                .chain(scenario_params(&scenario)),
-            );
-            let label = cell.label;
-            let stem = stem.clone();
-            Cell {
-                manifest,
-                label: label.clone(),
-                run: Box::new(move |stats| {
-                    let (results, telemetry) = ScenarioPlan::new(scenario.clone())
-                        .parallelism(parallelism)
-                        .run_with_telemetry(stats);
-                    let winner = scenario.instance.winner();
-                    let (mut correct, mut wrong, mut timeout, mut stuck) = (0u64, 0, 0, 0);
-                    for outcome in results.outcomes() {
-                        match outcome.verdict {
-                            Verdict::Consensus(op) if winner.is_none() || Some(op) == winner => {
-                                correct += 1;
-                            }
-                            Verdict::Consensus(_) => wrong += 1,
-                            Verdict::MaxSteps => timeout += 1,
-                            Verdict::Stuck => stuck += 1,
-                        }
-                    }
+            let params = vec![
+                ("protocol", scenario.protocol.to_string()),
+                ("states", states.to_string()),
+                ("scheduler", scenario.scheduler.to_string()),
+                ("a", scenario.instance.a().to_string()),
+                ("b", scenario.instance.b().to_string()),
+            ];
+            let (label, stem, described) = (cell.label.clone(), stem.clone(), scenario.clone());
+            SweepCell {
+                label: cell.label,
+                scenario,
+                params,
+                rows: Box::new(move |results| {
+                    let tally = results.tally();
                     let times = results.converged_times();
                     let summary = (!times.is_empty()).then(|| Summary::from_samples(&times));
                     let stat = |f: fn(&Summary) -> f64| {
@@ -298,28 +371,26 @@ pub fn plan_of(grid: &ScenarioGrid, args: &Args) -> Plan {
                     };
                     let row = vec![
                         label.clone(),
-                        scenario.protocol.to_string(),
+                        described.protocol.to_string(),
                         states.to_string(),
-                        scenario.instance.population().to_string(),
-                        scenario.instance.a().to_string(),
-                        scenario.instance.b().to_string(),
-                        scenario.engine.to_string(),
-                        scenario.scheduler.to_string(),
+                        described.instance.population().to_string(),
+                        described.instance.a().to_string(),
+                        described.instance.b().to_string(),
+                        described.engine.to_string(),
+                        described.scheduler.to_string(),
                         results.outcomes().len().to_string(),
-                        correct.to_string(),
-                        wrong.to_string(),
-                        timeout.to_string(),
-                        stuck.to_string(),
+                        tally.correct.to_string(),
+                        tally.wrong.to_string(),
+                        tally.timed_out.to_string(),
+                        tally.stuck.to_string(),
                         stat(|s| s.mean),
                         stat(Summary::std_error),
                         stat(|s| s.median),
                         stat(|s| s.max),
                     ];
                     CellResult {
-                        trials: Some(trials_of(&results)),
                         tables: BTreeMap::from([(stem.clone(), vec![row])]),
-                        values: BTreeMap::from([("wrong".to_string(), wrong as f64)]),
-                        telemetry: Some(telemetry),
+                        values: BTreeMap::from([("wrong".to_string(), tally.wrong as f64)]),
                         ..CellResult::default()
                     }
                 }),
@@ -332,26 +403,22 @@ pub fn plan_of(grid: &ScenarioGrid, args: &Args) -> Plan {
         grid.banner.clone()
     };
     let title = grid.banner.clone();
-    let stem = grid.name.clone();
-    Plan {
+    ScenarioSweep {
         name: grid.name.clone(),
         banner,
-        cells: plan_cells,
+        cells,
         export: Box::new(move |results| {
-            let mut table = Table::new(title.clone(), COLUMNS);
-            for result in results {
-                for row in result.rows(&stem) {
-                    table.push_row(row.clone());
-                }
-            }
             let wrong: f64 = results.iter().filter_map(|r| r.value("wrong")).sum();
-            let trailer = format!("wrong_consensus={wrong} across {} cells", results.len());
             Export {
-                tables: vec![(stem.clone(), table)],
-                trailer: vec![trailer],
+                tables: vec![(stem.clone(), Table::new(title.clone(), COLUMNS))],
+                trailer: vec![format!(
+                    "wrong_consensus={wrong} across {} cells",
+                    results.len()
+                )],
             }
         }),
     }
+    .plan(args.parallelism())
 }
 
 #[cfg(test)]

@@ -2,21 +2,32 @@
 //!
 //! Each spec turns parsed CLI flags into a [`Plan`] — the cell grid with
 //! content-addressed manifests plus the export assembly that regenerates
-//! the exact `results/*.csv` files. Cells run the experiment modules' own
-//! per-cell code (`fig3::run_cell`, `fig4::run_point`, …) and render rows
-//! through the same table builders.
+//! the exact `results/*.csv` files. Six studies are batches of seeded
+//! scenarios (fig3, fig4, lb_four_state, err_three_state, ablation_d,
+//! robustness): each module declares only its flags and `--quick` profile,
+//! its ordered cells, each cell's rows and its export trailer, and
+//! `scenario_grid::ScenarioSweep::plan` — the builder behind grid files —
+//! does the rest. lb_info, graph_gap, dynamics and the model checks run no
+//! scenario batch and build their plans directly.
 
+mod ablation_d;
 mod checks;
-mod figures;
+mod err_three_state;
+mod fig3;
+mod fig4;
+mod lb_four_state;
+mod robustness;
 mod sweeps;
 
-use crate::record::TrialSummary;
+use crate::record::{CellResult, TrialSummary};
 use crate::sweep::Plan;
 use avc_analysis::cli::Args;
 use avc_analysis::harness::TrialResults;
 use avc_analysis::stats::Summary;
 use avc_analysis::table::Table;
-use avc_population::{ConvergenceRule, Scenario};
+use avc_population::{ConvergenceRule, MajorityInstance, Scenario};
+use avc_protocols::Avc;
+use std::fmt;
 
 /// `(name, description)` of every sweep spec, in `avc help` order.
 pub const NAMES: [(&str, &str); 11] = [
@@ -60,24 +71,57 @@ pub const NAMES: [(&str, &str); 11] = [
     ),
 ];
 
-/// Builds the plan for a named sweep from parsed flags, or `None` for an
-/// unknown name.
+/// A sweep flag whose value no plan can run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlagError {
+    /// The flag, without its leading `--`.
+    pub flag: &'static str,
+    /// Why its value cannot run.
+    pub reason: String,
+}
+
+impl FlagError {
+    fn new(flag: &'static str, reason: impl fmt::Display) -> FlagError {
+        FlagError {
+            flag,
+            reason: reason.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for FlagError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "--{}: {}", self.flag, self.reason)
+    }
+}
+
+impl std::error::Error for FlagError {}
+
+/// Builds the plan for a named sweep from parsed flags: `None` for an
+/// unknown name, an error naming the flag whose value cannot run.
+pub fn try_build(name: &str, args: &Args) -> Option<Result<Plan, FlagError>> {
+    let sweep = match name {
+        "fig3" => fig3::sweep(args),
+        "fig4" => fig4::sweep(args),
+        "lb_four_state" => lb_four_state::sweep(args),
+        "err_three_state" => err_three_state::sweep(args),
+        "ablation_d" => ablation_d::sweep(args),
+        "robustness" => robustness::sweep(args),
+        "dynamics" => return Some(Ok(sweeps::dynamics_plan(args))),
+        "lb_info" => return Some(Ok(sweeps::lb_info_plan(args))),
+        "graph_gap" => return Some(Ok(sweeps::graph_gap_plan(args))),
+        "mc_avc" => return Some(Ok(checks::mc_avc_plan(args))),
+        "mc_three_state" => return Some(Ok(checks::mc_three_state_plan(args))),
+        _ => return None,
+    };
+    Some(sweep.map(|sweep| sweep.plan(args.parallelism())))
+}
+
+/// [`try_build`] with a bad flag value panicking: the surface the
+/// `sweep_bench` benchmark drives.
 #[must_use]
 pub fn build(name: &str, args: &Args) -> Option<Plan> {
-    match name {
-        "fig3" => Some(figures::fig3_plan(args)),
-        "fig4" => Some(figures::fig4_plan(args)),
-        "dynamics" => Some(figures::dynamics_plan(args)),
-        "lb_four_state" => Some(sweeps::lb_four_state_plan(args)),
-        "lb_info" => Some(sweeps::lb_info_plan(args)),
-        "err_three_state" => Some(sweeps::err_three_state_plan(args)),
-        "ablation_d" => Some(sweeps::ablation_d_plan(args)),
-        "graph_gap" => Some(sweeps::graph_gap_plan(args)),
-        "robustness" => Some(sweeps::robustness_plan(args)),
-        "mc_avc" => Some(checks::mc_avc_plan(args)),
-        "mc_three_state" => Some(checks::mc_three_state_plan(args)),
-        _ => None,
-    }
+    try_build(name, args).map(|plan| plan.unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Extracts the durable trial payload from harness results: converged-time
@@ -109,6 +153,71 @@ pub(crate) fn only_row(table: &Table) -> Vec<String> {
     table.rows()[0].clone()
 }
 
+/// A scenario cell's contribution to the export: one row per named table
+/// and the named values the export reads back.
+fn cell_rows<const T: usize, const V: usize>(
+    rows: [(&str, Vec<String>); T],
+    values: [(&str, f64); V],
+) -> CellResult {
+    CellResult {
+        tables: rows
+            .into_iter()
+            .map(|(stem, row)| (stem.to_string(), vec![row]))
+            .collect(),
+        values: values
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+        ..CellResult::default()
+    }
+}
+
+/// The `--runs` flag (`default` when absent): a cell summarises at least
+/// one run.
+fn runs_flag(args: &Args, default: u64) -> Result<u64, FlagError> {
+    match args.get_u64("runs", default) {
+        0 => Err(FlagError::new("runs", "0 runs: a cell needs at least one")),
+        runs => Ok(runs),
+    }
+}
+
+/// `scenario`, if every trial of it can run (see [`Scenario::validate`]);
+/// otherwise an error naming `flag`, the flag its population came from.
+fn runnable(flag: &'static str, scenario: Scenario) -> Result<Scenario, FlagError> {
+    match scenario.validate() {
+        Ok(()) => Ok(scenario),
+        Err(reason) => Err(FlagError::new(flag, reason)),
+    }
+}
+
+/// The one-agent-majority instance on `n` agents (`flag`'s value), which
+/// needs an odd `n >= 3`.
+fn one_extra(flag: &'static str, n: u64) -> Result<MajorityInstance, FlagError> {
+    if n < 3 || n.is_multiple_of(2) {
+        return Err(FlagError::new(
+            flag,
+            format!("{n} agents: a one-agent majority needs an odd n >= 3"),
+        ));
+    }
+    Ok(MajorityInstance::one_extra(n))
+}
+
+/// The instance on `n` agents (`flag`'s value) with margin at least `eps`.
+fn with_margin(flag: &'static str, n: u64, eps: f64) -> Result<MajorityInstance, FlagError> {
+    if n < 2 {
+        return Err(FlagError::new(
+            flag,
+            format!("{n} agents: a majority needs n >= 2"),
+        ));
+    }
+    Ok(MajorityInstance::with_margin(n, eps))
+}
+
+/// AVC with a budget of `s` states (`flag`'s value) and `d = 1`.
+fn avc_with_states(flag: &'static str, s: u64) -> Result<Avc, FlagError> {
+    Avc::with_states(s).map_err(|e| FlagError::new(flag, format!("{s} states: {e}")))
+}
+
 /// The two manifest params embedding a cell's declarative scenario: its
 /// canonical JSON form and the SHA-256 of that form. A manifest carrying
 /// these suffices to re-run the cell byte-identically — `avc run` executes
@@ -134,9 +243,37 @@ pub(crate) fn rule_name(rule: ConvergenceRule) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Export;
+    use avc_analysis::harness::StatsCollector;
 
-    fn args(tokens: &[&str]) -> Args {
+    pub(super) fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string()))
+    }
+
+    /// A sweep built from `tokens` and run in memory: the plan, every
+    /// cell's result in plan order, and the export over them.
+    pub(super) fn run_sweep(name: &str, tokens: &[&str]) -> (Plan, Vec<CellResult>, Export) {
+        let plan = build(name, &args(tokens)).expect("registered sweep");
+        let stats = StatsCollector::new();
+        let results: Vec<CellResult> = plan.cells.iter().map(|c| (c.run)(&stats)).collect();
+        let export = (plan.export)(&results.iter().collect::<Vec<_>>());
+        (plan, results, export)
+    }
+
+    /// The result of the cell labelled `label`.
+    pub(super) fn cell<'r>(plan: &Plan, results: &'r [CellResult], label: &str) -> &'r CellResult {
+        let i = plan.cells.iter().position(|c| c.label == label);
+        &results[i.unwrap_or_else(|| panic!("no cell {label}"))]
+    }
+
+    /// The mean converged time of a cell.
+    pub(super) fn mean(result: &CellResult) -> f64 {
+        result
+            .trials
+            .as_ref()
+            .and_then(TrialSummary::summary)
+            .expect("converged runs")
+            .mean
     }
 
     #[test]

@@ -233,6 +233,19 @@ fn killed_robustness_sweep_resumes_to_byte_identical_export() {
     assert!(status.success(), "reference export failed");
     let ref_csv = read_csv(&reference);
 
+    // Every cell records its batch telemetry, so the report has one row per
+    // cell (a markdown row starts with `| ` and names its cell).
+    let output = avc(&reference, &["report", "robustness"])
+        .output()
+        .expect("spawn avc");
+    assert!(output.status.success(), "report failed: {output:?}");
+    let report = String::from_utf8_lossy(&output.stdout);
+    let rows = report
+        .lines()
+        .filter(|l| l.starts_with("| avc/") || l.starts_with("| four_state/"))
+        .count();
+    assert_eq!(rows, ROBUSTNESS_CELLS, "report rows:\n{report}");
+
     // Interrupted run: SIGKILL once the first cell is durable.
     let victim = temp_dir("robustness-victim");
     let mut child = avc(&victim, &["sweep", "robustness", "--serial"])

@@ -1,43 +1,77 @@
 //! End-to-end checks of the paper's headline claims at reduced scale, run
-//! through the same experiment code that regenerates the figures.
+//! in memory through the same sweep plans that regenerate the figures.
 
-use avc::analysis::experiments::{fig3, fig4, four_state_scaling, three_state_error};
-use avc::analysis::harness::Parallelism;
+use avc::analysis::cli::Args;
+use avc::analysis::harness::StatsCollector;
 use avc::analysis::stats::loglog_slope;
+use avc::store::record::CellResult;
+use avc::store::specs;
 use avc::verify::enumerate::three_state_impossibility;
 use avc::verify::knowledge::{cover_steps, expected_cover_steps};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// Builds the registered sweep `name` from `flags` and runs every cell:
+/// `(label, result)` pairs in plan order.
+fn run_sweep(name: &str, flags: &str) -> Vec<(String, CellResult)> {
+    run_cells(name, flags, |_| true)
+}
+
+/// As [`run_sweep`], running only the cells whose labels `keep` accepts.
+fn run_cells(name: &str, flags: &str, keep: impl Fn(&str) -> bool) -> Vec<(String, CellResult)> {
+    let plan = specs::build(name, &Args::parse(flags.split(' ').map(str::to_string)))
+        .unwrap_or_else(|| panic!("no sweep {name}"));
+    let stats = StatsCollector::new();
+    plan.cells
+        .iter()
+        .filter(|cell| keep(&cell.label))
+        .map(|cell| (cell.label.clone(), (cell.run)(&stats)))
+        .collect()
+}
+
+/// The result of the cell labelled `label`.
+fn cell<'r>(cells: &'r [(String, CellResult)], label: &str) -> &'r CellResult {
+    cells
+        .iter()
+        .find(|(l, _)| l == label)
+        .map(|(_, r)| r)
+        .unwrap_or_else(|| panic!("missing {label}"))
+}
+
+/// A cell's mean parallel convergence time over its converged runs.
+fn mean(result: &CellResult) -> f64 {
+    let trials = result.trials.as_ref().expect("scenario cells keep trials");
+    trials.summary().expect("some run converged").mean
+}
+
+/// A cell's fraction of runs that did not reach the majority's consensus.
+fn error_fraction(result: &CellResult) -> f64 {
+    result
+        .trials
+        .as_ref()
+        .expect("scenario cells keep trials")
+        .error_fraction
+}
+
 /// Figure 3's ordering: AVC ≈ 3-state ≪ 4-state at `ε = 1/n`, with the
 /// exact protocols at zero error and the 3-state protocol erring.
 #[test]
 fn figure3_ordering_holds() {
-    let cells = fig3::run(&fig3::Config {
-        ns: vec![1_001],
-        runs: 21,
-        seed: 3,
-        parallelism: Parallelism::Auto,
-    });
-    let get = |name: &str| {
-        cells
-            .iter()
-            .find(|c| c.protocol.starts_with(name))
-            .unwrap_or_else(|| panic!("missing {name}"))
-    };
-    let t3 = get("3-state").results.mean_parallel_time();
-    let t4 = get("4-state").results.mean_parallel_time();
-    let tavc = get("avc").results.mean_parallel_time();
+    let cells = run_sweep("fig3", "--ns 1001 --runs 21 --seed 3");
+    let get = |key: &str| cell(&cells, &format!("n=1001/{key}"));
+    let t3 = mean(get("three_state"));
+    let t4 = mean(get("four_state"));
+    let tavc = mean(get("avc"));
 
     assert!(t4 > 20.0 * tavc, "4-state {t4} should dwarf AVC {tavc}");
     assert!(
         tavc < 5.0 * t3,
         "AVC {tavc} should be comparable to 3-state {t3}"
     );
-    assert_eq!(get("4-state").results.error_fraction(), 0.0);
-    assert_eq!(get("avc").results.error_fraction(), 0.0);
+    assert_eq!(error_fraction(get("four_state")), 0.0);
+    assert_eq!(error_fraction(get("avc")), 0.0);
     assert!(
-        get("3-state").results.error_fraction() > 0.2,
+        error_fraction(get("three_state")) > 0.2,
         "3-state should err often at eps = 1/n"
     );
 }
@@ -46,34 +80,23 @@ fn figure3_ordering_holds() {
 /// `ε`, time falls roughly like `1/s` (until the polylog floor).
 #[test]
 fn figure4_scaling_shape_holds() {
-    let points = fig4::run(&fig4::Config {
-        n: 4_001,
-        state_counts: vec![4, 34, 258],
-        epsilons: vec![1e-3, 1e-2, 1e-1],
-        runs: 9,
-        seed: 11,
-        parallelism: Parallelism::Auto,
-    });
-    let get = |s: u64, eps: f64| {
-        points
-            .iter()
-            .find(|p| p.s == s && (p.epsilon - eps).abs() < 1e-9)
-            .unwrap()
-            .summary
-            .mean
-    };
+    let cells = run_sweep(
+        "fig4",
+        "--quick --n 4001 --states 4,34,258 --runs 9 --seed 11",
+    );
+    let get = |s: u64, eps: &str| mean(cell(&cells, &format!("s={s}/eps={eps}")));
     // Left panel: 1/eps growth at s = 4 across two decades.
     let slope = loglog_slope(
         &[1e3, 1e2, 1e1],
-        &[get(4, 1e-3), get(4, 1e-2), get(4, 1e-1)],
+        &[get(4, "1e-3"), get(4, "1e-2"), get(4, "1e-1")],
     );
     assert!((0.5..1.5).contains(&slope), "eps-scaling slope {slope}");
     // More states help at the hard margin by at least ~4x per ~8x states.
-    assert!(get(4, 1e-3) > 4.0 * get(34, 1e-3));
-    assert!(get(34, 1e-3) > 2.0 * get(258, 1e-3));
+    assert!(get(4, "1e-3") > 4.0 * get(34, "1e-3"));
+    assert!(get(34, "1e-3") > 2.0 * get(258, "1e-3"));
     // Right panel: the s·ε collapse — equal s·ε cells have similar times.
-    let a = get(34, 1e-2); // s·ε = 0.34
-    let b = get(258, 1e-3); // s·ε ≈ 0.258
+    let a = get(34, "1e-2"); // s·ε = 0.34
+    let b = get(258, "1e-3"); // s·ε ≈ 0.258
     let ratio = a / b;
     assert!(
         (0.2..5.0).contains(&ratio),
@@ -82,19 +105,31 @@ fn figure4_scaling_shape_holds() {
 }
 
 /// Theorem B.1's shape: the four-state protocol's time is `Θ(1/ε)`.
+///
+/// At `n = 10 001` the default grid's five largest margins, `1e-4` to
+/// `1e-2`, round to five distinct gaps; the two smaller ones round to the
+/// same one-agent gap as `1e-4` and are not run.
 #[test]
 fn four_state_lower_bound_scaling() {
-    let outcome = four_state_scaling::run(&four_state_scaling::Config {
-        n: 4_001,
-        epsilons: vec![1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
-        runs: 11,
-        seed: 21,
-        parallelism: Parallelism::Auto,
+    let fitted = [
+        "eps=1e-4",
+        "eps=3.16e-4",
+        "eps=1e-3",
+        "eps=3.16e-3",
+        "eps=1e-2",
+    ];
+    let cells = run_cells("lb_four_state", "--n 10001 --runs 11 --seed 21", |label| {
+        fitted.contains(&label)
     });
+    assert_eq!(cells.len(), fitted.len());
+    let (inv_eps, times): (Vec<f64>, Vec<f64>) = cells
+        .iter()
+        .map(|(_, r)| (1.0 / r.value("achieved_eps").unwrap(), mean(r)))
+        .unzip();
+    let slope = loglog_slope(&inv_eps, &times);
     assert!(
-        (0.6..1.4).contains(&outcome.slope),
-        "expected Θ(1/eps), fitted exponent {}",
-        outcome.slope
+        (0.6..1.4).contains(&slope),
+        "expected Θ(1/eps), fitted exponent {slope}"
     );
 }
 
@@ -122,21 +157,23 @@ fn information_lower_bound_scaling() {
 }
 
 /// The PVV09 error law: the empirical error is within an order of magnitude
-/// of `exp(−D·n)` and decays sharply in `ε²n`.
+/// of `exp(−D·n)` and decays sharply in `ε²n`, here from `ε²n ≈ 0.06` to
+/// `ε²n ≈ 5`, two cells of the default grid.
 #[test]
 fn three_state_error_law_shape() {
-    let points = three_state_error::run(&three_state_error::Config {
-        ns: vec![2_001],
-        epsilons: vec![0.003, 0.05],
-        runs: 200,
-        seed: 17,
-        parallelism: Parallelism::Auto,
-    });
-    assert!(points[0].error_fraction > 5.0 * points[1].error_fraction.max(0.005));
+    let (near_tie, wide) = ("n=2001/eps=0.005", "n=2001/eps=0.05");
+    let cells = run_cells(
+        "err_three_state",
+        "--ns 2001 --runs 200 --seed 17",
+        |label| [near_tie, wide].contains(&label),
+    );
+    let near_tie = error_fraction(cell(&cells, near_tie));
+    let wide = error_fraction(cell(&cells, wide));
+    assert!(near_tie > 5.0 * wide.max(0.005), "{near_tie} vs {wide}");
 }
 
 /// The MNRS14 impossibility on a reduced instance set (the full n ≤ 7 sweep
-/// runs in the `mc_three_state` binary).
+/// is `avc sweep mc_three_state`).
 #[test]
 fn no_three_state_protocol_is_exact_up_to_n5() {
     let outcome = three_state_impossibility(5);
