@@ -25,7 +25,7 @@
 //! floor at the smallest cell (where per-trial setup is a structural share
 //! of a trial).
 //!
-//! Flags: `--quick` (small population only, one AVC cell, fewer reps),
+//! Flags: `--quick` (small population only, two AVC cells, fewer reps),
 //! `--out PATH` (write the JSON report), `--check PATH` (compare against a
 //! committed report: each cell's `chunked_ms` must stay within its committed
 //! time rescaled by this run's `ref_ms` over the committed `ref_ms`, times
@@ -84,7 +84,9 @@ const GATED_ENGINES: [&str; 2] = ["agent", "count"];
 
 /// The count-engine cells beyond four_state, all at n = 100 001: AVC at
 /// s = 130, 2050 and 16 340 (`m = s − 3`), BEF at `l = 13` (30 states) and
-/// DEGSSU at `l = 13, t = 4` (142 states). `--quick` keeps the first.
+/// DEGSSU at `l = 13, t = 4` (142 states). `--quick` keeps the first two,
+/// one on each of the sampler's representations: s = 130 on the rank
+/// table, s = 2050 on the tree.
 const PROTOCOL_CELLS: [ProtocolSpec; 5] = [
     ProtocolSpec::Avc { m: 127, d: 1 },
     ProtocolSpec::Avc { m: 2_047, d: 1 },
@@ -660,7 +662,7 @@ fn main() {
     };
 
     let protocol_cells = if quick {
-        &PROTOCOL_CELLS[..1]
+        &PROTOCOL_CELLS[..2]
     } else {
         &PROTOCOL_CELLS[..]
     };

@@ -17,12 +17,13 @@ const SWITCH_DIVISOR: u64 = 16;
 /// A one-way adaptive engine.
 ///
 /// For protocols with many states, the early dynamics are dense — nearly
-/// every interaction is productive — so [`CountSim`]'s `O(log s)` steps are
-/// optimal. The late dynamics are sparse: the bulk of steps are silent,
-/// which is exactly where [`JumpSim`] shines (its per-*event* cost pays off
-/// once events are rare). `AdaptiveSim` runs `CountSim` until the productive
-/// fraction over a step window drops below `1/16`, then transplants the
-/// configuration into a `JumpSim` and continues there.
+/// every interaction is productive — so stepping every interaction with
+/// [`CountSim`] is optimal. The late dynamics are sparse: the bulk of
+/// steps are silent, which is exactly where [`JumpSim`] shines (its
+/// per-*event* cost pays off once events are rare). `AdaptiveSim` runs
+/// `CountSim` until the productive fraction over a step window drops below
+/// `1/16`, then transplants the configuration into a `JumpSim` and
+/// continues there.
 ///
 /// The switch does not perturb the trajectory distribution: both engines
 /// simulate the same chain, and the handoff copies the exact configuration.

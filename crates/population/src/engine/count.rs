@@ -9,16 +9,20 @@ use avc_telemetry::{CountingSink, NoopSink, Sink};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
-/// A count-based engine: `O(log s)` per step, `O(s)` memory.
+/// A count-based engine: an `O(1)` pair lookup per step and `O(s + n)`
+/// memory up to 256 states (and `2^20` agents), `O(log s)` per step and
+/// `O(s)` memory above.
 ///
 /// On a clique all agents in the same state are interchangeable, so the
 /// engine stores only the number of agents per state and samples the ordered
 /// interacting pair by species, using a [`FenwickSampler`] (first agent
 /// proportional to counts; second proportional to counts with the first
-/// agent removed). This is the work-horse engine for AVC with large state
-/// counts (the "n-state" instances of Figure 3 and the large-`s` curves of
-/// Figure 4). The sampler's weights are the engine's only copy of the
-/// counts, so the population is at most `u32::MAX` agents.
+/// agent removed), which resolves both from a table of each agent rank's
+/// species up to 256 states and descends a Fenwick tree above. This is
+/// the work-horse engine for AVC with large state counts (the "n-state"
+/// instances of Figure 3 and the large-`s` curves of Figure 4). The
+/// sampler's weights are the engine's only copy of the counts, so the
+/// population is at most `u32::MAX` agents.
 ///
 /// # Example
 ///
@@ -153,9 +157,9 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
     fn step<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         self.steps += 1;
         if T::ENABLED {
-            // The fused draw below walks the tree once per agent; depth is
-            // a function of the (fixed) category count, so recording it
-            // here adds nothing to the descent itself.
+            // The fused draw below walks the tree once per agent (depth 0
+            // on the rank table); depth is fixed while the population is,
+            // so recording it here adds nothing to the draw itself.
             let depth = self.sampler.descent_depth();
             self.telemetry.on_descent(depth);
             self.telemetry.on_descent(depth);
@@ -163,7 +167,7 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
         let total = self.sampler.total();
         // First agent by species, proportional to counts; second among the
         // remaining n−1, proportional to counts with one agent of the first
-        // species removed. One fused descent resolves both species from
+        // species removed. One fused lookup resolves both species from
         // the two draws (see `FenwickSampler::select_two`).
         let first = rng.gen_range(0..total);
         let second = rng.gen_range(0..total - 1);
@@ -401,7 +405,7 @@ mod tests {
         assert_eq!(sink.events, sim.events());
         assert_eq!(sink.silent_steps(), sim.steps() - sim.events());
         assert!(sink.chunks >= 1);
-        // Voter has 2 states: linear-scan path, depth 0, two descents/step.
+        // Voter has 2 states: rank-table path, depth 0, two descents/step.
         assert_eq!(sink.descents, 2 * sim.steps());
         assert_eq!(sink.descent_depth_sum, 0);
     }

@@ -18,8 +18,9 @@
 //! * four exact simulation engines with different cost models:
 //!   * [`AgentSim`](engine::AgentSim) — per-agent, supports arbitrary
 //!     [interaction graphs](graph::Graph);
-//!   * [`CountSim`](engine::CountSim) — species counts + Fenwick-tree
-//!     categorical sampling, `O(log s)` per step;
+//!   * [`CountSim`](engine::CountSim) — species counts + categorical
+//!     sampling, an `O(1)` pair lookup up to 256 states and `O(log s)`
+//!     per step above;
 //!   * [`JumpSim`](engine::JumpSim) — species counts with *null-step
 //!     skipping*: steps whose interaction provably leaves the configuration
 //!     unchanged are skipped in geometrically-sampled batches, so the cost

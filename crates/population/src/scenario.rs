@@ -724,17 +724,21 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Checks that every trial of the scenario can run: the scheduler suits
-    /// the engine and the population, the population fits the engine's
-    /// counts, and every fault names agents and states that exist, on an
-    /// engine that can apply it. Each of these would otherwise panic a
-    /// trial worker; [`Scenario::from_json`] calls this, so no parsed
-    /// scenario panics one for these reasons.
+    /// Checks that the scenario runs at least one trial and that every
+    /// trial can run: the scheduler suits the engine and the population,
+    /// the population fits the engine's counts, and every fault names
+    /// agents and states that exist, on an engine that can apply it. Each
+    /// of these would otherwise panic a trial worker or leave a batch with
+    /// nothing to report; [`Scenario::from_json`] calls this, so no parsed
+    /// scenario does either for these reasons.
     ///
     /// # Errors
     ///
     /// A description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
+        if self.runs == 0 {
+            return Err("runs = 0: a scenario needs at least one run".to_string());
+        }
         let n = self.instance.population();
         if self.scheduler != SchedulerSpec::Uniform && self.engine != EngineKind::Agent {
             return Err(format!(

@@ -139,8 +139,12 @@ impl ScenarioGrid {
                         return Err(format!("unknown grid quick field `{key}`"));
                     }
                 }
+                let runs = u64_opt(q, "runs")?;
+                if runs == Some(0) {
+                    return Err("grid quick `runs` must be >= 1".to_string());
+                }
                 GridQuick {
-                    runs: u64_opt(q, "runs")?,
+                    runs,
                     max_steps: u64_opt(q, "max_steps")?,
                     max_n: u64_opt(q, "max_n")?,
                 }
@@ -476,6 +480,9 @@ mod tests {
         assert!(err.contains("avc m must be odd"), "{err}");
         let unknown = sample_grid().replace("\"banner\"", "\"bannner\"");
         assert!(ScenarioGrid::parse(&unknown).is_err());
+        let no_runs = sample_grid().replace("\"quick\": {\"runs\": 2", "\"quick\": {\"runs\": 0");
+        let err = ScenarioGrid::parse(&no_runs).unwrap_err();
+        assert!(err.contains("quick `runs` must be >= 1"), "{err}");
     }
 
     #[test]

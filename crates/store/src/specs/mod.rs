@@ -108,8 +108,8 @@ pub fn try_build(name: &str, args: &Args) -> Option<Result<Plan, FlagError>> {
         "ablation_d" => ablation_d::sweep(args),
         "robustness" => robustness::sweep(args),
         "dynamics" => return Some(Ok(sweeps::dynamics_plan(args))),
-        "lb_info" => return Some(Ok(sweeps::lb_info_plan(args))),
-        "graph_gap" => return Some(Ok(sweeps::graph_gap_plan(args))),
+        "lb_info" => return Some(sweeps::lb_info_plan(args)),
+        "graph_gap" => return Some(sweeps::graph_gap_plan(args)),
         "mc_avc" => return Some(Ok(checks::mc_avc_plan(args))),
         "mc_three_state" => return Some(Ok(checks::mc_three_state_plan(args))),
         _ => return None,

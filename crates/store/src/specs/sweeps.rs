@@ -2,7 +2,7 @@
 //! `lb_info`, the interaction-graph study `graph_gap` and the traced
 //! `dynamics` run.
 
-use super::{only_row, trials_of_summary};
+use super::{only_row, runs_flag, trials_of_summary, FlagError};
 use crate::manifest::Manifest;
 use crate::record::{f64_to_hex, CellResult};
 use crate::sweep::{Cell, Export, Plan};
@@ -27,18 +27,18 @@ struct LbInfoConfig {
 }
 
 impl LbInfoConfig {
-    fn from_args(args: &Args) -> LbInfoConfig {
+    fn from_args(args: &Args) -> Result<LbInfoConfig, FlagError> {
         let default_ns: Vec<u64> = if args.flag("quick") {
             vec![100, 1_000, 10_000]
         } else {
             vec![100, 1_000, 10_000, 100_000, 1_000_000]
         };
-        LbInfoConfig {
+        Ok(LbInfoConfig {
             ns: args.get_u64_list("ns", &default_ns),
-            runs: args.get_u64("runs", 101),
+            runs: runs_flag(args, 101)?,
             seed: args.get_u64("seed", 12),
             parallelism: args.parallelism(),
-        }
+        })
     }
 }
 
@@ -56,8 +56,8 @@ fn lb_info_table() -> Table {
     )
 }
 
-pub(super) fn lb_info_plan(args: &Args) -> Plan {
-    let config = LbInfoConfig::from_args(args);
+pub(super) fn lb_info_plan(args: &Args) -> Result<Plan, FlagError> {
+    let config = LbInfoConfig::from_args(args)?;
     let mut cells = Vec::new();
     for (i, &n) in config.ns.iter().enumerate() {
         let label = format!("n={n}");
@@ -109,7 +109,7 @@ pub(super) fn lb_info_plan(args: &Args) -> Plan {
         config.ns, config.runs
     );
     let export_config = config;
-    Plan {
+    Ok(Plan {
         name: "lb_info".to_string(),
         banner,
         cells,
@@ -136,11 +136,12 @@ pub(super) fn lb_info_plan(args: &Args) -> Plan {
                 trailer: vec![trailer],
             }
         }),
-    }
+    })
 }
 
-pub(super) fn graph_gap_plan(args: &Args) -> Plan {
-    let config = graph_gap::Config::from_args(args);
+pub(super) fn graph_gap_plan(args: &Args) -> Result<Plan, FlagError> {
+    let mut config = graph_gap::Config::from_args(args);
+    config.runs = runs_flag(args, config.runs)?;
     let mut cells = Vec::new();
     let topology_labels: Vec<String> = graph_gap::topologies(config.n, config.seed)
         .into_iter()
@@ -194,7 +195,7 @@ pub(super) fn graph_gap_plan(args: &Args) -> Plan {
         config.n, config.epsilon, config.runs
     );
     let export_config = config;
-    Plan {
+    Ok(Plan {
         name: "graph_gap".to_string(),
         banner,
         cells,
@@ -210,7 +211,7 @@ pub(super) fn graph_gap_plan(args: &Args) -> Plan {
                 trailer: vec![],
             }
         }),
-    }
+    })
 }
 
 pub(super) fn dynamics_plan(args: &Args) -> Plan {

@@ -8,7 +8,7 @@ use std::process::Command;
 fn bad_sweep_flags_exit_one_naming_the_flag() {
     let out = std::env::temp_dir().join(format!("avc-bad-flags-{}", std::process::id()));
     let out = out.to_str().expect("utf-8 temp path");
-    let cases: [(&str, &[&str], &str); 13] = [
+    let cases: [(&str, &[&str], &str); 15] = [
         ("fig3", &["--ns", "10"], "ns"),
         ("fig3", &["--ns", "2"], "ns"),
         ("fig3", &["--runs", "0"], "runs"),
@@ -22,6 +22,8 @@ fn bad_sweep_flags_exit_one_naming_the_flag() {
         ("ablation_d", &["--budget", "8"], "budget"),
         ("ablation_d", &["--runs", "0"], "runs"),
         ("robustness", &["--n", "2"], "n"),
+        ("lb_info", &["--runs", "0"], "runs"),
+        ("graph_gap", &["--runs", "0"], "runs"),
     ];
     for (name, flags, flag) in cases {
         for command in ["sweep", "export", "report", "merge", "top"] {

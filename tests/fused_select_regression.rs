@@ -1,22 +1,25 @@
 //! Pins `CountSim`'s step against an independent replica of the plain
 //! step it replaced.
 //!
-//! The engine resolves both agents' species in one fused descent, applies
-//! each productive step as net count moves, and runs AVC on its table-free
-//! transition. Each rewrite is only sound if it is invisible: the same
-//! `(i, j)` species pair must come out of the same RNG draws and land in
-//! the same configuration, so that golden traces and every seeded
-//! experiment stay byte-identical. This test drives the real engine against
-//! a replica of the plain loop — independent `select` walks, four `add`s
-//! and, for AVC, `encode(update(decode, decode))` — and checks counts at
-//! every step and the RNG stream afterwards. The AVC cases run at 130, 2050
-//! and 16 340 states, where the draws take the tree descent rather than the
-//! 64-state linear scan.
+//! The engine resolves both agents' species in one fused draw — three loads
+//! from the sampler's rank table up to 256 states, one three-walker tree
+//! descent above — applies each productive step as net count moves, and
+//! runs AVC on its table-free transition. Each rewrite is only sound if it
+//! is invisible: the same `(i, j)` species pair must come out of the same
+//! RNG draws and land in the same configuration, so that golden traces and
+//! every seeded experiment stay byte-identical. This test drives the real
+//! engine against a replica of the plain loop — independent `select` walks
+//! on a sampler padded past 256 categories, so the replica always descends
+//! the tree, four `add`s and, for AVC, `encode(update(decode, decode))` —
+//! and checks counts at every step and the RNG stream afterwards. The
+//! engine takes the rank table for four_state, three_state, BEF at 30
+//! states, DEGSSU at 142 and AVC at 130, and the tree for AVC at 2050 and
+//! 16 340 states.
 
 use avc_population::engine::{CountSim, Simulator};
 use avc_population::sampler::FenwickSampler;
 use avc_population::{Config, Protocol, StateId};
-use avc_protocols::{Avc, FourState, ThreeState};
+use avc_protocols::{Avc, Bef, Degssu, FourState, ThreeState};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -48,6 +51,11 @@ fn old_style_step(
     }
 }
 
+/// The replica's sampler has at least this many categories (zero-weight
+/// padding), one past the rank table's 256, so its `select`s descend the
+/// tree whichever path the engine takes.
+const REPLICA_MIN_CATEGORIES: usize = 257;
+
 /// Runs `steps` steps of `CountSim` on `protocol` and of the replica on
 /// `delta` from the same seed, and asserts identical configurations
 /// throughout and an identical RNG stream afterwards.
@@ -60,7 +68,9 @@ fn assert_lockstep<P: Protocol>(
 ) {
     let config = Config::from_input(&protocol, a, b);
     let mut counts: Vec<u64> = config.as_slice().to_vec();
-    let mut sampler = FenwickSampler::from_weights(&counts);
+    let mut padded = counts.clone();
+    padded.resize(counts.len().max(REPLICA_MIN_CATEGORIES), 0);
+    let mut sampler = FenwickSampler::from_weights(&padded);
     let mut sim = CountSim::new(protocol, config);
     let mut rng_new = SmallRng::seed_from_u64(seed);
     let mut rng_old = SmallRng::seed_from_u64(seed);
@@ -119,14 +129,28 @@ fn fused_select_is_invisible_on_avc_tree_path() {
     }
 }
 
+#[test]
+fn fused_select_is_invisible_on_the_rival_grids_protocols() {
+    // BEF at l = 13 (30 states) and DEGSSU at l = 13, t = 4 (142 states),
+    // the rival grids' largest instances, at their largest population.
+    let bef = Bef::new(13).expect("valid BEF");
+    let reference = bef.clone();
+    let delta = move |a, b| reference.transition(a, b);
+    assert_lockstep(bef, delta, (2_049, 2_048), 13, 20_000);
+    let degssu = Degssu::new(13, 4).expect("valid DEGSSU");
+    let reference = degssu.clone();
+    let delta = move |a, b| reference.transition(a, b);
+    assert_lockstep(degssu, delta, (2_049, 2_048), 14, 20_000);
+}
+
 /// The fused draw equals separate walks: `select(first)`, then
-/// `select(second)` or `select(second + 1)`, on both sides of the 64-state
-/// linear-scan cutoff.
+/// `select(second)` or `select(second + 1)`, on both sides of the
+/// 256-category rank table cutoff.
 #[test]
 fn select_two_matches_two_walks_on_random_weights() {
     let mut rng = SmallRng::seed_from_u64(99);
     for _ in 0..50 {
-        let len = rng.gen_range(1..200usize);
+        let len = rng.gen_range(1..400usize);
         let weights: Vec<u64> = (0..len).map(|_| rng.gen_range(0..7)).collect();
         let sampler = FenwickSampler::from_weights(&weights);
         if sampler.total() < 2 {

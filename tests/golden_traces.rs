@@ -2,9 +2,11 @@
 //! expected count trajectories, driven one `Simulator::advance` at a time.
 //! All eight protocols plus the parallel composition run on `CountSim`;
 //! the agent, jump and adaptive engines each pin their own per-step
-//! `advance` on one protocol. Two AVC traces at 130 and 2050
-//! states pin `CountSim`'s Fenwick tree path, which every other trace
-//! (at most 26 states) skips for the linear scan. Any edit that changes a
+//! `advance` on one protocol. The AVC trace at 2050 states pins
+//! `CountSim`'s Fenwick tree path; every other `CountSim` trace (at most
+//! 130 states) resolves its draws on the sampler's rank table, and the
+//! 130-state trace, recorded when that size took the tree, pins that the
+//! two paths draw alike. Any edit that changes a
 //! transition function, an engine's step, the pair sampler, or the RNG
 //! stream shifts these traces and fails loudly.
 //!
@@ -261,9 +263,9 @@ fn avc_trace_is_stable() {
     );
 }
 
-/// AVC at 130 states (m = 127) from a margin of one: past the 64-state
-/// linear scan, so both draws of every step descend the Fenwick tree, and
-/// the averaging reaches the ±1 intermediate states.
+/// AVC at 130 states (m = 127) from a margin of one, where the averaging
+/// reaches the ±1 intermediate states. Recorded when both draws of every
+/// step descended the Fenwick tree; they now load from the rank table.
 #[test]
 fn avc_tree_path_trace_is_stable_at_130_states() {
     let avc = Avc::with_states(130).expect("valid budget");

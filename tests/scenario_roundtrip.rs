@@ -286,6 +286,12 @@ fn unrunnable_scenarios_are_rejected_at_parse_time() {
         let text = format!("{{{base},{fields}}}");
         assert_eq!(Scenario::parse(&text), Err(message.to_string()), "{text}");
     }
+    // A batch of no runs has nothing to report.
+    let no_runs = base.replace(r#""runs":3"#, r#""runs":0"#);
+    assert_eq!(
+        Scenario::parse(&format!(r#"{{{no_runs},"engine":"count"}}"#)),
+        Err("runs = 0: a scenario needs at least one run".to_string())
+    );
     // The same scenarios on the agent engine, in range, are accepted.
     let fine = format!(
         r#"{{{base},"engine":"agent","scheduler":"epoch","faults":[{{"at":0,"kind":"stick_at","agent":40}},{{"at":0,"kind":"corrupt","from":0,"to":3,"agents":2}}]}}"#
