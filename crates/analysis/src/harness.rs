@@ -4,16 +4,30 @@
 //!
 //! Every batch of seeded trials — a figure cell, a scenario-grid cell, an
 //! `avc run` file, a test — is a [`Scenario`] run by [`ScenarioPlan`], and
-//! all of them take the same loop. Each worker builds its engine once,
-//! lazily, through [`build_erased_with_sink`] with a [`CountingSink`] the
-//! engine *owns*, as a `Box<dyn Simulator>`, and [`reset`](Simulator::reset)s
-//! it in place before every trial it claims. Reset leaves the sink alone,
-//! so the sink sums the worker's trials. Once the worker runs out of
-//! trials it reads the sink back ([`Simulator::sink_counts`]) together
-//! with its [`TelemetryObserver`] and trial times, and the batch
-//! merges one [`CellTelemetry`] per worker. Every `sim.*` value is an
-//! integer sum or a histogram bucket add, so that merge does not depend on
-//! which worker ran which trial.
+//! all of them take the same loop: on the worker pool of the
+//! [`StatsCollector`] they are given, or inline on the caller under
+//! [`Parallelism::Serial`]. A worker claims trial indices from the batch
+//! and builds its engine once, on its first claim, through
+//! [`build_erased_with_sink`] with a [`CountingSink`] the engine *owns*, as a
+//! `Box<dyn Simulator>`; it [`reset`](Simulator::reset)s the engine in place
+//! before every trial it claims. Reset leaves the sink alone, so the sink
+//! sums the worker's trials. Once the batch has no unclaimed trial left,
+//! the worker reads the sink back ([`Simulator::sink_counts`]) together
+//! with its [`TelemetryObserver`] and trial times, hands that share of the
+//! [`CellTelemetry`] to the batch, drops the engine and moves on. Every
+//! `sim.*` value is an integer sum or a histogram bucket add, so the merged
+//! shares do not depend on which worker ran which trial.
+//!
+//! # One pool per sweep
+//!
+//! A collector starts its workers on its first parallel batch and joins
+//! them when it is dropped. Every cell of a sweep gets the same collector,
+//! so a sweep starts its workers once. [`StatsCollector::queue`] hands a
+//! batch to the pool ahead of the call that joins it, and workers take
+//! trials from the oldest queued batch that has any left: a worker that
+//! runs out of one cell's trials starts the next cell's while the first
+//! cell's last trials finish. [`ScenarioPlan::run_with_telemetry`] joins
+//! the queued batch of its plan, or queues one itself.
 //!
 //! # Parallel determinism
 //!
@@ -42,9 +56,12 @@ use avc_population::telemetry::{
 use avc_population::{Config, Opinion, Protocol, ProtocolSpec, Scenario};
 use avc_protocols::{Avc, Bef, Degssu, FourState, ThreeState, Voter};
 use std::any::Any;
+use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How to spread a batch of trials across OS threads.
@@ -92,13 +109,16 @@ pub struct BatchStats {
     /// Scheduler events (interaction steps, including skipped null steps)
     /// simulated across all trials.
     pub events: u64,
-    /// Wall-clock time, summed over batches.
+    /// Wall-clock time, summed over batches. A pool batch counts its share
+    /// of the collector's wall clock ([`keys::WALL_CELL_NS`]), so batches
+    /// that overlap are not counted twice.
     pub wall: Duration,
     /// Trials completed by each worker (indexed by worker).
     pub worker_trials: Vec<u64>,
     /// Events simulated by each worker.
     pub worker_events: Vec<u64>,
-    /// Busy time of each worker (its loop duration, not the batch wall).
+    /// Busy time of each worker: from its first claimed trial of a batch to
+    /// the end of its last one, not the batch wall.
     pub worker_busy: Vec<Duration>,
 }
 
@@ -181,24 +201,28 @@ impl fmt::Display for BatchStats {
     }
 }
 
-/// A thread-safe accumulator of [`BatchStats`] across experiment cells —
-/// the observability hook the CLI binaries print — and the sweep's dense
+/// A sweep's trial workers, the thread-safe accumulator of [`BatchStats`]
+/// across its cells — the observability hook the CLI prints — and its dense
 /// table slot.
 ///
 /// With [`StatsCollector::verbose`], each recorded batch also emits a
 /// progress line to stderr (trials completed so far and the running event
 /// rate), which is cheap enough to leave on for long sweeps.
 ///
-/// Every cell of a sweep receives the same collector, so it also keeps the
-/// last [`Cached`] table [`ScenarioPlan`] built, keyed by the
-/// [`ProtocolSpec`] it came from: consecutive cells on one protocol (fig4's
-/// ten margins per state count) share one build. A collector holds at most
-/// one table; it lives exactly as long as the collector.
+/// Every cell of a sweep receives the same collector. It owns the worker
+/// pool its parallel batches run on (see the [module docs](self)), started
+/// on first use with as many workers as the widest batch asks for and
+/// joined on drop. It also keeps the last [`Cached`] table a batch was
+/// built with, keyed by the [`ProtocolSpec`] it came from: consecutive
+/// cells on one protocol (fig4's ten margins per state count) share one
+/// build. The slot holds one table; a queued batch holds its own, so at
+/// most two are alive, the running batch's and the queued one's.
 #[derive(Debug, Default)]
 pub struct StatsCollector {
     totals: Mutex<BatchStats>,
     verbose: bool,
     table: TableSlot,
+    pool: Pool,
 }
 
 /// The one dense table a [`StatsCollector`] keeps between cells, with the
@@ -234,13 +258,29 @@ impl StatsCollector {
         }
     }
 
+    /// Queues `plan`'s batch on the pool, so that workers start its trials
+    /// as soon as they run out of earlier batches'; the next call that runs
+    /// `plan` on this collector joins it. The batch's table is taken from
+    /// the slot, or built now on the calling thread. A serial plan runs
+    /// inline on its caller, so queuing one does nothing. A queued batch
+    /// that nothing joins runs anyway and is dropped with the collector.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Threads(0)`, or if a worker thread cannot be started.
+    pub fn queue(&self, plan: &ScenarioPlan) {
+        if plan.parallelism != Parallelism::Serial {
+            self.pool.submit(Arc::new(plan.batch(self)), false);
+        }
+    }
+
     /// The dense table of `protocol`, which `spec` names, plus the wall
     /// nanoseconds spent building it (0 when reused).
     ///
-    /// A slot holding `spec` hands out its table. Otherwise the old table is
-    /// dropped *before* the new one is built (rows split across `workers`),
-    /// so at most one is ever alive, and the new one takes the slot. Above
-    /// the table bound the slot is left empty and `None` returned.
+    /// A slot holding `spec` hands out its table. Otherwise the slot lets go
+    /// of its table *before* the new one is built (rows split across
+    /// `workers`), and the new one takes the slot. Above the table bound the
+    /// slot is left empty and `None` returned.
     fn dense_table<P>(
         &self,
         spec: ProtocolSpec,
@@ -270,6 +310,53 @@ impl StatsCollector {
         (Some(table), build_ns)
     }
 
+    /// Waits for `batch` to complete, takes it off the queue and returns its
+    /// results and telemetry, recording its stats. The batch's wall time is
+    /// its share of the collector's clock: from the later of its first
+    /// claimed trial and the completion of the batches joined before it, to
+    /// its own completion (0 if those finished later).
+    fn join(&self, batch: &Arc<Batch>) -> (TrialResults, CellTelemetry) {
+        let done = batch.wait();
+        self.pool.remove(batch);
+        if let Some(payload) = done.panic {
+            panic::resume_unwind(payload);
+        }
+        let completed = done.completed.unwrap_or_default();
+        let previous = self.pool.frontier.fetch_max(completed, Ordering::Relaxed);
+        let first_claim = done.first_claim.unwrap_or(completed);
+        let share_ns = completed.saturating_sub(first_claim.max(previous));
+        let mut stats = done.stats;
+        stats.events = stats.worker_events.iter().sum();
+        stats.wall = Duration::from_nanos(share_ns);
+        let busy_ns = stats
+            .worker_busy
+            .iter()
+            .map(Duration::as_nanos)
+            .sum::<u128>();
+        let mut telemetry = done.telemetry;
+        let wall = &mut telemetry.wall;
+        wall.set(keys::WALL_CELL_NS, MetricValue::Counter(share_ns));
+        wall.set(
+            keys::WALL_TABLE_BUILD_NS,
+            MetricValue::Counter(batch.build_ns),
+        );
+        wall.set(
+            keys::WALL_WORKER_BUSY_NS,
+            MetricValue::Counter(u64::try_from(busy_ns).unwrap_or(u64::MAX)),
+        );
+        wall.set(keys::WALL_WORKERS, MetricValue::Gauge(batch.slots as u64));
+        self.record(&stats);
+        let results = TrialResults {
+            outcomes: done
+                .outcomes
+                .into_iter()
+                .map(|o| o.expect("a completed batch has every trial's outcome"))
+                .collect(),
+            expected: batch.plan.scenario.instance.winner(),
+        };
+        (results, telemetry)
+    }
+
     /// Folds one batch into the running totals.
     ///
     /// # Panics
@@ -294,6 +381,358 @@ impl StatsCollector {
     }
 }
 
+/// Locks `mutex`, also when a panicking thread held it. The pool's queue
+/// changes in single steps, and a panic under a batch's lock fails that
+/// batch, whose contents are then discarded; the pool must keep draining
+/// after such a panic, and its `Drop` must not panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A collector's trial workers and their queue of batches, with the clock
+/// the batches' times are read on.
+struct Pool {
+    shared: Arc<PoolShared>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
+    epoch: Span,
+    /// The latest completion (ns since `epoch`) of a joined batch.
+    frontier: AtomicU64,
+}
+
+/// What a pool's workers share with the collector.
+#[derive(Default)]
+struct PoolShared {
+    state: Mutex<PoolState>,
+    /// Signalled when a batch is queued or the pool closes.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    /// Batches in queue order, each with whether a caller has taken it to
+    /// join. A batch leaves the queue when it is joined.
+    queue: VecDeque<(Arc<Batch>, bool)>,
+    closing: bool,
+}
+
+impl Default for Pool {
+    fn default() -> Pool {
+        Pool {
+            shared: Arc::default(),
+            workers: Mutex::default(),
+            epoch: Span::start(),
+            frontier: AtomicU64::new(0),
+        }
+    }
+}
+
+impl fmt::Debug for Pool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pool")
+            .field("workers", &lock(&self.workers).len())
+            .field("queued", &lock(&self.shared.state).queue.len())
+            .finish()
+    }
+}
+
+impl Pool {
+    /// Queues `batch`, first starting workers until `batch.slots` exist;
+    /// `taken` marks a batch its caller is about to join.
+    fn submit(&self, batch: Arc<Batch>, taken: bool) {
+        let mut workers = lock(&self.workers);
+        while workers.len() < batch.slots {
+            let slot = workers.len();
+            let shared = Arc::clone(&self.shared);
+            let worker = std::thread::Builder::new()
+                .name(format!("trial-worker-{slot}"))
+                .spawn(move || shared.serve(slot))
+                .expect("start a trial worker thread");
+            workers.push(worker);
+        }
+        drop(workers);
+        lock(&self.shared.state).queue.push_back((batch, taken));
+        self.shared.ready.notify_all();
+    }
+
+    /// The oldest queued batch of `plan` that no caller has taken yet.
+    fn take(&self, plan: &ScenarioPlan) -> Option<Arc<Batch>> {
+        let mut state = lock(&self.shared.state);
+        let (batch, taken) = state
+            .queue
+            .iter_mut()
+            .find(|(batch, taken)| !*taken && batch.plan == *plan)?;
+        *taken = true;
+        Some(Arc::clone(batch))
+    }
+
+    fn remove(&self, batch: &Arc<Batch>) {
+        lock(&self.shared.state)
+            .queue
+            .retain(|(queued, _)| !Arc::ptr_eq(queued, batch));
+    }
+}
+
+impl PoolShared {
+    /// Worker `slot`'s life: run trials of the oldest queued batch that has
+    /// unclaimed ones and admits this worker, until the pool closes. A
+    /// panic in a trial or an engine build fails that batch, whose joiner
+    /// re-raises it; the worker goes on.
+    fn serve(&self, slot: usize) {
+        loop {
+            let batch = {
+                let mut state = lock(&self.state);
+                loop {
+                    if state.closing {
+                        return;
+                    }
+                    let open = state
+                        .queue
+                        .iter()
+                        .find(|(batch, _)| batch.slots > slot && batch.has_unclaimed());
+                    if let Some((batch, _)) = open {
+                        break Arc::clone(batch);
+                    }
+                    state = self
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| batch.work(slot))) {
+                batch.fail(payload);
+            }
+        }
+    }
+}
+
+impl Drop for Pool {
+    /// Stops every queued batch from handing out trials and joins the
+    /// workers once their in-flight trials end.
+    fn drop(&mut self) {
+        {
+            let mut state = lock(&self.shared.state);
+            state.closing = true;
+            for (batch, _) in &state.queue {
+                batch.stop();
+            }
+        }
+        self.shared.ready.notify_all();
+        let workers = self
+            .workers
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for worker in workers.drain(..) {
+            // A worker only ends by returning; its panics are caught.
+            let _ = worker.join();
+        }
+    }
+}
+
+/// Builds one worker's engine for a batch's scenario.
+type EngineBuilder = Box<dyn Fn(&Scenario) -> BatchWorker + Send + Sync>;
+
+/// Engines over `protocol`, which every engine of the batch shares.
+fn engine_builder<P: Protocol + Send + Sync + 'static>(protocol: Arc<P>) -> EngineBuilder {
+    Box::new(move |scenario| BatchWorker::new(Arc::clone(&protocol), scenario))
+}
+
+/// One [`ScenarioPlan`]'s trials, as queued on a pool or run inline.
+struct Batch {
+    plan: ScenarioPlan,
+    /// Workers `0..slots` of a pool work on this batch.
+    slots: usize,
+    /// Wall nanoseconds spent building the batch's table (0 when reused).
+    build_ns: u64,
+    /// The collector's clock.
+    epoch: Span,
+    /// Dropped when the batch is joined, and with it the batch's table.
+    engines: RwLock<Option<EngineBuilder>>,
+    /// The next unclaimed trial index.
+    next: AtomicU64,
+    state: Mutex<BatchState>,
+    /// Signalled when the batch completes.
+    done: Condvar,
+}
+
+/// What a batch's workers have handed back.
+#[derive(Default)]
+struct BatchState {
+    outcomes: Vec<Option<RunOutcome>>,
+    telemetry: CellTelemetry,
+    stats: BatchStats,
+    /// Trials whose outcomes are in.
+    finished: u64,
+    /// The first claimed trial's start, in ns since the epoch.
+    first_claim: Option<u64>,
+    /// When the last trial was handed back or a worker failed.
+    completed: Option<u64>,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Batch {
+    fn new(
+        plan: ScenarioPlan,
+        slots: usize,
+        build_ns: u64,
+        epoch: Span,
+        engines: EngineBuilder,
+    ) -> Batch {
+        let runs = plan.scenario.runs;
+        // A batch of no trials is complete as it is made.
+        let empty = (runs == 0).then(|| epoch.elapsed_ns());
+        let state = BatchState {
+            outcomes: vec![None; runs as usize],
+            stats: BatchStats {
+                trials: runs,
+                worker_trials: vec![0; slots],
+                worker_events: vec![0; slots],
+                worker_busy: vec![Duration::ZERO; slots],
+                ..BatchStats::default()
+            },
+            first_claim: empty,
+            completed: empty,
+            ..BatchState::default()
+        };
+        Batch {
+            plan,
+            slots,
+            build_ns,
+            epoch,
+            engines: RwLock::new(Some(engines)),
+            next: AtomicU64::new(0),
+            state: Mutex::new(state),
+            done: Condvar::new(),
+        }
+    }
+
+    fn has_unclaimed(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.plan.scenario.runs
+    }
+
+    /// Hands out no more trials; claimed ones still finish.
+    fn stop(&self) {
+        self.next
+            .fetch_max(self.plan.scenario.runs, Ordering::Relaxed);
+    }
+
+    /// The one batch loop (see the [module docs](self)), run by worker
+    /// `slot`: claim trials until none is left, then hand the outcomes and
+    /// the engine's telemetry back. Fault-free scenarios run
+    /// [`Driver::run`]; faulted ones rebuild the per-trial [`FaultPlan`] (a
+    /// sort of a handful of events) and run [`Driver::run_faulted`].
+    fn work(&self, slot: usize) {
+        let scenario = &self.plan.scenario;
+        let seeds = self.plan.seeds();
+        let driver = Driver::new(scenario.rule).with_max_steps(scenario.max_steps);
+        let mut ran = Vec::new();
+        // This worker's first claim and engine, from its first claim on.
+        let mut mine: Option<(u64, BatchWorker)> = None;
+        loop {
+            let trial = self.next.fetch_add(1, Ordering::Relaxed);
+            if trial >= scenario.runs {
+                break;
+            }
+            if mine.is_none() {
+                let first_claim = self.epoch.elapsed_ns();
+                let engines = self.engines.read().unwrap_or_else(PoisonError::into_inner);
+                // The builder outlives every claim but those of a failed
+                // batch that was joined already.
+                let Some(build) = engines.as_ref() else {
+                    return;
+                };
+                mine = Some((first_claim, build(scenario)));
+            }
+            let (_, worker) = mine.as_mut().expect("built on the first claim");
+            let started = Span::start();
+            let mut rng = seeds.rng_for(trial);
+            // A freshly built engine is already in this state; resetting it
+            // anyway keeps one uniform per-trial path.
+            worker.sim.reset(&worker.config);
+            let sim = worker.sim.as_mut();
+            let outcome = if scenario.faults.is_empty() {
+                driver.run(sim, &mut rng, &mut worker.observer)
+            } else {
+                let mut faults = FaultPlan::from_events(scenario.faults.clone());
+                driver.run_faulted(sim, &mut rng, &mut worker.observer, &mut faults)
+            };
+            started.record_into(&mut worker.trial_ns);
+            ran.push((trial, outcome));
+        }
+        if let Some((first_claim, worker)) = mine {
+            self.hand_back(slot, first_claim, ran, &worker.into_telemetry());
+        }
+    }
+
+    /// Folds one worker's trials into the batch; the last trial completes
+    /// it. A failed batch takes nothing more.
+    fn hand_back(
+        &self,
+        slot: usize,
+        first_claim: u64,
+        ran: Vec<(u64, RunOutcome)>,
+        share: &CellTelemetry,
+    ) {
+        let now = self.epoch.elapsed_ns();
+        let mut guard = lock(&self.state);
+        let state = &mut *guard;
+        if state.completed.is_some() {
+            return;
+        }
+        state.first_claim = Some(
+            state
+                .first_claim
+                .map_or(first_claim, |f| f.min(first_claim)),
+        );
+        state.finished += ran.len() as u64;
+        state.stats.worker_trials[slot] += ran.len() as u64;
+        state.stats.worker_busy[slot] += Duration::from_nanos(now - first_claim);
+        for (trial, outcome) in ran {
+            state.stats.worker_events[slot] += outcome.steps;
+            state.outcomes[trial as usize] = Some(outcome);
+        }
+        state.telemetry.merge(share);
+        if state.finished == self.plan.scenario.runs {
+            state.completed = Some(now);
+            self.done.notify_all();
+        }
+    }
+
+    /// Fails the batch with a worker's panic, which its joiner re-raises.
+    fn fail(&self, payload: Box<dyn Any + Send>) {
+        self.stop();
+        let mut state = lock(&self.state);
+        if state.completed.is_none() {
+            state.completed = Some(self.epoch.elapsed_ns());
+            state.panic = Some(payload);
+            self.done.notify_all();
+        }
+    }
+
+    /// Waits for completion and takes what the workers handed back,
+    /// dropping the engine builder (and so the batch's hold on its table).
+    fn wait(&self) -> BatchState {
+        let mut state = lock(&self.state);
+        while state.completed.is_none() {
+            state = self
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        // `completed` stays set, so a failed batch's stragglers hand back
+        // nothing.
+        let done = BatchState {
+            outcomes: std::mem::take(&mut state.outcomes),
+            telemetry: std::mem::take(&mut state.telemetry),
+            stats: std::mem::take(&mut state.stats),
+            panic: state.panic.take(),
+            ..*state
+        };
+        drop(state);
+        *self.engines.write().unwrap_or_else(PoisonError::into_inner) = None;
+        done
+    }
+}
+
 /// Evaluates `task(i)` for `i ∈ 0..runs` under the given [`Parallelism`] and
 /// returns the results in index order.
 ///
@@ -309,7 +748,9 @@ where
 }
 
 /// As [`run_indexed`], but `task` also reports an event count per trial and
-/// the call returns throughput telemetry alongside the results.
+/// the call returns throughput telemetry alongside the results. Runs on
+/// scoped threads of its own, not on a collector's pool: it serves the
+/// sweeps that are not scenario batches (lb_info, graph_gap).
 ///
 /// # Panics
 ///
@@ -323,118 +764,44 @@ where
     T: Send,
     F: Fn(u64) -> (T, u64) + Sync,
 {
-    let (out, _, stats) = run_indexed_with_ctx(runs, parallelism, || (), |(), i| task(i), drop);
-    (out, stats)
-}
-
-/// As [`run_indexed_with_stats`], but every worker lazily builds one
-/// private context with `init`, threads it through each trial it claims,
-/// and hands it to `finish` once it runs out of trials — the reuse seam
-/// behind [`ScenarioPlan`]'s batch loop (one engine per worker, reset
-/// between trials, its owned sink read back at the end).
-///
-/// The context never crosses threads: `finish` runs on the worker's own
-/// thread and only its `U` travels home, so `C` needs neither `Send` nor
-/// `Sync`. A worker that claims no trial builds no context and yields no
-/// `U`; the `U`s arrive in worker order. Determinism is unaffected: trial
-/// `i` must still derive all randomness from its index alone, and a
-/// correct context carries no trial-to-trial state into a result — worker
-/// assignment races, so anything leaking through the context would make
-/// results scheduling-dependent. For the same reason only order-free
-/// summaries of a context (sums, counts) are reproducible.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics, propagating the failure.
-pub fn run_indexed_with_ctx<T, C, U, I, F, D>(
-    runs: u64,
-    parallelism: Parallelism,
-    init: I,
-    task: F,
-    finish: D,
-) -> (Vec<T>, Vec<U>, BatchStats)
-where
-    T: Send,
-    U: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, u64) -> (T, u64) + Sync,
-    D: Fn(C) -> U + Sync,
-{
     let workers = parallelism.worker_count().min(runs.max(1) as usize);
     let started = Span::start();
-
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(runs as usize);
-        let mut events = 0u64;
-        let mut ctx: Option<C> = None;
-        for i in 0..runs {
-            let (value, e) = task(ctx.get_or_insert_with(&init), i);
-            events += e;
-            out.push(value);
-        }
-        let busy = started.elapsed();
-        let stats = BatchStats {
-            trials: runs,
-            events,
-            wall: busy,
-            worker_trials: vec![runs],
-            worker_events: vec![events],
-            worker_busy: vec![busy],
-        };
-        return (out, ctx.map(finish).into_iter().collect(), stats);
-    }
-
     // Dynamic sharding: workers pull the next unclaimed trial index from a
     // shared counter (so stragglers never idle the rest), and results carry
     // their index home for an order-restoring scatter below.
-    type WorkerYield<T, U> = (Vec<(u64, T)>, u64, Duration, Option<U>);
     let next = AtomicU64::new(0);
-    let per_worker: Vec<WorkerYield<T, U>> = std::thread::scope(|scope| {
-        let next = &next;
-        let init = &init;
-        let task = &task;
-        let finish = &finish;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let begun = Span::start();
-                    let mut local = Vec::new();
-                    let mut events = 0u64;
-                    // Lazy so a worker that never claims a trial (possible
-                    // under dynamic sharding) never pays for a context.
-                    let mut ctx: Option<C> = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= runs {
-                            break;
-                        }
-                        let (value, e) = task(ctx.get_or_insert_with(init), i);
-                        events += e;
-                        local.push((i, value));
-                    }
-                    let busy = begun.elapsed();
-                    (local, events, busy, ctx.map(finish))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("trial worker panicked"))
-            .collect()
-    });
-    let wall = started.elapsed();
-
+    let shard = || {
+        let begun = Span::start();
+        let (mut local, mut events) = (Vec::new(), 0u64);
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= runs {
+                break;
+            }
+            let (value, e) = task(i);
+            events += e;
+            local.push((i, value));
+        }
+        (local, events, begun.elapsed())
+    };
+    let per_worker: Vec<_> = if workers <= 1 {
+        vec![shard()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(shard)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("trial worker panicked"))
+                .collect()
+        })
+    };
     let mut stats = BatchStats {
         trials: runs,
-        events: 0,
-        wall,
-        worker_trials: Vec::with_capacity(workers),
-        worker_events: Vec::with_capacity(workers),
-        worker_busy: Vec::with_capacity(workers),
+        wall: started.elapsed(),
+        ..BatchStats::default()
     };
     let mut slots: Vec<Option<T>> = (0..runs).map(|_| None).collect();
-    let mut finished = Vec::with_capacity(workers);
-    for (local, events, busy, done) in per_worker {
+    for (local, events, busy) in per_worker {
         stats.worker_trials.push(local.len() as u64);
         stats.worker_events.push(events);
         stats.worker_busy.push(busy);
@@ -443,13 +810,12 @@ where
             debug_assert!(slots[i as usize].is_none(), "trial {i} ran twice");
             slots[i as usize] = Some(value);
         }
-        finished.extend(done);
     }
     let out = slots
         .into_iter()
         .map(|s| s.expect("every trial index is claimed by exactly one worker"))
         .collect();
-    (out, finished, stats)
+    (out, stats)
 }
 
 pub use avc_population::scenario::EngineKind;
@@ -559,10 +925,6 @@ pub struct Tally {
 /// spawning a worker would cost more than the whole fill.
 const PARALLEL_TABLE_MIN_ENTRIES: u64 = 1 << 16;
 
-/// A batch's protocol after table dispatch: the shared dense table, or the
-/// arithmetic protocol above the table bound.
-type Dispatch<'p, P> = Result<&'p Cached<P>, &'p P>;
-
 /// Resolves a [`ProtocolSpec`] to a concrete protocol value and runs `$body`
 /// with it bound to `$protocol` — the spec-to-instance mapping the scenario
 /// plane leaves to this crate (`avc-population` cannot depend on
@@ -620,7 +982,7 @@ pub fn spec_states(spec: ProtocolSpec) -> u32 {
 /// the [`Parallelism`] setting, which never affects results. All three
 /// entry points run the one batch loop of the [module docs](self) and
 /// differ only in what they hand back.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioPlan {
     scenario: Scenario,
     parallelism: Parallelism,
@@ -674,17 +1036,46 @@ impl ScenarioPlan {
     /// As [`ScenarioPlan::run_with_stats`], also returning the batch's
     /// [`CellTelemetry`]: the engines' [`CountingSink`] counts and the
     /// convergence outcomes in `sim`, and chunk latencies, trial times, the
-    /// batch wall time and the table build time in `wall`. The dense table
-    /// comes from `stats`' slot, so a cell on the previous cell's protocol
-    /// records a [`keys::WALL_TABLE_BUILD_NS`] of 0.
+    /// batch's share of the wall clock, its workers' busy time and the table
+    /// build time in `wall`. A parallel plan joins the batch
+    /// [`StatsCollector::queue`] queued for it, or queues one; a serial plan
+    /// runs inline. The dense table comes from `stats`' slot, so a cell on
+    /// the previous cell's protocol records a [`keys::WALL_TABLE_BUILD_NS`]
+    /// of 0.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of a trial or an engine build on a pool worker.
     #[must_use]
     pub fn run_with_telemetry(&self, stats: &StatsCollector) -> (TrialResults, CellTelemetry) {
+        let batch = if self.parallelism == Parallelism::Serial {
+            let batch = Arc::new(self.batch(stats));
+            batch.work(0);
+            batch
+        } else {
+            stats.pool.take(self).unwrap_or_else(|| {
+                let batch = Arc::new(self.batch(stats));
+                stats.pool.submit(Arc::clone(&batch), true);
+                batch
+            })
+        };
+        stats.join(&batch)
+    }
+
+    /// This plan's batch. Its engines share, through an `Arc`, the dense
+    /// table from `stats`' slot (built now if the slot holds another
+    /// protocol's), or the arithmetic protocol above the table bound.
+    fn batch(&self, stats: &StatsCollector) -> Batch {
         let key = self.scenario.protocol;
-        with_resolved_protocol!(key, |protocol| {
+        let (engines, build_ns) = with_resolved_protocol!(key, |protocol| {
             let workers = self.table_workers(protocol.num_states());
-            let (table, build_ns) = stats.dense_table(key, &protocol, workers);
-            self.run_batch(table.as_deref().ok_or(&protocol), build_ns, stats)
-        })
+            match stats.dense_table(key, &protocol, workers) {
+                (Some(table), build_ns) => (engine_builder(table), build_ns),
+                (None, _) => (engine_builder(Arc::new(protocol)), 0),
+            }
+        });
+        let slots = self.parallelism.worker_count();
+        Batch::new(self.clone(), slots, build_ns, stats.pool.epoch, engines)
     }
 
     /// The trial seed streams: the master sequence, or one of its child
@@ -707,81 +1098,28 @@ impl ScenarioPlan {
             self.parallelism.worker_count()
         }
     }
-
-    /// The one batch loop (see the [module docs](self)); `build_ns` is what
-    /// the caller spent building `dispatch`'s table, recorded as
-    /// [`keys::WALL_TABLE_BUILD_NS`]. Fault-free scenarios run
-    /// [`Driver::run`]; faulted ones rebuild the per-trial [`FaultPlan`] (a
-    /// sort of a handful of events) and run [`Driver::run_faulted`].
-    fn run_batch<P: Protocol + Clone + Sync>(
-        &self,
-        dispatch: Dispatch<'_, P>,
-        build_ns: u64,
-        stats: &StatsCollector,
-    ) -> (TrialResults, CellTelemetry) {
-        let scenario = &self.scenario;
-        let seeds = self.seeds();
-        let driver = Driver::new(scenario.rule).with_max_steps(scenario.max_steps);
-        let (outcomes, shares, batch) = run_indexed_with_ctx(
-            scenario.runs,
-            self.parallelism,
-            || match dispatch {
-                Ok(cached) => BatchWorker::new(cached, scenario),
-                Err(plain) => BatchWorker::new(plain, scenario),
-            },
-            |worker, trial| {
-                let started = Span::start();
-                let mut rng = seeds.rng_for(trial);
-                // A freshly built engine is already in this state; resetting
-                // it anyway keeps one uniform per-trial path.
-                worker.sim.reset(&worker.config);
-                let sim = worker.sim.as_mut();
-                let outcome = if scenario.faults.is_empty() {
-                    driver.run(sim, &mut rng, &mut worker.observer)
-                } else {
-                    let mut faults = FaultPlan::from_events(scenario.faults.clone());
-                    driver.run_faulted(sim, &mut rng, &mut worker.observer, &mut faults)
-                };
-                started.record_into(&mut worker.trial_ns);
-                (outcome, outcome.steps)
-            },
-            BatchWorker::into_telemetry,
-        );
-        let mut telemetry = CellTelemetry::new();
-        for share in &shares {
-            telemetry.merge(share);
-        }
-        telemetry.wall.set(
-            keys::WALL_CELL_NS,
-            MetricValue::Counter(u64::try_from(batch.wall.as_nanos()).unwrap_or(u64::MAX)),
-        );
-        telemetry
-            .wall
-            .set(keys::WALL_TABLE_BUILD_NS, MetricValue::Counter(build_ns));
-        stats.record(&batch);
-        let results = TrialResults {
-            outcomes,
-            expected: scenario.instance.winner(),
-        };
-        (results, telemetry)
-    }
 }
 
 /// One worker's state for a whole batch: its engine, which owns the
 /// worker's [`CountingSink`], the configuration every trial resets to, and
 /// the driver-side telemetry the sink cannot see.
-struct BatchWorker<'p> {
-    sim: Box<dyn Simulator + 'p>,
+struct BatchWorker {
+    sim: Box<dyn Simulator>,
     config: Config,
     observer: TelemetryObserver,
     trial_ns: HistogramSnapshot,
 }
 
-impl<'p> BatchWorker<'p> {
+impl BatchWorker {
     /// The scenario's engine over the batch's protocol (the shared table
     /// or the arithmetic protocol), built through the workspace's one
     /// builder with a sink of its own.
-    fn new<Q: Protocol + Clone + 'p>(protocol: Q, scenario: &Scenario) -> BatchWorker<'p> {
+    ///
+    /// # Panics
+    ///
+    /// Panics with `unrunnable scenario` if the builder rejects the
+    /// scenario.
+    fn new<Q: Protocol + Clone + 'static>(protocol: Q, scenario: &Scenario) -> BatchWorker {
         let config = Config::from_input(&protocol, scenario.instance.a(), scenario.instance.b());
         let sim = build_erased_with_sink(
             protocol,
@@ -1293,6 +1631,150 @@ mod tests {
             assert!(covered.counter(key).unwrap() > 0, "{key} never moved");
         }
         assert!(covered.counter(keys::SIM_TRIALS_CONVERGED) < covered.counter(keys::SIM_TRIALS));
+    }
+
+    #[test]
+    fn batch_with_fewer_trials_than_workers_matches_serial() {
+        let plan = ScenarioPlan::new(scenario(
+            ProtocolSpec::FourState,
+            MajorityInstance::new(30, 21),
+            EngineKind::Count,
+            2,
+            13,
+        ));
+        let (serial_r, serial_t) = plan
+            .clone()
+            .parallelism(Parallelism::Serial)
+            .run_with_telemetry(&StatsCollector::new());
+        let collector = StatsCollector::new();
+        let (r, t) = plan
+            .parallelism(Parallelism::Threads(4))
+            .run_with_telemetry(&collector);
+        assert_eq!(r.outcomes(), serial_r.outcomes());
+        assert_eq!(t.sim, serial_t.sim);
+        let stats = collector.snapshot();
+        assert_eq!(stats.worker_trials.len(), 4);
+        assert_eq!(stats.worker_trials.iter().sum::<u64>(), 2);
+        assert_eq!(t.wall.gauge(keys::WALL_WORKERS), Some(4));
+        let busy: u128 = stats.worker_busy.iter().map(Duration::as_nanos).sum();
+        assert_eq!(t.wall.counter(keys::WALL_WORKER_BUSY_NS), Some(busy as u64));
+        assert_eq!(serial_t.wall.gauge(keys::WALL_WORKERS), Some(1));
+    }
+
+    #[test]
+    fn queued_one_trial_cells_match_their_serial_runs() {
+        // Alternating protocols make every queued batch swap the table
+        // slot while the batch before it still runs on the old table.
+        let cells: Vec<Scenario> = (0..8)
+            .map(|i| {
+                let protocol = if i % 2 == 0 {
+                    ProtocolSpec::Avc { m: 15, d: 3 }
+                } else {
+                    ProtocolSpec::FourState
+                };
+                scenario(
+                    protocol,
+                    MajorityInstance::new(40, 31),
+                    EngineKind::Auto,
+                    1,
+                    i,
+                )
+            })
+            .collect();
+        let serial: Vec<_> = cells
+            .iter()
+            .map(|s| {
+                ScenarioPlan::new(s.clone())
+                    .parallelism(Parallelism::Serial)
+                    .run_with_telemetry(&StatsCollector::new())
+            })
+            .collect();
+        for workers in [2, 3] {
+            let plans: Vec<ScenarioPlan> = cells
+                .iter()
+                .map(|s| ScenarioPlan::new(s.clone()).parallelism(Parallelism::Threads(workers)))
+                .collect();
+            let collector = StatsCollector::new();
+            let started = Span::start();
+            collector.queue(&plans[0]);
+            let mut shares_ns = 0;
+            for (i, plan) in plans.iter().enumerate() {
+                if let Some(next) = plans.get(i + 1) {
+                    collector.queue(next);
+                }
+                let (r, t) = plan.run_with_telemetry(&collector);
+                assert_eq!(
+                    r.outcomes(),
+                    serial[i].0.outcomes(),
+                    "cell {i}, {workers} workers"
+                );
+                assert_eq!(t.sim, serial[i].1.sim, "cell {i}, {workers} workers");
+                shares_ns += t.wall.counter(keys::WALL_CELL_NS).unwrap();
+            }
+            // Overlapping batches are not counted twice.
+            assert!(shares_ns <= started.elapsed_ns(), "{workers} workers");
+            assert_eq!(collector.snapshot().trials, 8);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unrunnable scenario")]
+    fn engine_build_failure_on_a_pool_worker_panics_the_caller() {
+        // Built without `validate`: the count engine has no per-agent
+        // scheduler, so every worker's engine build fails.
+        let unrunnable = scenario(
+            ProtocolSpec::FourState,
+            MajorityInstance::new(10, 7),
+            EngineKind::Count,
+            4,
+            0,
+        )
+        .scheduler(SchedulerSpec::Biased { hot: 2, bias: 0.5 });
+        let _ = ScenarioPlan::new(unrunnable)
+            .parallelism(Parallelism::Threads(2))
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault injection failed")]
+    fn trial_panic_in_a_queued_batch_panics_the_caller() {
+        // Built without `validate`: the count engine cannot crash one agent.
+        let unrunnable = scenario(
+            ProtocolSpec::FourState,
+            MajorityInstance::new(10, 7),
+            EngineKind::Count,
+            4,
+            0,
+        )
+        .fault(0, Fault::Crash { agent: 1 });
+        let plan = ScenarioPlan::new(unrunnable).parallelism(Parallelism::Threads(2));
+        let collector = StatsCollector::new();
+        collector.queue(&plan);
+        let _ = plan.run_with_stats(&collector);
+    }
+
+    #[test]
+    fn dropping_a_collector_with_an_unjoined_batch_returns() {
+        let (sent, received) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let collector = StatsCollector::new();
+            collector.queue(
+                &ScenarioPlan::new(scenario(
+                    ProtocolSpec::Voter,
+                    MajorityInstance::new(600, 400),
+                    EngineKind::Agent,
+                    1_000_000,
+                    1,
+                ))
+                .parallelism(Parallelism::Threads(2)),
+            );
+            drop(collector);
+            sent.send(()).unwrap();
+        });
+        // A million trials would take minutes; the drop stops the batch.
+        received
+            .recv_timeout(Duration::from_secs(60))
+            .expect("dropping the collector stops its queued batch and joins its workers");
     }
 
     /// The slot's entry, with a fresh reference to its table.

@@ -400,7 +400,7 @@ impl<P: Protocol, T: Sink> JumpSim<P, T> {
             }
             for idx in 0..self.live.len() {
                 let l = self.live[idx];
-                if fresh.iter().take(fresh_len).any(|&f| f == Some(l)) {
+                if fresh.contains(&Some(l)) {
                     continue;
                 }
                 if self.silent(l, k) {
@@ -409,13 +409,7 @@ impl<P: Protocol, T: Sink> JumpSim<P, T> {
                 }
             }
         }
-        for f in fresh
-            .iter()
-            .take(fresh_len)
-            .flatten()
-            .copied()
-            .collect::<Vec<_>>()
-        {
+        for f in fresh.into_iter().flatten() {
             self.null_row[f as usize] = self.compute_null_row(f);
         }
 

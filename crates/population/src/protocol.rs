@@ -140,32 +140,41 @@ pub trait Protocol {
     }
 }
 
-impl<P: Protocol + ?Sized> Protocol for &P {
-    fn num_states(&self) -> u32 {
-        (**self).num_states()
-    }
-    fn transition(&self, initiator: StateId, responder: StateId) -> (StateId, StateId) {
-        (**self).transition(initiator, responder)
-    }
-    fn output(&self, state: StateId) -> Opinion {
-        (**self).output(state)
-    }
-    fn input(&self, opinion: Opinion) -> StateId {
-        (**self).input(opinion)
-    }
-    fn state_label(&self, state: StateId) -> String {
-        (**self).state_label(state)
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn is_silent(&self, a: StateId, b: StateId) -> bool {
-        (**self).is_silent(a, b)
-    }
-    fn config_silent(&self, counts: &[u64]) -> bool {
-        (**self).config_silent(counts)
-    }
+/// A pointer to a protocol is that protocol: engines run over a borrowed
+/// one (`&P`) or over one shared across threads (`Arc<P>`, as the trial
+/// harness's pool shares a dense table).
+macro_rules! delegate_protocol {
+    ($($pointer:ty),*) => {$(
+        impl<P: Protocol + ?Sized> Protocol for $pointer {
+            fn num_states(&self) -> u32 {
+                (**self).num_states()
+            }
+            fn transition(&self, initiator: StateId, responder: StateId) -> (StateId, StateId) {
+                (**self).transition(initiator, responder)
+            }
+            fn output(&self, state: StateId) -> Opinion {
+                (**self).output(state)
+            }
+            fn input(&self, opinion: Opinion) -> StateId {
+                (**self).input(opinion)
+            }
+            fn state_label(&self, state: StateId) -> String {
+                (**self).state_label(state)
+            }
+            fn name(&self) -> &str {
+                (**self).name()
+            }
+            fn is_silent(&self, a: StateId, b: StateId) -> bool {
+                (**self).is_silent(a, b)
+            }
+            fn config_silent(&self, counts: &[u64]) -> bool {
+                (**self).config_silent(counts)
+            }
+        }
+    )*};
 }
+
+delegate_protocol!(&P, std::sync::Arc<P>);
 
 /// Tiny protocols used by unit tests across this crate.
 ///
@@ -295,13 +304,16 @@ mod tests {
 
     #[test]
     fn protocol_impl_for_reference_delegates() {
-        let p = &Swap;
-        assert_eq!(Protocol::num_states(&p), 2);
-        assert_eq!(Protocol::transition(&p, 0, 1), (1, 0));
-        assert_eq!(Protocol::output(&p, 0), Opinion::A);
-        assert_eq!(Protocol::input(&p, Opinion::B), 1);
-        assert_eq!(Protocol::name(&p), "swap");
-        assert!(Protocol::is_silent(&p, 0, 1));
-        assert_eq!(Protocol::state_label(&p, 3), "q3");
+        fn check<P: Protocol>(p: &P) {
+            assert_eq!(p.num_states(), 2);
+            assert_eq!(p.transition(0, 1), (1, 0));
+            assert_eq!(p.output(0), Opinion::A);
+            assert_eq!(p.input(Opinion::B), 1);
+            assert_eq!(p.name(), "swap");
+            assert!(p.is_silent(0, 1));
+            assert_eq!(p.state_label(3), "q3");
+        }
+        check(&&Swap);
+        check(&std::sync::Arc::new(Swap));
     }
 }

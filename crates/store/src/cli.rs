@@ -31,7 +31,7 @@ use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
 use avc_population::telemetry::export::{prometheus_text, read_lines_tolerant};
 use avc_population::telemetry::metrics::bucket_bounds;
-use avc_population::telemetry::{keys, CellTelemetry, HistogramSnapshot};
+use avc_population::telemetry::{keys, CellTelemetry, HistogramSnapshot, RegistrySnapshot};
 use avc_population::{ProtocolSpec, Scenario};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -305,6 +305,7 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
     let mut missing = 0usize;
     let mut stored = 0usize;
     let mut table_builds = 0u64;
+    let mut workers = WorkerUse::default();
     for cell in &plan.cells {
         let Some(record) = store.get(&cell.manifest.hash()) else {
             missing += 1;
@@ -316,6 +317,7 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
             continue;
         };
         aggregate.merge(telemetry);
+        workers.add(&telemetry.wall);
         table_builds += u64::from(
             telemetry
                 .wall
@@ -400,6 +402,9 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
     if let Some(line) = table_build_line(&aggregate, table_builds) {
         println!("{line}");
     }
+    if let Some(line) = workers.line() {
+        println!("{line}");
+    }
     let trials = aggregate.sim.counter(keys::SIM_TRIALS).unwrap_or(0);
     let converged = aggregate
         .sim
@@ -429,6 +434,59 @@ fn table_build_line(aggregate: &CellTelemetry, builds: u64) -> Option<String> {
         build_ns as f64 / 1e6,
         batch_ns as f64 / 1e6
     ))
+}
+
+/// How busy a sweep's workers were, summed over its cells: their busy time
+/// against the capacity of each cell's workers over its share of the wall
+/// clock.
+#[derive(Debug, Default)]
+struct WorkerUse {
+    busy_ns: u64,
+    capacity_ns: u64,
+    batch_ns: u64,
+    /// The distinct worker counts the cells ran with.
+    threads: BTreeSet<u64>,
+}
+
+impl WorkerUse {
+    /// Adds one cell's `wall` registry; cells without worker telemetry
+    /// (stored under `AVC_TELEMETRY_NOWALL`, or before the keys) add nothing.
+    fn add(&mut self, wall: &RegistrySnapshot) {
+        let (Some(cell_ns), Some(busy_ns), Some(workers)) = (
+            wall.counter(keys::WALL_CELL_NS),
+            wall.counter(keys::WALL_WORKER_BUSY_NS),
+            wall.gauge(keys::WALL_WORKERS),
+        ) else {
+            return;
+        };
+        self.busy_ns += busy_ns;
+        self.capacity_ns += cell_ns * workers;
+        self.batch_ns += cell_ns;
+        self.threads.insert(workers);
+    }
+
+    /// `workers: W threads busy X% of Y s in trial batches`, or `None` when
+    /// no cell added worker telemetry.
+    fn line(&self) -> Option<String> {
+        let (fewest, most) = (self.threads.first()?, self.threads.last()?);
+        let threads = if fewest == most {
+            fewest.to_string()
+        } else {
+            format!("{fewest}-{most}")
+        };
+        let busy = if self.capacity_ns > 0 {
+            format!(
+                "{:.1}%",
+                self.busy_ns as f64 * 100.0 / self.capacity_ns as f64
+            )
+        } else {
+            "-".to_string()
+        };
+        Some(format!(
+            "workers: {threads} threads busy {busy} of {:.2} s in trial batches",
+            self.batch_ns as f64 / 1e9
+        ))
+    }
 }
 
 /// One parsed line of the sweep telemetry journal.
@@ -574,12 +632,15 @@ fn cmd_run(path: &str, args: &Args) -> Result<(), String> {
     }
     let scenario = Scenario::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
     println!("== avc run {path} ==");
-    run_scenario(&scenario, args);
+    let plan = ScenarioPlan::new(scenario).parallelism(args.parallelism());
+    run_scenario(&plan, &collector(args));
     Ok(())
 }
 
 /// Runs every cell of a scenario grid store-free (the `avc run` analogue of
-/// a grid sweep) and prints a per-grid wrong-consensus tally.
+/// a grid sweep) and prints a per-grid wrong-consensus tally. The cells
+/// share one collector, and so one worker pool and table slot; as in a
+/// sweep, each cell's batch is queued while the cell before it runs.
 fn cmd_run_grid(path: &str, json: &Json, args: &Args) -> Result<(), String> {
     let grid =
         crate::scenario_grid::ScenarioGrid::from_json(json).map_err(|e| format!("{path}: {e}"))?;
@@ -594,10 +655,21 @@ fn cmd_run_grid(path: &str, json: &Json, args: &Args) -> Result<(), String> {
         cells.len(),
         grid.cells.len()
     );
+    let stats = collector(args);
+    let plans: Vec<ScenarioPlan> = cells
+        .iter()
+        .map(|cell| ScenarioPlan::new(cell.scenario.clone()).parallelism(args.parallelism()))
+        .collect();
+    if let Some(first) = plans.first() {
+        stats.queue(first);
+    }
     let mut wrong_total = 0u64;
-    for cell in &cells {
+    for (i, (cell, plan)) in cells.iter().zip(&plans).enumerate() {
+        if let Some(next) = plans.get(i + 1) {
+            stats.queue(next);
+        }
         println!("\n-- cell {} --", cell.label);
-        wrong_total += run_scenario(&cell.scenario, args);
+        wrong_total += run_scenario(plan, &stats);
     }
     println!(
         "\ngrid {}: {} cell(s) ran, wrong_consensus={wrong_total}",
@@ -609,7 +681,8 @@ fn cmd_run_grid(path: &str, json: &Json, args: &Args) -> Result<(), String> {
 
 /// Executes one scenario through the shared harness, prints its summary
 /// block, and returns the number of wrong-consensus runs.
-fn run_scenario(scenario: &Scenario, args: &Args) -> u64 {
+fn run_scenario(plan: &ScenarioPlan, stats: &StatsCollector) -> u64 {
+    let scenario = plan.scenario();
     println!(
         "scenario {}: {} on n = {} (a = {}, b = {}), engine {}, scheduler {}, \
          {} fault(s), {} runs, seed {}",
@@ -625,9 +698,7 @@ fn run_scenario(scenario: &Scenario, args: &Args) -> u64 {
         scenario.seed
     );
     let started = std::time::Instant::now();
-    let (results, telemetry) = ScenarioPlan::new(scenario.clone())
-        .parallelism(args.parallelism())
-        .run_with_telemetry(&collector(args));
+    let (results, telemetry) = plan.run_with_telemetry(stats);
     let wall = started.elapsed().as_secs_f64();
 
     let tally = results.tally();
@@ -742,5 +813,40 @@ pub fn main() -> i32 {
             eprintln!("avc: {message}");
             1
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use avc_population::telemetry::MetricValue;
+
+    fn wall(cell_ns: u64, busy_ns: u64, workers: u64) -> RegistrySnapshot {
+        let mut wall = RegistrySnapshot::new();
+        wall.set(keys::WALL_CELL_NS, MetricValue::Counter(cell_ns));
+        wall.set(keys::WALL_WORKER_BUSY_NS, MetricValue::Counter(busy_ns));
+        wall.set(keys::WALL_WORKERS, MetricValue::Gauge(workers));
+        wall
+    }
+
+    #[test]
+    fn worker_use_weighs_each_cell_by_its_workers() {
+        let mut workers = WorkerUse::default();
+        assert_eq!(workers.line(), None);
+        // A cell without worker telemetry (a wall-suppressed store) adds
+        // nothing.
+        workers.add(&RegistrySnapshot::new());
+        assert_eq!(workers.line(), None);
+        workers.add(&wall(1_000_000_000, 1_500_000_000, 2));
+        assert_eq!(
+            workers.line().unwrap(),
+            "workers: 2 threads busy 75.0% of 1.00 s in trial batches"
+        );
+        // 2.0 s busy of 2 * 1 s + 4 * 0.25 s = 3 s of capacity.
+        workers.add(&wall(250_000_000, 500_000_000, 4));
+        assert_eq!(
+            workers.line().unwrap(),
+            "workers: 2-4 threads busy 66.7% of 1.25 s in trial batches"
+        );
     }
 }

@@ -5,9 +5,11 @@
 //! hash of a canonical [`manifest`](manifest::Manifest) — protocol, engine,
 //! instance size, effective seed, trial count — and its result (trial
 //! samples as exact `f64` bit patterns, pre-rendered table rows) is appended
-//! durably to a JSONL [`store`](store::Store) the moment the cell finishes.
-//! Interrupting a sweep (Ctrl-C, `kill -9`, power loss) therefore costs at
-//! most the in-flight cell; rerunning the same `avc sweep` command skips
+//! durably to a JSONL [`store`](store::Store) once the cell finishes, in
+//! plan order. Interrupting a sweep (Ctrl-C, `kill -9`, power loss)
+//! therefore costs at most the two cells in flight (the worker pool runs
+//! the next cell's trials beside the current cell's last ones); rerunning
+//! the same `avc sweep` command skips
 //! every completed cell and `avc export` regenerates byte-identical
 //! `results/*.csv` files at any `--serial`/`--threads` setting.
 //!

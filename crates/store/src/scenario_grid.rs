@@ -252,9 +252,9 @@ pub(crate) struct ScenarioSweep {
 }
 
 impl ScenarioSweep {
-    /// The runnable plan: each cell's manifest, and a run that makes one
-    /// harness call and stores the trial payload, the cell's rows and the
-    /// batch telemetry. Scenarios are assumed runnable: grid files are
+    /// The runnable plan: each cell's manifest, its batch, and a run that
+    /// joins that batch and stores the trial payload, the cell's rows and
+    /// the batch telemetry. Scenarios are assumed runnable: grid files are
     /// validated at parse time, and specs check theirs while building.
     #[must_use]
     pub(crate) fn plan(self, parallelism: Parallelism) -> Plan {
@@ -278,13 +278,14 @@ impl ScenarioSweep {
                     .chain(scenario_params(&scenario)),
                 );
                 let rows = cell.rows;
+                let batch = ScenarioPlan::new(scenario).parallelism(parallelism);
+                let run = batch.clone();
                 Cell {
                     manifest,
                     label: cell.label,
+                    batch: Some(batch),
                     run: Box::new(move |stats| {
-                        let (results, telemetry) = ScenarioPlan::new(scenario.clone())
-                            .parallelism(parallelism)
-                            .run_with_telemetry(stats);
+                        let (results, telemetry) = run.run_with_telemetry(stats);
                         CellResult {
                             trials: Some(trials_of(&results)),
                             telemetry: Some(telemetry),

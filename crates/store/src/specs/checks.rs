@@ -57,6 +57,7 @@ fn check_cell(
     Cell {
         manifest: Manifest::new("mc_avc", params),
         label: label.to_string(),
+        batch: None,
         run: Box::new(move |_| run()),
     }
 }
@@ -254,6 +255,7 @@ pub(super) fn mc_three_state_plan(args: &Args) -> Plan {
             ],
         ),
         label,
+        batch: None,
         run: Box::new(move |_| {
             let outcome = three_state_impossibility(max_n);
             assert_eq!(

@@ -76,6 +76,7 @@ pub(super) fn lb_info_plan(args: &Args) -> Result<Plan, FlagError> {
         cells.push(Cell {
             manifest,
             label,
+            batch: None,
             run: Box::new(move |stats| {
                 let cell_seeds = SeedSequence::new(config.seed).child(i as u64);
                 let (samples, batch) =
@@ -169,6 +170,7 @@ pub(super) fn graph_gap_plan(args: &Args) -> Result<Plan, FlagError> {
         cells.push(Cell {
             manifest,
             label,
+            batch: None,
             run: Box::new(move |stats| {
                 let point = graph_gap::run_point(&config, gi, stats);
                 CellResult {
@@ -241,6 +243,7 @@ pub(super) fn dynamics_plan(args: &Args) -> Plan {
     let cell = Cell {
         manifest,
         label,
+        batch: None,
         run: Box::new(move |_stats| {
             let trace = dynamics::run(&run_config);
             let table = dynamics::table(&trace, &run_config);

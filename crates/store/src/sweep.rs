@@ -4,12 +4,13 @@
 //! identity and a closure that computes its [`CellResult`]) and knows how to
 //! assemble the final tables from the full, ordered result list. Running a
 //! plan consults the [`Store`] before every cell: completed cells are
-//! skipped, missing ones run and are appended durably *before* the next
-//! cell starts. Killing the process at any point therefore loses at most
-//! the in-flight cell, and a rerun of the same command resumes there —
-//! cells are seeded independently of each other and of the `Parallelism`
-//! setting, so the resumed sweep's export is byte-identical to an
-//! uninterrupted run's.
+//! skipped, and missing ones run and are appended durably in plan order.
+//! While a cell's trials run, the collector's worker pool may already run
+//! the next pending cell's, so killing the process at any point loses at
+//! most the two in-flight cells, and a rerun of the same command resumes
+//! there — cells are seeded independently of each other and of the
+//! `Parallelism` setting, so the resumed sweep's export is byte-identical
+//! to an uninterrupted run's.
 //!
 //! Cell closures are clients of the chunked run driver
 //! (`avc_population::driver::Driver`) via the analysis harness: per-trial
@@ -20,10 +21,10 @@
 use crate::manifest::Manifest;
 use crate::record::{CellResult, Record};
 use crate::store::Store;
-use avc_analysis::harness::StatsCollector;
+use avc_analysis::harness::{ScenarioPlan, StatsCollector};
 use avc_analysis::table::Table;
 use avc_population::telemetry::export::JsonlWriter;
-use avc_population::telemetry::{wall_suppressed, RegistrySnapshot, Span};
+use avc_population::telemetry::{keys, wall_suppressed, RegistrySnapshot, Span};
 use std::fmt;
 use std::io;
 
@@ -112,6 +113,10 @@ pub struct Cell {
     pub manifest: Manifest,
     /// Short human label (also stored in the manifest under `cell`).
     pub label: String,
+    /// The trial batch `run` executes, which [`run_sharded`] queues on the
+    /// collector's pool ahead of `run`; `None` for cells that run no
+    /// scenario batch (lb_info, graph_gap, dynamics, mc_*).
+    pub batch: Option<ScenarioPlan>,
     /// Computes the cell. Must depend only on the manifest's parameters.
     pub run: Box<dyn Fn(&StatsCollector) -> CellResult>,
 }
@@ -169,6 +174,13 @@ pub fn run(
 /// half of the shard/merge protocol (`avc sweep --shard i/k`, then
 /// [`merge`]).
 ///
+/// Before a cell runs, its batch and the next pending cell's are queued on
+/// `stats`' pool, so workers that run out of one cell's trials start the
+/// next cell's. Records and journal lines are still appended one cell at a
+/// time, in plan order. A cell's recorded `wall_ms` is its batch's share of
+/// the sweep's wall time ([`keys::WALL_CELL_NS`]), or the time its `run`
+/// took where it runs no batch.
+///
 /// Cells are seeded by identity, not position, so a shard's cells run with
 /// exactly the RNG streams they consume in an unsharded sweep. With
 /// [`wall_suppressed`] set, checkpoints carry no wall-clock bytes at all
@@ -199,13 +211,24 @@ pub fn run_sharded(
     } else {
         format!("\"shard\":\"{shard}\",")
     };
-    for (i, cell) in plan.cells.iter().enumerate() {
-        let hash = cell.manifest.hash();
-        if !shard.owns(&hash) {
+    let hashes: Vec<String> = plan.cells.iter().map(|c| c.manifest.hash()).collect();
+    let pending: Vec<bool> = hashes
+        .iter()
+        .map(|hash| shard.owns(hash) && store.get(hash).is_none())
+        .collect();
+    let queue = |cell: &Cell| {
+        if let Some(batch) = &cell.batch {
+            stats.queue(batch);
+        }
+    };
+    // The pending cell whose batch was queued ahead of its turn.
+    let mut queued = None;
+    for (i, (cell, hash)) in plan.cells.iter().zip(&hashes).enumerate() {
+        if !shard.owns(hash) {
             outcome.foreign += 1;
             continue;
         }
-        if store.get(&hash).is_some() {
+        if !pending[i] {
             outcome.cached += 1;
             if verbose {
                 eprintln!(
@@ -217,12 +240,23 @@ pub fn run_sharded(
             }
             continue;
         }
+        if queued != Some(i) {
+            queue(cell);
+        }
+        queued = (i + 1..total).find(|&j| pending[j]);
+        if let Some(next) = queued {
+            queue(&plan.cells[next]);
+        }
         let started = Span::start();
         let mut result = (cell.run)(stats);
         let wall_ms = if wall_suppressed() {
             0
         } else {
-            started.elapsed_ms()
+            let batch_ns = result
+                .telemetry
+                .as_ref()
+                .and_then(|t| t.wall.counter(keys::WALL_CELL_NS));
+            batch_ns.map_or_else(|| started.elapsed_ms(), |ns| ns / 1_000_000)
         };
         if wall_suppressed() {
             if let Some(telemetry) = &mut result.telemetry {
@@ -377,6 +411,7 @@ mod tests {
                 Cell {
                     manifest: Manifest::new("demo", [("i", i.to_string())]),
                     label: format!("i={i}"),
+                    batch: None,
                     run: Box::new(move |_| {
                         counter.set(counter.get() + 1);
                         CellResult {

@@ -3,8 +3,10 @@
 //! byte-identical to an uninterrupted reference run.
 //!
 //! This is the crash-safety contract end to end: the store loses at most
-//! the in-flight cell, the resumed sweep recomputes exactly the missing
-//! cells, and per-cell seeding makes the worker count irrelevant.
+//! the two in-flight cells (the victims run on the worker pool at
+//! `--threads 2`, which runs the next cell's batch beside the current
+//! one's), the resumed sweep recomputes exactly the missing cells, and
+//! per-cell seeding makes the worker count irrelevant.
 
 use avc_store::store::Store;
 use std::path::Path;
@@ -74,10 +76,10 @@ fn killed_sweep_resumes_to_byte_identical_export() {
     assert!(status.success(), "reference export failed");
     let (ref_time, ref_error) = read_csvs(&reference);
 
-    // Interrupted run: SIGKILL once the first cell is durable and the next
-    // one is (very likely) in flight.
+    // Interrupted run on the pool: SIGKILL once the first cell is durable
+    // and the next ones are (very likely) in flight.
     let victim = temp_dir("victim");
-    let mut child = avc(&victim, &["sweep", "fig3", "--serial"])
+    let mut child = avc(&victim, &["sweep", "fig3", "--threads", "2"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -127,7 +129,7 @@ fn killed_sweep_resumes_to_byte_identical_export() {
     );
 
     // Resume at a different worker count; only missing cells may run.
-    let output = avc(&victim, &["sweep", "fig3", "--threads", "2"])
+    let output = avc(&victim, &["sweep", "fig3", "--serial"])
         .output()
         .expect("spawn avc");
     assert!(output.status.success(), "resume failed");
@@ -245,10 +247,14 @@ fn killed_robustness_sweep_resumes_to_byte_identical_export() {
         .filter(|l| l.starts_with("| avc/") || l.starts_with("| four_state/"))
         .count();
     assert_eq!(rows, ROBUSTNESS_CELLS, "report rows:\n{report}");
+    assert!(
+        report.contains("workers: 1 threads busy"),
+        "report lacks the serial sweep's workers line:\n{report}"
+    );
 
-    // Interrupted run: SIGKILL once the first cell is durable.
+    // Interrupted run on the pool: SIGKILL once the first cell is durable.
     let victim = temp_dir("robustness-victim");
-    let mut child = avc(&victim, &["sweep", "robustness", "--serial"])
+    let mut child = avc(&victim, &["sweep", "robustness", "--threads", "2"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -275,7 +281,7 @@ fn killed_robustness_sweep_resumes_to_byte_identical_export() {
     // Resume at a different worker count; only missing cells may run. The
     // grid ends with the four_state fault-config cells, so the recomputed
     // tail always exercises at least one faulted cell.
-    let output = avc(&victim, &["sweep", "robustness", "--threads", "2"])
+    let output = avc(&victim, &["sweep", "robustness", "--serial"])
         .output()
         .expect("spawn avc");
     assert!(output.status.success(), "resume failed");

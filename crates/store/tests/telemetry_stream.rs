@@ -3,7 +3,10 @@
 //! at `--threads 1` and `--threads 4`, and both `records.jsonl` and
 //! `telemetry.jsonl` of that sweep and of the rival-protocol grid
 //! `examples/scenarios/rivals_margin1.grid.json --quick` must equal the
-//! committed fixtures under `tests/golden/` byte for byte.
+//! committed fixtures under `tests/golden/` byte for byte. A
+//! `fig4 --quick --runs 3` sweep, whose cells have fewer trials than
+//! workers so that the worker pool runs two cells' batches at once, must
+//! write the same store at `--threads 1`, `2` and `4`.
 //!
 //! Wall-clock sections are inherently run-dependent, so every child
 //! process runs with `AVC_TELEMETRY_NOWALL` set (scoped to the subprocess
@@ -31,8 +34,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn sweep(name: &str, dir: &Path, threads: &str) {
+    sweep_with(name, dir, threads, &[]);
+}
+
+fn sweep_with(name: &str, dir: &Path, threads: &str, flags: &[&str]) {
     let status = Command::new(env!("CARGO_BIN_EXE_avc"))
         .args(["sweep", name, "--quick", "--threads", threads])
+        .args(flags)
         .args(["--out", dir.to_str().expect("utf-8 temp path")])
         .env("AVC_TELEMETRY_NOWALL", "1")
         .status()
@@ -109,6 +117,32 @@ fn rival_grid_stores_match_their_golden_fixture() {
         let dir = temp_dir(&format!("rivals-t{threads}"));
         sweep(grid, &dir, threads);
         assert_matches_golden(&dir, "rivals_margin1_quick");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn overlapping_batches_write_the_same_store_at_any_worker_count() {
+    let stores: Vec<(&str, PathBuf)> = ["1", "2", "4"]
+        .into_iter()
+        .map(|threads| {
+            let dir = temp_dir(&format!("fig4-t{threads}"));
+            sweep_with("fig4", &dir, threads, &["--runs", "3"]);
+            (threads, dir)
+        })
+        .collect();
+    let (_, first) = &stores[0];
+    for file in ["records.jsonl", "telemetry.jsonl"] {
+        let want = read(&first.join("store").join(file));
+        assert!(!want.is_empty(), "{file} is empty");
+        for (threads, dir) in &stores[1..] {
+            assert!(
+                read(&dir.join("store").join(file)) == want,
+                "{file} differs between --threads 1 and --threads {threads}"
+            );
+        }
+    }
+    for (_, dir) in stores {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,9 +35,17 @@ pub mod keys {
     pub const SIM_TRIALS: &str = "sim.trials";
     /// Per-trial wall time in nanoseconds (histogram, `wall`).
     pub const WALL_TRIAL_NS: &str = "wall.trial_ns";
-    /// Whole-cell wall time in nanoseconds (counter, `wall`): the trial
-    /// batch, without the table build below.
+    /// The cell's share of the sweep's wall time in nanoseconds (counter,
+    /// `wall`): from the later of the previous batch's completion and the
+    /// cell's first claimed trial, to the cell's completion, so batches
+    /// that overlap are not counted twice. Without the table build below.
     pub const WALL_CELL_NS: &str = "wall.cell_ns";
+    /// Summed busy time of the workers that ran the cell's trials, each from
+    /// its first claimed trial to the end of its last, in nanoseconds
+    /// (counter, `wall`).
+    pub const WALL_WORKER_BUSY_NS: &str = "wall.worker_busy_ns";
+    /// Worker threads the cell's batch could run on (gauge, `wall`).
+    pub const WALL_WORKERS: &str = "wall.workers";
     /// Wall time building the cell's dense transition table in nanoseconds;
     /// 0 when the sweep's table slot already held it or the protocol is
     /// above the table bound (counter, `wall`).
