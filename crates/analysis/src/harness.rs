@@ -201,9 +201,8 @@ impl fmt::Display for BatchStats {
     }
 }
 
-/// A sweep's trial workers, the thread-safe accumulator of [`BatchStats`]
-/// across its cells — the observability hook the CLI prints — and its dense
-/// table slot.
+/// A sweep's trial workers and the thread-safe accumulator of
+/// [`BatchStats`] across its cells — the observability hook the CLI prints.
 ///
 /// With [`StatsCollector::verbose`], each recorded batch also emits a
 /// progress line to stderr (trials completed so far and the running event
@@ -212,34 +211,12 @@ impl fmt::Display for BatchStats {
 /// Every cell of a sweep receives the same collector. It owns the worker
 /// pool its parallel batches run on (see the [module docs](self)), started
 /// on first use with as many workers as the widest batch asks for and
-/// joined on drop. It also keeps the last [`Cached`] table a batch was
-/// built with, keyed by the [`ProtocolSpec`] it came from: consecutive
-/// cells on one protocol (fig4's ten margins per state count) share one
-/// build. The slot holds one table; a queued batch holds its own, so at
-/// most two are alive, the running batch's and the queued one's.
+/// joined on drop.
 #[derive(Debug, Default)]
 pub struct StatsCollector {
     totals: Mutex<BatchStats>,
     verbose: bool,
-    table: TableSlot,
     pool: Pool,
-}
-
-/// The one dense table a [`StatsCollector`] keeps between cells, with the
-/// spec it was built from. Type-erased because each spec resolves to its
-/// own protocol type.
-#[derive(Default)]
-struct TableSlot(Mutex<Option<(ProtocolSpec, Arc<dyn Any + Send + Sync>)>>);
-
-impl fmt::Debug for TableSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let key = self
-            .0
-            .lock()
-            .ok()
-            .and_then(|slot| slot.as_ref().map(|e| e.0));
-        f.debug_tuple("TableSlot").field(&key).finish()
-    }
 }
 
 impl StatsCollector {
@@ -260,10 +237,10 @@ impl StatsCollector {
 
     /// Queues `plan`'s batch on the pool, so that workers start its trials
     /// as soon as they run out of earlier batches'; the next call that runs
-    /// `plan` on this collector joins it. The batch's table is taken from
-    /// the slot, or built now on the calling thread. A serial plan runs
-    /// inline on its caller, so queuing one does nothing. A queued batch
-    /// that nothing joins runs anyway and is dropped with the collector.
+    /// `plan` on this collector joins it. The batch's dense table is built
+    /// now, on the calling thread. A serial plan runs inline on its caller,
+    /// so queuing one does nothing. A queued batch that nothing joins runs
+    /// anyway and is dropped with the collector.
     ///
     /// # Panics
     ///
@@ -272,42 +249,6 @@ impl StatsCollector {
         if plan.parallelism != Parallelism::Serial {
             self.pool.submit(Arc::new(plan.batch(self)), false);
         }
-    }
-
-    /// The dense table of `protocol`, which `spec` names, plus the wall
-    /// nanoseconds spent building it (0 when reused).
-    ///
-    /// A slot holding `spec` hands out its table. Otherwise the slot lets go
-    /// of its table *before* the new one is built (rows split across
-    /// `workers`), and the new one takes the slot. Above the table bound the
-    /// slot is left empty and `None` returned.
-    fn dense_table<P>(
-        &self,
-        spec: ProtocolSpec,
-        protocol: &P,
-        workers: usize,
-    ) -> (Option<Arc<Cached<P>>>, u64)
-    where
-        P: Protocol + Clone + Send + Sync + 'static,
-    {
-        let mut slot = self.table.0.lock().expect("table slot lock poisoned");
-        if let Some((key, table)) = slot.as_ref() {
-            if *key == spec {
-                let table = Arc::clone(table)
-                    .downcast::<Cached<P>>()
-                    .expect("a spec always resolves to the same protocol type");
-                return (Some(table), 0);
-            }
-        }
-        *slot = None;
-        let started = Span::start();
-        let Ok(table) = Cached::try_new_with_workers(protocol.clone(), workers) else {
-            return (None, 0);
-        };
-        let table = Arc::new(table);
-        let build_ns = started.elapsed_ns();
-        *slot = Some((spec, Arc::clone(&table) as Arc<dyn Any + Send + Sync>));
-        (Some(table), build_ns)
     }
 
     /// Waits for `batch` to complete, takes it off the queue and returns its
@@ -541,7 +482,8 @@ struct Batch {
     plan: ScenarioPlan,
     /// Workers `0..slots` of a pool work on this batch.
     slots: usize,
-    /// Wall nanoseconds spent building the batch's table (0 when reused).
+    /// Wall nanoseconds spent building the batch's dense table (0 on the
+    /// arithmetic path).
     build_ns: u64,
     /// The collector's clock.
     epoch: Span,
@@ -921,10 +863,6 @@ pub struct Tally {
     pub stuck: u64,
 }
 
-/// Dense tables with fewer entries than this fill on the calling thread:
-/// spawning a worker would cost more than the whole fill.
-const PARALLEL_TABLE_MIN_ENTRIES: u64 = 1 << 16;
-
 /// Resolves a [`ProtocolSpec`] to a concrete protocol value and runs `$body`
 /// with it bound to `$protocol` — the spec-to-instance mapping the scenario
 /// plane leaves to this crate (`avc-population` cannot depend on
@@ -1026,8 +964,7 @@ impl ScenarioPlan {
         self.run_with_stats(&StatsCollector::new())
     }
 
-    /// As [`ScenarioPlan::run`], folding throughput telemetry into `stats`
-    /// and taking the dense table from its slot.
+    /// As [`ScenarioPlan::run`], folding throughput telemetry into `stats`.
     #[must_use]
     pub fn run_with_stats(&self, stats: &StatsCollector) -> TrialResults {
         self.run_with_telemetry(stats).0
@@ -1039,9 +976,8 @@ impl ScenarioPlan {
     /// batch's share of the wall clock, its workers' busy time and the table
     /// build time in `wall`. A parallel plan joins the batch
     /// [`StatsCollector::queue`] queued for it, or queues one; a serial plan
-    /// runs inline. The dense table comes from `stats`' slot, so a cell on
-    /// the previous cell's protocol records a [`keys::WALL_TABLE_BUILD_NS`]
-    /// of 0.
+    /// runs inline. Every batch builds its own dense table and records the
+    /// build in [`keys::WALL_TABLE_BUILD_NS`].
     ///
     /// # Panics
     ///
@@ -1063,15 +999,15 @@ impl ScenarioPlan {
     }
 
     /// This plan's batch. Its engines share, through an `Arc`, the dense
-    /// table from `stats`' slot (built now if the slot holds another
-    /// protocol's), or the arithmetic protocol above the table bound.
+    /// table built now on the calling thread, or the arithmetic protocol
+    /// above the table bound. The batch drops its table when it is joined,
+    /// so at most two are alive: the running batch's and the queued one's.
     fn batch(&self, stats: &StatsCollector) -> Batch {
-        let key = self.scenario.protocol;
-        let (engines, build_ns) = with_resolved_protocol!(key, |protocol| {
-            let workers = self.table_workers(protocol.num_states());
-            match stats.dense_table(key, &protocol, workers) {
-                (Some(table), build_ns) => (engine_builder(table), build_ns),
-                (None, _) => (engine_builder(Arc::new(protocol)), 0),
+        let (engines, build_ns) = with_resolved_protocol!(self.scenario.protocol, |protocol| {
+            let started = Span::start();
+            match Cached::try_new(protocol) {
+                Ok(table) => (engine_builder(Arc::new(table)), started.elapsed_ns()),
+                Err(protocol) => (engine_builder(Arc::new(protocol)), 0),
             }
         });
         let slots = self.parallelism.worker_count();
@@ -1086,16 +1022,6 @@ impl ScenarioPlan {
         match self.scenario.seed_child {
             Some(child) => seeds.child(child),
             None => seeds,
-        }
-    }
-
-    /// Threads that fill a dense table for `states` states: the batch's
-    /// workers, except that small tables stay on the calling thread.
-    fn table_workers(&self, states: u32) -> usize {
-        if u64::from(states).pow(2) < PARALLEL_TABLE_MIN_ENTRIES {
-            1
-        } else {
-            self.parallelism.worker_count()
         }
     }
 }
@@ -1161,7 +1087,6 @@ mod tests {
     use avc_population::scenario::build_erased;
     use avc_population::telemetry::RegistrySnapshot;
     use avc_population::{ConvergenceRule, EngineKind, MajorityInstance, SchedulerSpec};
-    use std::any::Any;
 
     /// A scenario on `protocol` with engine, runs and seed set.
     fn scenario(
@@ -1663,8 +1588,8 @@ mod tests {
 
     #[test]
     fn queued_one_trial_cells_match_their_serial_runs() {
-        // Alternating protocols make every queued batch swap the table
-        // slot while the batch before it still runs on the old table.
+        // Alternating protocols give every queued batch a table of its own
+        // while the batch before it still runs on another.
         let cells: Vec<Scenario> = (0..8)
             .map(|i| {
                 let protocol = if i % 2 == 0 {
@@ -1777,67 +1702,32 @@ mod tests {
             .expect("dropping the collector stops its queued batch and joins its workers");
     }
 
-    /// The slot's entry, with a fresh reference to its table.
-    fn slot_entry(stats: &StatsCollector) -> Option<(ProtocolSpec, Arc<dyn Any + Send + Sync>)> {
-        let slot = stats.table.0.lock().unwrap();
-        slot.as_ref().map(|(key, table)| (*key, Arc::clone(table)))
-    }
-
     #[test]
-    fn table_slot_builds_once_per_spec_and_keeps_one_table_alive() {
-        let first = ProtocolSpec::Avc { m: 15, d: 3 };
-        let second = ProtocolSpec::Bef { levels: 6 };
+    fn every_batch_builds_its_own_table() {
+        let table = ProtocolSpec::Avc { m: 15, d: 3 };
         let wide = Avc::with_states(5_000).unwrap();
         let above_bound = ProtocolSpec::Avc {
             m: wide.m(),
             d: wide.d(),
         };
-        let plan = |spec, seed, parallelism| {
-            let scenario = Scenario::new(spec, MajorityInstance::new(30, 21))
-                .runs(6)
-                .seed(seed);
-            ScenarioPlan::new(scenario).parallelism(parallelism)
-        };
         let build_ns = |t: &CellTelemetry| t.wall.counter(keys::WALL_TABLE_BUILD_NS).unwrap();
         for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
             let stats = StatsCollector::new();
-            let mut runs = Vec::new();
-            let mut run = |spec, seed| {
-                let (r, t) = plan(spec, seed, parallelism).run_with_telemetry(&stats);
-                runs.push((spec, seed, r.outcomes().to_vec(), t.sim.clone()));
-                t
-            };
-
-            assert!(build_ns(&run(first, 1)) > 0);
-            let (key, table) = slot_entry(&stats).unwrap();
-            assert_eq!(key, first);
-            assert_eq!(build_ns(&run(first, 2)), 0, "same spec reuses the table");
-            let _ = plan(first, 3, parallelism).run_with_stats(&stats);
-            let (_, held) = slot_entry(&stats).unwrap();
-            assert!(Arc::ptr_eq(&table, &held), "{parallelism:?}");
-            drop(held);
-            // Only the slot and this test hold it: no batch kept a clone.
-            assert_eq!(Arc::strong_count(&table), 2);
-            let evicted = Arc::downgrade(&table);
-            drop(table);
-
-            assert!(build_ns(&run(second, 4)) > 0);
-            assert!(
-                evicted.upgrade().is_none(),
-                "a new spec frees the old table"
-            );
-            assert_eq!(slot_entry(&stats).unwrap().0, second);
-            assert_eq!(build_ns(&run(above_bound, 5)), 0);
-            assert!(
-                slot_entry(&stats).is_none(),
-                "the arithmetic path empties it"
-            );
-
-            for (spec, seed, outcomes, sim) in runs {
-                let (r, t) =
-                    plan(spec, seed, parallelism).run_with_telemetry(&StatsCollector::new());
-                assert_eq!(r.outcomes(), &outcomes[..], "{spec} {parallelism:?}");
-                assert_eq!(t.sim, sim, "{spec} {parallelism:?}");
+            for (spec, seed) in [(table, 1), (table, 2), (above_bound, 3)] {
+                let plan = ScenarioPlan::new(
+                    Scenario::new(spec, MajorityInstance::new(30, 21))
+                        .runs(6)
+                        .seed(seed),
+                )
+                .parallelism(parallelism);
+                let (r, t) = plan.run_with_telemetry(&stats);
+                // Above the bound the batch runs arithmetically and builds
+                // nothing; below it, a second cell on the same spec builds
+                // again.
+                assert_eq!(build_ns(&t) > 0, spec == table, "{spec} {parallelism:?}");
+                let (fresh, fresh_t) = plan.run_with_telemetry(&StatsCollector::new());
+                assert_eq!(r.outcomes(), fresh.outcomes(), "{spec} {parallelism:?}");
+                assert_eq!(t.sim, fresh_t.sim, "{spec} {parallelism:?}");
             }
         }
     }

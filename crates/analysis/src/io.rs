@@ -5,10 +5,9 @@
 //! [`atomic_write`]: the bytes land in a temporary sibling file, are
 //! fsynced, and are then renamed over the destination. A reader therefore
 //! sees either the old complete file or the new complete file, never a torn
-//! prefix, even across `kill -9` or power loss mid-write. Files that only
-//! grow — the registry's `records.jsonl` and the sweep's `telemetry.jsonl`
-//! — are appended a line at a time instead, through the telemetry crate's
-//! `JsonlWriter`.
+//! prefix, even across `kill -9` or power loss mid-write. The one file that
+//! only grows, the registry's `records.jsonl`, is appended a line at a time
+//! instead, through the telemetry crate's `JsonlWriter`.
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};

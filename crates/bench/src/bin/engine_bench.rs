@@ -44,13 +44,13 @@ use avc_population::engine::Simulator;
 use avc_population::graph::Graph;
 use avc_population::sampler::FenwickSampler;
 use avc_population::scenario::build_erased;
-use avc_population::telemetry::export::snapshot_to_json;
 use avc_population::telemetry::{MetricValue, RegistrySnapshot};
 use avc_population::{
     Config, ConvergenceRule, EngineKind, MajorityInstance, Protocol, ProtocolSpec, SchedulerSpec,
 };
 use avc_protocols::{Avc, Bef, Degssu, FourState};
 use avc_store::json::Json;
+use avc_store::record::registry_to_json;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::hint::black_box;
@@ -419,7 +419,7 @@ struct Profile {
     n: u64,
     /// The breakdown as a telemetry registry snapshot: `sim.steps` plus one
     /// `wall.<phase>_ns` counter per phase, so `--profile-out` serializes it
-    /// with the telemetry exporter instead of a bespoke schema.
+    /// in the store's registry form instead of a bespoke schema.
     snapshot: RegistrySnapshot,
 }
 
@@ -771,24 +771,25 @@ fn main() {
     }
 
     if let Some(path) = args.get("profile-out") {
-        // One telemetry registry snapshot per profiled cell, serialized by
-        // the telemetry exporter (same shapes as `telemetry.jsonl`).
-        let cells: Vec<String> = profiles
+        // One telemetry registry snapshot per profiled cell, in the JSON form
+        // the store's records embed.
+        let cells = profiles
             .iter()
             .map(|p| {
-                format!(
-                    "{{\"engine\":\"{}\",\"n\":{},\"snapshot\":{}}}",
-                    p.engine,
-                    p.n,
-                    snapshot_to_json(&p.snapshot)
-                )
+                Json::obj([
+                    ("engine", Json::str(p.engine)),
+                    ("n", Json::Int(p.n as i64)),
+                    ("snapshot", registry_to_json(&p.snapshot)),
+                ])
             })
             .collect();
-        let body = format!(
-            "{{\"bench\":\"engine_bench_profile\",\"mode\":\"{}\",\"profiles\":[{}]}}\n",
-            if quick { "quick" } else { "full" },
-            cells.join(",")
-        );
+        let body = Json::obj([
+            ("bench", Json::str("engine_bench_profile")),
+            ("mode", Json::str(if quick { "quick" } else { "full" })),
+            ("profiles", Json::Arr(cells)),
+        ])
+        .to_string_compact()
+            + "\n";
         atomic_write(path, body).expect("write profile report");
         println!("[profile written to {path}]");
     }

@@ -9,8 +9,7 @@ use crate::protocol::{Opinion, Protocol, StateId};
 /// repeated billions of times; `Cached` trades `O(s²)` memory for flat
 /// array lookups. Worth it for small-to-medium state counts (the table for
 /// `s` states holds `s²` entries of 8 bytes). Building one costs `s²`
-/// transition calls; [`Cached::try_new_with_workers`] spreads them over
-/// threads.
+/// transition calls.
 ///
 /// Outputs and input encodings are also precomputed.
 ///
@@ -76,17 +75,6 @@ impl<P: Protocol> Cached<P> {
     /// This is the dispatch point used by the harness: protocols that fit
     /// run on the table, larger ones keep the arithmetic path.
     pub fn try_new(inner: P) -> Result<Cached<P>, P> {
-        Cached::assemble(inner, |inner, table, productive, words_per_row| {
-            fill_rows(inner, 0, table, productive, words_per_row);
-        })
-    }
-
-    /// Allocates the table and bitset, has `fill` write every row of both
-    /// in place, and adds the outputs and input encodings.
-    fn assemble(
-        inner: P,
-        fill: impl FnOnce(&P, &mut [(StateId, StateId)], &mut [u64], usize),
-    ) -> Result<Cached<P>, P> {
         let s = inner.num_states();
         if !Cached::<P>::fits(s) {
             return Err(inner);
@@ -94,7 +82,21 @@ impl<P: Protocol> Cached<P> {
         let words_per_row = (s as usize).div_ceil(64);
         let mut table = vec![(0, 0); (s as usize) * (s as usize)];
         let mut productive = vec![0u64; (s as usize) * words_per_row];
-        fill(&inner, &mut table, &mut productive, words_per_row);
+        // δ is evaluated once per pair, and the pair in hand decides silence
+        // exactly as `Protocol::is_silent`'s default does, so no second
+        // `transition` call is made.
+        let rows = table
+            .chunks_exact_mut((s as usize).max(1))
+            .zip(productive.chunks_exact_mut(words_per_row.max(1)));
+        for (a, (pairs, bits)) in (0..).zip(rows) {
+            for (b, slot) in (0..).zip(pairs.iter_mut()) {
+                let (x, y) = inner.transition(a, b);
+                *slot = (x, y);
+                if !((x == a && y == b) || (x == b && y == a)) {
+                    bits[b as usize >> 6] |= 1u64 << (b & 63);
+                }
+            }
+        }
         let outputs = (0..s).map(|q| inner.output(q)).collect();
         let inputs = (inner.input(Opinion::A), inner.input(Opinion::B));
         Ok(Cached {
@@ -116,58 +118,6 @@ impl<P: Protocol> Cached<P> {
     /// Consumes the wrapper and returns the protocol.
     pub fn into_inner(self) -> P {
         self.inner
-    }
-}
-
-impl<P: Protocol + Sync> Cached<P> {
-    /// As [`Cached::try_new`], with the rows split into at most `workers`
-    /// contiguous blocks that scoped threads fill in place; the calling
-    /// thread fills the first block, so one worker spawns nothing. The
-    /// table is identical at every worker count.
-    pub fn try_new_with_workers(inner: P, workers: usize) -> Result<Cached<P>, P> {
-        Cached::assemble(inner, |inner, table, productive, words_per_row| {
-            let s = inner.num_states() as usize;
-            let rows = s.div_ceil(workers.max(1)).max(1);
-            let mut blocks = table
-                .chunks_mut(rows * s.max(1))
-                .zip(productive.chunks_mut(rows * words_per_row.max(1)));
-            let own = blocks.next();
-            std::thread::scope(|scope| {
-                for (k, (pairs, bits)) in blocks.enumerate() {
-                    let first = ((k + 1) * rows) as StateId;
-                    scope.spawn(move || fill_rows(inner, first, pairs, bits, words_per_row));
-                }
-                if let Some((pairs, bits)) = own {
-                    fill_rows(inner, 0, pairs, bits, words_per_row);
-                }
-            });
-        })
-    }
-}
-
-/// Fills whole rows from `first` on: `table` holds their `δ` pairs and
-/// `productive` their bitset words. δ is evaluated once per pair, and the
-/// pair in hand decides silence exactly as [`Protocol::is_silent`]'s default
-/// does, so no second `transition` call is made.
-fn fill_rows<P: Protocol>(
-    inner: &P,
-    first: StateId,
-    table: &mut [(StateId, StateId)],
-    productive: &mut [u64],
-    words_per_row: usize,
-) {
-    let s = inner.num_states() as usize;
-    let rows = table
-        .chunks_exact_mut(s.max(1))
-        .zip(productive.chunks_exact_mut(words_per_row.max(1)));
-    for (a, (pairs, bits)) in (first..).zip(rows) {
-        for (b, slot) in (0..).zip(pairs.iter_mut()) {
-            let (x, y) = inner.transition(a, b);
-            *slot = (x, y);
-            if !((x == a && y == b) || (x == b && y == a)) {
-                bits[b as usize >> 6] |= 1u64 << (b & 63);
-            }
-        }
     }
 }
 

@@ -176,7 +176,7 @@ impl StateCell for StateId {
 /// exactly the pre-scheduler loop (same draws, same order).
 ///
 /// Kept out of line (one call per chunk): inlined into `advance_chunk`,
-/// the loop under the star-restricted scheduler ran at 0.6× the steps/s
+/// the loop on the star-restricted schedule ran at 0.6× the steps/s
 /// of this standalone function on an x86-64 release build.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]

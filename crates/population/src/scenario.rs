@@ -28,7 +28,7 @@ use crate::graph::Graph;
 use crate::hash::sha256_hex;
 use crate::json::Json;
 use crate::protocol::{Opinion, Protocol, StateId};
-use crate::sched::{BiasedPair, EpochBatched, GraphRestricted, LaggardStarving};
+use crate::sched::{BiasedPair, EpochBatched, LaggardStarving};
 use crate::spec::{ConvergenceRule, MajorityInstance};
 use crate::telemetry::{NoopSink, Sink};
 use crate::Config;
@@ -368,9 +368,11 @@ pub enum SchedulerSpec {
     },
     /// [`EpochBatched`] random perfect matchings.
     Epoch,
-    /// [`GraphRestricted`] to the star (all traffic through one center).
+    /// Uniform pairs on the star (all traffic through one center): the
+    /// agent engine built on [`Graph::star`].
     RestrictedStar,
-    /// [`GraphRestricted`] to the cycle (worst standard spectral gap).
+    /// Uniform pairs on the cycle (worst standard spectral gap): the agent
+    /// engine built on [`Graph::cycle`].
     RestrictedCycle,
 }
 
@@ -1057,24 +1059,12 @@ where
             AgentSim::with_scheduler(protocol, config, Graph::clique(n), EpochBatched::new())
                 .with_telemetry(sink),
         ),
-        SchedulerSpec::RestrictedStar => Box::new(
-            AgentSim::with_scheduler(
-                protocol,
-                config,
-                Graph::clique(n),
-                GraphRestricted::new(Graph::star(n)),
-            )
-            .with_telemetry(sink),
-        ),
-        SchedulerSpec::RestrictedCycle => Box::new(
-            AgentSim::with_scheduler(
-                protocol,
-                config,
-                Graph::clique(n),
-                GraphRestricted::new(Graph::cycle(n)),
-            )
-            .with_telemetry(sink),
-        ),
+        SchedulerSpec::RestrictedStar => {
+            Box::new(AgentSim::new(protocol, config, Graph::star(n)).with_telemetry(sink))
+        }
+        SchedulerSpec::RestrictedCycle => {
+            Box::new(AgentSim::new(protocol, config, Graph::cycle(n)).with_telemetry(sink))
+        }
     })
 }
 

@@ -22,10 +22,11 @@
 //!   periodic schedule, starving information flow through it;
 //! * [`EpochBatched`] — steps are grouped into epochs of `⌊n/2⌋`
 //!   disjoint pairs from a fresh random perfect matching, the
-//!   round-robin-like schedule of synchronous gossip;
-//! * [`GraphRestricted`] — pairs are drawn from a sparse subgraph even
-//!   though the engine's bookkeeping graph is the clique, modelling a
-//!   communication topology the protocol does not know about.
+//!   round-robin-like schedule of synchronous gossip.
+//!
+//! A schedule restricted to a sparse topology (a star, a cycle) needs no
+//! strategy of its own: [`Uniform`] on an [`AgentSim`](crate::engine::AgentSim)
+//! built over that graph draws its edges.
 //!
 //! All strategies draw only from the supplied RNG, so a run under any of
 //! them is deterministic per seed — the adversary is randomized but
@@ -51,9 +52,6 @@ pub trait Scheduler {
         step: u64,
         rng: &mut R,
     ) -> (usize, usize);
-
-    /// Short human-readable description for reports and manifests.
-    fn label(&self) -> String;
 
     /// Returns the scheduler to its freshly-constructed state without
     /// reallocating, so a reused engine replays exactly like a new one
@@ -84,10 +82,6 @@ impl Scheduler for Uniform {
         rng: &mut R,
     ) -> (usize, usize) {
         graph.sample_pair(rng)
-    }
-
-    fn label(&self) -> String {
-        "uniform".to_string()
     }
 }
 
@@ -146,10 +140,6 @@ impl Scheduler for BiasedPair {
         } else {
             graph.sample_pair(rng)
         }
-    }
-
-    fn label(&self) -> String {
-        format!("biased(hot={},bias={})", self.hot, self.bias)
     }
 }
 
@@ -214,10 +204,6 @@ impl Scheduler for LaggardStarving {
             v += 1;
         }
         (u, v)
-    }
-
-    fn label(&self) -> String {
-        format!("starved(laggards={},period={})", self.laggards, self.period)
     }
 }
 
@@ -285,10 +271,6 @@ impl Scheduler for EpochBatched {
         }
     }
 
-    fn label(&self) -> String {
-        "epoch".to_string()
-    }
-
     fn reset(&mut self) {
         // An empty order forces `next_pair` down the same
         // rebuild-identity-then-shuffle path a fresh scheduler takes; a
@@ -296,63 +278,6 @@ impl Scheduler for EpochBatched {
         // permutation and diverge from a fresh scheduler's draws.
         self.order.clear();
         self.cursor = 0;
-    }
-}
-
-/// Draws pairs from a fixed (typically sparse) subtopology instead of the
-/// engine's graph.
-///
-/// The engine's own graph still defines its bookkeeping (and must have
-/// the same number of agents); this scheduler simply refuses to use its
-/// edges. Restricting a clique engine to a cycle or star reproduces the
-/// \[DV12] graph-restricted regime without rebuilding the engine.
-#[derive(Debug, Clone)]
-pub struct GraphRestricted {
-    sub: Graph,
-}
-
-impl GraphRestricted {
-    /// A scheduler drawing uniform ordered pairs from `sub`'s edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub` has no edges or is disconnected (a disconnected
-    /// schedule is unfair: components never mix).
-    #[must_use]
-    pub fn new(sub: Graph) -> GraphRestricted {
-        assert!(sub.num_edges() > 0, "restriction graph has no edges");
-        assert!(sub.is_connected(), "restriction graph must be connected");
-        GraphRestricted { sub }
-    }
-
-    /// The restriction subgraph.
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        &self.sub
-    }
-}
-
-impl Scheduler for GraphRestricted {
-    fn next_pair<R: RngCore + ?Sized>(
-        &mut self,
-        graph: &Graph,
-        _step: u64,
-        rng: &mut R,
-    ) -> (usize, usize) {
-        assert_eq!(
-            self.sub.num_agents(),
-            graph.num_agents(),
-            "restriction graph size must match the engine's population"
-        );
-        self.sub.sample_pair(rng)
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "restricted(n={},m={})",
-            self.sub.num_agents(),
-            self.sub.num_edges()
-        )
     }
 }
 
@@ -391,10 +316,6 @@ mod tests {
             ("biased", draws(BiasedPair::new(3, 0.9), 10, 300, 2)),
             ("starved", draws(LaggardStarving::new(3, 8), 10, 300, 3)),
             ("epoch", draws(EpochBatched::new(), 10, 300, 4)),
-            (
-                "restricted",
-                draws(GraphRestricted::new(Graph::cycle(10)), 10, 300, 5),
-            ),
         ] {
             for &(u, v) in &pairs {
                 assert!(u != v && u < 10 && v < 10, "{label}: bad pair ({u},{v})");
@@ -452,21 +373,6 @@ mod tests {
                 seen[v] = true;
             }
         }
-    }
-
-    #[test]
-    fn graph_restricted_respects_the_subgraph() {
-        let sub = Graph::star(8);
-        let pairs = draws(GraphRestricted::new(sub), 8, 500, 19);
-        for &(u, v) in &pairs {
-            assert!(u == 0 || v == 0, "non-star pair ({u},{v})");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must be connected")]
-    fn graph_restricted_rejects_disconnected_subgraphs() {
-        let _ = GraphRestricted::new(Graph::from_edges(4, vec![(0, 1), (2, 3)]));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! avc export <name> [flags]   write the sweep's CSVs from the store
 //! avc run <file> [flags]      execute one scenario (or grid) file
 //! avc report <name> [flags]   render the sweep's telemetry
-//! avc top [name] [flags]      tail the live telemetry journal
+//! avc top [name] [flags]      tail the store's records as a sweep appends
 //! avc ls [--cells]            list stored results by experiment
 //! avc show <hash-prefix>      inspect one stored cell
 //! avc help                    this summary plus the sweep registry
@@ -21,7 +21,6 @@
 //! <name>` followed by `avc export <name>`.
 
 use crate::json::Json;
-use crate::record::telemetry_from_json;
 use crate::specs;
 use crate::store::Store;
 use crate::sweep::{self, Plan};
@@ -29,7 +28,7 @@ use avc_analysis::cli::Args;
 use avc_analysis::harness::{ScenarioPlan, StatsCollector};
 use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
-use avc_population::telemetry::export::{prometheus_text, read_lines_tolerant};
+use avc_population::telemetry::export::prometheus_text;
 use avc_population::telemetry::metrics::bucket_bounds;
 use avc_population::telemetry::{keys, CellTelemetry, HistogramSnapshot, RegistrySnapshot};
 use avc_population::{ProtocolSpec, Scenario};
@@ -177,13 +176,7 @@ fn cmd_ls(args: &Args) -> Result<(), String> {
                 if wide {
                     // Wall time plus throughput from the telemetry block,
                     // when the cell recorded one.
-                    let telemetry = r.result.telemetry.as_ref();
-                    let steps = telemetry
-                        .and_then(|t| t.sim.counter(keys::SIM_STEPS))
-                        .map_or("-".to_string(), |s| s.to_string());
-                    let rate = telemetry
-                        .and_then(CellTelemetry::steps_per_sec)
-                        .map_or("-".to_string(), |r| format!("{r:.3e}"));
+                    let (steps, rate) = steps_and_rate(r.result.telemetry.as_ref());
                     println!(
                         "  {}  {:<28} {:>9.1}s  {:>14} steps  {:>10} steps/s",
                         &r.hash[..12],
@@ -215,6 +208,18 @@ fn cmd_ls(args: &Args) -> Result<(), String> {
         println!("(+ {strays} cells from unregistered experiments)");
     }
     Ok(())
+}
+
+/// A cell's total steps and steps per second, `-` where its record has no
+/// telemetry (or, for the rate, no wall time).
+fn steps_and_rate(telemetry: Option<&CellTelemetry>) -> (String, String) {
+    let steps = telemetry
+        .and_then(|t| t.sim.counter(keys::SIM_STEPS))
+        .map_or("-".to_string(), |s| s.to_string());
+    let rate = telemetry
+        .and_then(CellTelemetry::steps_per_sec)
+        .map_or("-".to_string(), |r| format!("{r:.3e}"));
+    (steps, rate)
 }
 
 fn cmd_show(prefix: &str, args: &Args) -> Result<(), String> {
@@ -306,6 +311,7 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
     let mut stored = 0usize;
     let mut table_builds = 0u64;
     let mut workers = WorkerUse::default();
+    let mut shards = ShardUse::default();
     for cell in &plan.cells {
         let Some(record) = store.get(&cell.manifest.hash()) else {
             missing += 1;
@@ -318,6 +324,7 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
         };
         aggregate.merge(telemetry);
         workers.add(&telemetry.wall);
+        shards.add(telemetry);
         table_builds += u64::from(
             telemetry
                 .wall
@@ -382,15 +389,7 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
             plan.cells.len()
         );
     }
-    // Per-shard attribution: sharded sweeps annotate their journal lines,
-    // so wall time and throughput can be split by shard invocation.
-    let plan_hashes: BTreeSet<String> = plan.cells.iter().map(|c| c.manifest.hash()).collect();
-    let journal: Vec<JournalEntry> = read_journal(&store_dir(args))
-        .unwrap_or_default()
-        .into_iter()
-        .filter(|e| plan_hashes.contains(&e.hash))
-        .collect();
-    if let Some(shards) = shard_summary(&journal) {
+    if let Some(shards) = shards.table() {
         println!("{}", shards.to_markdown());
     }
     if let Some(chunks) = aggregate.sim.histogram("sim.chunk_steps") {
@@ -489,89 +488,63 @@ impl WorkerUse {
     }
 }
 
-/// One parsed line of the sweep telemetry journal.
-struct JournalEntry {
-    hash: String,
-    cell: String,
-    /// `i/k` provenance for cells executed by a sharded sweep.
-    shard: Option<String>,
-    telemetry: CellTelemetry,
+/// Wall time and throughput per shard invocation, from the shard gauges
+/// that `--shard i/k` runs (`k > 1`) set in each cell's `wall` registry.
+#[derive(Debug, Default)]
+struct ShardUse {
+    /// `(cells, trials, wall ns)` per `(k, i)`.
+    by_shard: std::collections::BTreeMap<(u64, u64), (u64, u64, u64)>,
 }
 
-fn read_journal(dir: &Path) -> Result<Vec<JournalEntry>, String> {
-    let lines = read_lines_tolerant(&dir.join("telemetry.jsonl")).map_err(|e| e.to_string())?;
-    let mut entries = Vec::with_capacity(lines.len());
-    for line in &lines {
-        let json = Json::parse(line)?;
-        entries.push(JournalEntry {
-            hash: json
-                .get("hash")
-                .and_then(Json::as_str)
-                .ok_or("journal line missing hash")?
-                .to_string(),
-            cell: json
-                .get("cell")
-                .and_then(Json::as_str)
-                .ok_or("journal line missing cell")?
-                .to_string(),
-            shard: json.get("shard").and_then(Json::as_str).map(str::to_string),
-            telemetry: telemetry_from_json(
-                json.get("telemetry")
-                    .ok_or("journal line missing telemetry")?,
-            )?,
-        });
-    }
-    Ok(entries)
-}
-
-/// Renders per-shard wall time and throughput from shard-annotated journal
-/// entries (one row per shard, in `i/k` order). Empty when no entry carries
-/// shard provenance — unsharded sweeps print nothing extra.
-fn shard_summary(entries: &[JournalEntry]) -> Option<Table> {
-    use std::collections::BTreeMap;
-    // (cells, trials, wall ns) per shard label.
-    let mut by_shard: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
-    for entry in entries {
-        let Some(shard) = entry.shard.as_deref() else {
-            continue;
+impl ShardUse {
+    /// Adds one cell; cells without shard gauges (unsharded runs, or
+    /// stored under `AVC_TELEMETRY_NOWALL`) add nothing.
+    fn add(&mut self, telemetry: &CellTelemetry) {
+        let wall = &telemetry.wall;
+        let (Some(index), Some(count)) = (
+            wall.gauge(keys::WALL_SHARD_INDEX),
+            wall.gauge(keys::WALL_SHARD_COUNT),
+        ) else {
+            return;
         };
-        let slot = by_shard.entry(shard).or_default();
+        let slot = self.by_shard.entry((count, index)).or_default();
         slot.0 += 1;
-        slot.1 += entry.telemetry.sim.counter(keys::SIM_TRIALS).unwrap_or(0);
-        slot.2 += entry
-            .telemetry
-            .wall
-            .counter(keys::WALL_CELL_NS)
-            .unwrap_or(0);
+        slot.1 += telemetry.sim.counter(keys::SIM_TRIALS).unwrap_or(0);
+        slot.2 += wall.counter(keys::WALL_CELL_NS).unwrap_or(0);
     }
-    if by_shard.is_empty() {
-        return None;
+
+    /// One row per shard, in `i/k` order; `None` when no cell added a
+    /// shard, so unsharded sweeps print nothing extra.
+    fn table(&self) -> Option<Table> {
+        if self.by_shard.is_empty() {
+            return None;
+        }
+        let mut table = Table::new(
+            "per-shard wall time",
+            ["shard", "cells", "trials", "wall_s", "trials/s"],
+        );
+        for (&(count, index), &(cells, trials, wall_ns)) in &self.by_shard {
+            let wall_s = wall_ns as f64 / 1e9;
+            let rate = if wall_ns > 0 {
+                format!("{:.1}", trials as f64 / wall_s)
+            } else {
+                "-".to_string()
+            };
+            table.push_row([
+                format!("{index}/{count}"),
+                cells.to_string(),
+                trials.to_string(),
+                format!("{wall_s:.1}"),
+                rate,
+            ]);
+        }
+        Some(table)
     }
-    let mut table = Table::new(
-        "per-shard wall time",
-        ["shard", "cells", "trials", "wall_s", "trials/s"],
-    );
-    for (shard, (cells, trials, wall_ns)) in by_shard {
-        let wall_s = wall_ns as f64 / 1e9;
-        let rate = if wall_ns > 0 {
-            format!("{:.1}", trials as f64 / wall_s)
-        } else {
-            "-".to_string()
-        };
-        table.push_row([
-            shard.to_string(),
-            cells.to_string(),
-            trials.to_string(),
-            format!("{wall_s:.1}"),
-            rate,
-        ]);
-    }
-    Some(table)
 }
 
 fn cmd_top(name: Option<&str>, args: &Args) -> Result<(), String> {
     // With a sweep name, show only that plan's cells (flags must match the
-    // running sweep's); without one, show every journaled cell.
+    // running sweep's); without one, show every stored cell.
     let filter: Option<BTreeSet<String>> = match name {
         Some(name) => Some(
             build_plan(name, args)?
@@ -586,30 +559,30 @@ fn cmd_top(name: Option<&str>, args: &Args) -> Result<(), String> {
     let last = args.get_u64("last", 10) as usize;
     let watch = args.flag("watch");
     loop {
-        let entries: Vec<JournalEntry> = read_journal(&dir)?
-            .into_iter()
-            .filter(|e| filter.as_ref().is_none_or(|f| f.contains(&e.hash)))
-            .collect();
-        let total_steps: u64 = entries
+        // Opening reads `records.jsonl` up to its last complete line and
+        // takes no lock, so it never disturbs the sweep appending to it.
+        let store = Store::open(&dir).map_err(|e| e.to_string())?;
+        let records: Vec<_> = store
             .iter()
-            .filter_map(|e| e.telemetry.sim.counter(keys::SIM_STEPS))
+            .filter(|r| filter.as_ref().is_none_or(|f| f.contains(&r.hash)))
+            .collect();
+        let total_steps: u64 = records
+            .iter()
+            .filter_map(|r| r.result.telemetry.as_ref()?.sim.counter(keys::SIM_STEPS))
             .sum();
         println!(
-            "{} cell(s) journaled, {total_steps} steps total — showing last {}",
-            entries.len(),
-            last.min(entries.len())
+            "{} cell(s) stored, {total_steps} steps total — showing last {}",
+            records.len(),
+            last.min(records.len())
         );
-        for entry in entries.iter().rev().take(last).rev() {
-            let t = &entry.telemetry;
+        for r in records.iter().rev().take(last).rev() {
+            let (steps, rate) = steps_and_rate(r.result.telemetry.as_ref());
             println!(
                 "  {}  {:<28} {:>14} steps  {:>10} steps/s",
-                &entry.hash[..12],
-                entry.cell,
-                t.sim
-                    .counter(keys::SIM_STEPS)
-                    .map_or("-".to_string(), |s| s.to_string()),
-                t.steps_per_sec()
-                    .map_or("-".to_string(), |r| format!("{r:.3e}"))
+                &r.hash[..12],
+                r.manifest.get("cell").unwrap_or("?"),
+                steps,
+                rate
             );
         }
         if !watch {
@@ -639,8 +612,8 @@ fn cmd_run(path: &str, args: &Args) -> Result<(), String> {
 
 /// Runs every cell of a scenario grid store-free (the `avc run` analogue of
 /// a grid sweep) and prints a per-grid wrong-consensus tally. The cells
-/// share one collector, and so one worker pool and table slot; as in a
-/// sweep, each cell's batch is queued while the cell before it runs.
+/// share one collector, and so one worker pool; as in a sweep, each cell's
+/// batch is queued while the cell before it runs.
 fn cmd_run_grid(path: &str, json: &Json, args: &Args) -> Result<(), String> {
     let grid =
         crate::scenario_grid::ScenarioGrid::from_json(json).map_err(|e| format!("{path}: {e}"))?;
@@ -751,7 +724,7 @@ fn usage() -> String {
          \x20 export <name>   write the sweep's results/*.csv from the store\n\
          \x20 report <name>   render the sweep's telemetry (throughput table,\n\
          \x20                 chunk histograms, convergence; --prometheus)\n\
-         \x20 top [name]      tail the live sweep telemetry journal\n\
+         \x20 top [name]      tail the store's records as a sweep appends\n\
          \x20                 (--last N, --watch)\n\
          \x20 ls [--cells|--wide]  list stored results by experiment\n\
          \x20 show <hash>     inspect one stored cell by hash prefix\n\

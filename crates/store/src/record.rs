@@ -103,10 +103,10 @@ impl CellResult {
     }
 }
 
-/// Serializes one metric value in the same shape `avc-telemetry`'s string
-/// exporter emits (`{"counter":N}` / `{"gauge":N}` /
-/// `{"histogram":{"count":..,"sum":..,"buckets":[[i,c],..]}}`), so the
-/// record's embedded telemetry and the sweep's `telemetry.jsonl` agree.
+/// Serializes one metric value, tagged by kind: `{"counter":N}`,
+/// `{"gauge":N}` or
+/// `{"histogram":{"buckets":[[i,c],..],"count":..,"sum":..}}` with the
+/// nonzero log₂ buckets only.
 fn metric_value_to_json(value: &MetricValue) -> Json {
     match value {
         MetricValue::Counter(v) => Json::obj([("counter", Json::Int(*v as i64))]),
@@ -169,7 +169,11 @@ fn metric_value_from_json(json: &Json) -> Result<MetricValue, String> {
     Ok(MetricValue::Histogram(snap))
 }
 
-fn registry_to_json(snap: &RegistrySnapshot) -> Json {
+/// The workspace's one JSON form of a registry: an object keyed by metric
+/// name, in name order, so fixed contents give fixed bytes. Records embed
+/// it, and `engine_bench --profile-out` writes its snapshots in it.
+#[must_use]
+pub fn registry_to_json(snap: &RegistrySnapshot) -> Json {
     Json::Obj(
         snap.iter()
             .map(|(name, value)| (name.to_string(), metric_value_to_json(value)))
@@ -192,7 +196,7 @@ fn telemetry_to_json(telemetry: &CellTelemetry) -> Json {
     ])
 }
 
-pub(crate) fn telemetry_from_json(json: &Json) -> Result<CellTelemetry, String> {
+fn telemetry_from_json(json: &Json) -> Result<CellTelemetry, String> {
     let sim = match json.get("sim") {
         Some(sim) => registry_from_json(sim)?,
         None => RegistrySnapshot::new(),

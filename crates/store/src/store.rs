@@ -115,6 +115,12 @@ impl Store {
             .collect()
     }
 
+    /// Every loaded record in append order, superseded duplicates included:
+    /// the lines of `records.jsonl` as they stand.
+    pub fn iter(&self) -> impl Iterator<Item = &Record> {
+        self.records.iter()
+    }
+
     /// Iterates the latest record of every cell, in hash order.
     pub fn iter_latest(&self) -> impl Iterator<Item = &Record> {
         self.index.values().map(|&i| &self.records[i])

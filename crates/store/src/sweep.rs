@@ -5,6 +5,8 @@
 //! assemble the final tables from the full, ordered result list. Running a
 //! plan consults the [`Store`] before every cell: completed cells are
 //! skipped, and missing ones run and are appended durably in plan order.
+//! The record, telemetry included, is the one durable copy of a cell: one
+//! line appended and one `sync_data` per executed cell.
 //! While a cell's trials run, the collector's worker pool may already run
 //! the next pending cell's, so killing the process at any point loses at
 //! most the two in-flight cells, and a rerun of the same command resumes
@@ -23,8 +25,7 @@ use crate::record::{CellResult, Record};
 use crate::store::Store;
 use avc_analysis::harness::{ScenarioPlan, StatsCollector};
 use avc_analysis::table::Table;
-use avc_population::telemetry::export::JsonlWriter;
-use avc_population::telemetry::{keys, wall_suppressed, RegistrySnapshot, Span};
+use avc_population::telemetry::{keys, wall_suppressed, MetricValue, RegistrySnapshot, Span};
 use std::fmt;
 use std::io;
 
@@ -176,17 +177,20 @@ pub fn run(
 ///
 /// Before a cell runs, its batch and the next pending cell's are queued on
 /// `stats`' pool, so workers that run out of one cell's trials start the
-/// next cell's. Records and journal lines are still appended one cell at a
-/// time, in plan order. A cell's recorded `wall_ms` is its batch's share of
-/// the sweep's wall time ([`keys::WALL_CELL_NS`]), or the time its `run`
-/// took where it runs no batch.
+/// next cell's. Records are still appended one cell at a time, in plan
+/// order. A cell's recorded `wall_ms` is its batch's share of the sweep's
+/// wall time ([`keys::WALL_CELL_NS`]), or the time its `run` took where it
+/// runs no batch. On a `--shard i/k` run with `k > 1`, each record's
+/// telemetry names its shard in the gauges [`keys::WALL_SHARD_INDEX`] and
+/// [`keys::WALL_SHARD_COUNT`], which `avc report` groups by.
 ///
 /// Cells are seeded by identity, not position, so a shard's cells run with
 /// exactly the RNG streams they consume in an unsharded sweep. With
 /// [`wall_suppressed`] set, checkpoints carry no wall-clock bytes at all
-/// (`wall_ms` recorded as 0, the telemetry `wall` registry stripped), which
-/// makes each shard store — and therefore the merged store — a pure
-/// function of the plan and seed: byte-identical to an unsharded run's.
+/// (`wall_ms` recorded as 0, the telemetry `wall` registry stripped, shard
+/// gauges included), which makes each shard store — and therefore the
+/// merged store — a pure function of the plan and seed: byte-identical to
+/// an unsharded run's.
 ///
 /// # Errors
 ///
@@ -200,17 +204,6 @@ pub fn run_sharded(
 ) -> io::Result<SweepOutcome> {
     let mut outcome = SweepOutcome::default();
     let total = plan.cells.len();
-    // Per-cell telemetry journal beside the records file. Opening tolerates
-    // a torn final line (the crash signature), so a resumed sweep appends
-    // cleanly after a kill.
-    let mut journal = JsonlWriter::open(&telemetry_path(store))?;
-    // Journal lines of sharded runs carry their shard as provenance, so
-    // `avc report` can attribute wall time and throughput per shard.
-    let shard_field = if shard.is_full() {
-        String::new()
-    } else {
-        format!("\"shard\":\"{shard}\",")
-    };
     let hashes: Vec<String> = plan.cells.iter().map(|c| c.manifest.hash()).collect();
     let pending: Vec<bool> = hashes
         .iter()
@@ -258,17 +251,14 @@ pub fn run_sharded(
                 .and_then(|t| t.wall.counter(keys::WALL_CELL_NS));
             batch_ns.map_or_else(|| started.elapsed_ms(), |ns| ns / 1_000_000)
         };
-        if wall_suppressed() {
-            if let Some(telemetry) = &mut result.telemetry {
+        if let Some(telemetry) = &mut result.telemetry {
+            if wall_suppressed() {
                 telemetry.wall = RegistrySnapshot::new();
+            } else if !shard.is_full() {
+                let wall = &mut telemetry.wall;
+                wall.set(keys::WALL_SHARD_INDEX, MetricValue::Gauge(shard.index));
+                wall.set(keys::WALL_SHARD_COUNT, MetricValue::Gauge(shard.count));
             }
-        }
-        if let Some(telemetry) = &result.telemetry {
-            journal.append(&format!(
-                "{{\"hash\":\"{hash}\",\"cell\":\"{}\",{shard_field}\"telemetry\":{}}}",
-                avc_population::telemetry::export::json_escape(&cell.label),
-                telemetry.to_json()
-            ))?;
         }
         store.append(Record::new(cell.manifest.clone(), result, wall_ms))?;
         outcome.ran += 1;
@@ -292,27 +282,19 @@ pub fn run_sharded(
 /// `dest`. Since the unsharded runner also appends in grid order, a merge
 /// of k complete shard stores produced under [`wall_suppressed`] yields a
 /// `records.jsonl` byte-identical to the unsharded run's. Cells already in
-/// `dest` are left untouched; the telemetry journals are merged the same
-/// way (journal lines keep their shard provenance, so the merged journal is
-/// shard-annotated rather than byte-identical).
+/// `dest` are left untouched. Records written with wall telemetry keep
+/// their shard gauges, so `avc report` on the merged store still splits
+/// the work by shard.
 ///
 /// Returns how many records were appended.
 ///
 /// # Errors
 ///
 /// Lists cells missing from every source (some shard has not finished),
-/// and propagates store/journal I/O failures as strings.
+/// and propagates store I/O failures as strings.
 pub fn merge(dest: &mut Store, plan: &Plan, sources: &[Store]) -> Result<usize, String> {
     let mut missing = Vec::new();
     let mut appended = 0usize;
-    let source_journals: Vec<Vec<String>> = sources
-        .iter()
-        .map(|s| {
-            avc_population::telemetry::export::read_lines_tolerant(&telemetry_path(s))
-                .map_err(|e| e.to_string())
-        })
-        .collect::<Result<_, String>>()?;
-    let mut journal = JsonlWriter::open(&telemetry_path(dest)).map_err(|e| e.to_string())?;
     for cell in &plan.cells {
         let hash = cell.manifest.hash();
         if dest.get(&hash).is_some() {
@@ -323,15 +305,6 @@ pub fn merge(dest: &mut Store, plan: &Plan, sources: &[Store]) -> Result<usize, 
             continue;
         };
         dest.append(record.clone()).map_err(|e| e.to_string())?;
-        // Carry the cell's journal line over (hash-keyed, plan-ordered).
-        let needle = format!("\"hash\":\"{hash}\"");
-        if let Some(line) = source_journals
-            .iter()
-            .flatten()
-            .find(|line| line.contains(&needle))
-        {
-            journal.append(line).map_err(|e| e.to_string())?;
-        }
         appended += 1;
     }
     if missing.is_empty() {
@@ -348,9 +321,11 @@ pub fn merge(dest: &mut Store, plan: &Plan, sources: &[Store]) -> Result<usize, 
     }
 }
 
-/// The sweep telemetry journal's path: `telemetry.jsonl` beside the
-/// registry's `records.jsonl`. One line per cell *executed* (cached cells
-/// re-run nothing, so they journal nothing), in execution order.
+/// `telemetry.jsonl` beside the registry's `records.jsonl`, where sweeps
+/// once journaled each executed cell's telemetry a second time. Nothing
+/// writes it any more (the record carries the telemetry); it stays only
+/// for `sweep_bench`'s store replay, which finds no lines there, until
+/// that replay is re-based.
 #[must_use]
 pub fn telemetry_path(store: &Store) -> std::path::PathBuf {
     store.dir().join("telemetry.jsonl")

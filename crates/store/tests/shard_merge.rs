@@ -5,8 +5,10 @@
 //!
 //! Byte-identity needs every nondeterministic byte out of the store, so the
 //! child processes run with `AVC_TELEMETRY_NOWALL` set: the sweep then
-//! records `wall_ms` as 0 and strips the telemetry `wall` registry, leaving
-//! records that are a pure function of the plan and seed.
+//! records `wall_ms` as 0 and strips the telemetry `wall` registry, shard
+//! gauges included, leaving records that are a pure function of the plan
+//! and seed. Without it, each record names the shard that ran it, and
+//! `avc report` on the merged store splits the work by shard.
 
 use avc_analysis::cli::Args;
 use avc_store::sweep::Shard;
@@ -28,6 +30,18 @@ fn avc(dir: &Path, args: &[&str]) {
         .status()
         .expect("spawn avc");
     assert!(status.success(), "`avc {}` failed", args.join(" "));
+}
+
+/// As [`avc`] with wall telemetry kept, returning stdout.
+fn avc_with_wall(dir: &Path, args: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_avc"))
+        .args(args)
+        .args(["--out", dir.to_str().expect("utf-8 temp path")])
+        .env_remove("AVC_TELEMETRY_NOWALL")
+        .output()
+        .expect("spawn avc");
+    assert!(output.status.success(), "`avc {}` failed", args.join(" "));
+    String::from_utf8(output.stdout).expect("utf-8 output")
 }
 
 /// Shard ownership is a partition: for every k, each cell hash belongs to
@@ -114,16 +128,50 @@ fn three_way_sharded_fig3_merges_byte_identical() {
     let total: usize = shards.iter().map(|d| lines(d)).sum();
     assert_eq!(total, 9, "shard stores overlap or miss cells");
 
-    // Merged journal lines keep their shard provenance.
-    let journal = std::fs::read_to_string(merged.join("store/telemetry.jsonl"))
-        .expect("merged journal exists");
-    assert_eq!(journal.lines().count(), 9);
-    assert!(
-        journal.lines().all(|l| l.contains("\"shard\":\"")),
-        "merged journal lines lost shard provenance"
-    );
-
     for dir in shards.iter().chain([&base, &merged]) {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// With wall telemetry kept, each record of a 2-way sharded sweep names
+/// its shard, and `avc report` on the merged store prints one row per
+/// shard whose cells add up to the grid.
+#[test]
+fn report_splits_a_merged_store_by_shard() {
+    let shards: Vec<_> = (0..2)
+        .map(|i| {
+            let dir = temp_dir(&format!("wall-s{i}"));
+            let shard = format!("{i}/2");
+            avc_with_wall(&dir, &["sweep", "fig3", "--quick", "--shard", &shard]);
+            dir
+        })
+        .collect();
+    let merged = temp_dir("wall-merged");
+    let stores = shards
+        .iter()
+        .map(|d| d.join("store").to_str().expect("utf-8").to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    avc_with_wall(&merged, &["merge", "fig3", "--quick", "--stores", &stores]);
+
+    let report = avc_with_wall(&merged, &["report", "fig3", "--quick"]);
+    // Rows of the per-shard table: `| i/k | cells | trials | wall_s | … |`.
+    let rows: Vec<(String, usize)> = report
+        .lines()
+        .filter_map(|line| {
+            let fields: Vec<&str> = line.split('|').map(str::trim).collect();
+            let shard = fields.get(1)?;
+            shard
+                .ends_with("/2")
+                .then(|| (shard.to_string(), fields[2].parse().expect("cell count")))
+        })
+        .collect();
+    let names: Vec<&str> = rows.iter().map(|(shard, _)| shard.as_str()).collect();
+    assert_eq!(names, ["0/2", "1/2"], "per-shard rows:\n{report}");
+    let cells: usize = rows.iter().map(|&(_, cells)| cells).sum();
+    assert_eq!(cells, 9, "per-shard cells:\n{report}");
+
+    for dir in shards.iter().chain([&merged]) {
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -1,19 +1,20 @@
-//! Golden determinism tests for the sweep stores: a fixed-seed
-//! `avc sweep fig3 --quick` must produce a byte-identical `telemetry.jsonl`
-//! at `--threads 1` and `--threads 4`, and both `records.jsonl` and
-//! `telemetry.jsonl` of that sweep and of the rival-protocol grid
-//! `examples/scenarios/rivals_margin1.grid.json --quick` must equal the
-//! committed fixtures under `tests/golden/` byte for byte. A
+//! Golden determinism tests for the sweep stores, whose records carry each
+//! cell's telemetry: the `records.jsonl` of a fixed-seed
+//! `avc sweep fig3 --quick` at `--threads 1` and `--threads 4`, and of the
+//! rival-protocol grid `examples/scenarios/rivals_margin1.grid.json
+//! --quick`, must equal the committed fixtures under `tests/golden/` byte
+//! for byte, and no sweep may write a second copy beside them. A
 //! `fig4 --quick --runs 3` sweep, whose cells have fewer trials than
 //! workers so that the worker pool runs two cells' batches at once, must
-//! write the same store at `--threads 1`, `2` and `4`.
+//! write the same store at `--threads 1`, `2` and `4`. `avc top` must tail
+//! a store's records past a torn final line.
 //!
-//! Wall-clock sections are inherently run-dependent, so every child
+//! Wall-clock sections are inherently run-dependent, so every sweep child
 //! process runs with `AVC_TELEMETRY_NOWALL` set (scoped to the subprocess
-//! — nothing leaks into this test harness), which makes every record and
-//! journal line pure simulation-derived data. The remaining content is
-//! deterministic because cell seeds are fixed and the harness's `sim.*`
-//! merges are integer sums, independent of which worker ran which trial.
+//! — nothing leaks into this test harness), which makes every record pure
+//! simulation-derived data. The remaining content is deterministic because
+//! cell seeds are fixed and the harness's `sim.*` merges are integer sums,
+//! independent of which worker ran which trial.
 //!
 //! The fixtures were recorded by the harness that built a fresh engine per
 //! instrumented trial and merged per-trial telemetry in index order, so
@@ -21,7 +22,7 @@
 //! the grid covers the agent engine under adversarial schedulers. A change
 //! that means to alter results regenerates them with
 //! `AVC_TELEMETRY_NOWALL=1 avc sweep <name> --quick --out DIR` and copies
-//! `DIR/store/*.jsonl` over.
+//! `DIR/store/records.jsonl` over.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -55,19 +56,23 @@ fn read(path: &Path) -> Vec<u8> {
     std::fs::read(path).unwrap_or_else(|e| panic!("missing {}: {e}", path.display()))
 }
 
-/// Requires the store under `dir` to equal the fixture set `golden`.
+/// Requires the store under `dir` to equal the fixture set `golden`, and
+/// to hold nothing but its records.
 fn assert_matches_golden(dir: &Path, golden: &str) {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    for file in ["records.jsonl", "telemetry.jsonl"] {
-        let got = read(&dir.join("store").join(file));
-        let want = read(&fixtures.join(golden).join(file));
-        assert!(
-            got == want,
-            "{golden}/{file} differs from the committed fixture ({} vs {} bytes)",
-            got.len(),
-            want.len()
-        );
-    }
+    let file = "records.jsonl";
+    let got = read(&dir.join("store").join(file));
+    let want = read(&fixtures.join(golden).join(file));
+    assert!(
+        got == want,
+        "{golden}/{file} differs from the committed fixture ({} vs {} bytes)",
+        got.len(),
+        want.len()
+    );
+    assert!(
+        !dir.join("store/telemetry.jsonl").exists(),
+        "the sweep wrote a telemetry.jsonl beside its records"
+    );
 }
 
 #[test]
@@ -76,36 +81,44 @@ fn telemetry_stream_is_byte_identical_across_worker_counts() {
     let parallel = temp_dir("t4");
     sweep("fig3", &serial, "1");
     sweep("fig3", &parallel, "4");
-
-    let journal = |dir: &Path| read(&dir.join("store/telemetry.jsonl"));
-    let (bytes_1, bytes_4) = (journal(&serial), journal(&parallel));
-    assert!(!bytes_1.is_empty(), "telemetry stream is empty");
-    assert_eq!(
-        bytes_1, bytes_4,
-        "telemetry.jsonl differs between --threads 1 and --threads 4"
-    );
     assert_matches_golden(&serial, "fig3_quick");
     assert_matches_golden(&parallel, "fig3_quick");
-
-    // Sanity on the stream shape: one line per fig3 quick cell, each a JSON
-    // object carrying the cell identity and a sim-only telemetry block.
-    let text = String::from_utf8(bytes_1).expect("utf-8 stream");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 9, "fig3 --quick journals one line per cell");
-    for line in lines {
-        let parsed = avc_store::json::Json::parse(line).expect("journal line parses");
-        assert!(parsed.get("hash").is_some(), "line missing hash: {line}");
-        assert!(parsed.get("cell").is_some(), "line missing cell: {line}");
-        let telemetry = parsed.get("telemetry").expect("line missing telemetry");
-        assert!(telemetry.get("sim").is_some(), "telemetry missing sim half");
-        assert!(
-            telemetry.get("wall").is_none(),
-            "wall section present despite AVC_TELEMETRY_NOWALL"
-        );
-    }
-
     let _ = std::fs::remove_dir_all(&serial);
     let _ = std::fs::remove_dir_all(&parallel);
+}
+
+/// `avc top` tails `records.jsonl` in append order, and a torn final line
+/// (what a kill mid-append leaves) changes nothing it prints.
+#[test]
+fn top_tails_the_records_past_a_torn_tail() {
+    let dir = temp_dir("top");
+    sweep("fig3", &dir, "2");
+    let top = || {
+        let output = Command::new(env!("CARGO_BIN_EXE_avc"))
+            .args(["top", "fig3", "--quick", "--last", "3"])
+            .args(["--out", dir.to_str().expect("utf-8 temp path")])
+            .output()
+            .expect("spawn avc");
+        assert!(output.status.success(), "avc top failed: {output:?}");
+        String::from_utf8(output.stdout).expect("utf-8 output")
+    };
+    let whole = top();
+    let cells: Vec<&str> = whole.lines().filter(|l| l.contains(" steps/s")).collect();
+    assert_eq!(cells.len(), 3, "avc top --last 3 printed:\n{whole}");
+    assert!(
+        cells.iter().all(|l| l.contains("n=1001/")),
+        "the last three records are the n = 1001 cells:\n{whole}"
+    );
+    assert!(whole.starts_with("9 cell(s) stored"), "{whole}");
+
+    use std::io::Write;
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("store/records.jsonl"))
+        .and_then(|mut f| f.write_all(b"{\"schema\":1,\"hash\":\"torn"))
+        .expect("append a torn tail");
+    assert_eq!(top(), whole, "a torn tail changed what avc top prints");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -132,15 +145,14 @@ fn overlapping_batches_write_the_same_store_at_any_worker_count() {
         })
         .collect();
     let (_, first) = &stores[0];
-    for file in ["records.jsonl", "telemetry.jsonl"] {
-        let want = read(&first.join("store").join(file));
-        assert!(!want.is_empty(), "{file} is empty");
-        for (threads, dir) in &stores[1..] {
-            assert!(
-                read(&dir.join("store").join(file)) == want,
-                "{file} differs between --threads 1 and --threads {threads}"
-            );
-        }
+    let file = "records.jsonl";
+    let want = read(&first.join("store").join(file));
+    assert!(!want.is_empty(), "{file} is empty");
+    for (threads, dir) in &stores[1..] {
+        assert!(
+            read(&dir.join("store").join(file)) == want,
+            "{file} differs between --threads 1 and --threads {threads}"
+        );
     }
     for (_, dir) in stores {
         let _ = std::fs::remove_dir_all(&dir);

@@ -10,11 +10,11 @@
 //! * `wall` — wall-clock measurements (durations, throughput inputs).
 //!   Never comparable across runs or machines.
 //!
-//! Exports emit both by default; setting the `AVC_TELEMETRY_NOWALL`
-//! environment variable (any non-empty value) omits the `wall` section so
-//! determinism tests can byte-compare whole streams.
+//! Stored records carry both by default; setting the
+//! `AVC_TELEMETRY_NOWALL` environment variable (any non-empty value) makes
+//! the sweep store an empty `wall` registry, so determinism tests can
+//! byte-compare whole stores.
 
-use crate::export::snapshot_to_json;
 use crate::registry::RegistrySnapshot;
 
 /// Conventional metric names shared by producers (harness, sweep) and
@@ -47,14 +47,20 @@ pub mod keys {
     /// Worker threads the cell's batch could run on (gauge, `wall`).
     pub const WALL_WORKERS: &str = "wall.workers";
     /// Wall time building the cell's dense transition table in nanoseconds;
-    /// 0 when the sweep's table slot already held it or the protocol is
-    /// above the table bound (counter, `wall`).
+    /// 0 when the protocol is above the table bound and runs arithmetically
+    /// (counter, `wall`).
     pub const WALL_TABLE_BUILD_NS: &str = "wall.table_build_ns";
+    /// The `i` of the `--shard i/k` run that executed the cell; set only
+    /// when `k > 1` (gauge, `wall`).
+    pub const WALL_SHARD_INDEX: &str = "wall.shard_index";
+    /// The `k` of the `--shard i/k` run that executed the cell; set only
+    /// when `k > 1` (gauge, `wall`).
+    pub const WALL_SHARD_COUNT: &str = "wall.shard_count";
     /// Per-chunk wall latency in nanoseconds (histogram, `wall`).
     pub const WALL_CHUNK_NS: &str = "wall.chunk_ns";
 }
 
-/// Whether exports should omit wall-clock sections (the
+/// Whether stored records should carry no wall-clock values (the
 /// `AVC_TELEMETRY_NOWALL` escape hatch for byte-identity tests).
 #[must_use]
 pub fn wall_suppressed() -> bool {
@@ -99,28 +105,11 @@ impl CellTelemetry {
         let ns = self.wall.counter(keys::WALL_CELL_NS)?;
         (ns > 0).then(|| steps as f64 * 1e9 / ns as f64)
     }
-
-    /// The JSON object form: `{"sim":{…}}` plus a `"wall"` section unless
-    /// suppressed (see [`wall_suppressed`]). Byte-stable for fixed
-    /// contents.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        if wall_suppressed() {
-            format!("{{\"sim\":{}}}", snapshot_to_json(&self.sim))
-        } else {
-            format!(
-                "{{\"sim\":{},\"wall\":{}}}",
-                snapshot_to_json(&self.sim),
-                snapshot_to_json(&self.wall)
-            )
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSnapshot;
     use crate::registry::MetricValue;
 
     #[test]
@@ -144,18 +133,5 @@ mod tests {
         t.wall
             .set(keys::WALL_CELL_NS, MetricValue::Counter(1_000_000_000));
         assert_eq!(t.steps_per_sec(), Some(2_000.0));
-    }
-
-    #[test]
-    fn json_contains_both_sections() {
-        let mut t = CellTelemetry::new();
-        t.sim.set(keys::SIM_STEPS, MetricValue::Counter(7));
-        let mut h = HistogramSnapshot::new();
-        h.record(123);
-        t.wall.set(keys::WALL_TRIAL_NS, MetricValue::Histogram(h));
-        let json = t.to_json();
-        assert!(json.starts_with("{\"sim\":{"));
-        assert!(json.contains("\"sim.steps\":{\"counter\":7}"));
-        assert!(json.contains("\"wall\":{"));
     }
 }

@@ -1,26 +1,24 @@
-//! Exporters: JSON snapshot emission, a crash-safe JSONL event stream, and
-//! the Prometheus text exposition format.
+//! Exporters: a crash-safe JSONL stream and the Prometheus text exposition
+//! format.
 //!
-//! Emission only — this crate writes JSON but never parses it (the store
-//! crate already owns a parser for its records and reuses it for
-//! `avc report`/`avc top`). All emitted values are integers or escaped
-//! strings, so a snapshot's JSON is byte-stable: same metrics in, same
-//! bytes out, on every platform.
+//! This crate writes JSON but never parses it, and it serializes no
+//! registry: the store crate owns the one JSON form of a
+//! [`RegistrySnapshot`] (inside each record) and its parser, which
+//! `avc report` and `avc top` reuse.
 //!
 //! [`JsonlWriter`] is the workspace's one JSONL appender: the store's
-//! `records.jsonl` and the sweep's `telemetry.jsonl` are both written
-//! through it. Each append writes only the new line, at the end of the
-//! file's newline-terminated prefix, and `fdatasync`s it, so a sweep of N
-//! cells writes each line once. Readers trust only newline-terminated
-//! lines ([`read_lines_tolerant`] drops a torn tail), so a crash
-//! mid-append loses at most the line being written, and the next writer
-//! overwrites the fragment.
+//! `records.jsonl` is written through it. Each append writes only the new
+//! line, at the end of the file's newline-terminated prefix, and
+//! `fdatasync`s it, so a sweep of N cells writes each line once. Readers
+//! trust only newline-terminated lines ([`read_lines_tolerant`] drops a
+//! torn tail), so a crash mid-append loses at most the line being written,
+//! and the next writer overwrites the fragment.
 
 use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::{self, ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::metrics::{bucket_bounds, HistogramSnapshot};
+use crate::metrics::bucket_bounds;
 use crate::registry::{MetricValue, RegistrySnapshot};
 
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not
@@ -42,46 +40,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// The JSON form of one histogram: exact count/sum plus the sparse nonzero
-/// buckets as `[bit_length, count]` pairs.
-#[must_use]
-pub fn histogram_to_json(h: &HistogramSnapshot) -> String {
-    let buckets: Vec<String> = h
-        .nonzero_buckets()
-        .into_iter()
-        .map(|(i, c)| format!("[{i},{c}]"))
-        .collect();
-    format!(
-        "{{\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-        h.count,
-        h.sum,
-        buckets.join(",")
-    )
-}
-
-/// The JSON form of one metric value, tagged by kind.
-#[must_use]
-pub fn metric_to_json(value: &MetricValue) -> String {
-    match value {
-        MetricValue::Counter(v) => format!("{{\"counter\":{v}}}"),
-        MetricValue::Gauge(v) => format!("{{\"gauge\":{v}}}"),
-        MetricValue::Histogram(h) => {
-            format!("{{\"histogram\":{}}}", histogram_to_json(h))
-        }
-    }
-}
-
-/// The JSON form of a whole snapshot: an object keyed by metric name, in
-/// name order (byte-stable for fixed contents).
-#[must_use]
-pub fn snapshot_to_json(snap: &RegistrySnapshot) -> String {
-    let fields: Vec<String> = snap
-        .iter()
-        .map(|(name, value)| format!("\"{}\":{}", json_escape(name), metric_to_json(value)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
 }
 
 /// Renders a snapshot in the Prometheus text exposition format.
@@ -176,7 +134,7 @@ pub fn read_lines_tolerant(path: &Path) -> io::Result<Vec<String>> {
 ///
 /// ```no_run
 /// use avc_telemetry::export::JsonlWriter;
-/// let mut w = JsonlWriter::open("results/store/telemetry.jsonl".as_ref()).unwrap();
+/// let mut w = JsonlWriter::open("events.jsonl".as_ref()).unwrap();
 /// w.append("{\"event\":\"cell\"}").unwrap();
 /// ```
 #[derive(Debug)]
@@ -307,7 +265,7 @@ fn lock_for_append(path: &Path, opened_len: u64) -> io::Result<File> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::RegistrySnapshot;
+    use crate::metrics::HistogramSnapshot;
 
     fn sample_snapshot() -> RegistrySnapshot {
         let mut snap = RegistrySnapshot::new();
@@ -319,18 +277,6 @@ mod tests {
         h.record(5);
         snap.set("sim.chunk_steps", MetricValue::Histogram(h));
         snap
-    }
-
-    #[test]
-    fn snapshot_json_is_ordered_and_exact() {
-        let json = snapshot_to_json(&sample_snapshot());
-        assert_eq!(
-            json,
-            "{\"sim.chunk_steps\":{\"histogram\":{\"count\":3,\"sum\":10,\
-             \"buckets\":[[0,1],[3,2]]}},\
-             \"sim.steps\":{\"counter\":1500},\
-             \"wall.peak_rss\":{\"gauge\":42}}"
-        );
     }
 
     #[test]

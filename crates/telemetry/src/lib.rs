@@ -17,8 +17,9 @@
 //!   wall-clock timer for trial, chunk and cell timing.
 //! * **Export** ([`export`]): the workspace's one JSONL appender (each
 //!   append writes and `fdatasync`s one line; one locked writer per file;
-//!   torn-tail-tolerant loading), which the store's records also go
-//!   through, plus the Prometheus text exposition format.
+//!   torn-tail-tolerant loading), which the store's records go through,
+//!   plus the Prometheus text exposition format. The one JSON form of a
+//!   registry lives in the store crate's records.
 //!
 //! # Determinism contract
 //!
@@ -26,9 +27,9 @@
 //! fractions, convergence histograms — identical for a fixed seed at any
 //! worker count) from *wall-clock* values (durations, throughput — never
 //! comparable across runs). [`cell::CellTelemetry`] keeps the two in
-//! distinct registries so exports can byte-compare the deterministic half;
-//! `tests/telemetry_stream.rs` in `avc-store` pins `--threads 1` vs
-//! `--threads 4` byte-identity on exactly that split.
+//! distinct registries so stored records can byte-compare the
+//! deterministic half; `tests/telemetry_stream.rs` in `avc-store` pins
+//! `--threads 1` vs `--threads 4` byte-identity on exactly that split.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

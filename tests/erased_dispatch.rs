@@ -6,7 +6,8 @@
 //! identical trajectories, and — the sharp check — identical RNG stream
 //! positions afterwards (a single extra or missing draw shifts every later
 //! trial). These tests pin that invariant across every engine, under a
-//! non-uniform scheduler, and through the faulted driver path.
+//! non-uniform scheduler, on the restricted star and cycle topologies, and
+//! through the faulted driver path.
 
 use avc::population::driver::{Driver, NullObserver};
 use avc::population::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator};
@@ -150,6 +151,29 @@ fn erased_matches_concrete_under_biased_scheduler() {
         concrete, erased,
         "biased-scheduler erased run diverged from concrete"
     );
+}
+
+#[test]
+fn erased_restricted_schedules_are_the_agent_engine_on_the_graph() {
+    let protocol = FourState;
+    let instance = MajorityInstance::one_extra(25);
+    let config = Config::from_input(&protocol, instance.a(), instance.b());
+    let n = config.population() as usize;
+    for (spec, graph) in [
+        (SchedulerSpec::RestrictedStar, Graph::star(n)),
+        (SchedulerSpec::RestrictedCycle, Graph::cycle(n)),
+    ] {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut sim = AgentSim::new(protocol, config.clone(), graph);
+        let out = driver().run(&mut sim, &mut rng, &mut NullObserver);
+        let concrete = (out, sim.counts().to_vec(), rng.next_u64());
+
+        let erased = erased_run(&protocol, config.clone(), EngineKind::Agent, &spec, 3);
+        assert_eq!(
+            concrete, erased,
+            "{spec}: erased run diverged from concrete"
+        );
+    }
 }
 
 #[test]

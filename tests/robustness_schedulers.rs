@@ -10,9 +10,7 @@
 use avc::population::driver::{Driver, NullObserver};
 use avc::population::engine::{AgentSim, Simulator};
 use avc::population::graph::Graph;
-use avc::population::sched::{
-    BiasedPair, EpochBatched, GraphRestricted, LaggardStarving, Scheduler, Uniform,
-};
+use avc::population::sched::{BiasedPair, EpochBatched, LaggardStarving, Scheduler, Uniform};
 use avc::population::spec::RunOutcome;
 use avc::population::{Config, ConvergenceRule, MajorityInstance, Protocol};
 use avc::protocols::{Avc, Bef, Degssu, FourState};
@@ -42,9 +40,23 @@ fn run_scheduled<P: Protocol, S: Scheduler>(
     seed: u64,
     max_steps: u64,
 ) -> RunOutcome {
+    let n = (a + b) as usize;
+    run_on(protocol, a, b, Graph::clique(n), scheduler, seed, max_steps)
+}
+
+/// Drives one run of `protocol` on `graph` under `scheduler`; the uniform
+/// scheduler on a star or cycle is the graph-restricted schedule.
+fn run_on<P: Protocol, S: Scheduler>(
+    protocol: &P,
+    a: u64,
+    b: u64,
+    graph: Graph,
+    scheduler: S,
+    seed: u64,
+    max_steps: u64,
+) -> RunOutcome {
     let config = Config::from_input(protocol, a, b);
-    let n = config.population() as usize;
-    let mut sim = AgentSim::with_scheduler(protocol, config, Graph::clique(n), scheduler);
+    let mut sim = AgentSim::with_scheduler(protocol, config, graph, scheduler);
     let mut rng = SmallRng::seed_from_u64(seed);
     Driver::new(ConvergenceRule::OutputConsensus)
         .with_max_steps(max_steps)
@@ -147,11 +159,12 @@ fn four_state_exact_under_graph_restricted_schedules() {
     let inst = MajorityInstance::one_extra(n as u64);
     for sub in [Graph::star(n), Graph::cycle(n)] {
         for seed in 0..num_seeds() {
-            let out = run_scheduled(
+            let out = run_on(
                 &FourState,
                 inst.a(),
                 inst.b(),
-                GraphRestricted::new(sub.clone()),
+                sub.clone(),
+                Uniform,
                 seed,
                 BUDGET,
             );
@@ -178,11 +191,12 @@ fn avc_never_errs_but_stalls_on_restricted_graphs() {
     let mut stalls = 0u32;
     for sub in [Graph::star(n), Graph::cycle(n)] {
         for seed in 0..num_seeds() {
-            let out = run_scheduled(
+            let out = run_on(
                 &avc,
                 inst.a(),
                 inst.b(),
-                GraphRestricted::new(sub.clone()),
+                sub.clone(),
+                Uniform,
                 seed,
                 200_000,
             );
@@ -214,11 +228,12 @@ fn cycle_restriction_slows_four_state_beyond_2x() {
         let mut total = 0u64;
         for seed in 0..num_seeds() {
             let out = if restricted {
-                run_scheduled(
+                run_on(
                     &FourState,
                     inst.a(),
                     inst.b(),
-                    GraphRestricted::new(Graph::cycle(n)),
+                    Graph::cycle(n),
+                    Uniform,
                     seed,
                     BUDGET * 10,
                 )
