@@ -84,9 +84,10 @@ const GATED_ENGINES: [&str; 2] = ["agent", "count"];
 
 /// The count-engine cells beyond four_state, all at n = 100 001: AVC at
 /// s = 130, 2050 and 16 340 (`m = s − 3`), BEF at `l = 13` (30 states) and
-/// DEGSSU at `l = 13, t = 4` (142 states). `--quick` keeps the first two,
-/// one on each of the sampler's representations: s = 130 on the rank
-/// table, s = 2050 on the tree.
+/// DEGSSU at `l = 13, t = 4` (142 states). `--quick` keeps the first two:
+/// s = 130 on the sampler's blocks of one state, whose draw is one
+/// rank-table load, and s = 2050 on its blocks of 16, which add a
+/// four-level descent.
 const PROTOCOL_CELLS: [ProtocolSpec; 5] = [
     ProtocolSpec::Avc { m: 127, d: 1 },
     ProtocolSpec::Avc { m: 2_047, d: 1 },

@@ -9,20 +9,21 @@ use avc_telemetry::{CountingSink, NoopSink, Sink};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
-/// A count-based engine: an `O(1)` pair lookup per step and `O(s + n)`
-/// memory up to 256 states (and `2^20` agents), `O(log s)` per step and
+/// A count-based engine: a pair lookup of one table load and
+/// `log₂ ⌈s / 256⌉` tree levels per agent and `O(s + n)` memory up to
+/// `2^20` agents (one load up to 256 states), `O(log s)` per step and
 /// `O(s)` memory above.
 ///
 /// On a clique all agents in the same state are interchangeable, so the
 /// engine stores only the number of agents per state and samples the ordered
 /// interacting pair by species, using a [`FenwickSampler`] (first agent
 /// proportional to counts; second proportional to counts with the first
-/// agent removed), which resolves both from a table of each agent rank's
-/// species up to 256 states and descends a Fenwick tree above. This is
-/// the work-horse engine for AVC with large state counts (the "n-state"
-/// instances of Figure 3 and the large-`s` curves of Figure 4). The
-/// sampler's weights are the engine's only copy of the counts, so the
-/// population is at most `u32::MAX` agents.
+/// agent removed), which resolves both from a table naming each agent
+/// rank's block of at most `⌈s / 256⌉` states and a short Fenwick descent
+/// inside the block. This is the work-horse engine for AVC with large
+/// state counts (the "n-state" instances of Figure 3 and the large-`s`
+/// curves of Figure 4). The sampler's weights are the engine's only copy
+/// of the counts, so the population is at most `u32::MAX` agents.
 ///
 /// # Example
 ///
@@ -42,8 +43,10 @@ use rand::{Rng, RngCore};
 /// it to ≤2% of the uninstrumented hot loop), while a
 /// [`CountingSink`](avc_telemetry::CountingSink) attached via
 /// [`CountSim::with_telemetry`] records chunk step/event deltas and Fenwick
-/// descent depths. The sink never touches the RNG, so instrumented and
-/// plain runs draw byte-identical streams.
+/// descent depths: the in-block levels of
+/// [`FenwickSampler::descent_depth`], 0 up to 256 states. The sink never
+/// touches the RNG, so instrumented and plain runs draw byte-identical
+/// streams.
 #[derive(Debug, Clone)]
 pub struct CountSim<P, T = NoopSink> {
     protocol: P,
@@ -157,9 +160,10 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
     fn step<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         self.steps += 1;
         if T::ENABLED {
-            // The fused draw below walks the tree once per agent (depth 0
-            // on the rank table); depth is fixed while the population is,
-            // so recording it here adds nothing to the draw itself.
+            // The fused draw below descends the in-block levels once per
+            // agent (depth 0 on blocks of one state); depth is fixed while
+            // the population is, so recording it here adds nothing to the
+            // draw itself.
             let depth = self.sampler.descent_depth();
             self.telemetry.on_descent(depth);
             self.telemetry.on_descent(depth);
@@ -349,13 +353,17 @@ mod tests {
     }
 
     #[test]
-    fn net_moves_keep_the_tree_of_a_fresh_build() {
-        let mut sim = CountSim::new(Voter, Config::from_input(&Voter, 10, 10));
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..500 {
-            sim.advance(&mut rng);
-            assert_eq!(sim.sampler, FenwickSampler::from_weights(sim.counts()));
-            assert_eq!(sim.sampler.total(), 20);
+    fn net_moves_keep_the_index_of_a_fresh_build() {
+        // Blocks of one state, and blocks of 16 whose boundaries each move
+        // crosses.
+        for voter in [WideVoter(2), WideVoter(2_050)] {
+            let mut sim = CountSim::new(voter, Config::from_input(&voter, 10, 10));
+            let mut rng = SmallRng::seed_from_u64(3);
+            for _ in 0..500 {
+                sim.advance(&mut rng);
+                assert_eq!(sim.sampler, FenwickSampler::from_weights(sim.counts()));
+                assert_eq!(sim.sampler.total(), 20);
+            }
         }
     }
 
@@ -392,22 +400,61 @@ mod tests {
         let _ = CountSim::new(Voter, Config::from_counts(vec![1, 2, 3]));
     }
 
+    /// The voter model on `self.0` states, its two opinions at the ends:
+    /// the responder adopts the initiator's state.
+    #[derive(Debug, Clone, Copy)]
+    struct WideVoter(u32);
+
+    impl Protocol for WideVoter {
+        fn num_states(&self) -> u32 {
+            self.0
+        }
+        fn transition(&self, initiator: StateId, _responder: StateId) -> (StateId, StateId) {
+            (initiator, initiator)
+        }
+        fn output(&self, state: StateId) -> Opinion {
+            if state == 0 {
+                Opinion::A
+            } else {
+                Opinion::B
+            }
+        }
+        fn input(&self, opinion: Opinion) -> StateId {
+            match opinion {
+                Opinion::A => 0,
+                Opinion::B => self.0 - 1,
+            }
+        }
+        fn name(&self) -> &str {
+            "wide-voter-test"
+        }
+    }
+
     #[test]
     fn telemetry_records_chunks_and_matches_counters() {
         use avc_telemetry::CountingSink;
-        let sim = CountSim::new(Voter, Config::from_input(&Voter, 30, 20));
-        let mut sim = sim.with_telemetry(CountingSink::new());
-        let mut rng = SmallRng::seed_from_u64(6);
-        let out = sim.run_to_consensus(&mut rng, u64::MAX);
-        assert!(out.verdict.is_consensus());
-        let sink = sim.telemetry();
-        assert_eq!(sink.steps, sim.steps());
-        assert_eq!(sink.events, sim.events());
-        assert_eq!(sink.silent_steps(), sim.steps() - sim.events());
-        assert!(sink.chunks >= 1);
-        // Voter has 2 states: rank-table path, depth 0, two descents/step.
-        assert_eq!(sink.descents, 2 * sim.steps());
-        assert_eq!(sink.descent_depth_sum, 0);
+        // Two descents per step, each of the sampler's in-block levels: none
+        // on blocks of one state (up to 256 states), four on the blocks of
+        // 16 that 2 050 states take.
+        for (states, depth) in [(2, 0), (2_050, 4)] {
+            let voter = WideVoter(states);
+            let sim = CountSim::new(voter, Config::from_input(&voter, 30, 20));
+            let mut sim = sim.with_telemetry(CountingSink::new());
+            let mut rng = SmallRng::seed_from_u64(6);
+            let out = sim.run_to_consensus(&mut rng, u64::MAX);
+            assert!(out.verdict.is_consensus());
+            let sink = sim.telemetry();
+            assert_eq!(sink.steps, sim.steps());
+            assert_eq!(sink.events, sim.events());
+            assert_eq!(sink.silent_steps(), sim.steps() - sim.events());
+            assert!(sink.chunks >= 1);
+            assert_eq!(sink.descents, 2 * sim.steps());
+            assert_eq!(
+                sink.descent_depth_sum,
+                depth * sink.descents,
+                "{states} states"
+            );
+        }
     }
 
     #[test]

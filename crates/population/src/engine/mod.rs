@@ -6,7 +6,7 @@
 //! | Engine | Per-step cost | Sweet spot |
 //! |---|---|---|
 //! | [`AgentSim`] | `O(1)` | arbitrary interaction graphs, ground truth |
-//! | [`CountSim`] | `O(1)` pair lookup up to 256 states, `O(log s)` above | cliques with many states (large-`s` AVC) |
+//! | [`CountSim`] | a table load plus `log₂⌈s/256⌉` tree levels per agent, `O(log s)` past 2²⁰ agents | cliques with many states (large-`s` AVC) |
 //! | [`JumpSim`]  | `O(live states)` *per productive step* | long runs dominated by silent interactions (small-`s` protocols at small margins) |
 //! | [`AdaptiveSim`] | `CountSim`'s, then `JumpSim`'s | whole runs that start dense and end sparse (the default, `auto`) |
 //!

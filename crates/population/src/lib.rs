@@ -19,8 +19,8 @@
 //!   * [`AgentSim`](engine::AgentSim) — per-agent, supports arbitrary
 //!     [interaction graphs](graph::Graph);
 //!   * [`CountSim`](engine::CountSim) — species counts + categorical
-//!     sampling, an `O(1)` pair lookup up to 256 states and `O(log s)`
-//!     per step above;
+//!     sampling, a pair lookup of one table load plus `log₂⌈s/256⌉`
+//!     tree levels per agent (the load alone up to 256 states);
 //!   * [`JumpSim`](engine::JumpSim) — species counts with *null-step
 //!     skipping*: steps whose interaction provably leaves the configuration
 //!     unchanged are skipped in geometrically-sampled batches, so the cost

@@ -3,21 +3,25 @@
 //! The count-based engines repeatedly draw a state index with probability
 //! proportional to its agent count, under counts that change by ±1 after
 //! every interaction. The sampler resolves a draw — a rank below the total
-//! weight — to its category (the inverse CDF) through one of two
-//! representations, picked from its own length and total:
+//! weight — to its category (the inverse CDF) in two stages:
 //!
-//! - a **rank table** while `len <= 256` and `total <= 2^20`: one byte per
-//!   unit of weight naming the category that holds that rank, plus the
-//!   `len + 1` block starts. A draw is one load, and moving one unit from
-//!   category `from` to category `to` rewrites one byte per block boundary
-//!   between them. Every constant-state protocol in the paper, the rivals
-//!   of the comparison grids and AVC up to 256 states take this path at
-//!   every population the sweeps run.
-//! - a **Fenwick tree** above either bound: a draw and a point update each
-//!   walk `O(log len)` nodes.
+//! - the categories fall into aligned **blocks** of `B = 2^k`, the smallest
+//!   `B` that makes at most 256 blocks, and while the total is at most
+//!   `2^20` a **rank table** holds one byte per unit of weight naming the
+//!   block that holds that rank, beside the block starts. One load finds
+//!   the block, and moving one unit between two blocks rewrites one byte
+//!   per block boundary between them;
+//! - a branchless descent over the `k` in-block levels of a **Fenwick
+//!   tree** then finds the category inside the block, and a point update
+//!   climbs those levels only.
 //!
-//! Both compute the same function, so which one runs is invisible to
-//! callers and to the RNG stream.
+//! Up to 256 categories `B = 1`, so a draw is one load and no descent:
+//! every constant-state protocol in the paper, the rivals of the comparison
+//! grids and AVC up to 256 states. AVC at 2 050 states descends 4 levels,
+//! at 16 340 states 6. Past `2^20` there is no table and one block holds
+//! every category, so a draw descends the whole padded tree. The geometry
+//! follows from the length and the total alone, so which one runs is
+//! invisible to callers and to the RNG stream.
 
 use rand::Rng;
 
@@ -46,36 +50,38 @@ pub struct FenwickSampler {
     /// in O(1).
     leaves: Vec<u64>,
     total: u64,
-    /// The inverse CDF of `leaves`, always in the representation
-    /// [`ranked`] picks for their length and total, so samplers with equal
-    /// weights compare equal.
+    /// The inverse CDF of `leaves`, always in the geometry [`block_bits`]
+    /// picks for their length and total, so samplers with equal weights
+    /// compare equal.
     index: Index,
 }
 
-/// How a [`FenwickSampler`] resolves a rank to the category holding it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Index {
-    /// `ranks[r]` is the category holding rank `r` (`ranks.len()` is the
-    /// total), and category `k` holds the ranks `starts[k]..starts[k + 1]`.
-    Ranks { ranks: Vec<u8>, starts: Vec<u32> },
-    /// `tree[i]` holds the sum of a block of weights ending at index `i`
-    /// (1-based Fenwick layout; `tree[0]` is unused). The tree is padded to
-    /// the power-of-two capacity `top_bit` (the smallest `≥ len`, `0` when
-    /// empty) with zero-weight categories so the inverse-CDF descent needs
-    /// no bounds checks and every level's probe is a plain load — padded
-    /// categories can never be selected because their weight is zero.
-    /// Every node is at most the total, which is capped at `u32::MAX`, so
-    /// `u32` nodes halve the tree's footprint.
-    Tree { tree: Vec<u32>, top_bit: usize },
+/// How a [`FenwickSampler`] resolves a rank to the category holding it:
+/// category `c` lies in block `c >> bits`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Index {
+    /// `log₂` of the block size `B`.
+    bits: u32,
+    /// `ranks[r]` is the block holding rank `r` while the total is at most
+    /// [`MAX_RANKED_TOTAL`] (`ranks.len()` is then the total); empty above,
+    /// where one block holds every category.
+    ranks: Vec<u8>,
+    /// Block `b` holds the ranks `starts[b]..starts[b + 1]`.
+    starts: Vec<u32>,
+    /// 1-based Fenwick layout (`tree[0]` is unused), padded with
+    /// zero-weight categories to whole blocks: `tree[i]` sums the weights
+    /// of the categories `i − lowbit(i)..i`. Only the in-block nodes, whose
+    /// index is not a multiple of `B`, are kept; the others are zero, as a
+    /// block's sum lives in `starts`. Every node is at most the total,
+    /// which is capped at `u32::MAX`, so the nodes fit `u32`.
+    tree: Vec<u32>,
 }
 
-/// The most categories the rank table serves: a rank names its category in
-/// one byte. A move rewrites one byte per category between its two ends;
-/// `CountSim`'s moves span 8–12 categories on average for AVC at 130
-/// states and the comparison grids' BEF (30 states) and DEGSSU (142),
-/// against 87 for AVC at 2 050 states, where the tree's `O(log len)` walk
-/// is cheaper.
-const MAX_RANKED_LEN: usize = 256;
+/// The most blocks the rank table names: a rank names its block in one
+/// byte. A draw descends `log₂ B` in-block levels and a move rewrites one
+/// byte per block boundary between its two categories, so fewer blocks
+/// would lengthen every descent, and more would need a `u16` per rank.
+const MAX_BLOCKS: usize = 256;
 
 /// The largest total the rank table serves: the table holds one byte per
 /// unit of weight, 1 MiB at this bound. Past about a core's L2 cache its
@@ -88,67 +94,57 @@ const MAX_RANKED_TOTAL: u64 = 1 << 20;
 /// nodes and the block starts be `u32`.
 const MAX_TOTAL: u64 = u32::MAX as u64;
 
-/// Whether `len` categories of total weight `total` take the rank table.
-fn ranked(len: usize, total: u64) -> bool {
-    len <= MAX_RANKED_LEN && total <= MAX_RANKED_TOTAL
+/// `log₂` of the block size for `len` categories of total weight `total`:
+/// the smallest power of two making at most [`MAX_BLOCKS`] blocks while the
+/// rank table serves the total, one block of the padded length above.
+fn block_bits(len: usize, total: u64) -> u32 {
+    let blocks = if total <= MAX_RANKED_TOTAL {
+        len.div_ceil(MAX_BLOCKS)
+    } else {
+        len
+    };
+    blocks.next_power_of_two().trailing_zeros()
 }
 
 impl Index {
-    /// The index of `len` zero weights, as a rank table or as a tree.
-    fn zeros(len: usize, ranks: bool) -> Index {
-        if ranks {
-            Index::Ranks {
-                ranks: Vec::new(),
-                starts: vec![0; len + 1],
-            }
-        } else {
-            let top_bit = if len == 0 { 0 } else { len.next_power_of_two() };
-            Index::Tree {
-                tree: vec![0; top_bit + 1],
-                top_bit,
+    /// Rebuilds the index of `weights`, which sum to `total`, in the
+    /// geometry [`block_bits`] picks. Reuses the buffers, and allocates
+    /// nothing while the geometry stays and the total stays within what
+    /// the rank table has held.
+    fn refill(&mut self, weights: &[u64], total: u64) {
+        self.bits = block_bits(weights.len(), total);
+        let size = 1usize << self.bits;
+        let in_block = |i: usize| i & (size - 1) != 0;
+        // O(len) bulk build: seed each in-block node with its leaf, then
+        // add it into its parent while the parent is in the same block.
+        self.tree.clear();
+        self.tree
+            .resize((weights.len().div_ceil(size) << self.bits) + 1, 0);
+        for i in (1..self.tree.len()).filter(|&i| in_block(i)) {
+            self.tree[i] += weights.get(i - 1).map_or(0, |&w| w as u32);
+            let parent = i + (i & i.wrapping_neg());
+            if in_block(parent) {
+                let v = self.tree[i];
+                self.tree[parent] += v;
             }
         }
+        self.ranks.clear();
+        self.starts.clear();
+        let mut start = 0;
+        for (b, block) in weights.chunks(size).enumerate() {
+            self.starts.push(start);
+            start += block.iter().sum::<u64>() as u32;
+            if total <= MAX_RANKED_TOTAL {
+                self.ranks.resize(start as usize, b as u8);
+            }
+        }
+        self.starts.push(start);
     }
 
-    /// Rebuilds the index of `weights`, which sum to `total`, in the
-    /// representation [`ranked`] picks. A rebuild that keeps the
-    /// representation reuses the buffers, and allocates nothing unless the
-    /// rank table must grow past every total it has held.
-    fn refill(&mut self, weights: &[u64], total: u64) {
-        let want_ranks = ranked(weights.len(), total);
-        match self {
-            Index::Ranks { ranks, starts } if want_ranks => {
-                ranks.clear();
-                let mut start = 0;
-                for (k, &w) in weights.iter().enumerate() {
-                    starts[k] = start;
-                    start += w as u32;
-                    ranks.resize(start as usize, k as u8);
-                }
-                starts[weights.len()] = start;
-            }
-            Index::Tree { tree, top_bit } if !want_ranks => {
-                // O(capacity) bulk build: seed the leaves, then accumulate
-                // each node into its parent block (padded nodes carry
-                // partial sums of real leaves, so they propagate too). No
-                // node exceeds the total.
-                tree.fill(0);
-                for (node, &w) in tree[1..].iter_mut().zip(weights) {
-                    *node = w as u32;
-                }
-                for i in 1..=*top_bit {
-                    let parent = i + (i & i.wrapping_neg());
-                    if parent <= *top_bit {
-                        let v = tree[i];
-                        tree[parent] += v;
-                    }
-                }
-            }
-            _ => {
-                *self = Index::zeros(weights.len(), want_ranks);
-                self.refill(weights, total);
-            }
-        }
+    /// The block holding `rank`, from the rank table; block 0 without one.
+    #[inline]
+    fn block(&self, rank: u64) -> usize {
+        self.ranks.get(rank as usize).map_or(0, |&b| usize::from(b))
     }
 }
 
@@ -156,11 +152,13 @@ impl FenwickSampler {
     /// Creates a sampler over `len` categories, all with weight zero.
     #[must_use]
     pub fn new(len: usize) -> FenwickSampler {
-        FenwickSampler {
+        let mut sampler = FenwickSampler {
             leaves: vec![0; len],
             total: 0,
-            index: Index::zeros(len, ranked(len, 0)),
-        }
+            index: Index::default(),
+        };
+        sampler.index.refill(&sampler.leaves, 0);
+        sampler
     }
 
     /// Creates a sampler initialized with the given weights.
@@ -178,10 +176,9 @@ impl FenwickSampler {
     /// Overwrites every weight in place, reusing the existing allocations.
     ///
     /// Equivalent to `*self = FenwickSampler::from_weights(weights)` —
-    /// the rebuilt index is bit-identical to a fresh build, including the
-    /// tree's padded parents — but performs no heap allocation while the
-    /// total stays within what the sampler has held, which is what the
-    /// engines' trial-batch `reset` seam needs.
+    /// the rebuilt index is bit-identical to a fresh build — but performs
+    /// no heap allocation while the total stays within what the sampler
+    /// has held, which is what the engines' trial-batch `reset` seam needs.
     ///
     /// # Panics
     ///
@@ -223,17 +220,16 @@ impl FenwickSampler {
         self.total
     }
 
-    /// Levels one `select` tree descent walks at the current size: `0` on
-    /// the rank table (`len <= 256` and `total <= 2^20`), else
-    /// `log₂(top_bit)`. [`FenwickSampler::select_two`] runs two such draws.
-    /// Constant while the total stays put, so telemetry can record it
-    /// without touching the draw itself.
+    /// In-block levels one `select` descends at the current size: `k` for
+    /// blocks of `2^k` categories, so `0` up to 256 categories while the
+    /// total is at most `2^20`, and past that total the padded tree's
+    /// depth, `log₂` of the next power of two `≥ len`.
+    /// [`FenwickSampler::select_two`] runs two such draws. Constant while
+    /// the total stays put, so telemetry can record it without touching
+    /// the draw itself.
     #[must_use]
     pub fn descent_depth(&self) -> u32 {
-        match self.index {
-            Index::Ranks { .. } => 0,
-            Index::Tree { top_bit, .. } => top_bit.trailing_zeros(),
-        }
+        self.index.bits
     }
 
     /// Adds `delta` to the weight of category `index`.
@@ -245,7 +241,7 @@ impl FenwickSampler {
     pub fn add(&mut self, index: usize, delta: i64) {
         let len = self.leaves.len();
         assert!(index < len, "index {index} out of range {len}");
-        let d = delta.unsigned_abs();
+        let (d, ranked) = (delta.unsigned_abs(), self.total <= MAX_RANKED_TOTAL);
         if delta >= 0 {
             assert!(d <= MAX_TOTAL - self.total, "total weight exceeds u32::MAX");
             self.total += d;
@@ -255,50 +251,48 @@ impl FenwickSampler {
             self.total -= d;
             self.leaves[index] -= d;
         }
-        let want_ranks = ranked(len, self.total);
-        match &mut self.index {
-            Index::Ranks { ranks, starts } if want_ranks => {
-                // Category `index` ends where the next block starts: every
-                // rank past that end, and every later start, moves by `d`.
-                let (end, old_total, d) = (starts[index + 1] as usize, ranks.len(), d as usize);
-                if delta >= 0 {
-                    ranks.resize(old_total + d, 0);
-                    ranks.copy_within(end..old_total, end + d);
-                    ranks[end..end + d].fill(index as u8);
-                    starts[index + 1..].iter_mut().for_each(|s| *s += d as u32);
-                } else {
-                    ranks.copy_within(end..old_total, end - d);
-                    ranks.truncate(old_total - d);
-                    starts[index + 1..].iter_mut().for_each(|s| *s -= d as u32);
-                }
-            }
-            Index::Tree { tree, top_bit } if !want_ranks => {
-                let mut i = index + 1;
-                while i <= *top_bit {
-                    if delta >= 0 {
-                        tree[i] += d as u32;
-                    } else {
-                        tree[i] -= d as u32;
-                    }
-                    i += i & i.wrapping_neg();
-                }
-            }
+        if ranked != (self.total <= MAX_RANKED_TOTAL) {
             // The total crossed the rank table's bound.
-            _ => self.index.refill(&self.leaves, self.total),
+            return self.index.refill(&self.leaves, self.total);
         }
+        let ix = &mut self.index;
+        // `delta as u32` is `delta` modulo 2^32, so a wrapping add applies
+        // either sign; every node and start stays in `0..=total`.
+        let (b, dw) = (index >> ix.bits, delta as u32);
+        let mut i = index + 1;
+        while i & ((1 << ix.bits) - 1) != 0 {
+            ix.tree[i] = ix.tree[i].wrapping_add(dw);
+            i += i & i.wrapping_neg();
+        }
+        // The block ends where the next one starts: every rank past that
+        // end, and every later start, moves by `d`.
+        if ranked {
+            let (end, old_total, d) = (ix.starts[b + 1] as usize, ix.ranks.len(), d as usize);
+            if delta >= 0 {
+                ix.ranks.resize(old_total + d, 0);
+                ix.ranks.copy_within(end..old_total, end + d);
+                ix.ranks[end..end + d].fill(b as u8);
+            } else {
+                ix.ranks.copy_within(end..old_total, end - d);
+                ix.ranks.truncate(old_total - d);
+            }
+        }
+        ix.starts[b + 1..]
+            .iter_mut()
+            .for_each(|s| *s = s.wrapping_add(dw));
     }
 
     /// Moves one unit of weight from category `from` to category `to`:
     /// the same weights and the bit-identical index as `add(from, -1)` then
     /// `add(to, 1)`, in fewer writes.
     ///
-    /// On the rank table the unit leaves `from`'s block at the end facing
-    /// `to` and joins `to`'s block at the end facing `from`, so each block
-    /// boundary between them moves one rank toward `from`, and the rank it
-    /// passes changes hands: one write per boundary. On the tree the two
-    /// update paths climb toward the root and meet at the first block that
-    /// holds both categories; from there on the −1 and the +1 cancel, so
-    /// each walk stops where they meet.
+    /// The two Fenwick update paths climb inside their blocks toward each
+    /// other and stop where they meet, or below their block's node: above
+    /// the meeting node the −1 and the +1 cancel, and block sums live in
+    /// the starts. Between the blocks, the unit leaves `from`'s block at
+    /// the end facing `to` and joins `to`'s block at the end facing `from`,
+    /// so each block boundary between them moves one rank toward `from`,
+    /// and the rank it passes changes hands: one write per boundary.
     ///
     /// # Panics
     ///
@@ -313,36 +307,36 @@ impl FenwickSampler {
         assert!(self.leaves[from] > 0, "weight underflow at index {from}");
         self.leaves[from] -= 1;
         self.leaves[to] += 1;
-        match &mut self.index {
-            Index::Ranks { ranks, starts } => {
-                // An empty block starts where its successor does, so the
-                // boundaries are moved in order from `from` toward `to`:
-                // the last write to a rank names the last block starting at
-                // or below it, which is the block that holds it.
-                if from < to {
-                    for k in from + 1..=to {
-                        starts[k] -= 1;
-                        ranks[starts[k] as usize] = k as u8;
-                    }
-                } else {
-                    for k in (to + 1..=from).rev() {
-                        ranks[starts[k] as usize] = (k - 1) as u8;
-                        starts[k] += 1;
-                    }
-                }
+        let ix = &mut self.index;
+        // The paths meet at the first multiple of `2^p` above both, where
+        // `p` is the bit length of `from ^ to`, unless their block's node
+        // comes first. Blocks of one category have no in-block nodes.
+        if ix.bits > 0 {
+            let p = (usize::BITS - (from ^ to).leading_zeros()).min(ix.bits);
+            let (stop, mut down, mut up) = ((1 << p) - 1, from + 1, to + 1);
+            while down & stop != 0 {
+                ix.tree[down] -= 1;
+                down += down & down.wrapping_neg();
             }
-            Index::Tree { tree, .. } => {
-                // Both paths end at the root `top_bit`, so they always meet.
-                let (mut down, mut up) = (from + 1, to + 1);
-                while down != up {
-                    if down < up {
-                        tree[down] -= 1;
-                        down += down & down.wrapping_neg();
-                    } else {
-                        tree[up] += 1;
-                        up += up & up.wrapping_neg();
-                    }
-                }
+            while up & stop != 0 {
+                ix.tree[up] += 1;
+                up += up & up.wrapping_neg();
+            }
+        }
+        // An empty block starts where its successor does, so the boundaries
+        // are moved in order from `from` toward `to`: the last write to a
+        // rank names the last block starting at or below it, which is the
+        // block that holds it.
+        let (bf, bt) = (from >> ix.bits, to >> ix.bits);
+        if bf < bt {
+            for b in bf + 1..=bt {
+                ix.starts[b] -= 1;
+                ix.ranks[ix.starts[b] as usize] = b as u8;
+            }
+        } else {
+            for b in (bt + 1..=bf).rev() {
+                ix.ranks[ix.starts[b] as usize] = (b - 1) as u8;
+                ix.starts[b] += 1;
             }
         }
     }
@@ -362,18 +356,14 @@ impl FenwickSampler {
     /// Sum of weights of categories `0..end`.
     #[must_use]
     pub fn prefix_sum(&self, end: usize) -> u64 {
-        let end = end.min(self.leaves.len());
-        match &self.index {
-            Index::Ranks { starts, .. } => u64::from(starts[end]),
-            Index::Tree { tree, .. } => {
-                let (mut i, mut sum) = (end, 0);
-                while i > 0 {
-                    sum += u64::from(tree[i]);
-                    i -= i & i.wrapping_neg();
-                }
-                sum
-            }
+        let ix = &self.index;
+        // The in-block nodes down to the block's start, then the start.
+        let (mut i, mut sum) = (end.min(self.leaves.len()), 0);
+        while i & ((1 << ix.bits) - 1) != 0 {
+            sum += u64::from(ix.tree[i]);
+            i -= i & i.wrapping_neg();
         }
+        sum + u64::from(ix.starts[i >> ix.bits])
     }
 
     /// Finds the smallest index whose prefix-inclusive cumulative weight
@@ -385,22 +375,17 @@ impl FenwickSampler {
     #[must_use]
     pub fn select(&self, target: u64) -> usize {
         assert!(target < self.total, "select target beyond total weight");
-        let (tree, top_bit) = match &self.index {
-            Index::Ranks { ranks, .. } => return usize::from(ranks[target as usize]),
-            Index::Tree { tree, top_bit } => (tree, *top_bit),
-        };
+        let (ix, b) = (&self.index, self.index.block(target));
         // `target < total <= u32::MAX`, so the remainder fits a node.
-        let mut rem = target as u32;
-        let mut pos = 0;
-        // The padded root `tree[top_bit]` is the full sum, which a target
-        // `< total` can never take, so the descent starts one level below.
-        let mut step = top_bit >> 1;
-        // Branchless descent: with the tree padded to a power of two,
-        // `pos + step` is always in bounds, and the take/skip decision is a
-        // mask instead of a data-dependent branch. Padded categories have
-        // weight zero, so a target `< total` can never land on one.
+        let (mut rem, mut pos) = (target as u32 - ix.starts[b], b << ix.bits);
+        // Branchless descent from the block's start: with the tree padded
+        // to whole blocks, `pos + step` is always in bounds, and the
+        // take/skip decision is a mask instead of a data-dependent branch.
+        // Padded categories have weight zero, so a target `< total` can
+        // never land on one.
+        let mut step = (1 << ix.bits) >> 1;
         while step > 0 {
-            let v = tree[pos + step];
+            let v = ix.tree[pos + step];
             let take = (v <= rem) as u32;
             rem -= v & take.wrapping_neg();
             pos += step & (take as usize).wrapping_neg();
@@ -417,11 +402,9 @@ impl FenwickSampler {
     /// Removing that unit shifts every cumulative weight at or past the
     /// first category down by one, so the second answer is `select(second)`
     /// when that lands before the first category and `select(second + 1)`
-    /// otherwise. On the rank table the three inverse CDFs are three loads;
-    /// on the tree they run in one descent, where their loads are
-    /// independent and the walkers for `second` and `second + 1` probe the
-    /// same node until their paths diverge. The result equals those
-    /// separate `select`s.
+    /// otherwise. The three blocks are three loads from the rank table, and
+    /// the three in-block descents run in one loop, where their loads are
+    /// independent. The result equals those separate `select`s.
     ///
     /// # Panics
     ///
@@ -433,38 +416,34 @@ impl FenwickSampler {
             first < self.total && second < self.total.saturating_sub(1),
             "select_two target beyond total weight"
         );
-        let (i, j0, j1) = match &self.index {
-            Index::Ranks { ranks, .. } => {
-                let (first, second) = (first as usize, second as usize);
-                (
-                    usize::from(ranks[first]),
-                    usize::from(ranks[second]),
-                    usize::from(ranks[second + 1]),
-                )
-            }
-            Index::Tree { tree, top_bit } => {
-                let (mut rem, mut rem0, mut rem1) =
-                    (first as u32, second as u32, second as u32 + 1);
-                let (mut i, mut j0, mut j1) = (0usize, 0usize, 0usize);
-                let mut step = top_bit >> 1;
-                while step > 0 {
-                    let v = tree[i + step];
-                    let take = (v <= rem) as u32;
-                    rem -= v & take.wrapping_neg();
-                    i += step & (take as usize).wrapping_neg();
-                    let v0 = tree[j0 + step];
-                    let take0 = (v0 <= rem0) as u32;
-                    rem0 -= v0 & take0.wrapping_neg();
-                    j0 += step & (take0 as usize).wrapping_neg();
-                    let v1 = tree[j1 + step];
-                    let take1 = (v1 <= rem1) as u32;
-                    rem1 -= v1 & take1.wrapping_neg();
-                    j1 += step & (take1 as usize).wrapping_neg();
-                    step >>= 1;
-                }
-                (i, j0, j1)
-            }
-        };
+        let ix = &self.index;
+        let (b, b0, b1) = (ix.block(first), ix.block(second), ix.block(second + 1));
+        if ix.bits == 0 {
+            // Blocks of one category: the table names the categories.
+            return (b, if b0 < b { b0 } else { b1 });
+        }
+        let (mut i, mut j0, mut j1) = (b << ix.bits, b0 << ix.bits, b1 << ix.bits);
+        let (mut rem, mut rem0, mut rem1) = (
+            first as u32 - ix.starts[b],
+            second as u32 - ix.starts[b0],
+            second as u32 + 1 - ix.starts[b1],
+        );
+        let mut step = 1 << (ix.bits - 1);
+        while step > 0 {
+            let v = ix.tree[i + step];
+            let take = (v <= rem) as u32;
+            rem -= v & take.wrapping_neg();
+            i += step & (take as usize).wrapping_neg();
+            let v0 = ix.tree[j0 + step];
+            let take0 = (v0 <= rem0) as u32;
+            rem0 -= v0 & take0.wrapping_neg();
+            j0 += step & (take0 as usize).wrapping_neg();
+            let v1 = ix.tree[j1 + step];
+            let take1 = (v1 <= rem1) as u32;
+            rem1 -= v1 & take1.wrapping_neg();
+            j1 += step & (take1 as usize).wrapping_neg();
+            step >>= 1;
+        }
         (i, if j0 < i { j0 } else { j1 })
     }
 
@@ -580,40 +559,46 @@ mod tests {
         assert_eq!(s.sample(&mut rng), None);
     }
 
-    /// The tree's padded capacity and node count, or `None` on the rank
-    /// table.
-    fn tree_shape(s: &FenwickSampler) -> Option<(usize, usize)> {
-        match &s.index {
-            Index::Tree { tree, top_bit } => Some((*top_bit, tree.len())),
-            Index::Ranks { .. } => None,
-        }
+    /// The block size `B` and the block count of a sampler, with its index's
+    /// array lengths checked against them.
+    fn geometry(s: &FenwickSampler) -> (usize, usize) {
+        let Index {
+            bits,
+            ranks,
+            starts,
+            tree,
+        } = &s.index;
+        let (size, blocks) = (1usize << bits, starts.len() - 1);
+        assert_eq!(blocks, s.len().div_ceil(size));
+        assert_eq!(tree.len(), blocks * size + 1);
+        assert_eq!(s.descent_depth(), *bits);
+        let ranked = s.total() <= MAX_RANKED_TOTAL;
+        assert_eq!(ranks.len() as u64, if ranked { s.total() } else { 0 });
+        (size, blocks)
     }
 
     #[test]
-    fn top_bit_is_padded_capacity() {
-        assert!(matches!(
-            Index::zeros(0, false),
-            Index::Tree { top_bit: 0, .. }
-        ));
-        for (len, expected) in [
-            (1usize, 1usize),
-            (2, 2),
-            (3, 4),
-            (4, 4),
-            (5, 8),
-            (7, 8),
-            (8, 8),
-            (9, 16),
-            (100, 128),
-            (1000, 1024),
-            (1024, 1024),
+    fn block_size_is_the_smallest_giving_at_most_256_blocks() {
+        for (len, size, blocks) in [
+            (1usize, 1usize, 1usize),
+            (4, 1, 4),
+            (256, 1, 256),
+            (257, 2, 129),
+            (512, 2, 256),
+            (513, 4, 129),
+            (2_050, 16, 129),
+            (4_098, 32, 129),
+            (16_340, 64, 256),
+            (100_001, 512, 196),
         ] {
-            // A total past the rank table's bound puts every length on the
-            // tree.
+            let s = FenwickSampler::from_weights(&vec![1; len]);
+            assert_eq!(geometry(&s), (size, blocks), "len {len}");
+            // Past 2^20 agents one block of the padded length holds every
+            // category, and there is no rank table.
             let mut weights = vec![0; len];
-            weights[0] = MAX_RANKED_TOTAL + 1;
+            weights[len / 2] = MAX_RANKED_TOTAL + 1;
             let s = FenwickSampler::from_weights(&weights);
-            assert_eq!(tree_shape(&s), Some((expected, expected + 1)), "len {len}");
+            assert_eq!(geometry(&s), (len.next_power_of_two(), 1), "len {len}");
         }
     }
 
@@ -669,7 +654,7 @@ mod tests {
     fn reassign_matches_fresh_build_bit_for_bit() {
         let mut rng = SmallRng::seed_from_u64(31);
         use rand::Rng;
-        for len in [1usize, 3, 8, 64, 257] {
+        for len in [1usize, 3, 8, 64, 257, 2_050] {
             let first: Vec<u64> = (0..len).map(|_| rng.gen_range(0..9)).collect();
             let second: Vec<u64> = (0..len).map(|_| rng.gen_range(0..9)).collect();
             let mut reused = FenwickSampler::from_weights(&first);
@@ -690,6 +675,13 @@ mod tests {
         s.reassign(&[1, 2]);
     }
 
+    /// The category holding each rank, from a plain prefix-sum scan.
+    fn naive_ranks(weights: &[u64]) -> Vec<usize> {
+        (0..weights.len())
+            .flat_map(|k| std::iter::repeat_n(k, weights[k] as usize))
+            .collect()
+    }
+
     /// The pair [`FenwickSampler::select_two`] must return, built from
     /// separate `select` walks.
     fn two_walks(s: &FenwickSampler, first: u64, second: u64) -> (usize, usize) {
@@ -698,62 +690,56 @@ mod tests {
         (i, if j < i { j } else { s.select(second + 1) })
     }
 
-    #[test]
-    fn select_two_matches_independent_walks() {
-        let mut rng = SmallRng::seed_from_u64(2024);
-        use rand::Rng;
-        for len in [1usize, 2, 3, 5, 8, 13, 64, 65, 257, 2_050] {
-            let weights: Vec<u64> = (0..len).map(|_| rng.gen_range(0..5)).collect();
-            let s = FenwickSampler::from_weights(&weights);
-            if s.total() < 2 {
-                continue;
-            }
-            for _ in 0..200 {
-                let first = rng.gen_range(0..s.total());
-                let second = rng.gen_range(0..s.total() - 1);
+    /// Asserts that `s` resolves every rank to the category a prefix-sum
+    /// scan of `weights` gives, and that `select_two` equals two walks with
+    /// every rank as the first target and as the second.
+    fn assert_every_rank(s: &FenwickSampler, weights: &[u64], what: &str) {
+        let naive = naive_ranks(weights);
+        let total = naive.len() as u64;
+        assert_eq!(s.total(), total, "{what}");
+        for (t, &k) in naive.iter().enumerate() {
+            assert_eq!(s.select(t as u64), k, "{what}: target {t}");
+        }
+        for t in 0..total.saturating_sub(1) {
+            // A partner rank far from `t` in a stride that visits them all.
+            let u = (t * 7_919 + 13) % (total - 1);
+            for (first, second) in [(t, u), (u + 1, t), (total - 1, t), (t, total - 2)] {
+                let pair = s.select_two(first, second);
                 assert_eq!(
-                    s.select_two(first, second),
-                    two_walks(&s, first, second),
-                    "len {len}"
+                    pair,
+                    two_walks(s, first, second),
+                    "{what}: ({first}, {second})"
                 );
             }
         }
     }
 
-    /// Asserts that `ranked` and `tree`, the same weights on the tree,
-    /// resolve every `select` and every `(first, second)` of `select_two`
-    /// alike, and like separate walks.
-    fn assert_same_draws(ranked: &FenwickSampler, tree: &FenwickSampler, what: &str) {
-        assert_eq!(ranked.total(), tree.total(), "{what}");
-        for t in 0..ranked.total() {
-            assert_eq!(ranked.select(t), tree.select(t), "{what}: target {t}");
-        }
-        for first in 0..ranked.total() {
-            for second in 0..ranked.total().saturating_sub(1) {
-                let pair = ranked.select_two(first, second);
-                assert_eq!(pair, tree.select_two(first, second), "{what}");
-                assert_eq!(pair, two_walks(tree, first, second), "{what}");
-            }
+    #[test]
+    fn select_two_matches_two_walks_on_every_rank() {
+        let mut rng = SmallRng::seed_from_u64(2024);
+        use rand::Rng;
+        for len in [1usize, 2, 3, 5, 64, 256, 257, 600, 2_050, 4_098, 16_340] {
+            let weights: Vec<u64> = (0..len).map(|_| rng.gen_range(0..4)).collect();
+            let s = FenwickSampler::from_weights(&weights);
+            assert_every_rank(&s, &weights, &format!("len {len}"));
         }
     }
 
-    /// The rank table and the tree descent must agree exactly; straddle the
-    /// length cutoff and force the tree onto the same weights by appending
-    /// zero-weight categories, then apply the same random shifts to both.
+    /// The same weights under two block sizes, one of them padded with
+    /// zero-weight categories, resolve every draw alike before and after
+    /// the same random shifts, and each stays a fresh build of its weights.
     #[test]
-    fn rank_table_agrees_with_tree_descent_across_the_cutoff() {
+    fn block_sizes_agree_on_padded_weights() {
         let mut rng = SmallRng::seed_from_u64(77);
         use rand::Rng;
-        for len in [1usize, 4, 30, 142, 255, 256, 257] {
+        for len in [1usize, 4, 30, 142, 256, 257, 1_000, 2_050] {
             let weights: Vec<u64> = (0..len).map(|_| rng.gen_range(0..4)).collect();
             let mut small = FenwickSampler::from_weights(&weights);
             let mut padded = weights.clone();
-            padded.resize(len.max(MAX_RANKED_LEN + 1), 0);
+            padded.resize(4 * len.max(MAX_BLOCKS) + 1, 0);
             let mut large = FenwickSampler::from_weights(&padded);
-            assert_eq!(tree_shape(&small).is_none(), len <= MAX_RANKED_LEN);
-            assert!(tree_shape(&large).is_some());
-            assert_same_draws(&small, &large, &format!("len {len}"));
-            for _ in 0..200 {
+            assert_ne!(small.descent_depth(), large.descent_depth());
+            for _ in 0..300 {
                 let (from, to) = (rng.gen_range(0..len), rng.gen_range(0..len));
                 if small.weight(from) > 0 {
                     small.shift(from, to);
@@ -762,52 +748,61 @@ mod tests {
             }
             assert_eq!(small.weights(), &large.weights()[..len]);
             assert_eq!(small, FenwickSampler::from_weights(small.weights()));
-            assert_same_draws(&small, &large, &format!("len {len} after shifts"));
+            assert_eq!(large, FenwickSampler::from_weights(large.weights()));
+            assert_every_rank(&small, small.weights(), &format!("len {len}"));
+            assert_every_rank(&large, small.weights(), &format!("len {len} padded"));
         }
     }
 
-    /// One total on each side of the rank table's `2^20` bound, against the
-    /// same weights on the tree; `add` and `reassign` across the bound land
-    /// where a fresh build does.
+    /// One total on each side of the rank table's `2^20` bound resolves both
+    /// ends of every category like a prefix-sum scan; `add` and `reassign`
+    /// across the bound land where a fresh build does.
     #[test]
     fn rank_table_stops_at_its_total_bound() {
-        for total in [MAX_RANKED_TOTAL, MAX_RANKED_TOTAL + 1] {
-            let weights = [3, total - 6, 0, 2, 1];
-            let s = FenwickSampler::from_weights(&weights);
-            assert_eq!(tree_shape(&s).is_none(), total <= MAX_RANKED_TOTAL);
-            let mut padded = weights.to_vec();
-            padded.resize(MAX_RANKED_LEN + 1, 0);
-            let tree = FenwickSampler::from_weights(&padded);
-            // Both ends of every block, as targets of either draw.
-            let mut ends = Vec::new();
-            let mut acc = 0;
-            for &w in &weights {
-                if w > 0 {
-                    ends.extend([acc, acc + w - 1]);
+        for len in [5usize, 2_050] {
+            for total in [MAX_RANKED_TOTAL, MAX_RANKED_TOTAL + 1] {
+                let mut weights = vec![0; len];
+                weights[..4].copy_from_slice(&[3, 0, 2, 1]);
+                weights[len - 1] = total - 6;
+                let s = FenwickSampler::from_weights(&weights);
+                assert_eq!(geometry(&s).1 == 1, total > MAX_RANKED_TOTAL);
+                // Both ends of every category, as targets of either draw.
+                let (mut ends, mut acc) = (Vec::new(), 0);
+                for (k, &w) in weights.iter().enumerate() {
+                    if w > 0 {
+                        ends.extend([acc, acc + w - 1]);
+                        assert_eq!(s.select(acc), k);
+                        assert_eq!(s.select(acc + w - 1), k);
+                        assert_eq!(s.prefix_sum(k + 1), acc + w);
+                    }
+                    acc += w;
                 }
-                acc += w;
-            }
-            for &first in &ends {
-                assert_eq!(s.select(first), tree.select(first), "total {total}");
-                for &second in ends.iter().filter(|&&t| t + 1 < total) {
-                    let pair = s.select_two(first, second);
-                    assert_eq!(pair, tree.select_two(first, second), "total {total}");
-                    assert_eq!(pair, two_walks(&tree, first, second), "total {total}");
+                for &first in &ends {
+                    for &second in ends.iter().filter(|&&t| t + 1 < total) {
+                        let pair = s.select_two(first, second);
+                        assert_eq!(pair, two_walks(&s, first, second), "total {total}");
+                    }
                 }
             }
+            let mut below = vec![0; len];
+            below[0] = MAX_RANKED_TOTAL - 1;
+            below[len - 1] = 1;
+            let mut s = FenwickSampler::from_weights(&below);
+            s.add(len - 1, 1);
+            assert!(s.index.ranks.is_empty());
+            let mut expected = below.clone();
+            expected[len - 1] = 2;
+            assert_eq!(s, FenwickSampler::from_weights(&expected));
+            s.add(0, -1);
+            expected[0] -= 1;
+            assert_eq!(s.index.ranks.len() as u64, MAX_RANKED_TOTAL);
+            assert_eq!(s, FenwickSampler::from_weights(&expected));
+            expected[0] += 2;
+            s.reassign(&expected);
+            assert!(s.index.ranks.is_empty());
+            s.reassign(&below);
+            assert_eq!(s, FenwickSampler::from_weights(&below));
         }
-        let below = [MAX_RANKED_TOTAL - 1, 1];
-        let mut s = FenwickSampler::from_weights(&below);
-        s.add(1, 1);
-        assert!(tree_shape(&s).is_some());
-        assert_eq!(s, FenwickSampler::from_weights(&[MAX_RANKED_TOTAL - 1, 2]));
-        s.add(0, -1);
-        assert!(tree_shape(&s).is_none());
-        assert_eq!(s, FenwickSampler::from_weights(&[MAX_RANKED_TOTAL - 2, 2]));
-        s.reassign(&[MAX_RANKED_TOTAL, 1]);
-        assert!(tree_shape(&s).is_some());
-        s.reassign(&below);
-        assert_eq!(s, FenwickSampler::from_weights(&below));
     }
 
     #[test]
@@ -818,10 +813,10 @@ mod tests {
     }
 
     #[test]
-    fn shift_leaves_the_tree_of_two_adds() {
+    fn shift_leaves_the_index_of_two_adds() {
         let mut rng = SmallRng::seed_from_u64(5);
         use rand::Rng;
-        for len in [1usize, 2, 7, 64, 65, 1_000] {
+        for len in [1usize, 2, 7, 64, 65, 257, 1_000, 4_098] {
             let weights: Vec<u64> = (0..len).map(|_| rng.gen_range(1..4)).collect();
             let mut shifted = FenwickSampler::from_weights(&weights);
             let mut added = shifted.clone();
@@ -830,7 +825,12 @@ mod tests {
                 if shifted.weight(from) == 0 {
                     continue;
                 }
-                let to = rng.gen_range(0..len);
+                // Half the moves stay near `from`, mostly inside its block.
+                let to = if rng.gen_bool(0.5) {
+                    (from + rng.gen_range(0..8)).min(len - 1)
+                } else {
+                    rng.gen_range(0..len)
+                };
                 shifted.shift(from, to);
                 added.add(from, -1);
                 added.add(to, 1);
@@ -842,8 +842,7 @@ mod tests {
     #[test]
     fn total_of_exactly_u32_max_is_accepted() {
         let max = u64::from(u32::MAX);
-        // Both sides of the rank table's length cutoff; a total this large
-        // puts both on the tree.
+        // A total this large puts every length in one block.
         for len in [3usize, 300] {
             let mut weights = vec![0; len];
             weights[0] = max - 1;

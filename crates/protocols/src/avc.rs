@@ -833,6 +833,72 @@ mod tests {
         }
     }
 
+    /// `transition(a, b)` equals the encoded update of the decoded pair and
+    /// keeps the value sum.
+    fn assert_pair(p: &Avc, states: &[AvcState], values: &[i64], a: StateId, b: StateId) {
+        let (x, y) = p.update(states[a as usize], states[b as usize]);
+        let (tx, ty) = p.transition(a, b);
+        assert_eq!(
+            (tx, ty),
+            (p.encode(x), p.encode(y)),
+            "({a}, {b}) at s={}",
+            p.s()
+        );
+        assert_eq!(
+            values[tx as usize] + values[ty as usize],
+            values[a as usize] + values[b as usize],
+            "value sum of ({a}, {b}) at s={}",
+            p.s()
+        );
+    }
+
+    /// The arithmetic transition that fig4 runs above the `Cached` table
+    /// bound, on every pair at s = 1 026, 4 098 and 16 340 (2.7·10⁸ pairs at
+    /// the last), and on fig3's n = 100 001 instance (s = 100 000) on a
+    /// seeded sample of pairs plus every pair that holds an id at the end
+    /// of a state kind: the strong, intermediate and weak ranges of either
+    /// sign.
+    #[test]
+    #[ignore = "release-only: 3·10⁸ pairs; run with `cargo test --release -- --ignored`"]
+    fn transition_equals_update_on_every_arithmetic_path_pair() {
+        use rand::{Rng, SeedableRng};
+        for budget in [1_026u64, 4_098, 16_340, 100_001] {
+            let p = Avc::with_states(budget).unwrap();
+            let s = p.num_states();
+            let states: Vec<AvcState> = (0..s).map(|id| p.decode(id)).collect();
+            let values: Vec<i64> = states.iter().map(|x| x.value()).collect();
+            if budget < 100_001 {
+                for a in 0..s {
+                    for b in 0..s {
+                        assert_pair(&p, &states, &values, a, b);
+                    }
+                }
+                continue;
+            }
+            let (k, d) = (p.strong_per_sign, p.d);
+            let ends = [0, k - 1, k, k + d - 1, k + d, k + d + 1, k + d + 2];
+            let ends = ends
+                .into_iter()
+                .chain([k + 2 * d + 1, k + 2 * d + 2, s - 1]);
+            for a in ends {
+                for b in 0..s {
+                    assert_pair(&p, &states, &values, a, b);
+                    assert_pair(&p, &states, &values, b, a);
+                }
+            }
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
+            for _ in 0..20_000_000 {
+                assert_pair(
+                    &p,
+                    &states,
+                    &values,
+                    rng.gen_range(0..s),
+                    rng.gen_range(0..s),
+                );
+            }
+        }
+    }
+
     #[test]
     fn transitions_stay_in_state_space() {
         for (m, d) in [(1u64, 1u32), (5, 2), (9, 1), (21, 3)] {

@@ -2,18 +2,20 @@
 //! step it replaced.
 //!
 //! The engine resolves both agents' species in one fused draw — three loads
-//! from the sampler's rank table up to 256 states, one three-walker tree
-//! descent above — applies each productive step as net count moves, and
-//! runs AVC on its table-free transition. Each rewrite is only sound if it
-//! is invisible: the same `(i, j)` species pair must come out of the same
-//! RNG draws and land in the same configuration, so that golden traces and
-//! every seeded experiment stay byte-identical. This test drives the real
-//! engine against a replica of the plain loop — independent `select` walks
-//! on a sampler padded past 256 categories, so the replica always descends
-//! the tree, four `add`s and, for AVC, `encode(update(decode, decode))` —
-//! and checks counts at every step and the RNG stream afterwards. The
-//! engine takes the rank table for four_state, three_state, BEF at 30
-//! states, DEGSSU at 142 and AVC at 130, and the tree for AVC at 2050 and
+//! from the sampler's rank table of blocks of states, then one three-walker
+//! descent inside the blocks — applies each productive step as net count
+//! moves, and runs AVC on its table-free transition. Each rewrite is only
+//! sound if it is invisible: the same `(i, j)` species pair must come out
+//! of the same RNG draws and land in the same configuration, so that golden
+//! traces and every seeded experiment stay byte-identical. This test drives
+//! the real engine against a replica of the plain loop — independent
+//! `select` walks, four `add`s and, for AVC, `encode(update(decode,
+//! decode))` — and checks counts at every step and the RNG stream
+//! afterwards. The replica's sampler is padded with zero-weight categories
+//! to a block size other than the engine's, so the two resolve every draw
+//! through different blocks and descents. The engine takes blocks of one
+//! state for four_state, three_state, BEF at 30 states, DEGSSU at 142 and
+//! AVC at 130, and of 16, 32 and 64 states for AVC at 2050, 4098 and
 //! 16 340 states.
 
 use avc_population::engine::{CountSim, Simulator};
@@ -51,11 +53,6 @@ fn old_style_step(
     }
 }
 
-/// The replica's sampler has at least this many categories (zero-weight
-/// padding), one past the rank table's 256, so its `select`s descend the
-/// tree whichever path the engine takes.
-const REPLICA_MIN_CATEGORIES: usize = 257;
-
 /// Runs `steps` steps of `CountSim` on `protocol` and of the replica on
 /// `delta` from the same seed, and asserts identical configurations
 /// throughout and an identical RNG stream afterwards.
@@ -68,9 +65,15 @@ fn assert_lockstep<P: Protocol>(
 ) {
     let config = Config::from_input(&protocol, a, b);
     let mut counts: Vec<u64> = config.as_slice().to_vec();
+    // Four times the categories (at least 1 024) take blocks at least four
+    // times the engine's.
     let mut padded = counts.clone();
-    padded.resize(counts.len().max(REPLICA_MIN_CATEGORIES), 0);
+    padded.resize(4 * counts.len().max(256), 0);
     let mut sampler = FenwickSampler::from_weights(&padded);
+    assert!(
+        sampler.descent_depth() >= FenwickSampler::from_weights(&counts).descent_depth() + 2,
+        "the replica must descend other blocks than the engine"
+    );
     let mut sim = CountSim::new(protocol, config);
     let mut rng_new = SmallRng::seed_from_u64(seed);
     let mut rng_old = SmallRng::seed_from_u64(seed);
@@ -118,7 +121,7 @@ fn fused_select_is_invisible_on_three_state() {
 
 #[test]
 fn fused_select_is_invisible_on_avc_tree_path() {
-    for (s, seed) in [(130, 10), (2_050, 11), (16_340, 12)] {
+    for (s, seed) in [(130, 10), (2_050, 11), (4_098, 15), (16_340, 12)] {
         let avc = Avc::with_states(s).expect("valid AVC budget");
         let reference = avc.clone();
         let delta = move |a, b| {
@@ -144,13 +147,13 @@ fn fused_select_is_invisible_on_the_rival_grids_protocols() {
 }
 
 /// The fused draw equals separate walks: `select(first)`, then
-/// `select(second)` or `select(second + 1)`, on both sides of the
-/// 256-category rank table cutoff.
+/// `select(second)` or `select(second + 1)`, on blocks of one, two and
+/// four categories.
 #[test]
 fn select_two_matches_two_walks_on_random_weights() {
     let mut rng = SmallRng::seed_from_u64(99);
     for _ in 0..50 {
-        let len = rng.gen_range(1..400usize);
+        let len = rng.gen_range(1..1_000usize);
         let weights: Vec<u64> = (0..len).map(|_| rng.gen_range(0..7)).collect();
         let sampler = FenwickSampler::from_weights(&weights);
         if sampler.total() < 2 {

@@ -3,12 +3,13 @@
 //! All eight protocols plus the parallel composition run on `CountSim`;
 //! the agent, jump and adaptive engines each pin their own per-step
 //! `advance` on one protocol. The AVC trace at 2050 states pins
-//! `CountSim`'s Fenwick tree path; every other `CountSim` trace (at most
-//! 130 states) resolves its draws on the sampler's rank table, and the
-//! 130-state trace, recorded when that size took the tree, pins that the
-//! two paths draw alike. Any edit that changes a
-//! transition function, an engine's step, the pair sampler, or the RNG
-//! stream shifts these traces and fails loudly.
+//! `CountSim`'s sampler on blocks of 16 states, a table load and a
+//! four-level descent per draw; every other `CountSim` trace (at most 130
+//! states) resolves its draws with one rank-table load. The 130- and
+//! 2050-state traces were recorded when those sizes descended the whole
+//! Fenwick tree, so they pin that the index draws as the tree did. Any
+//! edit that changes a transition function, an engine's step, the pair
+//! sampler, or the RNG stream shifts these traces and fails loudly.
 //!
 //! To regenerate after an *intentional* semantic change:
 //! `cargo test --test golden_traces -- --ignored --nocapture` and paste the
@@ -275,8 +276,9 @@ fn avc_tree_path_trace_is_stable_at_130_states() {
     );
 }
 
-/// AVC at 2050 states (m = 2047) from a margin of one: an 11-level tree
-/// descent, run on until the strong values have averaged out.
+/// AVC at 2050 states (m = 2047) from a margin of one, run on until the
+/// strong values have averaged out. Recorded on an 11-level tree descent;
+/// each draw is now a table load and a 4-level descent in a block of 16.
 #[test]
 fn avc_tree_path_trace_is_stable_at_2050_states() {
     let avc = Avc::with_states(2050).expect("valid budget");

@@ -120,26 +120,50 @@ proptest! {
 
     /// Fenwick sampler matches a naive prefix-sum oracle under arbitrary
     /// weight updates, and every `shift(from, to)` leaves the sampler
-    /// bit-identical, tree included, to `add(from, -1); add(to, 1)`.
+    /// bit-identical, index included, to `add(from, -1); add(to, 1)` and
+    /// to a fresh build. Lengths take blocks of 1, 2, 4, 8, 16 and 32
+    /// categories (up to 4 100), and a heavy category puts some totals on
+    /// each side of the rank table's `2^20` bound, where updates cross it.
     #[test]
     fn fenwick_matches_naive_oracle(
-        initial in proptest::collection::vec(0u64..50, 1..40),
-        updates in proptest::collection::vec((0usize..40, -20i64..20), 0..60),
-        moves in proptest::collection::vec((0usize..40, 0usize..40), 0..60),
+        (block_bits, len_seed) in (0u32..6, any::<usize>()),
+        heavy in (0u64..2, 0u64..64),
+        initial in proptest::collection::vec((any::<usize>(), 0u64..50), 1..40),
+        updates in proptest::collection::vec((any::<usize>(), -40i64..40), 0..60),
+        moves in proptest::collection::vec((any::<u64>(), any::<usize>()), 0..60),
     ) {
-        let mut naive = initial.clone();
-        let mut sampler = FenwickSampler::from_weights(&initial);
+        // Lengths past `256 · 2^(k − 1)` and up to `256 · 2^k` take blocks
+        // of `2^k`; the longest are capped at 4 100.
+        let (lo, hi) = match block_bits {
+            0 => (1, 256),
+            k => ((128 << k) + 1, (256 << k).min(4_100)),
+        };
+        let len = lo + len_seed % (hi - lo + 1);
+        let mut naive = vec![0u64; len];
+        for (idx, w) in initial {
+            naive[idx % len] += w;
+        }
+        if heavy.0 > 0 {
+            // A total within 32 of the bound, on either side of it.
+            let rest: u64 = naive.iter().sum();
+            naive[len_seed % len] += (1 << 20) + heavy.1 - 32 - rest;
+        }
+        let mut sampler = FenwickSampler::from_weights(&naive);
         for (idx, delta) in updates {
-            let idx = idx % naive.len();
+            let idx = idx % len;
             let delta = delta.max(-(naive[idx] as i64));
             naive[idx] = (naive[idx] as i64 + delta) as u64;
             sampler.add(idx, delta);
         }
-        for (from, to) in moves {
-            let (from, to) = (from % naive.len(), to % naive.len());
-            if naive[from] == 0 {
-                continue;
+        let total: u64 = naive.iter().sum();
+        for (rank, to) in moves.into_iter().filter(|_| total > 0) {
+            // The category holding a random rank, so every move is one.
+            let (mut rank, mut from) = (rank % total, 0);
+            while rank >= naive[from] {
+                rank -= naive[from];
+                from += 1;
             }
+            let to = to % len;
             naive[from] -= 1;
             naive[to] += 1;
             let mut added = sampler.clone();
@@ -148,14 +172,13 @@ proptest! {
             sampler.shift(from, to);
             prop_assert_eq!(&sampler, &added);
         }
-        let total: u64 = naive.iter().sum();
+        prop_assert_eq!(&sampler, &FenwickSampler::from_weights(&naive));
         prop_assert_eq!(sampler.total(), total);
-        for (i, &w) in naive.iter().enumerate() {
-            prop_assert_eq!(sampler.weight(i), w);
-        }
         // Every cumulative boundary selects the right category.
         let mut acc = 0u64;
         for (i, &w) in naive.iter().enumerate() {
+            prop_assert_eq!(sampler.weight(i), w);
+            prop_assert_eq!(sampler.prefix_sum(i), acc);
             if w > 0 {
                 prop_assert_eq!(sampler.select(acc), i);
                 prop_assert_eq!(sampler.select(acc + w - 1), i);
