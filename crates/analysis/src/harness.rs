@@ -675,24 +675,15 @@ impl Batch {
     }
 }
 
-/// Evaluates `task(i)` for `i ∈ 0..runs` under the given [`Parallelism`] and
-/// returns the results in index order.
+/// Evaluates `task(i)` for `i ∈ 0..runs` under the given [`Parallelism`],
+/// returning the results in index order with throughput telemetry; `task`
+/// also reports an event count per trial.
 ///
 /// The output is identical for every parallelism setting; only wall-clock
 /// time differs. `task` must therefore derive any randomness it needs from
-/// the index alone (e.g. via [`SeedSequence::rng_for`]).
-pub fn run_indexed<T, F>(runs: u64, parallelism: Parallelism, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    run_indexed_with_stats(runs, parallelism, |i| (task(i), 0)).0
-}
-
-/// As [`run_indexed`], but `task` also reports an event count per trial and
-/// the call returns throughput telemetry alongside the results. Runs on
-/// scoped threads of its own, not on a collector's pool: it serves the
-/// sweeps that are not scenario batches (lb_info, graph_gap).
+/// the index alone (e.g. via [`SeedSequence::rng_for`]). Runs on scoped
+/// threads of its own, not on a collector's pool: it serves the sweep cells
+/// that run trials outside a scenario batch (lb_info, graph_gap).
 ///
 /// # Panics
 ///
@@ -1263,16 +1254,17 @@ mod tests {
             Parallelism::Threads(5),
             Parallelism::Auto,
         ] {
-            let got = run_indexed(97, parallelism, |i| i * i);
+            let (got, _) = run_indexed_with_stats(97, parallelism, |i| (i * i, 0));
             assert_eq!(got, expected, "{parallelism:?}");
         }
     }
 
     #[test]
     fn run_indexed_handles_more_workers_than_trials() {
-        let got = run_indexed(3, Parallelism::Threads(16), |i| i);
+        let (got, _) = run_indexed_with_stats(3, Parallelism::Threads(16), |i| (i, 0));
         assert_eq!(got, vec![0, 1, 2]);
-        assert!(run_indexed(0, Parallelism::Threads(4), |i| i).is_empty());
+        let (none, _) = run_indexed_with_stats(0, Parallelism::Threads(4), |i| (i, 0));
+        assert!(none.is_empty());
     }
 
     #[test]

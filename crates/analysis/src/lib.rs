@@ -10,9 +10,6 @@
 //! * [`mean_field`] — the ODE limit of the three-state protocol \[PVV09];
 //! * [`table`] — plain CSV / markdown table rendering (no serde);
 //! * [`harness`] — seeded multi-trial runners with automatic engine choice;
-//! * [`experiments`] — the two experiments that are not scenario batches
-//!   (the traced §4 dynamics and the interaction-graph study); the
-//!   scenario studies are declared in `avc_store::specs`;
 //! * [`cli`] — a tiny argument parser shared by the `avc` CLI and the
 //!   benchmarks.
 //!
@@ -35,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod experiments;
 pub mod harness;
 pub mod io;
 pub mod mean_field;

@@ -6,7 +6,7 @@
 //! the `O(log n/ε)` bound quoted in the paper. This module computes the
 //! spectral gap `1 − λ₂` of the lazy random-walk matrix of a graph, the
 //! standard proxy for that mixing quantity, so experiments can correlate
-//! convergence time with graph expansion (see the `graph_gap` binary).
+//! convergence time with graph expansion (see the `graph_gap` sweep).
 
 use crate::graph::Graph;
 use rand::Rng;

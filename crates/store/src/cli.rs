@@ -64,7 +64,7 @@ fn build_plan(name: &str, args: &Args) -> Result<Plan, String> {
         return crate::scenario_grid::load_plan(name, args);
     }
     let plan = specs::try_build(name, args).ok_or_else(|| {
-        let known: Vec<&str> = specs::NAMES.iter().map(|(n, _)| *n).collect();
+        let known: Vec<&str> = specs::SWEEPS.iter().map(|spec| spec.name).collect();
         format!(
             "unknown sweep `{name}` — known sweeps: {} (or a path to a scenario-grid \
              *.grid.json file)",
@@ -141,7 +141,12 @@ fn cmd_export(name: &str, args: &Args) -> Result<(), String> {
     let export = sweep::export(&store, &plan)?;
     let out = out_dir(args);
     for (stem, table) in &export.tables {
-        avc_analysis::experiments::report(table, &out, stem);
+        let path = Path::new(&out).join(format!("{stem}.csv"));
+        table
+            .write_csv(&path)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("{}", table.to_markdown());
+        println!("[written to {}]\n", path.display());
     }
     for line in &export.trailer {
         println!("{line}");
@@ -157,19 +162,21 @@ fn cmd_ls(args: &Args) -> Result<(), String> {
     }
     let wide = args.flag("wide");
     // Group the latest records by experiment, keeping registry order.
-    for (name, description) in specs::NAMES {
+    for spec in specs::SWEEPS {
         let cells: Vec<_> = store
             .iter_latest()
-            .filter(|r| r.manifest.experiment == name)
+            .filter(|r| r.manifest.experiment == spec.name)
             .collect();
         if cells.is_empty() {
             continue;
         }
         let wall: u64 = cells.iter().map(|r| r.wall_ms).sum();
         println!(
-            "{name}: {} cells, {:.1}s compute — {description}",
+            "{}: {} cells, {:.1}s compute — {}",
+            spec.name,
             cells.len(),
-            wall as f64 / 1e3
+            wall as f64 / 1e3,
+            spec.description
         );
         if args.flag("cells") || wide {
             for r in &cells {
@@ -199,9 +206,9 @@ fn cmd_ls(args: &Args) -> Result<(), String> {
     let strays = store
         .iter_latest()
         .filter(|r| {
-            specs::NAMES
+            specs::SWEEPS
                 .iter()
-                .all(|(n, _)| *n != r.manifest.experiment)
+                .all(|spec| spec.name != r.manifest.experiment)
         })
         .count();
     if strays > 0 {
@@ -356,12 +363,8 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
         ]);
     }
     if aggregate.is_empty() {
-        // Only scenario batches run an engine the harness instruments; their
-        // manifests embed the scenario.
-        let batches = plan
-            .cells
-            .iter()
-            .any(|c| c.manifest.get("scenario").is_some());
+        // Only scenario batches run an engine the harness instruments.
+        let batches = plan.cells.iter().any(|c| c.batch.is_some());
         return Err(if stored == 0 {
             format!("no cells of `{name}` stored — run `avc sweep {name}` with the same flags")
         } else if !batches {
@@ -736,8 +739,8 @@ fn usage() -> String {
          \n\
          sweeps:\n",
     );
-    for (name, description) in specs::NAMES {
-        out.push_str(&format!("  {name:<16} {description}\n"));
+    for spec in specs::SWEEPS {
+        out.push_str(&format!("  {:<16} {}\n", spec.name, spec.description));
     }
     out.push_str(
         "\x20 <path>.json      any scenario-grid file (examples/scenarios/*.grid.json)\n\

@@ -1,9 +1,6 @@
-//! Scenario sweeps: the one builder that turns labelled scenarios into a
-//! [`Plan`] (`ScenarioSweep::plan`), and the grid files it loads.
-//!
-//! The registered scenario studies (`fig3`, `fig4`, `lb_four_state`,
-//! `err_three_state`, `ablation_d`, `robustness`) declare their cells in
-//! `crate::specs`; a grid file declares them in JSON.
+//! Scenario-grid files: sweeps of labelled scenarios declared in JSON
+//! instead of a spec module, built into a [`Plan`] by the same builder as
+//! the registered sweeps (`crate::specs`).
 //!
 //! A grid file is a committed `examples/scenarios/*.grid.json` document
 //! bundling many declarative [`Scenario`]s into one sweep — the route by
@@ -33,12 +30,11 @@
 //! scenario in the manifest, so quick and full runs never collide in the
 //! store.
 
-use crate::manifest::Manifest;
 use crate::record::CellResult;
-use crate::specs::{scenario_params, trials_of};
-use crate::sweep::{Cell, Export, Plan};
+use crate::specs::{Sweep, SweepCell};
+use crate::sweep::{Export, Plan};
 use avc_analysis::cli::Args;
-use avc_analysis::harness::{spec_states, Parallelism, ScenarioPlan, TrialResults};
+use avc_analysis::harness::spec_states;
 use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
 use avc_population::json::Json;
@@ -219,100 +215,6 @@ impl ScenarioGrid {
     }
 }
 
-/// One labelled scenario of a sweep: the batch its cell runs, the
-/// manifest params the sweep pins beside the common ones, and how the
-/// batch becomes the cell's table rows.
-pub(crate) struct SweepCell {
-    /// Unique cell label (the manifest's `cell` param).
-    pub label: String,
-    /// The scenario the cell's batch runs.
-    pub scenario: Scenario,
-    /// Manifest params beyond those every cell carries (`cell`, `engine`,
-    /// `n`, `runs`, `seed` and the embedded scenario with its hash).
-    pub params: Vec<(&'static str, String)>,
-    /// The cell's table rows and named values, from its batch's results.
-    pub rows: Box<dyn Fn(&TrialResults) -> CellResult>,
-}
-
-/// A sweep of labelled scenarios: a grid file or one of the registered
-/// scenario studies. [`ScenarioSweep::plan`] is the one place such a sweep
-/// becomes a [`Plan`].
-pub(crate) struct ScenarioSweep {
-    /// Experiment name in the store.
-    pub name: String,
-    /// One-line banner shown by `avc sweep`.
-    pub banner: String,
-    /// Cells in grid order.
-    pub cells: Vec<SweepCell>,
-    /// The export's titled, still empty tables (by CSV stem) and its
-    /// trailer lines, from the results in cell order; the plan fills each
-    /// table with every cell's rows for its stem.
-    #[allow(clippy::type_complexity)]
-    pub export: Box<dyn Fn(&[&CellResult]) -> Export>,
-}
-
-impl ScenarioSweep {
-    /// The runnable plan: each cell's manifest, its batch, and a run that
-    /// joins that batch and stores the trial payload, the cell's rows and
-    /// the batch telemetry. Scenarios are assumed runnable: grid files are
-    /// validated at parse time, and specs check theirs while building.
-    #[must_use]
-    pub(crate) fn plan(self, parallelism: Parallelism) -> Plan {
-        let name = self.name;
-        let cells = self
-            .cells
-            .into_iter()
-            .map(|cell| {
-                let scenario = cell.scenario;
-                let manifest = Manifest::new(
-                    &name,
-                    [
-                        ("cell", cell.label.clone()),
-                        ("engine", scenario.engine.to_string()),
-                        ("n", scenario.instance.population().to_string()),
-                        ("runs", scenario.runs.to_string()),
-                        ("seed", scenario.seed.to_string()),
-                    ]
-                    .into_iter()
-                    .chain(cell.params)
-                    .chain(scenario_params(&scenario)),
-                );
-                let rows = cell.rows;
-                let batch = ScenarioPlan::new(scenario).parallelism(parallelism);
-                let run = batch.clone();
-                Cell {
-                    manifest,
-                    label: cell.label,
-                    batch: Some(batch),
-                    run: Box::new(move |stats| {
-                        let (results, telemetry) = run.run_with_telemetry(stats);
-                        CellResult {
-                            trials: Some(trials_of(&results)),
-                            telemetry: Some(telemetry),
-                            ..rows(&results)
-                        }
-                    }),
-                }
-            })
-            .collect();
-        let export = self.export;
-        Plan {
-            name,
-            banner: self.banner,
-            cells,
-            export: Box::new(move |results| {
-                let mut export = export(results);
-                for (stem, table) in &mut export.tables {
-                    for row in results.iter().flat_map(|r| r.rows(stem)) {
-                        table.push_row(row.clone());
-                    }
-                }
-                export
-            }),
-        }
-    }
-}
-
 /// The grid CSV columns, in order.
 const COLUMNS: [&str; 17] = [
     "cell",
@@ -363,43 +265,38 @@ pub fn plan_of(grid: &ScenarioGrid, args: &Args) -> Plan {
                 ("b", scenario.instance.b().to_string()),
             ];
             let (label, stem, described) = (cell.label.clone(), stem.clone(), scenario.clone());
-            SweepCell {
-                label: cell.label,
-                scenario,
-                params,
-                rows: Box::new(move |results| {
-                    let tally = results.tally();
-                    let times = results.converged_times();
-                    let summary = (!times.is_empty()).then(|| Summary::from_samples(&times));
-                    let stat = |f: fn(&Summary) -> f64| {
-                        summary.as_ref().map_or("-".to_string(), |s| fmt_num(f(s)))
-                    };
-                    let row = vec![
-                        label.clone(),
-                        described.protocol.to_string(),
-                        states.to_string(),
-                        described.instance.population().to_string(),
-                        described.instance.a().to_string(),
-                        described.instance.b().to_string(),
-                        described.engine.to_string(),
-                        described.scheduler.to_string(),
-                        results.outcomes().len().to_string(),
-                        tally.correct.to_string(),
-                        tally.wrong.to_string(),
-                        tally.timed_out.to_string(),
-                        tally.stuck.to_string(),
-                        stat(|s| s.mean),
-                        stat(Summary::std_error),
-                        stat(|s| s.median),
-                        stat(|s| s.max),
-                    ];
-                    CellResult {
-                        tables: BTreeMap::from([(stem.clone(), vec![row])]),
-                        values: BTreeMap::from([("wrong".to_string(), tally.wrong as f64)]),
-                        ..CellResult::default()
-                    }
-                }),
-            }
+            SweepCell::batch(cell.label, params, scenario, move |results| {
+                let tally = results.tally();
+                let times = results.converged_times();
+                let summary = (!times.is_empty()).then(|| Summary::from_samples(&times));
+                let stat = |f: fn(&Summary) -> f64| {
+                    summary.as_ref().map_or("-".to_string(), |s| fmt_num(f(s)))
+                };
+                let row = vec![
+                    label.clone(),
+                    described.protocol.to_string(),
+                    states.to_string(),
+                    described.instance.population().to_string(),
+                    described.instance.a().to_string(),
+                    described.instance.b().to_string(),
+                    described.engine.to_string(),
+                    described.scheduler.to_string(),
+                    results.outcomes().len().to_string(),
+                    tally.correct.to_string(),
+                    tally.wrong.to_string(),
+                    tally.timed_out.to_string(),
+                    tally.stuck.to_string(),
+                    stat(|s| s.mean),
+                    stat(Summary::std_error),
+                    stat(|s| s.median),
+                    stat(|s| s.max),
+                ];
+                CellResult {
+                    tables: BTreeMap::from([(stem.clone(), vec![row])]),
+                    values: BTreeMap::from([("wrong".to_string(), tally.wrong as f64)]),
+                    ..CellResult::default()
+                }
+            })
         })
         .collect();
     let banner = if quick {
@@ -408,7 +305,7 @@ pub fn plan_of(grid: &ScenarioGrid, args: &Args) -> Plan {
         grid.banner.clone()
     };
     let title = grid.banner.clone();
-    ScenarioSweep {
+    Sweep {
         name: grid.name.clone(),
         banner,
         cells,

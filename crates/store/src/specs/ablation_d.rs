@@ -6,8 +6,7 @@
 //! and reallocates it between `m` and `d` (`s = m + 2d + 1`), measuring the
 //! convergence time at the hardest margin `ε = 1/n` for several splits.
 
-use super::{cell_rows, one_extra, rule_name, runnable, runs_flag, FlagError};
-use crate::scenario_grid::{ScenarioSweep, SweepCell};
+use super::{cell_rows, one_extra, rule_name, runnable, runs_flag, FlagError, Sweep, SweepCell};
 use crate::sweep::Export;
 use avc_analysis::cli::Args;
 use avc_analysis::table::{fmt_num, Table};
@@ -17,7 +16,7 @@ use avc_protocols::Avc;
 /// Flags: `--n` (odd), `--budget` (states to split), `--runs`, `--seed`.
 /// Split `i` takes `d = ds[i]` and the largest odd `m ≤ budget − 2d − 1`,
 /// seeded with `seed + i`.
-pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
+pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
     let n = args.get_u64("n", if quick { 1_001 } else { 10_001 });
     let budget = args.get_u64("budget", if quick { 24 } else { 64 });
@@ -44,16 +43,16 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
         let scenario = Scenario::new(ProtocolSpec::Avc { m, d }, instance)
             .runs(runs)
             .seed(seed + i as u64);
-        cells.push(SweepCell {
-            label: format!("d={d}"),
-            params: vec![
+        cells.push(SweepCell::batch(
+            format!("d={d}"),
+            vec![
                 ("protocol", "avc".to_string()),
                 ("rule", rule_name(scenario.rule).to_string()),
                 ("budget", budget.to_string()),
                 ("d", d.to_string()),
             ],
-            scenario: runnable("n", scenario)?,
-            rows: Box::new(move |results| {
+            runnable("n", scenario)?,
+            move |results| {
                 let summary = results.summary();
                 cell_rows(
                     [(
@@ -69,11 +68,11 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                     )],
                     [],
                 )
-            }),
-        });
+            },
+        ));
     }
 
-    Ok(ScenarioSweep {
+    Ok(Sweep {
         name: "ablation_d".to_string(),
         banner: format!("AVC with budget {budget} states split across d in {ds:?}, n = {n}"),
         cells,

@@ -6,9 +6,8 @@
 //! populations and reports it against the theory, verifying the
 //! approximation regime in which Figure 3 (right) shows sizable error.
 
-use super::{cell_rows, rule_name, runnable, runs_flag, with_margin, FlagError};
+use super::{cell_rows, rule_name, runnable, runs_flag, with_margin, FlagError, Sweep, SweepCell};
 use crate::record::f64_to_hex;
-use crate::scenario_grid::{ScenarioSweep, SweepCell};
 use crate::sweep::Export;
 use avc_analysis::cli::Args;
 use avc_analysis::harness::EngineKind;
@@ -30,7 +29,7 @@ fn bernoulli_kl(p: f64, q: f64) -> f64 {
 
 /// Flags: `--ns`, `--runs`, `--seed`. Cell `(ni, ei)` is seeded with
 /// `seed + 100·ni + ei`; trials run to the terminal all-`x`/all-`y` state.
-pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
+pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
     let ns = args.get_u64_list("ns", if quick { &[1_001] } else { &[1_001, 10_001] });
     let epsilons: &[f64] = if quick {
@@ -56,16 +55,16 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                 ));
             }
             let kl_bound = (-bernoulli_kl((1.0 + achieved) / 2.0, 0.5) * n as f64).exp();
-            cells.push(SweepCell {
-                label: format!("n={n}/eps={eps}"),
-                params: vec![
+            cells.push(SweepCell::batch(
+                format!("n={n}/eps={eps}"),
+                vec![
                     ("protocol", "three_state".to_string()),
                     ("rule", rule_name(scenario.rule).to_string()),
                     ("eps", f64_to_hex(eps)),
                     ("eps_text", format!("{eps}")),
                 ],
-                scenario: runnable("ns", scenario)?,
-                rows: Box::new(move |results| {
+                runnable("ns", scenario)?,
+                move |results| {
                     let error_fraction = results.error_fraction();
                     cell_rows(
                         [(
@@ -81,12 +80,12 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                         )],
                         [("error_fraction", error_fraction), ("kl_bound", kl_bound)],
                     )
-                }),
-            });
+                },
+            ));
         }
     }
 
-    Ok(ScenarioSweep {
+    Ok(Sweep {
         name: "err_three_state".to_string(),
         banner: format!("error fraction vs KL bound, n in {ns:?}, {runs} runs per point"),
         cells,

@@ -7,8 +7,10 @@
 //! panel, `fig3_time`) and the fraction of runs converging to the wrong
 //! state (right panel, `fig3_error`). The paper uses 101 runs per cell.
 
-use super::{avc_with_states, cell_rows, one_extra, rule_name, runnable, runs_flag, FlagError};
-use crate::scenario_grid::{ScenarioSweep, SweepCell};
+use super::{
+    avc_with_states, cell_rows, one_extra, rule_name, runnable, runs_flag, FlagError, Sweep,
+    SweepCell,
+};
 use crate::sweep::Export;
 use avc_analysis::cli::Args;
 use avc_analysis::harness::EngineKind;
@@ -27,7 +29,7 @@ const PROTOCOLS: [&str; 3] = ["three_state", "four_state", "avc"];
 /// protocols to output consensus, which for them is stable (Lemma A.1):
 /// 4-state on the jump engine, AVC with `s ≈ n` states on `auto`. Cell
 /// `(ni, protocol)` is seeded with `seed + ni`.
-pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
+pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
     let ns = args.get_u64_list(
         "ns",
@@ -77,14 +79,14 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                 ProtocolSpec::FourState => "4-state".to_string(),
                 _ => format!("avc(s={states})"),
             };
-            cells.push(SweepCell {
-                label: format!("n={n}/{key}"),
-                scenario: runnable("ns", scenario)?,
-                params: vec![
+            cells.push(SweepCell::batch(
+                format!("n={n}/{key}"),
+                vec![
                     ("protocol", key.to_string()),
                     ("rule", rule_name(rule).to_string()),
                 ],
-                rows: Box::new(move |results| {
+                runnable("ns", scenario)?,
+                move |results| {
                     let s = results.summary();
                     let times = results.converged_times();
                     cell_rows(
@@ -115,12 +117,12 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                         ],
                         [],
                     )
-                }),
-            });
+                },
+            ));
         }
     }
 
-    Ok(ScenarioSweep {
+    Ok(Sweep {
         name: "fig3".to_string(),
         banner: format!(
             "3-state vs 4-state vs n-state AVC, eps = 1/n, {runs} runs per cell, n in {ns:?}"

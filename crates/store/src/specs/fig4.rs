@@ -7,9 +7,11 @@
 //! `s` grows; the right panel plots the same data against the product
 //! `s·ε`, collapsing the curves and supporting the `Θ̃(1/(sε))` claim.
 
-use super::{avc_with_states, cell_rows, rule_name, runnable, runs_flag, with_margin, FlagError};
+use super::{
+    avc_with_states, cell_rows, rule_name, runnable, runs_flag, with_margin, FlagError, Sweep,
+    SweepCell,
+};
 use crate::record::f64_to_hex;
-use crate::scenario_grid::{ScenarioSweep, SweepCell};
 use crate::sweep::Export;
 use avc_analysis::cli::Args;
 use avc_analysis::plot::ScatterPlot;
@@ -27,7 +29,7 @@ const PAPER_STATE_COUNTS: [u64; 13] = [
 /// Cells run in `(s, ε)` lexicographic order; cell `(si, ei)` is seeded
 /// with `seed + 1000·si + ei`. The margins are a half-decade grid over the
 /// paper's range 10⁻⁵ … 10⁻⁰·⁵.
-pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
+pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
     let n = args.get_u64("n", if quick { 10_001 } else { 100_001 });
     let state_counts = args.get_u64_list(
@@ -62,17 +64,17 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                 .runs(runs)
                 .seed(seed + (si as u64) * 1_000 + ei as u64);
             let achieved = scenario.instance.margin();
-            cells.push(SweepCell {
-                label: format!("s={s_requested}/eps={eps:e}"),
-                params: vec![
+            cells.push(SweepCell::batch(
+                format!("s={s_requested}/eps={eps:e}"),
+                vec![
                     ("protocol", "avc".to_string()),
                     ("rule", rule_name(scenario.rule).to_string()),
                     ("s", s_requested.to_string()),
                     ("eps", f64_to_hex(eps)),
                     ("eps_text", format!("{eps:e}")),
                 ],
-                scenario: runnable("n", scenario)?,
-                rows: Box::new(move |results| {
+                runnable("n", scenario)?,
+                move |results| {
                     let summary = results.summary();
                     cell_rows(
                         [(
@@ -89,12 +91,12 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                         )],
                         [("achieved_eps", achieved), ("s", s as f64)],
                     )
-                }),
-            });
+                },
+            ));
         }
     }
 
-    Ok(ScenarioSweep {
+    Ok(Sweep {
         name: "fig4".to_string(),
         banner: format!(
             "AVC time vs margin, n = {n}, s in {state_counts:?}, {} margins x {runs} runs",

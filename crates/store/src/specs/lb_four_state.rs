@@ -6,9 +6,8 @@
 //! the log–log slope of time against `1/ε`; the bound predicts a slope of
 //! ≈ 1 for small margins.
 
-use super::{cell_rows, rule_name, runnable, runs_flag, with_margin, FlagError};
+use super::{cell_rows, rule_name, runnable, runs_flag, with_margin, FlagError, Sweep, SweepCell};
 use crate::record::{f64_to_hex, CellResult};
-use crate::scenario_grid::{ScenarioSweep, SweepCell};
 use crate::sweep::Export;
 use avc_analysis::cli::Args;
 use avc_analysis::harness::EngineKind;
@@ -17,7 +16,7 @@ use avc_analysis::table::{fmt_num, Table};
 use avc_population::{ProtocolSpec, Scenario};
 
 /// Flags: `--n`, `--runs`, `--seed`. Margin `i` is seeded with `seed + i`.
-pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
+pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
     let n = args.get_u64("n", if quick { 2_001 } else { 100_001 });
     let epsilons: &[f64] = if quick {
@@ -34,16 +33,16 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
             .runs(runs)
             .seed(seed + i as u64);
         let achieved = scenario.instance.margin();
-        cells.push(SweepCell {
-            label: format!("eps={eps:e}"),
-            params: vec![
+        cells.push(SweepCell::batch(
+            format!("eps={eps:e}"),
+            vec![
                 ("protocol", "four_state".to_string()),
                 ("rule", rule_name(scenario.rule).to_string()),
                 ("eps", f64_to_hex(eps)),
                 ("eps_text", format!("{eps:e}")),
             ],
-            scenario: runnable("n", scenario)?,
-            rows: Box::new(move |results| {
+            runnable("n", scenario)?,
+            move |results| {
                 let summary = results.summary();
                 cell_rows(
                     [(
@@ -58,11 +57,11 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                     )],
                     [("achieved_eps", achieved)],
                 )
-            }),
-        });
+            },
+        ));
     }
 
-    Ok(ScenarioSweep {
+    Ok(Sweep {
         name: "lb_four_state".to_string(),
         banner: format!("four-state protocol time vs margin at n = {n}, {runs} runs per margin"),
         cells,

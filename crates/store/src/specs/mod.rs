@@ -1,74 +1,105 @@
-//! Named sweep specs: one per paper artifact.
+//! Named sweep specs: one per paper artifact, and the one builder that
+//! turns any declared sweep into a [`Plan`].
 //!
-//! Each spec turns parsed CLI flags into a [`Plan`] — the cell grid with
-//! content-addressed manifests plus the export assembly that regenerates
-//! the exact `results/*.csv` files. Six studies are batches of seeded
-//! scenarios (fig3, fig4, lb_four_state, err_three_state, ablation_d,
-//! robustness): each module declares only its flags and `--quick` profile,
-//! its ordered cells, each cell's rows and its export trailer, and
-//! `scenario_grid::ScenarioSweep::plan` — the builder behind grid files —
-//! does the rest. lb_info, graph_gap, dynamics and the model checks run no
-//! scenario batch and build their plans directly.
+//! A spec module declares only its flags and `--quick` profile, its ordered
+//! cells, each cell's rows and its export's titled tables and trailer: a
+//! `Sweep`. A cell either runs a batch of seeded scenarios
+//! (`SweepCell::batch`: fig3, fig4, lb_four_state, err_three_state,
+//! ablation_d, robustness and every grid file) or computes its result
+//! itself (`SweepCell::computed`: lb_info's knowledge-set cover,
+//! graph_gap's runs on one interaction graph, dynamics' traced run and the
+//! model checks). `Sweep::plan` does the rest: the content-addressed
+//! manifests, the runs, and the export that fills each titled table with
+//! the cells' rows and regenerates the exact `results/*.csv` files.
 
 mod ablation_d;
 mod checks;
+mod dynamics;
 mod err_three_state;
 mod fig3;
 mod fig4;
+mod graph_gap;
 mod lb_four_state;
+mod lb_info;
 mod robustness;
-mod sweeps;
 
+use crate::manifest::Manifest;
 use crate::record::{CellResult, TrialSummary};
-use crate::sweep::Plan;
+use crate::sweep::{Cell, Export, Plan};
 use avc_analysis::cli::Args;
-use avc_analysis::harness::TrialResults;
+use avc_analysis::harness::{Parallelism, ScenarioPlan, StatsCollector, TrialResults};
 use avc_analysis::stats::Summary;
-use avc_analysis::table::Table;
 use avc_population::{ConvergenceRule, MajorityInstance, Scenario};
 use avc_protocols::Avc;
 use std::fmt;
 
-/// `(name, description)` of every sweep spec, in `avc help` order.
-pub const NAMES: [(&str, &str); 11] = [
-    (
-        "fig3",
-        "Figure 3: 3-state vs 4-state vs n-state AVC at eps = 1/n",
-    ),
-    ("fig4", "Figure 4: AVC time vs margin for 13 state counts"),
-    (
-        "lb_four_state",
-        "Theorem B.1: four-state Θ(1/eps) scaling exponent",
-    ),
-    (
-        "lb_info",
-        "Theorem C.1: knowledge-set cover time (Ω(log n) bound)",
-    ),
-    (
-        "err_three_state",
-        "PVV09 error law: three-state error fraction vs the KL bound",
-    ),
-    (
-        "ablation_d",
-        "§6 ablation: state-budget split between m and d",
-    ),
-    ("dynamics", "§4 structure: one traced AVC trajectory"),
-    (
-        "graph_gap",
-        "DV12: four-state time vs interaction-graph spectral gap",
-    ),
-    (
-        "robustness",
-        "Exactness under adversarial schedulers and injected faults",
-    ),
-    (
-        "mc_avc",
-        "Model check: AVC invariants and exactness (exhaustive)",
-    ),
-    (
-        "mc_three_state",
-        "Model check: MNRS14 three-state impossibility (exhaustive)",
-    ),
+/// A registered sweep: the name `avc sweep` takes, its `avc help` line and
+/// the spec that declares it from parsed flags.
+pub struct Registered {
+    /// The sweep's name, also its experiment name in the store.
+    pub name: &'static str,
+    /// What the sweep reproduces, for `avc help` and `avc ls`.
+    pub description: &'static str,
+    declare: fn(&Args) -> Result<Sweep, FlagError>,
+}
+
+/// Every registered sweep, in `avc help` order.
+pub const SWEEPS: [Registered; 11] = [
+    Registered {
+        name: "fig3",
+        description: "Figure 3: 3-state vs 4-state vs n-state AVC at eps = 1/n",
+        declare: fig3::sweep,
+    },
+    Registered {
+        name: "fig4",
+        description: "Figure 4: AVC time vs margin for 13 state counts",
+        declare: fig4::sweep,
+    },
+    Registered {
+        name: "lb_four_state",
+        description: "Theorem B.1: four-state Θ(1/eps) scaling exponent",
+        declare: lb_four_state::sweep,
+    },
+    Registered {
+        name: "lb_info",
+        description: "Theorem C.1: knowledge-set cover time (Ω(log n) bound)",
+        declare: lb_info::sweep,
+    },
+    Registered {
+        name: "err_three_state",
+        description: "PVV09 error law: three-state error fraction vs the KL bound",
+        declare: err_three_state::sweep,
+    },
+    Registered {
+        name: "ablation_d",
+        description: "§6 ablation: state-budget split between m and d",
+        declare: ablation_d::sweep,
+    },
+    Registered {
+        name: "dynamics",
+        description: "§4 structure: one traced AVC trajectory",
+        declare: dynamics::sweep,
+    },
+    Registered {
+        name: "graph_gap",
+        description: "DV12: four-state time vs interaction-graph spectral gap",
+        declare: graph_gap::sweep,
+    },
+    Registered {
+        name: "robustness",
+        description: "Exactness under adversarial schedulers and injected faults",
+        declare: robustness::sweep,
+    },
+    Registered {
+        name: "mc_avc",
+        description: "Model check: AVC invariants and exactness (exhaustive)",
+        declare: checks::mc_avc,
+    },
+    Registered {
+        name: "mc_three_state",
+        description: "Model check: MNRS14 three-state impossibility (exhaustive)",
+        declare: checks::mc_three_state,
+    },
 ];
 
 /// A sweep flag whose value no plan can run.
@@ -100,21 +131,8 @@ impl std::error::Error for FlagError {}
 /// Builds the plan for a named sweep from parsed flags: `None` for an
 /// unknown name, an error naming the flag whose value cannot run.
 pub fn try_build(name: &str, args: &Args) -> Option<Result<Plan, FlagError>> {
-    let sweep = match name {
-        "fig3" => fig3::sweep(args),
-        "fig4" => fig4::sweep(args),
-        "lb_four_state" => lb_four_state::sweep(args),
-        "err_three_state" => err_three_state::sweep(args),
-        "ablation_d" => ablation_d::sweep(args),
-        "robustness" => robustness::sweep(args),
-        "dynamics" => return Some(Ok(sweeps::dynamics_plan(args))),
-        "lb_info" => return Some(sweeps::lb_info_plan(args)),
-        "graph_gap" => return Some(sweeps::graph_gap_plan(args)),
-        "mc_avc" => return Some(Ok(checks::mc_avc_plan(args))),
-        "mc_three_state" => return Some(Ok(checks::mc_three_state_plan(args))),
-        _ => return None,
-    };
-    Some(sweep.map(|sweep| sweep.plan(args.parallelism())))
+    let spec = SWEEPS.iter().find(|spec| spec.name == name)?;
+    Some((spec.declare)(args).map(|sweep| sweep.plan(args.parallelism())))
 }
 
 /// [`try_build`] with a bad flag value panicking: the surface the
@@ -124,9 +142,147 @@ pub fn build(name: &str, args: &Args) -> Option<Plan> {
     try_build(name, args).map(|plan| plan.unwrap_or_else(|e| panic!("{e}")))
 }
 
+/// What a [`SweepCell`] computes.
+enum Work {
+    /// A seeded scenario batch, and how its results become the cell's
+    /// rows and named values.
+    Batch(Scenario, Box<dyn Fn(&TrialResults) -> CellResult>),
+    /// Any other computation of the cell's result.
+    Computed(Box<dyn Fn(&StatsCollector) -> CellResult>),
+}
+
+/// One labelled cell of a [`Sweep`]: the manifest params it declares and
+/// what it computes.
+pub(crate) struct SweepCell {
+    label: String,
+    params: Vec<(&'static str, String)>,
+    work: Work,
+}
+
+impl SweepCell {
+    /// A cell that runs `scenario`'s trial batch. Its manifest is `cell`,
+    /// `engine`, `n`, `runs` and `seed`, then `params`, then the embedded
+    /// scenario with its hash; `rows` turns the batch's results into the
+    /// cell's table rows and named values. The scenario must be runnable:
+    /// grid files are validated at parse time, and specs check theirs
+    /// while declaring.
+    pub(crate) fn batch(
+        label: String,
+        params: Vec<(&'static str, String)>,
+        scenario: Scenario,
+        rows: impl Fn(&TrialResults) -> CellResult + 'static,
+    ) -> SweepCell {
+        SweepCell {
+            label,
+            params,
+            work: Work::Batch(scenario, Box::new(rows)),
+        }
+    }
+
+    /// A cell whose result `run` computes. Its manifest is `cell` and
+    /// `params`, which must pin everything the result depends on; `run`
+    /// records in the collector the throughput of any trials it runs.
+    pub(crate) fn computed(
+        label: String,
+        params: Vec<(&'static str, String)>,
+        run: impl Fn(&StatsCollector) -> CellResult + 'static,
+    ) -> SweepCell {
+        SweepCell {
+            label,
+            params,
+            work: Work::Computed(Box::new(run)),
+        }
+    }
+
+    /// The runnable cell of the sweep `name`. A batch cell stores the
+    /// trial payload and the batch telemetry beside its rows.
+    fn build(self, name: &str, parallelism: Parallelism) -> Cell {
+        let cell = ("cell", self.label.clone());
+        let (scenario, rows) = match self.work {
+            Work::Batch(scenario, rows) => (scenario, rows),
+            Work::Computed(run) => {
+                return Cell {
+                    manifest: Manifest::new(name, std::iter::once(cell).chain(self.params)),
+                    label: self.label,
+                    batch: None,
+                    run,
+                };
+            }
+        };
+        let common = [
+            cell,
+            ("engine", scenario.engine.to_string()),
+            ("n", scenario.instance.population().to_string()),
+            ("runs", scenario.runs.to_string()),
+            ("seed", scenario.seed.to_string()),
+        ];
+        let params = common.into_iter().chain(self.params);
+        let manifest = Manifest::new(name, params.chain(scenario_params(&scenario)));
+        let batch = ScenarioPlan::new(scenario).parallelism(parallelism);
+        let plan = batch.clone();
+        Cell {
+            manifest,
+            label: self.label,
+            batch: Some(batch),
+            run: Box::new(move |stats| {
+                let (results, telemetry) = plan.run_with_telemetry(stats);
+                CellResult {
+                    trials: Some(trials_of(&results)),
+                    telemetry: Some(telemetry),
+                    ..rows(&results)
+                }
+            }),
+        }
+    }
+}
+
+/// A declared sweep: a grid file or a registered spec. [`Sweep::plan`] is
+/// the one place a sweep becomes a [`Plan`].
+pub(crate) struct Sweep {
+    /// Experiment name in the store.
+    pub name: String,
+    /// One-line banner shown by `avc sweep`.
+    pub banner: String,
+    /// Cells in grid order.
+    pub cells: Vec<SweepCell>,
+    /// The export's titled, still empty tables (by CSV stem) and its
+    /// trailer lines, from the results in cell order; the plan fills each
+    /// table with every cell's rows for its stem.
+    #[allow(clippy::type_complexity)]
+    pub export: Box<dyn Fn(&[&CellResult]) -> Export>,
+}
+
+impl Sweep {
+    /// The runnable plan: each cell's manifest and run, and the export.
+    #[must_use]
+    pub(crate) fn plan(self, parallelism: Parallelism) -> Plan {
+        let name = self.name;
+        let cells = self
+            .cells
+            .into_iter()
+            .map(|cell| cell.build(&name, parallelism))
+            .collect();
+        let export = self.export;
+        Plan {
+            name,
+            banner: self.banner,
+            cells,
+            export: Box::new(move |results| {
+                let mut export = export(results);
+                for (stem, table) in &mut export.tables {
+                    for row in results.iter().flat_map(|r| r.rows(stem)) {
+                        table.push_row(row.clone());
+                    }
+                }
+                export
+            }),
+        }
+    }
+}
+
 /// Extracts the durable trial payload from harness results: converged-time
 /// samples in the canonical `Summary` order plus error bookkeeping.
-pub(crate) fn trials_of(results: &TrialResults) -> TrialSummary {
+fn trials_of(results: &TrialResults) -> TrialSummary {
     let mut samples = results.converged_times();
     samples.sort_by(f64::total_cmp);
     TrialSummary {
@@ -136,9 +292,9 @@ pub(crate) fn trials_of(results: &TrialResults) -> TrialSummary {
     }
 }
 
-/// As [`trials_of`] for experiments that only retain a [`Summary`] (every
+/// As [`trials_of`] for cells that only retain a [`Summary`] (every
 /// trial converged; no error notion).
-pub(crate) fn trials_of_summary(summary: &Summary) -> TrialSummary {
+fn trials_of_summary(summary: &Summary) -> TrialSummary {
     TrialSummary {
         samples: summary.samples().to_vec(),
         error_fraction: 0.0,
@@ -146,15 +302,8 @@ pub(crate) fn trials_of_summary(summary: &Summary) -> TrialSummary {
     }
 }
 
-/// The single data row of a one-row table (cells contribute exactly one row
-/// per table they participate in).
-pub(crate) fn only_row(table: &Table) -> Vec<String> {
-    assert_eq!(table.num_rows(), 1, "expected a single-row table");
-    table.rows()[0].clone()
-}
-
-/// A scenario cell's contribution to the export: one row per named table
-/// and the named values the export reads back.
+/// A cell's contribution to the export: one row per named table and the
+/// named values the export reads back.
 fn cell_rows<const T: usize, const V: usize>(
     rows: [(&str, Vec<String>); T],
     values: [(&str, f64); V],
@@ -222,7 +371,7 @@ fn avc_with_states(flag: &'static str, s: u64) -> Result<Avc, FlagError> {
 /// canonical JSON form and the SHA-256 of that form. A manifest carrying
 /// these suffices to re-run the cell byte-identically — `avc run` executes
 /// the embedded JSON directly.
-pub(crate) fn scenario_params(scenario: &Scenario) -> [(&'static str, String); 2] {
+fn scenario_params(scenario: &Scenario) -> [(&'static str, String); 2] {
     [
         ("scenario", scenario.canonical()),
         ("scenario_hash", scenario.hash()),
@@ -231,7 +380,7 @@ pub(crate) fn scenario_params(scenario: &Scenario) -> [(&'static str, String); 2
 
 /// The manifest name of a convergence rule (the scenario plane's canonical
 /// rule names).
-pub(crate) fn rule_name(rule: ConvergenceRule) -> &'static str {
+fn rule_name(rule: ConvergenceRule) -> &'static str {
     match rule {
         ConvergenceRule::OutputConsensus => "output_consensus",
         ConvergenceRule::StateConsensus => "state_consensus",
@@ -243,8 +392,6 @@ pub(crate) fn rule_name(rule: ConvergenceRule) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::Export;
-    use avc_analysis::harness::StatsCollector;
 
     pub(super) fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string()))
@@ -279,7 +426,7 @@ mod tests {
     #[test]
     fn every_registered_name_builds() {
         let quick = args(&["--quick"]);
-        for (name, _) in NAMES {
+        for Registered { name, .. } in SWEEPS {
             let plan = build(name, &quick).unwrap_or_else(|| panic!("{name} missing"));
             assert_eq!(plan.name, name);
             assert!(!plan.cells.is_empty(), "{name} has no cells");
@@ -293,7 +440,7 @@ mod tests {
 
     #[test]
     fn manifests_are_distinct_within_a_plan() {
-        for (name, _) in NAMES {
+        for Registered { name, .. } in SWEEPS {
             let plan = build(name, &args(&["--quick"])).unwrap();
             let mut hashes: Vec<String> = plan.cells.iter().map(|c| c.manifest.hash()).collect();
             hashes.sort();
@@ -362,8 +509,6 @@ mod tests {
     /// re-runs the cell.
     #[test]
     fn manifest_scenario_alone_replays_the_cell() {
-        use avc_analysis::harness::{ScenarioPlan, StatsCollector};
-
         let plan = build("fig3", &args(&["--quick"])).unwrap();
         let cell = plan
             .cells
@@ -383,5 +528,20 @@ mod tests {
         assert_eq!(trials.samples, samples, "replay diverged from the cell");
         assert_eq!(trials.error_fraction, results.error_fraction());
         assert_eq!(trials.total_runs, results.outcomes().len() as u64);
+    }
+
+    #[test]
+    fn trials_of_matches_results() {
+        use avc_analysis::harness::EngineKind;
+        use avc_population::ProtocolSpec;
+        let scenario = Scenario::new(ProtocolSpec::FourState, MajorityInstance::one_extra(101))
+            .engine(EngineKind::Jump)
+            .runs(5)
+            .seed(3);
+        let results = ScenarioPlan::new(scenario).run();
+        let trials = trials_of(&results);
+        assert_eq!(trials.total_runs, 5);
+        assert_eq!(trials.error_fraction, 0.0);
+        assert_eq!(trials.summary().unwrap(), results.summary());
     }
 }

@@ -17,9 +17,8 @@
 //! the trial RNG and fault injection draws none, so a cell replays
 //! bit-identically.
 
-use super::{cell_rows, runnable, runs_flag, with_margin, FlagError};
+use super::{cell_rows, runnable, runs_flag, with_margin, FlagError, Sweep, SweepCell};
 use crate::record::{f64_to_hex, CellResult, TrialSummary};
-use crate::scenario_grid::{ScenarioSweep, SweepCell};
 use crate::sweep::Export;
 use avc_analysis::cli::Args;
 use avc_analysis::harness::EngineKind;
@@ -114,7 +113,7 @@ fn perturbations(n: u64, from: StateId, to: StateId) -> Vec<Perturbation> {
 ///
 /// Cells run protocol-major; cell `(pi, si)` draws from seed child
 /// `pi · perturbations + si` of `seed`, so it reruns identically alone.
-pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
+pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
     let n = args.get_u64("n", if quick { 41 } else { 201 });
     let epsilon = if quick { 0.5 } else { 0.2 };
@@ -153,9 +152,9 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                 labels.push(label);
             }
             let row_faults = faults.clone();
-            cells.push(SweepCell {
-                label: format!("{key}/{label}"),
-                params: vec![
+            cells.push(SweepCell::batch(
+                format!("{key}/{label}"),
+                vec![
                     ("protocol", key.to_string()),
                     ("scenario_label", label.to_string()),
                     ("scheduler", scheduler.to_string()),
@@ -164,8 +163,8 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                     ("eps_text", format!("{epsilon}")),
                     ("max_steps", max_steps.to_string()),
                 ],
-                scenario: runnable("n", scenario)?,
-                rows: Box::new(move |results| {
+                runnable("n", scenario)?,
+                move |results| {
                     // A run that never converges is a timeout, not an
                     // exactness violation: AVC stalls under sparse
                     // restricted schedules but never answers wrong.
@@ -199,12 +198,12 @@ pub(super) fn sweep(args: &Args) -> Result<ScenarioSweep, FlagError> {
                             ("timeouts", timeouts as f64),
                         ],
                     )
-                }),
-            });
+                },
+            ));
         }
     }
 
-    Ok(ScenarioSweep {
+    Ok(Sweep {
         name: "robustness".to_string(),
         banner: format!(
             "AVC and four-state under adversarial schedulers and faults, n = {n}, \

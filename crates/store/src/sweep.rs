@@ -115,8 +115,8 @@ pub struct Cell {
     /// Short human label (also stored in the manifest under `cell`).
     pub label: String,
     /// The trial batch `run` executes, which [`run_sharded`] queues on the
-    /// collector's pool ahead of `run`; `None` for cells that run no
-    /// scenario batch (lb_info, graph_gap, dynamics, mc_*).
+    /// collector's pool ahead of `run`; `None` for a cell that computes its
+    /// result another way (lb_info, graph_gap, dynamics, mc_*).
     pub batch: Option<ScenarioPlan>,
     /// Computes the cell. Must depend only on the manifest's parameters.
     pub run: Box<dyn Fn(&StatsCollector) -> CellResult>,

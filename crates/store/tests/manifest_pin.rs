@@ -27,9 +27,14 @@ fn render() -> String {
     let mut out = String::new();
     for (profile, tokens) in [("default", &[][..]), ("quick", &["--quick"][..])] {
         let args = Args::parse(tokens.iter().map(|s| s.to_string()));
-        let mut plans: Vec<(String, Plan)> = specs::NAMES
+        let mut plans: Vec<(String, Plan)> = specs::SWEEPS
             .iter()
-            .map(|(name, _)| (name.to_string(), specs::build(name, &args).expect(name)))
+            .map(|spec| {
+                (
+                    spec.name.to_string(),
+                    specs::build(spec.name, &args).expect(spec.name),
+                )
+            })
             .collect();
         for grid in GRIDS {
             let path = root.join(grid);

@@ -49,7 +49,7 @@ fn avc_with_wall(dir: &Path, args: &[&str]) -> String {
 #[test]
 fn shards_partition_every_plan() {
     let quick = Args::parse(["--quick".to_string()]);
-    for (name, _) in avc_store::specs::NAMES {
+    for avc_store::specs::Registered { name, .. } in avc_store::specs::SWEEPS {
         let plan = avc_store::specs::build(name, &quick).expect("registered sweep builds");
         for k in 1..=5u64 {
             let shards: Vec<Shard> = (0..k)

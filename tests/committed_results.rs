@@ -1,16 +1,70 @@
-//! The committed `results/` reproduce: fig3's cells for `n` up to 1001, at
-//! the default runs and seed, rebuild the first nine data rows of
-//! `results/fig3_time.csv` and `results/fig3_error.csv` byte for byte.
+//! The committed `results/` reproduce and show what the paper claims.
 //!
-//! Cell seeds depend on each value's index in `--ns`, so only a prefix of
-//! the default list reproduces committed rows. The CI release job checks
-//! longer prefixes (fig3 to n = 10001, err_three_state at n = 1001) and
-//! the whole ablation_d sweep the same way, through the `avc` binary.
+//! fig3's cells for `n` up to 1001, at the default runs and seed, rebuild
+//! the first nine data rows of `results/fig3_time.csv` and
+//! `results/fig3_error.csv` byte for byte. Cell seeds depend on each
+//! value's index in `--ns`, so only a prefix of the default list
+//! reproduces committed rows. Through the `avc` binary, the CI release job
+//! checks longer prefixes (fig3 to n = 10001, err_three_state at
+//! n = 1001) and reruns ablation_d, lb_info, graph_gap, dynamics, mc_avc
+//! and mc_three_state whole, comparing their CSVs byte for byte.
+//!
+//! The other tests only read the committed full-size CSVs of lb_info,
+//! graph_gap, dynamics and the model checks, and check the shape each
+//! artifact exists to show.
 
 use avc::analysis::cli::Args;
 use avc::analysis::harness::StatsCollector;
+use avc::analysis::stats::loglog_slope;
 use avc::store::specs;
 use std::path::Path;
+
+/// A committed `results/<stem>.csv`: its header and data rows, with
+/// double-quoted fields unquoted.
+struct Committed {
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Committed {
+    fn read(stem: &str) -> Committed {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("results/{stem}.csv"));
+        let text = std::fs::read_to_string(&path).expect("committed CSV");
+        let mut lines = text.lines().map(fields);
+        let header = lines.next().expect("a header line");
+        Committed {
+            header,
+            rows: lines.collect(),
+        }
+    }
+
+    /// The column named `name`, as text.
+    fn text(&self, name: &str) -> Vec<&str> {
+        let i = self.header.iter().position(|h| h == name);
+        let i = i.unwrap_or_else(|| panic!("no column {name}"));
+        self.rows.iter().map(|row| row[i].as_str()).collect()
+    }
+
+    /// The column named `name`, as numbers.
+    fn numbers(&self, name: &str) -> Vec<f64> {
+        let parse = |v: &str| v.parse().unwrap_or_else(|_| panic!("{name}: `{v}`"));
+        self.text(name).into_iter().map(parse).collect()
+    }
+}
+
+/// The fields of one CSV line (no embedded quotes or line breaks).
+fn fields(line: &str) -> Vec<String> {
+    let mut fields = vec![String::new()];
+    let mut quoted = false;
+    for c in line.chars() {
+        match c {
+            '"' => quoted = !quoted,
+            ',' if !quoted => fields.push(String::new()),
+            _ => fields.last_mut().expect("a field").push(c),
+        }
+    }
+    fields
+}
 
 #[test]
 fn fig3_prefix_reproduces_the_committed_rows() {
@@ -31,4 +85,72 @@ fn fig3_prefix_reproduces_the_committed_rows() {
             "{stem}.csv rows differ from the committed file"
         );
     }
+}
+
+#[test]
+fn lb_info_cover_time_is_linear_in_ln_n() {
+    let lb_info = Committed::read("lb_info");
+    let slope = loglog_slope(
+        &lb_info.numbers("ln_n"),
+        &lb_info.numbers("mean_parallel_time"),
+    );
+    assert!((0.9..=1.1).contains(&slope), "slope {slope}");
+    let expected = lb_info.numbers("expected_steps_closed_form");
+    for (mean, expected) in lb_info.numbers("mean_steps").into_iter().zip(expected) {
+        assert!(
+            (mean / expected - 1.0).abs() <= 0.05,
+            "{mean} steps against {expected}"
+        );
+    }
+}
+
+#[test]
+fn graph_gap_time_rises_with_the_inverse_gap() {
+    let graph_gap = Committed::read("graph_gap");
+    let graphs = graph_gap.text("graph");
+    let by_graph = |prefix: &str, column: &str| {
+        let i = graphs.iter().position(|g| g.starts_with(prefix));
+        graph_gap.numbers(column)[i.unwrap_or_else(|| panic!("no {prefix} row"))]
+    };
+    let slowing = ["clique", "random 6-regular", "grid", "cycle"];
+    for pair in slowing.windows(2) {
+        assert!(by_graph(pair[0], "one_over_gap") < by_graph(pair[1], "one_over_gap"));
+        assert!(
+            by_graph(pair[0], "mean_parallel_time") < by_graph(pair[1], "mean_parallel_time"),
+            "{} is not faster than {}",
+            pair[0],
+            pair[1]
+        );
+    }
+    assert!(graph_gap.numbers("timeouts").iter().all(|&t| t == 0.0));
+}
+
+#[test]
+fn dynamics_keeps_the_value_sum_and_halves_the_weights() {
+    let dynamics = Committed::read("dynamics");
+    let total = dynamics.numbers("total_value");
+    assert!(total.iter().all(|&v| v == total[0]), "value sum drifted");
+    let max_pos = dynamics.numbers("max_pos_weight");
+    assert_eq!(max_pos[0], 1023.0);
+    assert!(max_pos.windows(2).all(|w| w[1] <= w[0]), "max weight rose");
+    assert_eq!(dynamics.numbers("strong_neg").last(), Some(&0.0));
+    assert_eq!(dynamics.numbers("intermediate_neg").last(), Some(&0.0));
+}
+
+#[test]
+fn model_checks_hold() {
+    let mc_avc = Committed::read("mc_avc");
+    let results = mc_avc.text("result");
+    let proofs: Vec<_> = mc_avc
+        .text("check")
+        .into_iter()
+        .zip(results)
+        .filter(|(check, _)| check.starts_with("exact") || check.starts_with("invariant"))
+        .collect();
+    assert_eq!(proofs.len(), 3, "two exactness rows and one invariant row");
+    for (check, result) in proofs {
+        assert_eq!(result, "holds", "{check}");
+    }
+    let mc_three_state = Committed::read("mc_three_state");
+    assert_eq!(mc_three_state.numbers("survivors"), [0.0]);
 }
