@@ -5,6 +5,7 @@
 //! (`--quick`), not a full CLI framework.
 
 use crate::harness::Parallelism;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 /// Parsed command-line arguments: `--key value` pairs and bare `--flag`s.
@@ -18,11 +19,14 @@ use std::collections::{HashMap, HashSet};
 /// assert_eq!(args.get_u64("runs", 101), 7);
 /// assert!(args.flag("quick"));
 /// assert_eq!(args.get_u64("seed", 0), 0);
+/// assert_eq!(args.unread(), Vec::<String>::new());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: HashSet<String>,
+    /// Every key a getter has asked for, given or not.
+    read: RefCell<HashSet<String>>,
 }
 
 impl Args {
@@ -93,13 +97,31 @@ impl Args {
     /// Whether `--name` was passed as a bare flag.
     #[must_use]
     pub fn flag(&self, name: &str) -> bool {
+        self.read.borrow_mut().insert(name.to_string());
         self.flags.contains(name)
     }
 
     /// The value of `--name`, if given.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(name.to_string());
         self.values.get(name).map(String::as_str)
+    }
+
+    /// The keys given (as `--key value` or a bare `--key`) that no getter
+    /// has asked for yet, sorted: flags a command would otherwise ignore.
+    #[must_use]
+    pub fn unread(&self) -> Vec<String> {
+        let read = self.read.borrow();
+        let mut unread: Vec<String> = self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .filter(|key| !read.contains(*key))
+            .cloned()
+            .collect();
+        unread.sort();
+        unread
     }
 
     /// `--name` parsed as `u64`, or `default`.
@@ -206,6 +228,17 @@ mod tests {
         assert_eq!(a.get_f64("eps", 0.0), 0.5);
         assert_eq!(a.get_u64_list("ns", &[1]), vec![11, 101, 1001]);
         assert_eq!(a.get_u64_list("other", &[1, 2]), vec![1, 2]);
+    }
+
+    #[test]
+    fn unread_lists_the_keys_no_getter_asked_for() {
+        let a = parse(&["--runs", "5", "--quick", "--max_n", "3", "--verbose"]);
+        assert_eq!(a.unread(), ["max_n", "quick", "runs", "verbose"]);
+        let _ = a.get_u64("runs", 0);
+        let _ = a.flag("quick");
+        // Asking for a key that was not given changes nothing.
+        let _ = a.flag("serial");
+        assert_eq!(a.unread(), ["max_n", "verbose"]);
     }
 
     #[test]

@@ -4,13 +4,11 @@ use std::fmt;
 
 /// Summary statistics of a sample.
 ///
-/// A `Summary` retains its full sample (sorted into the IEEE 754 total
-/// order), which makes it a *mergeable* aggregate: [`Summary::merge`] is an
-/// exact monoid operation with [`Summary::empty`] as the identity. Because
-/// every derived statistic is recomputed as a pure function of the
-/// canonically sorted multiset, merging is associative and order-independent
-/// down to the last bit — the property the parallel trial harness relies on
-/// to make sharded aggregation indistinguishable from serial aggregation.
+/// A `Summary` retains its full sample, sorted into the IEEE 754 total
+/// order, and computes every statistic as a pure function of that sorted
+/// multiset. The parallel trial harness scatters each trial's outcome back
+/// to its index, so a batch's summary is the same to the last bit under
+/// every worker count.
 ///
 /// # Example
 ///
@@ -22,12 +20,7 @@ use std::fmt;
 /// assert_eq!(s.median, 2.5);
 /// assert_eq!(s.min, 1.0);
 /// assert_eq!(s.max, 4.0);
-///
-/// let left = Summary::from_samples(&[1.0, 3.0]);
-/// let right = Summary::from_samples(&[4.0, 2.0]);
-/// assert_eq!(left.merge(&right), s);
-/// assert_eq!(right.merge(&left), s);
-/// assert_eq!(Summary::empty().merge(&s), s);
+/// assert_eq!(Summary::from_samples(&[4.0, 2.0, 3.0, 1.0]), s);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
@@ -61,31 +54,7 @@ impl Summary {
         assert!(samples.iter().all(|x| !x.is_nan()), "sample contains NaN");
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
-        Summary::from_sorted(sorted)
-    }
-
-    /// The identity of [`Summary::merge`]: a summary of zero samples.
-    ///
-    /// All statistics of an empty summary read as 0.
-    #[must_use]
-    pub fn empty() -> Summary {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            std_dev: 0.0,
-            min: 0.0,
-            max: 0.0,
-            median: 0.0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Computes all statistics from an already-canonically-sorted sample.
-    fn from_sorted(sorted: Vec<f64>) -> Summary {
         let count = sorted.len();
-        if count == 0 {
-            return Summary::empty();
-        }
         let mean = sorted.iter().sum::<f64>() / count as f64;
         let var = if count > 1 {
             sorted.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (count as f64 - 1.0)
@@ -108,33 +77,6 @@ impl Summary {
         }
     }
 
-    /// Merges two summaries into the summary of the combined sample.
-    ///
-    /// Exact, not approximate: the underlying sorted multisets are merged
-    /// and every statistic recomputed, so
-    /// `a.merge(&b) == Summary::from_samples(concat(a, b))` bit for bit.
-    /// The operation is associative and commutative with [`Summary::empty`]
-    /// as identity, which lets parallel workers aggregate partial batches in
-    /// any order.
-    #[must_use]
-    pub fn merge(&self, other: &Summary) -> Summary {
-        let (a, b) = (&self.samples, &other.samples);
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i].total_cmp(&b[j]).is_le() {
-                merged.push(a[i]);
-                i += 1;
-            } else {
-                merged.push(b[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&a[i..]);
-        merged.extend_from_slice(&b[j..]);
-        Summary::from_sorted(merged)
-    }
-
     /// The retained sample, sorted ascending (IEEE 754 total order).
     #[must_use]
     pub fn samples(&self) -> &[f64] {
@@ -146,10 +88,9 @@ impl Summary {
     ///
     /// # Panics
     ///
-    /// Panics if the summary is empty or `q` is outside `[0, 1]`.
+    /// Panics if `q` is outside `[0, 1]`.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!(self.count > 0, "cannot take a quantile of nothing");
         assert!(
             (0.0..=1.0).contains(&q),
             "quantile must be in [0,1], got {q}"
@@ -157,12 +98,9 @@ impl Summary {
         quantile_of_sorted(&self.samples, q)
     }
 
-    /// Standard error of the mean (0 for an empty summary).
+    /// Standard error of the mean.
     #[must_use]
     pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
         self.std_dev / (self.count as f64).sqrt()
     }
 
@@ -395,54 +333,6 @@ mod tests {
         assert!(text.contains("n=2"));
     }
 
-    /// Bit-level equality: strict even for −0.0 vs 0.0, unlike `==`.
-    fn bits_equal(a: &Summary, b: &Summary) -> bool {
-        a.count == b.count
-            && a.mean.to_bits() == b.mean.to_bits()
-            && a.std_dev.to_bits() == b.std_dev.to_bits()
-            && a.min.to_bits() == b.min.to_bits()
-            && a.max.to_bits() == b.max.to_bits()
-            && a.median.to_bits() == b.median.to_bits()
-            && a.samples.len() == b.samples.len()
-            && a.samples
-                .iter()
-                .zip(&b.samples)
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
-    #[test]
-    fn merge_equals_whole_sample_summary() {
-        let all = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let whole = Summary::from_samples(&all);
-        let merged = Summary::from_samples(&all[..3]).merge(&Summary::from_samples(&all[3..]));
-        assert!(bits_equal(&whole, &merged));
-    }
-
-    #[test]
-    fn merge_is_commutative_and_has_identity() {
-        let a = Summary::from_samples(&[1.0, -0.0, 2.5]);
-        let b = Summary::from_samples(&[0.0, 7.0]);
-        assert!(bits_equal(&a.merge(&b), &b.merge(&a)));
-        assert!(bits_equal(&Summary::empty().merge(&a), &a));
-        assert!(bits_equal(&a.merge(&Summary::empty()), &a));
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        let a = Summary::from_samples(&[5.0, 1.0]);
-        let b = Summary::from_samples(&[2.0]);
-        let c = Summary::from_samples(&[9.0, 0.5, 3.0]);
-        assert!(bits_equal(&a.merge(&b).merge(&c), &a.merge(&b.merge(&c))));
-    }
-
-    #[test]
-    fn empty_summary_reads_as_zero() {
-        let e = Summary::empty();
-        assert_eq!(e.count, 0);
-        assert_eq!(e.std_error(), 0.0);
-        assert!(e.samples().is_empty());
-    }
-
     #[test]
     fn summary_quantile_matches_free_function() {
         let data = [10.0, 20.0, 30.0, 40.0];
@@ -450,11 +340,5 @@ mod tests {
         assert_eq!(s.quantile(0.5), quantile(&data, 0.5));
         assert_eq!(s.quantile(0.0), 10.0);
         assert_eq!(s.quantile(1.0), 40.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "nothing")]
-    fn summary_quantile_rejects_empty() {
-        let _ = Summary::empty().quantile(0.5);
     }
 }

@@ -131,12 +131,6 @@ impl Config {
         self.counts[to.0 as usize] += 1;
         self.counts[to.1 as usize] += 1;
     }
-
-    /// Consumes the configuration and returns the count vector.
-    #[must_use]
-    pub fn into_counts(self) -> Vec<u64> {
-        self.counts
-    }
 }
 
 impl FromIterator<u64> for Config {

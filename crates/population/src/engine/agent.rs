@@ -1,7 +1,9 @@
 //! Per-agent simulation engine.
 
 use crate::config::Config;
-use crate::engine::{AdvanceReport, Simulator, StopCondition, StopReason};
+use crate::engine::{
+    corrupt_moves, output_a_mask, tally, AdvanceReport, Simulator, StopCondition, StopReason,
+};
 use crate::faults::{Fault, FaultError};
 use crate::graph::Graph;
 use crate::protocol::{Opinion, Protocol, StateId};
@@ -49,8 +51,8 @@ pub struct AgentSim<P, S = Uniform, T = NoopSink> {
     output_a: Vec<bool>,
     count_a: u64,
     unanimous: Option<StateId>,
-    /// Lazily allocated by the first agent-addressed fault; `None` keeps
-    /// the fault-free hot loop byte-identical to the pre-fault engine.
+    /// Lazily allocated by the first agent-addressed fault; while `None`,
+    /// the chunk loop runs with [`NoFaults`] and checks nothing.
     faults: Option<Box<AgentFaults>>,
     steps: u64,
     events: u64,
@@ -60,9 +62,8 @@ pub struct AgentSim<P, S = Uniform, T = NoopSink> {
 /// Per-agent fault flags (the fault overlay).
 ///
 /// Once allocated it stays allocated — reviving the last crashed agent
-/// leaves all-false flag vectors behind, which the faulted loop handles
-/// identically to the fault-free loop (just with two extra bitvec reads
-/// per step).
+/// leaves all-false flag vectors behind, which [`chunk_loop`] steps through
+/// like [`NoFaults`], with two extra bitvec reads per step.
 #[derive(Debug, Clone)]
 struct AgentFaults {
     /// Crashed agents: scheduled steps touching them are burned.
@@ -80,6 +81,40 @@ impl AgentFaults {
     }
 }
 
+/// The crash and stuck-at checks [`chunk_loop`] makes per step.
+trait FaultOverlay {
+    /// Whether a step scheduled onto `agent` is burned.
+    fn crashed(&self, agent: usize) -> bool;
+    /// Whether `agent` keeps its state through its interactions.
+    fn stuck(&self, agent: usize) -> bool;
+}
+
+/// The fault-free overlay: both checks are a constant `false`, so the
+/// loop compiles to exactly the engine without faults.
+struct NoFaults;
+
+impl FaultOverlay for NoFaults {
+    #[inline(always)]
+    fn crashed(&self, _agent: usize) -> bool {
+        false
+    }
+    #[inline(always)]
+    fn stuck(&self, _agent: usize) -> bool {
+        false
+    }
+}
+
+impl FaultOverlay for AgentFaults {
+    #[inline(always)]
+    fn crashed(&self, agent: usize) -> bool {
+        self.crashed[agent]
+    }
+    #[inline(always)]
+    fn stuck(&self, agent: usize) -> bool {
+        self.stuck[agent]
+    }
+}
+
 /// Per-agent state storage, randomly indexed twice per step. When every
 /// state id fits in a byte (true for all constant-state protocols) the
 /// array is kept 4× denser so more of it stays in close cache levels.
@@ -87,6 +122,17 @@ impl AgentFaults {
 enum States {
     Narrow(Vec<u8>),
     Wide(Vec<StateId>),
+}
+
+/// Evaluates `$body` with `$cells` bound to the agent array at its cell
+/// width, so generic code over [`StateCell`] matches the width once.
+macro_rules! with_cells {
+    ($states:expr, $cells:ident => $body:expr) => {
+        match $states {
+            States::Narrow($cells) => $body,
+            States::Wide($cells) => $body,
+        }
+    };
 }
 
 impl States {
@@ -99,29 +145,15 @@ impl States {
     }
 
     fn len(&self) -> usize {
-        match self {
-            States::Narrow(v) => v.len(),
-            States::Wide(v) => v.len(),
-        }
+        with_cells!(self, v => v.len())
     }
 
     fn get(&self, agent: usize) -> StateId {
-        match self {
-            States::Narrow(v) => v[agent] as StateId,
-            States::Wide(v) => v[agent],
-        }
+        with_cells!(self, v => v[agent].unpack())
     }
 
-    fn set(&mut self, agent: usize, to: StateId) {
-        match self {
-            States::Narrow(v) => v[agent] = to as u8,
-            States::Wide(v) => v[agent] = to,
-        }
-    }
-
-    /// Overwrites every slot with the state-order placement of `config`
-    /// (the first `config.count(0)` agents get state 0, and so on) —
-    /// exactly [`AgentSim::with_scheduler`]'s assignment, in place.
+    /// Overwrites every slot with the state-order placement of `config`:
+    /// the first `config.count(0)` agents get state 0, and so on.
     fn refill_in_state_order(&mut self, config: &Config) {
         fn fill<C: StateCell>(cells: &mut [C], config: &Config) {
             let mut idx = 0;
@@ -133,10 +165,7 @@ impl States {
             }
             debug_assert_eq!(idx, cells.len(), "config population mismatch");
         }
-        match self {
-            States::Narrow(v) => fill(v, config),
-            States::Wide(v) => fill(v, config),
-        }
+        with_cells!(self, v => fill(v, config));
     }
 }
 
@@ -169,21 +198,56 @@ impl StateCell for StateId {
     }
 }
 
-/// The monomorphized fault-free hot loop, generic over the cell width so
-/// the narrow path pays no dispatch per access. Field references are
-/// passed split so the enum match happens once per chunk, not once per
-/// step. The scheduler inlines too: under [`Uniform`] this compiles to
-/// exactly the pre-scheduler loop (same draws, same order).
+/// Moves `agent` to `to`, keeping the counts, `count_a` and unanimity
+/// exact: the bookkeeping of one agent in a productive interaction, and of
+/// an agent-addressed fault.
+#[inline(always)]
+fn move_agent<C: StateCell>(
+    states: &mut [C],
+    counts: &mut [u64],
+    output_a: &[bool],
+    count_a: &mut u64,
+    unanimous: &mut Option<StateId>,
+    agent: usize,
+    to: StateId,
+) {
+    let from = states[agent].unpack();
+    if from == to {
+        return;
+    }
+    states[agent] = C::pack(to);
+    counts[from as usize] -= 1;
+    counts[to as usize] += 1;
+    match (output_a[from as usize], output_a[to as usize]) {
+        (true, false) => *count_a -= 1,
+        (false, true) => *count_a += 1,
+        _ => {}
+    }
+    *unanimous = if counts[to as usize] == states.len() as u64 {
+        Some(to)
+    } else {
+        None
+    };
+}
+
+/// The monomorphized hot loop, generic over the cell width so the narrow
+/// path pays no dispatch per access, and over the fault overlay so the
+/// fault-free path ([`NoFaults`]) pays nothing for crash and stuck-at
+/// checks. Field references are passed split so the enum match happens
+/// once per chunk, not once per step. The scheduler inlines too: under
+/// [`Uniform`] this compiles to exactly the pre-scheduler loop (same
+/// draws, same order).
 ///
 /// Kept out of line (one call per chunk): inlined into `advance_chunk`,
 /// the loop on the star-restricted schedule ran at 0.6× the steps/s
 /// of this standalone function on an x86-64 release build.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler>(
+fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler, F: FaultOverlay>(
     protocol: &P,
     graph: &Graph,
     scheduler: &mut S,
+    faults: &F,
     states: &mut [C],
     counts: &mut [u64],
     output_a: &[bool],
@@ -194,7 +258,6 @@ fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler>(
     rng: &mut SmallRng,
     stop: StopCondition,
 ) -> StopReason {
-    let n = states.len() as u64;
     // Like the real scheduler, the engine keeps drawing pairs on a silent
     // configuration, so the loop never reports `Silent`.
     loop {
@@ -206,17 +269,31 @@ fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler>(
         }
         // The predicate reads count_a and unanimity, which only move on
         // productive events — so it cannot fire mid-stretch, and the inner
-        // loop burns silent steps against the budget alone.
+        // loop burns silent steps against the budget alone. Burned and
+        // stuck-forced steps are never productive, so they stay inside it.
         let events_before = *events;
         while *events == events_before && *steps < stop.max_steps {
             let (u, v) = scheduler.next_pair(graph, *steps, rng);
             *steps += 1;
+            if faults.crashed(u) || faults.crashed(v) {
+                // A step scheduled onto a crashed agent is burned: the step
+                // elapses, no interaction happens, counts are untouched.
+                continue;
+            }
             let (su, sv) = (states[u].unpack(), states[v].unpack());
-            let (nu, nv) = protocol.transition(su, sv);
+            let (mut nu, mut nv) = protocol.transition(su, sv);
             debug_assert!(
                 nu < protocol.num_states() && nv < protocol.num_states(),
                 "transition left the state space"
             );
+            // A stuck agent answers (its partner's update stands) but never
+            // learns: its own post-state is forced back to its pre-state.
+            if faults.stuck(u) {
+                nu = su;
+            }
+            if faults.stuck(v) {
+                nv = sv;
+            }
             if (nu == su && nv == sv) || (nu == sv && nv == su) {
                 // Silent interaction: the count multiset is untouched, so
                 // the counts / count_a / unanimity bookkeeping is already
@@ -232,105 +309,8 @@ fn chunk_loop<C: StateCell, P: Protocol, S: Scheduler>(
             }
             *events += 1;
             for (agent, to) in [(u, nu), (v, nv)] {
-                let from = states[agent].unpack();
-                if from == to {
-                    continue;
-                }
-                states[agent] = C::pack(to);
-                counts[from as usize] -= 1;
-                counts[to as usize] += 1;
-                match (output_a[from as usize], output_a[to as usize]) {
-                    (true, false) => *count_a -= 1,
-                    (false, true) => *count_a += 1,
-                    _ => {}
-                }
-                *unanimous = if counts[to as usize] == n {
-                    Some(to)
-                } else {
-                    None
-                };
+                move_agent(states, counts, output_a, count_a, unanimous, agent, to);
             }
-        }
-    }
-}
-
-/// The faulted loop: same check-then-step order as [`chunk_loop`], plus
-/// the crash and stuck-at overlays. Kept separate (and simpler — the
-/// predicate is re-checked every step) so the fault-free path pays
-/// nothing for the fault machinery, and out of line for the same reason
-/// as [`chunk_loop`].
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn chunk_loop_faulted<C: StateCell, P: Protocol, S: Scheduler>(
-    protocol: &P,
-    graph: &Graph,
-    scheduler: &mut S,
-    overlay: &AgentFaults,
-    states: &mut [C],
-    counts: &mut [u64],
-    output_a: &[bool],
-    count_a: &mut u64,
-    unanimous: &mut Option<StateId>,
-    steps: &mut u64,
-    events: &mut u64,
-    rng: &mut SmallRng,
-    stop: StopCondition,
-) -> StopReason {
-    let n = states.len() as u64;
-    loop {
-        if stop.predicate_hit(*count_a, unanimous.is_some()) {
-            return StopReason::Predicate;
-        }
-        if *steps >= stop.max_steps {
-            return StopReason::StepBudget;
-        }
-        let (u, v) = scheduler.next_pair(graph, *steps, rng);
-        *steps += 1;
-        if overlay.crashed[u] || overlay.crashed[v] {
-            // A step scheduled onto a crashed agent is burned: the step
-            // elapses, no interaction happens, counts are untouched.
-            continue;
-        }
-        let (su, sv) = (states[u].unpack(), states[v].unpack());
-        let (mut nu, mut nv) = protocol.transition(su, sv);
-        debug_assert!(
-            nu < protocol.num_states() && nv < protocol.num_states(),
-            "transition left the state space"
-        );
-        // A stuck agent answers (its partner's update stands) but never
-        // learns: its own post-state is forced back to its pre-state.
-        if overlay.stuck[u] {
-            nu = su;
-        }
-        if overlay.stuck[v] {
-            nv = sv;
-        }
-        if (nu == su && nv == sv) || (nu == sv && nv == su) {
-            if nu != su {
-                states[u] = C::pack(nu);
-                states[v] = C::pack(nv);
-            }
-            continue;
-        }
-        *events += 1;
-        for (agent, to) in [(u, nu), (v, nv)] {
-            let from = states[agent].unpack();
-            if from == to {
-                continue;
-            }
-            states[agent] = C::pack(to);
-            counts[from as usize] -= 1;
-            counts[to as usize] += 1;
-            match (output_a[from as usize], output_a[to as usize]) {
-                (true, false) => *count_a -= 1,
-                (false, true) => *count_a += 1,
-                _ => {}
-            }
-            *unanimous = if counts[to as usize] == n {
-                Some(to)
-            } else {
-                None
-            };
         }
     }
 }
@@ -390,16 +370,10 @@ impl<P: Protocol, S: Scheduler> AgentSim<P, S> {
         graph: Graph,
         scheduler: S,
     ) -> AgentSim<P, S> {
-        assert_eq!(
-            graph.num_agents() as u64,
-            config.population(),
-            "graph size must match population"
-        );
-        let mut states = Vec::with_capacity(config.population() as usize);
-        for s in 0..config.num_states() {
-            states.extend(std::iter::repeat_n(s, config.count(s) as usize));
-        }
-        AgentSim::from_states_with_scheduler(protocol, states, graph, scheduler)
+        let agents = vec![0; config.population() as usize];
+        let mut sim = AgentSim::from_states_with_scheduler(protocol, agents, graph, scheduler);
+        sim.reset(&config);
+        sim
     }
 
     /// As [`AgentSim::from_states`], with an explicit [`Scheduler`].
@@ -428,15 +402,8 @@ impl<P: Protocol, S: Scheduler> AgentSim<P, S> {
             );
             counts[st as usize] += 1;
         }
-        let output_a: Vec<bool> = (0..s).map(|q| protocol.output(q) == Opinion::A).collect();
-        let count_a = counts
-            .iter()
-            .zip(&output_a)
-            .filter(|(_, &is_a)| is_a)
-            .map(|(&c, _)| c)
-            .sum();
-        let n = states.len() as u64;
-        let unanimous = counts.iter().position(|&c| c == n).map(|i| i as StateId);
+        let output_a = output_a_mask(&protocol);
+        let (count_a, unanimous) = tally(&counts, &output_a, states.len() as u64);
         AgentSim {
             protocol,
             graph,
@@ -517,24 +484,40 @@ impl<P: Protocol, S: Scheduler, T: Sink> AgentSim<P, S, T> {
     /// Moves one agent to `to`, maintaining counts / `count_a` /
     /// unanimity exactly like a productive interaction would.
     fn set_agent_state(&mut self, agent: usize, to: StateId) {
-        let from = self.states.get(agent);
-        if from == to {
-            return;
-        }
-        self.states.set(agent, to);
-        self.counts[from as usize] -= 1;
-        self.counts[to as usize] += 1;
-        match (self.output_a[from as usize], self.output_a[to as usize]) {
-            (true, false) => self.count_a -= 1,
-            (false, true) => self.count_a += 1,
-            _ => {}
-        }
-        let n = self.states.len() as u64;
-        self.unanimous = if self.counts[to as usize] == n {
-            Some(to)
-        } else {
-            None
-        };
+        with_cells!(&mut self.states, v => move_agent(
+            v,
+            &mut self.counts,
+            &self.output_a,
+            &mut self.count_a,
+            &mut self.unanimous,
+            agent,
+            to,
+        ));
+    }
+
+    /// Runs [`chunk_loop`] over the agent array at its cell width, with
+    /// the fields borrowed split once per chunk.
+    fn chunk<F: FaultOverlay>(
+        &mut self,
+        faults: &F,
+        rng: &mut SmallRng,
+        stop: StopCondition,
+    ) -> StopReason {
+        with_cells!(&mut self.states, v => chunk_loop(
+            &self.protocol,
+            &self.graph,
+            &mut self.scheduler,
+            faults,
+            v,
+            &mut self.counts,
+            &self.output_a,
+            &mut self.count_a,
+            &mut self.unanimous,
+            &mut self.steps,
+            &mut self.events,
+            rng,
+            stop,
+        ))
     }
 
     fn check_agent(&self, agent: usize) -> Result<(), FaultError> {
@@ -611,12 +594,7 @@ impl<P: Protocol, S: Scheduler, T: Sink> Simulator for AgentSim<P, S, T> {
         let s = self.protocol.num_states();
         let applied = match fault {
             Fault::Corrupt { from, to, agents } => {
-                if from >= s || to >= s {
-                    return Err(FaultError::OutOfRange {
-                        detail: format!("corrupt {from}->{to} with only {s} protocol states"),
-                    });
-                }
-                if from == to {
+                if !corrupt_moves(from, to, s)? {
                     return Ok(0);
                 }
                 // Move the first `agents` agents (by index) found in
@@ -691,19 +669,7 @@ impl<P: Protocol, S: Scheduler, T: Sink> Simulator for AgentSim<P, S, T> {
         );
         self.states.refill_in_state_order(config);
         self.counts.copy_from_slice(config.as_slice());
-        self.count_a = self
-            .counts
-            .iter()
-            .zip(&self.output_a)
-            .filter(|(_, &is_a)| is_a)
-            .map(|(&c, _)| c)
-            .sum();
-        let n = config.population();
-        self.unanimous = self
-            .counts
-            .iter()
-            .position(|&c| c == n)
-            .map(|i| i as StateId);
+        (self.count_a, self.unanimous) = tally(&self.counts, &self.output_a, config.population());
         // A fresh engine holds no fault overlay; dropping one restores the
         // fault-free hot loop (and its exact RNG consumption).
         self.faults = None;
@@ -714,66 +680,12 @@ impl<P: Protocol, S: Scheduler, T: Sink> Simulator for AgentSim<P, S, T> {
 
     fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport {
         let (steps0, events0) = (self.steps, self.events);
-        let reason = match (&mut self.states, self.faults.as_deref()) {
-            (States::Narrow(v), None) => chunk_loop(
-                &self.protocol,
-                &self.graph,
-                &mut self.scheduler,
-                v,
-                &mut self.counts,
-                &self.output_a,
-                &mut self.count_a,
-                &mut self.unanimous,
-                &mut self.steps,
-                &mut self.events,
-                rng,
-                stop,
-            ),
-            (States::Wide(v), None) => chunk_loop(
-                &self.protocol,
-                &self.graph,
-                &mut self.scheduler,
-                v,
-                &mut self.counts,
-                &self.output_a,
-                &mut self.count_a,
-                &mut self.unanimous,
-                &mut self.steps,
-                &mut self.events,
-                rng,
-                stop,
-            ),
-            (States::Narrow(v), Some(overlay)) => chunk_loop_faulted(
-                &self.protocol,
-                &self.graph,
-                &mut self.scheduler,
-                overlay,
-                v,
-                &mut self.counts,
-                &self.output_a,
-                &mut self.count_a,
-                &mut self.unanimous,
-                &mut self.steps,
-                &mut self.events,
-                rng,
-                stop,
-            ),
-            (States::Wide(v), Some(overlay)) => chunk_loop_faulted(
-                &self.protocol,
-                &self.graph,
-                &mut self.scheduler,
-                overlay,
-                v,
-                &mut self.counts,
-                &self.output_a,
-                &mut self.count_a,
-                &mut self.unanimous,
-                &mut self.steps,
-                &mut self.events,
-                rng,
-                stop,
-            ),
+        let faults = self.faults.take();
+        let reason = match faults.as_deref() {
+            None => self.chunk(&NoFaults, rng, stop),
+            Some(faults) => self.chunk(faults, rng, stop),
         };
+        self.faults = faults;
         let report = AdvanceReport {
             steps: self.steps - steps0,
             events: self.events - events0,

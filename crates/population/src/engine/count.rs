@@ -1,7 +1,9 @@
 //! Species-count simulation engine for the complete graph.
 
 use crate::config::Config;
-use crate::engine::{AdvanceReport, Simulator, StopCondition, StopReason};
+use crate::engine::{
+    corrupt_moves, output_a_mask, tally, AdvanceReport, Simulator, StopCondition, StopReason,
+};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
 use crate::sampler::FenwickSampler;
@@ -69,36 +71,19 @@ impl<P: Protocol> CountSim<P> {
     /// protocol's, or the population has fewer than two agents or more
     /// than `u32::MAX`.
     pub fn new(protocol: P, config: Config) -> CountSim<P> {
-        assert_eq!(
-            config.num_states(),
-            protocol.num_states(),
-            "configuration does not match protocol state space"
-        );
-        let n = config.population();
-        assert!(n >= 2, "need at least two agents, got {n}");
-        let counts = config.as_slice();
-        let sampler = FenwickSampler::from_weights(counts);
-        let output_a: Vec<bool> = (0..counts.len())
-            .map(|q| protocol.output(q as StateId) == Opinion::A)
-            .collect();
-        let count_a = counts
-            .iter()
-            .zip(&output_a)
-            .filter(|(_, &is_a)| is_a)
-            .map(|(&c, _)| c)
-            .sum();
-        let unanimous = counts.iter().position(|&c| c == n).map(|i| i as StateId);
-        CountSim {
+        let mut sim = CountSim {
+            sampler: FenwickSampler::new(protocol.num_states() as usize),
+            output_a: output_a_mask(&protocol),
             protocol,
-            sampler,
-            output_a,
-            count_a,
-            unanimous,
-            n,
+            count_a: 0,
+            unanimous: None,
+            n: 0,
             steps: 0,
             events: 0,
             telemetry: NoopSink,
-        }
+        };
+        sim.reset(&config);
+        sim
     }
 }
 
@@ -247,13 +232,7 @@ impl<P: Protocol, T: Sink> Simulator for CountSim<P, T> {
                 fault,
             });
         };
-        let s = self.protocol.num_states();
-        if from >= s || to >= s {
-            return Err(FaultError::OutOfRange {
-                detail: format!("corrupt {from}->{to} with only {s} protocol states"),
-            });
-        }
-        if from == to {
+        if !corrupt_moves(from, to, self.protocol.num_states())? {
             return Ok(0);
         }
         let moved = agents.min(self.sampler.weight(from as usize));
@@ -275,18 +254,7 @@ impl<P: Protocol, T: Sink> Simulator for CountSim<P, T> {
         let n = config.population();
         assert!(n >= 2, "need at least two agents, got {n}");
         self.sampler.reassign(config.as_slice());
-        self.count_a = config
-            .as_slice()
-            .iter()
-            .zip(&self.output_a)
-            .filter(|(_, &is_a)| is_a)
-            .map(|(&c, _)| c)
-            .sum();
-        self.unanimous = config
-            .as_slice()
-            .iter()
-            .position(|&c| c == n)
-            .map(|i| i as StateId);
+        (self.count_a, self.unanimous) = tally(config.as_slice(), &self.output_a, n);
         self.n = n;
         self.steps = 0;
         self.events = 0;

@@ -1,7 +1,9 @@
 //! Jump-chain simulation engine with null-step skipping.
 
 use crate::config::Config;
-use crate::engine::{AdvanceReport, Simulator, StopCondition, StopReason};
+use crate::engine::{
+    corrupt_moves, output_a_mask, tally, AdvanceReport, Simulator, StopCondition, StopReason,
+};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
 use avc_telemetry::{CountingSink, NoopSink, Sink};
@@ -127,51 +129,26 @@ impl<P: Protocol> JumpSim<P> {
     /// Panics if the configuration's state count differs from the
     /// protocol's, or the population has fewer than two agents.
     pub fn new(protocol: P, config: Config) -> JumpSim<P> {
-        assert_eq!(
-            config.num_states(),
-            protocol.num_states(),
-            "configuration does not match protocol state space"
-        );
-        let n = config.population();
-        assert!(n >= 2, "need at least two agents, got {n}");
-        let s = protocol.num_states();
-        let counts = config.into_counts();
-        let output_a: Vec<bool> = (0..s).map(|q| protocol.output(q) == Opinion::A).collect();
-        let count_a = counts
-            .iter()
-            .zip(&output_a)
-            .filter(|(_, &is_a)| is_a)
-            .map(|(&c, _)| c)
-            .sum();
-        let unanimous = counts.iter().position(|&c| c == n).map(|i| i as StateId);
+        let s = protocol.num_states() as usize;
         let mut sim = JumpSim {
+            counts: vec![0; s],
+            // Full capacity up front so `reset` can repopulate liveness
+            // without ever growing the vector.
+            live: Vec::with_capacity(s),
+            live_pos: vec![NOT_LIVE; s],
+            null_row: vec![0; s],
+            output_a: output_a_mask(&protocol),
             protocol,
-            counts,
-            // Full capacity up front so the reuse seam's `reset` can
-            // repopulate liveness without ever growing the vector.
-            live: Vec::with_capacity(s as usize),
-            live_pos: vec![NOT_LIVE; s as usize],
-            null_row: vec![0; s as usize],
-            output_a,
-            count_a,
-            unanimous,
-            n,
-            w_total: n * (n - 1),
+            count_a: 0,
+            unanimous: None,
+            n: 0,
+            w_total: 0,
             geo: GeoCache::default(),
             steps: 0,
             events: 0,
             telemetry: NoopSink,
         };
-        for q in 0..s {
-            if sim.counts[q as usize] > 0 {
-                sim.live_pos[q as usize] = sim.live.len() as u32;
-                sim.live.push(q);
-            }
-        }
-        for idx in 0..sim.live.len() {
-            let q = sim.live[idx];
-            sim.null_row[q as usize] = sim.compute_null_row(q);
-        }
+        sim.reset(&config);
         sim
     }
 }
@@ -460,13 +437,7 @@ impl<P: Protocol, T: Sink> Simulator for JumpSim<P, T> {
                 fault,
             });
         };
-        let s = self.protocol.num_states();
-        if from >= s || to >= s {
-            return Err(FaultError::OutOfRange {
-                detail: format!("corrupt {from}->{to} with only {s} protocol states"),
-            });
-        }
-        if from == to {
+        if !corrupt_moves(from, to, self.protocol.num_states())? {
             return Ok(0);
         }
         let moved = agents.min(self.counts[from as usize]);
@@ -495,18 +466,7 @@ impl<P: Protocol, T: Sink> Simulator for JumpSim<P, T> {
         let n = config.population();
         assert!(n >= 2, "need at least two agents, got {n}");
         self.counts.copy_from_slice(config.as_slice());
-        self.count_a = self
-            .counts
-            .iter()
-            .zip(&self.output_a)
-            .filter(|(_, &is_a)| is_a)
-            .map(|(&c, _)| c)
-            .sum();
-        self.unanimous = self
-            .counts
-            .iter()
-            .position(|&c| c == n)
-            .map(|i| i as StateId);
+        (self.count_a, self.unanimous) = tally(&self.counts, &self.output_a, n);
         self.n = n;
         self.w_total = n * (n - 1);
         // The memoized `ln(1−p)` is keyed on `w_prod` alone; a changed
@@ -515,7 +475,7 @@ impl<P: Protocol, T: Sink> Simulator for JumpSim<P, T> {
         self.geo = GeoCache::default();
         self.steps = 0;
         self.events = 0;
-        // Liveness and null rows, rebuilt in place exactly as `new` does.
+        // Liveness and null rows, rebuilt in place.
         self.live.clear();
         self.live_pos.fill(NOT_LIVE);
         for q in 0..self.protocol.num_states() {

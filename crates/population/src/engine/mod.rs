@@ -29,7 +29,7 @@ pub use jump::JumpSim;
 
 use crate::config::Config;
 use crate::faults::{Fault, FaultError};
-use crate::protocol::Opinion;
+use crate::protocol::{Opinion, Protocol, StateId};
 use crate::spec::{ConvergenceRule, RunOutcome, Verdict};
 use avc_telemetry::CountingSink;
 use rand::rngs::SmallRng;
@@ -249,10 +249,10 @@ pub trait Simulator {
 
     /// The state all agents currently share, if the configuration is
     /// unanimous. Maintained in `O(1)` per step.
-    fn unanimous_state(&self) -> Option<crate::StateId>;
+    fn unanimous_state(&self) -> Option<StateId>;
 
     /// Output of the given state under the protocol's `γ`.
-    fn state_output(&self, state: crate::StateId) -> Opinion;
+    fn state_output(&self, state: StateId) -> Opinion;
 
     /// Whether no productive ordered pair remains.
     ///
@@ -304,7 +304,8 @@ pub trait Simulator {
     /// protocol and configuration, including its RNG consumption pattern
     /// (pinned by `tests/reuse_reset.rs`). Trial results therefore cannot
     /// depend on which worker (or which preceding trial) warmed the
-    /// engine up.
+    /// engine up. The engines' constructors allocate and then call
+    /// `reset`, so the equivalence holds by construction.
     ///
     /// Implementations must not allocate on this path (beyond freeing
     /// state a fresh engine would not hold, e.g. a fault ledger from a
@@ -372,6 +373,40 @@ pub trait Simulator {
 /// end-to-end benchmark under `sweep_bench/` calls; new code names
 /// `Simulator`.
 pub use self::Simulator as ErasedChunkedSim;
+
+/// Which states output [`Opinion::A`]: the mask an engine builds once, at
+/// construction, and tallies every starting configuration against.
+fn output_a_mask<P: Protocol>(protocol: &P) -> Vec<bool> {
+    (0..protocol.num_states())
+        .map(|q| protocol.output(q) == Opinion::A)
+        .collect()
+}
+
+/// The number of agents whose state `output_a` marks, and the state all
+/// `n` agents share, if any: an engine's `count_a` and unanimity for
+/// `counts`.
+fn tally(counts: &[u64], output_a: &[bool], n: u64) -> (u64, Option<StateId>) {
+    let count_a = counts
+        .iter()
+        .zip(output_a)
+        .filter(|(_, &is_a)| is_a)
+        .map(|(&c, _)| c)
+        .sum();
+    let unanimous = counts.iter().position(|&c| c == n).map(|i| i as StateId);
+    (count_a, unanimous)
+}
+
+/// Checks a [`Fault::Corrupt`] from `from` to `to` against a protocol of
+/// `num_states` states: an error if either lies outside it, otherwise
+/// whether the fault moves anyone (`from == to` moves no one).
+fn corrupt_moves(from: StateId, to: StateId, num_states: u32) -> Result<bool, FaultError> {
+    if from >= num_states || to >= num_states {
+        return Err(FaultError::OutOfRange {
+            detail: format!("corrupt {from}->{to} with only {num_states} protocol states"),
+        });
+    }
+    Ok(from != to)
+}
 
 pub(crate) fn silent_verdict<S: Simulator + ?Sized>(sim: &S, n: u64) -> Verdict {
     let a = sim.count_a();

@@ -17,8 +17,9 @@
 //! Shared flags: `--out DIR` (CSV directory, default `results`), `--store
 //! DIR` (registry directory, default `<out>/store`), `--progress`,
 //! `--serial` / `--threads N`, plus each sweep's own flags (`--quick`,
-//! `--runs`, `--seed`, …). Regenerating a paper artifact is `avc sweep
-//! <name>` followed by `avc export <name>`.
+//! `--runs`, `--seed`, …). A command that builds a sweep's plan rejects a
+//! flag that neither it nor the sweep reads. Regenerating a paper artifact
+//! is `avc sweep <name>` followed by `avc export <name>`.
 
 use crate::json::Json;
 use crate::specs;
@@ -56,22 +57,38 @@ fn collector(args: &Args) -> StatsCollector {
     }
 }
 
-fn build_plan(name: &str, args: &Args) -> Result<Plan, String> {
+/// The flags `avc help` lists for every command.
+const SHARED_FLAGS: [&str; 6] = ["out", "store", "progress", "serial", "threads", "shard"];
+
+/// The plan of the sweep `name` for a command whose own flags are `own`.
+/// Once the plan builds, a flag that neither the sweep's spec, the command
+/// nor [`SHARED_FLAGS`] reads is an error, raised before any store is
+/// touched: a misspelt flag would otherwise run the default cells.
+fn build_plan(name: &str, args: &Args, own: &[&str]) -> Result<Plan, String> {
     // A name ending in `.json` is a scenario-grid file, not a registered
     // spec module — the route by which new protocols get comparison sweeps
     // without new Rust code (see `scenario_grid`).
-    if name.ends_with(".json") {
-        return crate::scenario_grid::load_plan(name, args);
+    let plan = if name.ends_with(".json") {
+        crate::scenario_grid::load_plan(name, args)?
+    } else {
+        let plan = specs::try_build(name, args).ok_or_else(|| {
+            let known: Vec<&str> = specs::SWEEPS.iter().map(|spec| spec.name).collect();
+            format!(
+                "unknown sweep `{name}` — known sweeps: {} (or a path to a scenario-grid \
+                 *.grid.json file)",
+                known.join(", ")
+            )
+        })?;
+        plan.map_err(|e| format!("{name}: {e}"))?
+    };
+    let accepted =
+        |flag: &String| SHARED_FLAGS.contains(&flag.as_str()) || own.contains(&flag.as_str());
+    match args.unread().into_iter().find(|flag| !accepted(flag)) {
+        Some(flag) => Err(format!(
+            "{name}: --{flag}: neither this sweep nor the command reads it"
+        )),
+        None => Ok(plan),
     }
-    let plan = specs::try_build(name, args).ok_or_else(|| {
-        let known: Vec<&str> = specs::SWEEPS.iter().map(|spec| spec.name).collect();
-        format!(
-            "unknown sweep `{name}` — known sweeps: {} (or a path to a scenario-grid \
-             *.grid.json file)",
-            known.join(", ")
-        )
-    })?;
-    plan.map_err(|e| format!("{name}: {e}"))
 }
 
 /// The grid slice to execute (`--shard i/k`, default the full grid).
@@ -83,7 +100,7 @@ fn shard_of(args: &Args) -> Result<sweep::Shard, String> {
 }
 
 fn cmd_sweep(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args)?;
+    let plan = build_plan(name, args, &[])?;
     let shard = shard_of(args)?;
     println!("== avc sweep {name} ==");
     println!("{}", plan.banner);
@@ -117,7 +134,7 @@ fn cmd_sweep(name: &str, args: &Args) -> Result<(), String> {
 /// stores into the destination store in plan grid order (see
 /// [`sweep::merge`] for the byte-identity contract).
 fn cmd_merge(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args)?;
+    let plan = build_plan(name, args, &["stores"])?;
     let stores_arg = args
         .get("stores")
         .ok_or("merge needs --stores DIR1,DIR2,... (the shard store directories)")?;
@@ -136,7 +153,7 @@ fn cmd_merge(name: &str, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_export(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args)?;
+    let plan = build_plan(name, args, &[])?;
     let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
     let export = sweep::export(&store, &plan)?;
     let out = out_dir(args);
@@ -298,7 +315,7 @@ fn render_histogram(title: &str, unit: &str, h: &HistogramSnapshot) -> String {
 }
 
 fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args)?;
+    let plan = build_plan(name, args, &["prometheus"])?;
     let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
     let mut aggregate = CellTelemetry::new();
     let mut table = Table::new(
@@ -550,7 +567,7 @@ fn cmd_top(name: Option<&str>, args: &Args) -> Result<(), String> {
     // running sweep's); without one, show every stored cell.
     let filter: Option<BTreeSet<String>> = match name {
         Some(name) => Some(
-            build_plan(name, args)?
+            build_plan(name, args, &["last", "watch"])?
                 .cells
                 .iter()
                 .map(|c| c.manifest.hash())

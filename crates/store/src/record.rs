@@ -2,8 +2,8 @@
 //!
 //! A [`Record`] is one line of the registry's JSONL file: the cell's
 //! [`Manifest`], its content hash, and a [`CellResult`] payload carrying the
-//! PR 1 `Summary` monoid (as exact bit-pattern samples), the cell's
-//! pre-rendered table rows, named exact scalars, and free-form notes.
+//! sample behind the cell's `Summary` (as exact bit-pattern samples), the
+//! cell's pre-rendered table rows, named exact scalars, and free-form notes.
 //!
 //! Floats are stored as 16-digit hex encodings of their IEEE-754 bit
 //! patterns — never as decimal text — so a resumed sweep exports *bytes*
@@ -45,8 +45,8 @@ pub fn f64_from_hex(s: &str) -> Result<f64, String> {
         .map_err(|_| format!("bad f64 hex `{s}`"))
 }
 
-/// The trial-level outcome of a cell: the exact sample set behind the
-/// `Summary` monoid plus the error bookkeeping of the harness.
+/// The trial-level outcome of a cell: the exact sample set behind its
+/// `Summary` plus the error bookkeeping of the harness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialSummary {
     /// Parallel-time samples of converged trials, in the canonical sorted
@@ -59,7 +59,7 @@ pub struct TrialSummary {
 }
 
 impl TrialSummary {
-    /// Reconstructs the exact [`Summary`] monoid (`None` when no trial
+    /// Reconstructs the exact [`Summary`] (`None` when no trial
     /// converged — `Summary` has no empty-sample representation).
     #[must_use]
     pub fn summary(&self) -> Option<Summary> {
@@ -509,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_reconstruction_matches_monoid() {
+    fn summary_reconstruction_keeps_the_sorted_samples() {
         let record = sample_record();
         let summary = record.result.trials.unwrap().summary().unwrap();
         assert_eq!(summary.count, 3);

@@ -1,7 +1,7 @@
-//! A sweep flag whose value no plan can run makes every command that
-//! builds the plan print `avc: <sweep>: --<flag>: …` and exit 1, before
-//! any store is touched; an export that cannot write a CSV names it and
-//! exits 1 too.
+//! A sweep flag whose value no plan can run, or a flag that neither the
+//! sweep nor the command reads, makes every command that builds the plan
+//! print `avc: <sweep>: --<flag>: …` and exit 1, before any store is
+//! touched; an export that cannot write a CSV names it and exits 1 too.
 
 use std::process::Command;
 
@@ -9,7 +9,11 @@ use std::process::Command;
 fn bad_sweep_flags_exit_one_naming_the_flag() {
     let out = std::env::temp_dir().join(format!("avc-bad-flags-{}", std::process::id()));
     let out = out.to_str().expect("utf-8 temp path");
-    let cases: [(&str, &[&str], &str); 27] = [
+    // The last two cases pass a flag nothing reads: `--max_n` misspells
+    // mc_three_state's `--max-n`, and mc_avc takes no `--runs`. Every
+    // command but merge leaves `--stores` unread too; the message names
+    // the first unread flag in sorted order.
+    let cases: [(&str, &[&str], &str); 29] = [
         ("fig3", &["--ns", "10"], "ns"),
         ("fig3", &["--ns", "2"], "ns"),
         ("fig3", &["--runs", "0"], "runs"),
@@ -37,6 +41,8 @@ fn bad_sweep_flags_exit_one_naming_the_flag() {
         ("dynamics", &["--cadence", "0"], "cadence"),
         ("mc_three_state", &["--max-n", "0"], "max-n"),
         ("mc_three_state", &["--max-n", "4"], "max-n"),
+        ("mc_three_state", &["--max_n", "3"], "max_n"),
+        ("mc_avc", &["--quick", "--runs", "0"], "runs"),
     ];
     for (name, flags, flag) in cases {
         for command in ["sweep", "export", "report", "merge", "top"] {

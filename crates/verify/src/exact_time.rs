@@ -14,7 +14,7 @@
 //! times, against which the Monte-Carlo engines are validated — a much
 //! sharper check than engine-vs-engine comparison.
 
-use crate::reach::{ReachabilityGraph, StateSpaceTooLarge};
+use crate::reach::{moves, ReachabilityGraph, StateSpaceTooLarge};
 use avc_population::{Config, ConvergenceRule, Opinion, Protocol, StateId};
 
 /// Exact expected steps to convergence from `initial`, where convergence is
@@ -42,7 +42,7 @@ pub fn expected_steps_to_convergence<P: Protocol>(
 ) -> Result<Option<f64>, StateSpaceTooLarge> {
     let graph = ReachabilityGraph::explore(protocol, initial, max_configs)?;
     let n = initial.population();
-    let total_pairs = (n * (n - 1)) as f64;
+    let total_pairs = n * (n - 1);
     let count = graph.len();
 
     // Identify absorbing configurations under the rule.
@@ -75,47 +75,25 @@ pub fn expected_steps_to_convergence<P: Protocol>(
     // Build (I − Q)·x = 1 over transient states, where Q holds transition
     // probabilities among transient configurations. P(c → c') is the number
     // of ordered agent pairs of `c` whose interaction yields `c'`, over
-    // n(n−1); the implicit remainder is the self-loop.
+    // n(n−1); the remainder, the silent pairs' weight, is the self-loop.
     let t = transient.len();
     let mut matrix = vec![0.0f64; t * t];
     let mut rhs = vec![1.0f64; t];
     for (row, &id) in transient.iter().enumerate() {
         matrix[row * t + row] = 1.0;
-        let counts = graph.config(id);
-        let live: Vec<StateId> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, _)| i as StateId)
-            .collect();
-        let mut self_loop_pairs = 0u64;
-        for &i in &live {
-            for &j in &live {
-                let weight = counts[i as usize] * (counts[j as usize] - u64::from(i == j));
-                if weight == 0 {
-                    continue;
-                }
-                let (x, y) = protocol.transition(i, j);
-                if (x == i && y == j) || (x == j && y == i) {
-                    self_loop_pairs += weight;
-                    continue;
-                }
-                let mut next = counts.to_vec();
-                next[i as usize] -= 1;
-                next[j as usize] -= 1;
-                next[x as usize] += 1;
-                next[y as usize] += 1;
-                let succ = graph
-                    .find_config(&next)
-                    .expect("successor must be in the closure");
-                let p = weight as f64 / total_pairs;
-                if let Some(&col) = index_of.get(&succ) {
-                    matrix[row * t + col] -= p;
-                }
+        let mut self_loop_pairs = total_pairs;
+        for step in moves(protocol, graph.config(id)) {
+            self_loop_pairs -= step.weight;
+            let succ = graph
+                .find_config(&step.next)
+                .expect("successor must be in the closure");
+            let p = step.weight as f64 / total_pairs as f64;
+            if let Some(&col) = index_of.get(&succ) {
+                matrix[row * t + col] -= p;
             }
         }
         // Self-loop: move to the diagonal.
-        matrix[row * t + row] -= self_loop_pairs as f64 / total_pairs;
+        matrix[row * t + row] -= self_loop_pairs as f64 / total_pairs as f64;
     }
 
     let solution = solve_dense(&mut matrix, &mut rhs, t);

@@ -37,6 +37,55 @@ impl fmt::Display for StateSpaceTooLarge {
 
 impl Error for StateSpaceTooLarge {}
 
+/// One productive interaction out of a configuration.
+pub(crate) struct Move {
+    /// The ordered species pair that reacts.
+    pub(crate) pair: (StateId, StateId),
+    /// The number of ordered agent pairs in that species pair.
+    pub(crate) weight: u64,
+    /// The configuration the interaction leads to.
+    pub(crate) next: Vec<u64>,
+}
+
+/// The productive interactions out of `counts`, initiator then responder
+/// state ascending over the live states, skipping a state paired with
+/// itself when it holds one agent and every silent pair. The explorer, the
+/// schedule search and the chain solve all number configurations in this
+/// order.
+pub(crate) fn moves<'a, P: Protocol>(
+    protocol: &'a P,
+    counts: &'a [u64],
+) -> impl Iterator<Item = Move> + 'a {
+    let live: Vec<StateId> = counts
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(i, _)| i as StateId)
+        .collect();
+    let k = live.len();
+    (0..k * k).filter_map(move |pair| {
+        let (i, j) = (live[pair / k], live[pair % k]);
+        let weight = counts[i as usize] * (counts[j as usize] - u64::from(i == j));
+        if weight == 0 {
+            return None;
+        }
+        let (x, y) = protocol.transition(i, j);
+        if (x == i && y == j) || (x == j && y == i) {
+            return None;
+        }
+        let mut next = counts.to_vec();
+        next[i as usize] -= 1;
+        next[j as usize] -= 1;
+        next[x as usize] += 1;
+        next[y as usize] += 1;
+        Some(Move {
+            pair: (i, j),
+            weight,
+            next,
+        })
+    })
+}
+
 /// The forward-reachable configuration graph from one initial configuration.
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
@@ -69,43 +118,23 @@ impl ReachabilityGraph {
         let mut frontier = 0;
         while frontier < configs.len() {
             let current = configs[frontier].clone();
-            let live: Vec<StateId> = current
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, _)| i as StateId)
-                .collect();
             let mut succ = Vec::new();
-            for &i in &live {
-                for &j in &live {
-                    if i == j && current[i as usize] < 2 {
-                        continue;
-                    }
-                    let (x, y) = protocol.transition(i, j);
-                    if (x == i && y == j) || (x == j && y == i) {
-                        continue;
-                    }
-                    let mut next = current.clone();
-                    next[i as usize] -= 1;
-                    next[j as usize] -= 1;
-                    next[x as usize] += 1;
-                    next[y as usize] += 1;
-                    let id = match index.get(&next) {
-                        Some(&id) => id,
-                        None => {
-                            let id = configs.len();
-                            if id >= max_configs {
-                                return Err(StateSpaceTooLarge { limit: max_configs });
-                            }
-                            index.insert(next.clone(), id);
-                            configs.push(next);
-                            successors.push(Vec::new());
-                            id
+            for Move { next, .. } in moves(protocol, &current) {
+                let id = match index.get(&next) {
+                    Some(&id) => id,
+                    None => {
+                        let id = configs.len();
+                        if id >= max_configs {
+                            return Err(StateSpaceTooLarge { limit: max_configs });
                         }
-                    };
-                    if !succ.contains(&id) {
-                        succ.push(id);
+                        index.insert(next.clone(), id);
+                        configs.push(next);
+                        successors.push(Vec::new());
+                        id
                     }
+                };
+                if !succ.contains(&id) {
+                    succ.push(id);
                 }
             }
             successors[frontier] = succ;

@@ -9,7 +9,7 @@
 //! incorrect protocols (e.g. the voter model reaching the minority
 //! consensus) and constructive certificates for property 3 of Theorem B.1.
 
-use crate::reach::StateSpaceTooLarge;
+use crate::reach::{moves, Move, StateSpaceTooLarge};
 use avc_population::{Config, Protocol, StateId};
 use std::collections::HashMap;
 use std::error::Error;
@@ -44,48 +44,28 @@ pub fn find_schedule<P: Protocol>(
     let mut frontier = 0;
     while frontier < configs.len() {
         let current = configs[frontier].clone();
-        let live: Vec<StateId> = current
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, _)| i as StateId)
-            .collect();
-        for &i in &live {
-            for &j in &live {
-                if i == j && current[i as usize] < 2 {
-                    continue;
+        for Move { pair, next, .. } in moves(protocol, &current) {
+            if index.contains_key(&next) {
+                continue;
+            }
+            let id = configs.len();
+            if id >= max_configs {
+                return Err(StateSpaceTooLarge { limit: max_configs });
+            }
+            index.insert(next.clone(), id);
+            parent.push(Some((frontier, pair)));
+            let reached_goal = goal(&next);
+            configs.push(next);
+            if reached_goal {
+                // Reconstruct the interaction sequence.
+                let mut schedule = Vec::new();
+                let mut at = id;
+                while let Some((prev, action)) = parent[at] {
+                    schedule.push(action);
+                    at = prev;
                 }
-                let (x, y) = protocol.transition(i, j);
-                if (x == i && y == j) || (x == j && y == i) {
-                    continue;
-                }
-                let mut next = current.clone();
-                next[i as usize] -= 1;
-                next[j as usize] -= 1;
-                next[x as usize] += 1;
-                next[y as usize] += 1;
-                if index.contains_key(&next) {
-                    continue;
-                }
-                let id = configs.len();
-                if id >= max_configs {
-                    return Err(StateSpaceTooLarge { limit: max_configs });
-                }
-                index.insert(next.clone(), id);
-                parent.push(Some((frontier, (i, j))));
-                let reached_goal = goal(&next);
-                configs.push(next);
-                if reached_goal {
-                    // Reconstruct the interaction sequence.
-                    let mut schedule = Vec::new();
-                    let mut at = id;
-                    while let Some((prev, action)) = parent[at] {
-                        schedule.push(action);
-                        at = prev;
-                    }
-                    schedule.reverse();
-                    return Ok(Some(schedule));
-                }
+                schedule.reverse();
+                return Ok(Some(schedule));
             }
         }
         frontier += 1;

@@ -9,14 +9,19 @@
 //! n = 1001) and reruns ablation_d, lb_info, graph_gap, dynamics, mc_avc
 //! and mc_three_state whole, comparing their CSVs byte for byte.
 //!
-//! The other tests only read the committed full-size CSVs of lb_info,
-//! graph_gap, dynamics and the model checks, and check the shape each
-//! artifact exists to show.
+//! fig3's n = 11 rows and its n = 101 three_state and four_state rows are
+//! held to the exact expected times of their absorbing chains. The other
+//! tests only read the committed full-size CSVs of lb_info, graph_gap,
+//! dynamics and the model checks, and check the shape each artifact exists
+//! to show.
 
 use avc::analysis::cli::Args;
 use avc::analysis::harness::StatsCollector;
 use avc::analysis::stats::loglog_slope;
+use avc::population::{Config, ConvergenceRule, MajorityInstance, Protocol};
+use avc::protocols::{Avc, FourState, ThreeState};
 use avc::store::specs;
+use avc::verify::exact_time::expected_steps_to_convergence;
 use std::path::Path;
 
 /// A committed `results/<stem>.csv`: its header and data rows, with
@@ -153,4 +158,71 @@ fn model_checks_hold() {
     }
     let mc_three_state = Committed::read("mc_three_state");
     assert_eq!(mc_three_state.numbers("survivors"), [0.0]);
+}
+
+/// The largest |z| a committed fig3 time may show against its exact value:
+/// two-sided, Bonferroni over the five cells checked, at a family-wise
+/// rate of 10⁻³.
+const FIG3_Z_BOUND: f64 = 3.72;
+
+/// Holds fig3's committed `label` row at `n` to the exact expected parallel
+/// time of `protocol`'s chain under `rule`, set up as the sweep sets the
+/// cell up (the one-extra instance): z = (mean − exact) / (std_dev / √runs).
+fn fig3_time_is_exact<P: Protocol>(protocol: &P, rule: ConvergenceRule, label: &str, n: u64) {
+    let fig3 = Committed::read("fig3_time");
+    let (ns, labels) = (fig3.text("n"), fig3.text("protocol"));
+    let row = (0..fig3.rows.len()).find(|&i| ns[i] == n.to_string() && labels[i] == label);
+    let row = row.unwrap_or_else(|| panic!("no fig3_time row for {label} at n = {n}"));
+    let column = |name: &str| fig3.numbers(name)[row];
+    let instance = MajorityInstance::one_extra(n);
+    let config = Config::from_input(protocol, instance.a(), instance.b());
+    let steps = expected_steps_to_convergence(protocol, &config, rule, 1_000_000)
+        .expect("the chain fits the configuration budget")
+        .expect("every configuration reaches convergence");
+    let exact = steps / n as f64;
+    let stderr = column("std_dev") / column("runs").sqrt();
+    let z = (column("mean_parallel_time") - exact) / stderr;
+    assert!(
+        z.abs() <= FIG3_Z_BOUND,
+        "{label} at n = {n}: committed {} against exact {exact:.4} (z = {z:.2})",
+        column("mean_parallel_time")
+    );
+}
+
+#[test]
+fn fig3_three_state_n11_time_is_exact() {
+    fig3_time_is_exact(
+        &ThreeState::new(),
+        ConvergenceRule::StateConsensus,
+        "3-state",
+        11,
+    );
+}
+
+#[test]
+fn fig3_four_state_n11_time_is_exact() {
+    fig3_time_is_exact(&FourState, ConvergenceRule::OutputConsensus, "4-state", 11);
+}
+
+#[test]
+#[ignore = "release-only: the chain solve takes about 4 s in a debug build"]
+fn fig3_avc_n11_time_is_exact() {
+    let avc = Avc::with_states(11).expect("a valid state budget");
+    fig3_time_is_exact(&avc, ConvergenceRule::OutputConsensus, "avc(s=10)", 11);
+}
+
+#[test]
+#[ignore = "release-only: the chain solve takes about 14 s in a debug build"]
+fn fig3_three_state_n101_time_is_exact() {
+    fig3_time_is_exact(
+        &ThreeState::new(),
+        ConvergenceRule::StateConsensus,
+        "3-state",
+        101,
+    );
+}
+
+#[test]
+fn fig3_four_state_n101_time_is_exact() {
+    fig3_time_is_exact(&FourState, ConvergenceRule::OutputConsensus, "4-state", 101);
 }
