@@ -20,13 +20,20 @@ use std::collections::{HashMap, HashSet};
 /// assert!(args.flag("quick"));
 /// assert_eq!(args.get_u64("seed", 0), 0);
 /// assert_eq!(args.unread(), Vec::<String>::new());
+///
+/// // A key read for its value but given bare is missing that value.
+/// let args = Args::parse(["--seed"].iter().map(|s| s.to_string()));
+/// assert_eq!(args.get_u64("seed", 0), 0);
+/// assert_eq!(args.missing_values(), ["seed"]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: HashSet<String>,
-    /// Every key a getter has asked for, given or not.
-    read: RefCell<HashSet<String>>,
+    /// Every key [`Args::flag`] has asked for, given or not.
+    read_as_flag: RefCell<HashSet<String>>,
+    /// Every key a value getter has asked for, given or not.
+    read_as_value: RefCell<HashSet<String>>,
 }
 
 impl Args {
@@ -97,14 +104,14 @@ impl Args {
     /// Whether `--name` was passed as a bare flag.
     #[must_use]
     pub fn flag(&self, name: &str) -> bool {
-        self.read.borrow_mut().insert(name.to_string());
+        self.read_as_flag.borrow_mut().insert(name.to_string());
         self.flags.contains(name)
     }
 
     /// The value of `--name`, if given.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.read.borrow_mut().insert(name.to_string());
+        self.read_as_value.borrow_mut().insert(name.to_string());
         self.values.get(name).map(String::as_str)
     }
 
@@ -112,16 +119,32 @@ impl Args {
     /// has asked for yet, sorted: flags a command would otherwise ignore.
     #[must_use]
     pub fn unread(&self) -> Vec<String> {
-        let read = self.read.borrow();
+        let (as_flag, as_value) = (self.read_as_flag.borrow(), self.read_as_value.borrow());
         let mut unread: Vec<String> = self
             .values
             .keys()
             .chain(&self.flags)
-            .filter(|key| !read.contains(*key))
+            .filter(|key| !as_flag.contains(*key) && !as_value.contains(*key))
             .cloned()
             .collect();
         unread.sort();
         unread
+    }
+
+    /// The keys given bare that a value getter has asked for and
+    /// [`Args::flag`] has not, sorted: values a command would otherwise
+    /// replace with its default.
+    #[must_use]
+    pub fn missing_values(&self) -> Vec<String> {
+        let (as_flag, as_value) = (self.read_as_flag.borrow(), self.read_as_value.borrow());
+        let mut missing: Vec<String> = self
+            .flags
+            .iter()
+            .filter(|key| as_value.contains(*key) && !as_flag.contains(*key))
+            .cloned()
+            .collect();
+        missing.sort();
+        missing
     }
 
     /// `--name` parsed as `u64`, or `default`.
@@ -239,6 +262,23 @@ mod tests {
         // Asking for a key that was not given changes nothing.
         let _ = a.flag("serial");
         assert_eq!(a.unread(), ["max_n", "verbose"]);
+    }
+
+    #[test]
+    fn missing_values_lists_bare_keys_read_for_a_value() {
+        let a = parse(&["--max-n", "--out", "dir", "--quick", "--seed"]);
+        assert_eq!(a.missing_values(), Vec::<String>::new());
+        assert_eq!(a.get_u64("max-n", 7), 7);
+        assert_eq!(a.get("out"), Some("dir"));
+        let _ = a.get_u64("seed", 0);
+        assert_eq!(a.missing_values(), ["max-n", "seed"]);
+        // A key read as a flag is a legal bare flag, even if a value getter
+        // asked for it too.
+        let _ = a.get("quick");
+        let _ = a.flag("quick");
+        let _ = a.flag("seed");
+        assert_eq!(a.missing_values(), ["max-n"]);
+        assert_eq!(a.unread(), Vec::<String>::new());
     }
 
     #[test]

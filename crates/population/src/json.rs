@@ -8,9 +8,16 @@
 //! byte-identical resumes, so callers store them as strings (decimal via
 //! `format!("{value}")` for scenario files, or hex bit-pattern strings in
 //! the store's records).
+//!
+//! A string value is a [`JsonStr`], which keeps up to [`JsonStr::INLINE`]
+//! bytes inline and only longer text on the heap. A record's thousands of
+//! 16-digit sample strings are therefore parsed, built and dropped without
+//! a heap allocation each. The parser copies each unescaped run of a
+//! string in one piece, and the writer does the same.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects use [`BTreeMap`] so serialization is canonical
 /// (sorted keys), which the manifest hash relies on.
@@ -25,7 +32,7 @@ pub enum Json {
     /// lossless, else a float (accepted but not canonical).
     Int(i64),
     /// A string.
-    Str(String),
+    Str(JsonStr),
     /// An array.
     Arr(Vec<Json>),
     /// An object with canonically sorted keys.
@@ -42,14 +49,14 @@ impl Json {
     /// Builds a string value.
     #[must_use]
     pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
+        Json::Str(JsonStr::from(s.into()))
     }
 
     /// The value as a string slice, if it is one.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            Json::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -116,7 +123,7 @@ impl Json {
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            Json::Str(s) => write_json_string(out, s),
+            Json::Str(s) => write_json_string(out, s.as_str()),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -170,7 +177,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(text, &mut pos)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -179,21 +186,116 @@ impl Json {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// A JSON string value: up to [`JsonStr::INLINE`] bytes are kept inline,
+/// longer text on the heap. Which form a string takes depends only on its
+/// length, and both compare, print and serialize as the text they hold.
+#[derive(Clone)]
+pub struct JsonStr(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` bytes of `bytes` are the text.
+    Inline {
+        len: u8,
+        bytes: [u8; JsonStr::INLINE],
+    },
+    /// Text longer than [`JsonStr::INLINE`] bytes.
+    Heap(Box<str>),
+}
+
+impl JsonStr {
+    /// The longest text, in bytes, kept without a heap allocation. It keeps
+    /// a [`JsonStr`] at 24 bytes, and so [`Json`] at 32.
+    pub const INLINE: usize = 22;
+
+    /// The text.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("inline bytes are copied from a `str`"),
+            Repr::Heap(text) => text,
         }
     }
+
+    /// The text's bytes, without the UTF-8 check of [`JsonStr::as_str`].
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(text) => text.as_bytes(),
+        }
+    }
+
+    /// The inline form of `text`, if it is short enough.
+    fn inline(text: &str) -> Option<JsonStr> {
+        let len = text.len();
+        (len <= JsonStr::INLINE).then(|| {
+            let mut bytes = [0; JsonStr::INLINE];
+            bytes[..len].copy_from_slice(text.as_bytes());
+            JsonStr(Repr::Inline {
+                len: len as u8,
+                bytes,
+            })
+        })
+    }
+}
+
+impl From<&str> for JsonStr {
+    fn from(text: &str) -> JsonStr {
+        JsonStr::inline(text).unwrap_or_else(|| JsonStr(Repr::Heap(text.into())))
+    }
+}
+
+impl From<String> for JsonStr {
+    fn from(text: String) -> JsonStr {
+        JsonStr::inline(&text).unwrap_or_else(|| JsonStr(Repr::Heap(text.into_boxed_str())))
+    }
+}
+
+impl PartialEq for JsonStr {
+    fn eq(&self, other: &JsonStr) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Debug for JsonStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for JsonStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Writes `s` as a JSON string literal, copying each run of characters
+/// that need no escape in one piece.
+fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        // Every byte escaped is ASCII, so `run..i` lies on char boundaries.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -212,7 +314,8 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
@@ -226,10 +329,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?.into_owned();
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -251,7 +354,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -263,7 +366,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(match parse_string(text, pos)? {
+            Cow::Borrowed(run) => JsonStr::from(run),
+            Cow::Owned(unescaped) => JsonStr::from(unescaped),
+        })),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -293,65 +399,60 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("unsupported number `{text}` at byte {start} (only integers)"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses the string literal at `pos`. A string without escapes is
+/// borrowed from `text` whole; otherwise each unescaped run is copied into
+/// the result in one piece.
+fn parse_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
-    let mut out = String::new();
+    let mut unescaped: Option<String> = None;
     loop {
-        let Some(&b) = bytes.get(*pos) else {
+        let start = *pos;
+        let Some(len) = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') else {
             return Err("unterminated string".to_string());
         };
+        *pos = start + len;
+        // `start` follows a quote or an escape and `*pos` is at one, so the
+        // run is whole characters.
+        let run = &text[start..*pos];
         *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".to_string());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
-                        *pos += 4;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("unknown escape at byte {pos}")),
+        if bytes[*pos - 1] == b'"' {
+            return Ok(match unescaped {
+                None => Cow::Borrowed(run),
+                Some(mut out) => {
+                    out.push_str(run);
+                    Cow::Owned(out)
                 }
+            });
+        }
+        let out = unescaped.get_or_insert_with(String::new);
+        out.push_str(run);
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err("unterminated escape".to_string());
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex = bytes
+                    .get(*pos..*pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
+                *pos += 4;
+                // Surrogate pairs are not produced by our writer; map lone
+                // surrogates to the replacement character.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
             }
-            _ => {
-                // Collect the full UTF-8 sequence starting at b.
-                let width = match b {
-                    0x00..=0x7f => {
-                        out.push(b as char);
-                        continue;
-                    }
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let start = *pos - 1;
-                let end = start + width;
-                let chunk = bytes
-                    .get(start..end)
-                    .and_then(|c| std::str::from_utf8(c).ok())
-                    .ok_or_else(|| format!("invalid UTF-8 at byte {start}"))?;
-                out.push_str(chunk);
-                *pos = end;
-            }
+            _ => return Err(format!("unknown escape at byte {pos}")),
         }
     }
 }
@@ -412,4 +513,113 @@ mod tests {
         let doc = Json::str("ε ≈ 10⁻⁵");
         assert_eq!(Json::parse(&doc.to_string_compact()).unwrap(), doc);
     }
+
+    /// `json` parses back from its compact form to itself, and serializes
+    /// again to the same bytes; a string is inline exactly when short.
+    fn assert_roundtrips(json: &Json) {
+        let text = json.to_string_compact();
+        let back = Json::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        assert_eq!(&back, json, "{text}");
+        assert_eq!(back.to_string_compact(), text);
+        if let Json::Str(s) = &back {
+            let inline = matches!(s.0, Repr::Inline { .. });
+            assert_eq!(inline, s.as_bytes().len() <= JsonStr::INLINE, "{text}");
+        }
+    }
+
+    #[test]
+    fn json_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<JsonStr>(), 24);
+        assert_eq!(std::mem::size_of::<Json>(), 32);
+    }
+
+    #[test]
+    fn strings_roundtrip_on_both_sides_of_the_inline_bound() {
+        let texts = [
+            String::new(),
+            "a".to_string(),
+            "x".repeat(22),
+            "x".repeat(23),
+            // Two-, three- and four-byte characters ending at 22 and 23+
+            // bytes.
+            format!("{}é", "x".repeat(20)),
+            format!("{}é", "x".repeat(21)),
+            format!("{}x", "€".repeat(7)),
+            format!("{}€", "x".repeat(20)),
+            format!("{}xx", "𝄞".repeat(5)),
+            "𝄞".repeat(6),
+            // Escapes just inside and just past the bound.
+            format!("{}\"", "x".repeat(21)),
+            format!("{}\n", "x".repeat(22)),
+            "\u{0}".repeat(22),
+            "\u{1f}".repeat(23),
+        ];
+        for text in texts {
+            let json = Json::str(text.clone());
+            assert_eq!(json.as_str(), Some(text.as_str()));
+            assert_roundtrips(&json);
+            assert_roundtrips(&Json::obj([(text.clone(), Json::str(text.clone()))]));
+            assert_roundtrips(&Json::Arr(vec![Json::str(text.clone()); 3]));
+        }
+    }
+
+    #[test]
+    fn writer_escapes_quotes_backslashes_and_control_characters() {
+        let doc = Json::str("a\"b\\c\nd\re\tf\u{0}g\u{8}h\u{c}i\u{1f}j\u{7f}é/");
+        assert_eq!(
+            doc.to_string_compact(),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0000g\\u0008h\\u000ci\\u001fj\u{7f}é/\""
+        );
+        assert_roundtrips(&doc);
+        for code in 0..0x20u8 {
+            assert_roundtrips(&Json::str(char::from(code).to_string()));
+        }
+    }
+
+    #[test]
+    fn parser_reads_every_escape() {
+        let text = r#""\"\\\/\n\r\t\b\f\u0041\u00e9\u20AC\ud800""#;
+        let doc = Json::parse(text).unwrap();
+        assert_eq!(doc.as_str(), Some("\"\\/\n\r\t\u{8}\u{c}Aé€\u{fffd}"));
+        assert_roundtrips(&doc);
+        // Escapes split runs of plain text, which may be multibyte.
+        let doc = Json::parse(r#""ε\u0020≈\n10⁻⁵""#).unwrap();
+        assert_eq!(doc.as_str(), Some("ε ≈\n10⁻⁵"));
+    }
+
+    #[test]
+    fn string_errors_name_what_and_where() {
+        for (text, error) in [
+            ("\"abc", "unterminated string"),
+            ("\"ab\\n", "unterminated string"),
+            ("\"ab\\", "unterminated escape"),
+            ("\"\\x\"", "unknown escape at byte 3"),
+            ("\"é\\é\"", "unknown escape at byte 5"),
+            ("\"\\u12\"", "bad \\u escape at byte 3"),
+            ("\"\\u12G4\"", "bad \\u escape at byte 3"),
+            ("{\"a\":\"b}", "unterminated string"),
+            ("{a:1}", "expected `\"` at byte 1"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap_err(), error, "{text}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn any_string_roundtrips(picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..32)) {
+            let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            assert_roundtrips(&Json::str(text.clone()));
+            assert_roundtrips(&Json::obj([(text.clone(), Json::Arr(vec![Json::str(text)]))]));
+        }
+    }
+
+    /// Characters that stress the string codec: plain ASCII, every escape
+    /// the writer emits, other control characters, and two-, three- and
+    /// four-byte UTF-8.
+    const ALPHABET: [char; 16] = [
+        'a', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1b}', '\u{7f}', 'é', '€',
+        '⁻', '𝄞',
+    ];
 }

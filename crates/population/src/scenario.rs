@@ -824,6 +824,7 @@ fn u64_value(json: &Json, what: &str) -> Result<u64, String> {
     match json {
         Json::Int(i) => u64::try_from(*i).map_err(|_| format!("`{what}` must be non-negative")),
         Json::Str(s) => s
+            .as_str()
             .parse()
             .map_err(|_| format!("`{what}` must be a u64 (got `{s}`)")),
         _ => Err(format!("`{what}` must be an integer")),

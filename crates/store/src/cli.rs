@@ -17,9 +17,10 @@
 //! Shared flags: `--out DIR` (CSV directory, default `results`), `--store
 //! DIR` (registry directory, default `<out>/store`), `--progress`,
 //! `--serial` / `--threads N`, plus each sweep's own flags (`--quick`,
-//! `--runs`, `--seed`, …). A command that builds a sweep's plan rejects a
-//! flag that neither it nor the sweep reads. Regenerating a paper artifact
-//! is `avc sweep <name>` followed by `avc export <name>`.
+//! `--runs`, `--seed`, …). Every command but `help` rejects a flag that
+//! neither it nor its sweep reads, and a flag read for a value but given
+//! without one. Regenerating a paper artifact is `avc sweep <name>`
+//! followed by `avc export <name>`.
 
 use crate::json::Json;
 use crate::specs;
@@ -57,14 +58,53 @@ fn collector(args: &Args) -> StatsCollector {
     }
 }
 
-/// The flags `avc help` lists for every command.
-const SHARED_FLAGS: [&str; 6] = ["out", "store", "progress", "serial", "threads", "shard"];
+/// The flags `avc help` lists for every command that take a value.
+const SHARED_VALUES: [&str; 4] = ["out", "store", "threads", "shard"];
 
-/// The plan of the sweep `name` for a command whose own flags are `own`.
-/// Once the plan builds, a flag that neither the sweep's spec, the command
-/// nor [`SHARED_FLAGS`] reads is an error, raised before any store is
-/// touched: a misspelt flag would otherwise run the default cells.
-fn build_plan(name: &str, args: &Args, own: &[&str]) -> Result<Plan, String> {
+/// The bare flags `avc help` lists for every command.
+const SHARED_SWITCHES: [&str; 2] = ["progress", "serial"];
+
+/// How [`check_flags`] reports an unread flag to a command that builds a
+/// sweep's plan.
+const UNREAD_BY_SWEEP: &str = "neither this sweep nor the command reads it";
+
+/// How [`check_flags`] reports an unread flag to a command that builds no
+/// plan (`run`, `ls`, `show` and a name-less `top`).
+const UNREAD_BY_COMMAND: &str = "the command does not read it";
+
+/// Checks a command's flags once everything else it reads has been read,
+/// before it touches anything. `values` and `switches` are the command's
+/// own flags besides [`SHARED_VALUES`] and [`SHARED_SWITCHES`]. A flag
+/// read for a value but given bare is an error, and then a flag that
+/// nothing reads; either would otherwise run with a default. The message
+/// names the first such flag in sorted order, after `scope` (the sweep, or
+/// the command).
+fn check_flags(
+    scope: &str,
+    args: &Args,
+    values: &[&str],
+    switches: &[&str],
+    unread: &str,
+) -> Result<(), String> {
+    for name in SHARED_VALUES.iter().chain(values) {
+        let _ = args.get(name);
+    }
+    for name in SHARED_SWITCHES.iter().chain(switches) {
+        let _ = args.flag(name);
+    }
+    if let Some(flag) = args.missing_values().first() {
+        return Err(format!("{scope}: --{flag}: needs a value"));
+    }
+    match args.unread().first() {
+        Some(flag) => Err(format!("{scope}: --{flag}: {unread}")),
+        None => Ok(()),
+    }
+}
+
+/// The plan of the sweep `name` for a command whose own flags are `values`
+/// and `switches`. Once the plan builds, its flags are checked (see
+/// [`check_flags`]) before any store is touched.
+fn build_plan(name: &str, args: &Args, values: &[&str], switches: &[&str]) -> Result<Plan, String> {
     // A name ending in `.json` is a scenario-grid file, not a registered
     // spec module — the route by which new protocols get comparison sweeps
     // without new Rust code (see `scenario_grid`).
@@ -81,14 +121,8 @@ fn build_plan(name: &str, args: &Args, own: &[&str]) -> Result<Plan, String> {
         })?;
         plan.map_err(|e| format!("{name}: {e}"))?
     };
-    let accepted =
-        |flag: &String| SHARED_FLAGS.contains(&flag.as_str()) || own.contains(&flag.as_str());
-    match args.unread().into_iter().find(|flag| !accepted(flag)) {
-        Some(flag) => Err(format!(
-            "{name}: --{flag}: neither this sweep nor the command reads it"
-        )),
-        None => Ok(plan),
-    }
+    check_flags(name, args, values, switches, UNREAD_BY_SWEEP)?;
+    Ok(plan)
 }
 
 /// The grid slice to execute (`--shard i/k`, default the full grid).
@@ -100,7 +134,7 @@ fn shard_of(args: &Args) -> Result<sweep::Shard, String> {
 }
 
 fn cmd_sweep(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args, &[])?;
+    let plan = build_plan(name, args, &[], &[])?;
     let shard = shard_of(args)?;
     println!("== avc sweep {name} ==");
     println!("{}", plan.banner);
@@ -134,7 +168,7 @@ fn cmd_sweep(name: &str, args: &Args) -> Result<(), String> {
 /// stores into the destination store in plan grid order (see
 /// [`sweep::merge`] for the byte-identity contract).
 fn cmd_merge(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args, &["stores"])?;
+    let plan = build_plan(name, args, &["stores"], &[])?;
     let stores_arg = args
         .get("stores")
         .ok_or("merge needs --stores DIR1,DIR2,... (the shard store directories)")?;
@@ -153,7 +187,7 @@ fn cmd_merge(name: &str, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_export(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args, &[])?;
+    let plan = build_plan(name, args, &[], &[])?;
     let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
     let export = sweep::export(&store, &plan)?;
     let out = out_dir(args);
@@ -172,6 +206,7 @@ fn cmd_export(name: &str, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_ls(args: &Args) -> Result<(), String> {
+    check_flags("ls", args, &[], &["wide", "cells"], UNREAD_BY_COMMAND)?;
     let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
     if store.is_empty() {
         println!("store {} is empty", store.records_path().display());
@@ -247,6 +282,7 @@ fn steps_and_rate(telemetry: Option<&CellTelemetry>) -> (String, String) {
 }
 
 fn cmd_show(prefix: &str, args: &Args) -> Result<(), String> {
+    check_flags("show", args, &[], &[], UNREAD_BY_COMMAND)?;
     let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
     let hits = store.find_by_prefix(prefix);
     match hits.as_slice() {
@@ -315,7 +351,7 @@ fn render_histogram(title: &str, unit: &str, h: &HistogramSnapshot) -> String {
 }
 
 fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args, &["prometheus"])?;
+    let plan = build_plan(name, args, &[], &["prometheus"])?;
     let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
     let mut aggregate = CellTelemetry::new();
     let mut table = Table::new(
@@ -565,15 +601,19 @@ impl ShardUse {
 fn cmd_top(name: Option<&str>, args: &Args) -> Result<(), String> {
     // With a sweep name, show only that plan's cells (flags must match the
     // running sweep's); without one, show every stored cell.
+    let (values, switches) = (&["last"], &["watch"]);
     let filter: Option<BTreeSet<String>> = match name {
         Some(name) => Some(
-            build_plan(name, args, &["last", "watch"])?
+            build_plan(name, args, values, switches)?
                 .cells
                 .iter()
                 .map(|c| c.manifest.hash())
                 .collect(),
         ),
-        None => None,
+        None => {
+            check_flags("top", args, values, switches, UNREAD_BY_COMMAND)?;
+            None
+        }
     };
     let dir = store_dir(args);
     let last = args.get_u64("last", 10) as usize;
@@ -620,7 +660,10 @@ fn cmd_top(name: Option<&str>, args: &Args) -> Result<(), String> {
 fn cmd_run(path: &str, args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if crate::scenario_grid::is_grid(&json) {
+    let grid = crate::scenario_grid::is_grid(&json);
+    let switches: &[&str] = if grid { &["quick"] } else { &[] };
+    check_flags("run", args, &[], switches, UNREAD_BY_COMMAND)?;
+    if grid {
         return cmd_run_grid(path, &json, args);
     }
     let scenario = Scenario::from_json(&json).map_err(|e| format!("{path}: {e}"))?;

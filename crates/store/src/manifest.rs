@@ -11,7 +11,7 @@
 //! `--serial` and still produce byte-identical exports.
 
 use crate::hash::sha256_hex;
-use crate::json::Json;
+use crate::json::{Json, JsonStr};
 use std::collections::BTreeMap;
 
 /// Version of the on-disk record/manifest layout. Bump on any change to the
@@ -83,15 +83,18 @@ impl Manifest {
     /// Serializes to JSON.
     #[must_use]
     pub fn to_json(&self) -> Json {
+        // Strings built from `&str`: a short one is copied inline, with no
+        // `String` allocated on the way.
+        let text = |s: &str| Json::Str(JsonStr::from(s));
         Json::obj([
             ("schema", Json::Int(SCHEMA_VERSION)),
-            ("experiment", Json::str(&self.experiment)),
+            ("experiment", text(&self.experiment)),
             (
                 "params",
                 Json::Obj(
                     self.params
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::str(v)))
+                        .map(|(k, v)| (k.clone(), text(v)))
                         .collect(),
                 ),
             ),

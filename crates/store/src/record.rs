@@ -5,44 +5,96 @@
 //! sample behind the cell's `Summary` (as exact bit-pattern samples), the
 //! cell's pre-rendered table rows, named exact scalars, and free-form notes.
 //!
-//! Floats are stored as 16-digit hex encodings of their IEEE-754 bit
+//! Floats are stored as the 16 lowercase hex digits of their IEEE-754 bit
 //! patterns — never as decimal text — so a resumed sweep exports *bytes*
 //! identical to an uninterrupted one: no decimal round-trip can perturb a
-//! quantile or a mean.
+//! quantile or a mean. The codec maps a bit pattern straight to its digits
+//! and back, and each digit string fits a [`JsonStr`] inline, so a
+//! record's samples are written and read without a heap allocation each.
+//! Only the writer's form is read back: a sample, `error_fraction` or value
+//! in any other spelling fails the record. Samples lie outside the manifest
+//! hash, so a spelling that decoded to the same bits would otherwise pass
+//! the corruption guard and be rewritten in other bytes by a compaction.
 
-use crate::json::Json;
+use crate::json::{Json, JsonStr};
 use crate::manifest::{Manifest, SCHEMA_VERSION};
 use avc_analysis::stats::Summary;
 use avc_population::telemetry::metrics::NUM_BUCKETS;
 use avc_population::telemetry::{CellTelemetry, HistogramSnapshot, MetricValue, RegistrySnapshot};
 use std::collections::BTreeMap;
 
-/// Encodes an `f64` as the 16-hex-digit form of its bit pattern.
+/// The 16 lowercase hex digits of `x`'s bit pattern, most significant
+/// first.
+fn hex_digits(x: f64) -> [u8; 16] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let bits = x.to_bits();
+    let mut digits = [0; 16];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = DIGITS[(bits >> (60 - 4 * i) & 0xf) as usize];
+    }
+    digits
+}
+
+/// [`f64_to_hex`] as a JSON string, kept inline.
+fn hex_json(x: f64) -> Json {
+    let digits = hex_digits(x);
+    Json::Str(JsonStr::from(
+        std::str::from_utf8(&digits).expect("hex digits are ASCII"),
+    ))
+}
+
+/// Encodes an `f64` as the 16 lowercase hex digits of its bit pattern.
 ///
 /// # Example
 ///
 /// ```
 /// use avc_store::record::{f64_to_hex, f64_from_hex};
 /// let x = 0.1f64 + 0.2; // not representable in short decimal
+/// assert_eq!(f64_to_hex(x), "3fd3333333333334");
 /// assert_eq!(f64_from_hex(&f64_to_hex(x)).unwrap(), x);
 /// ```
 #[must_use]
 pub fn f64_to_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+    hex_digits(x)
+        .iter()
+        .map(|&digit| char::from(digit))
+        .collect()
 }
 
-/// Decodes [`f64_to_hex`]'s output.
+/// Decodes [`f64_to_hex`]'s output, and nothing else.
 ///
 /// # Errors
 ///
-/// Rejects strings that are not exactly 16 hex digits.
+/// Rejects anything but exactly 16 characters of `[0-9a-f]`: no sign, no
+/// uppercase digit, no other length.
 pub fn f64_from_hex(s: &str) -> Result<f64, String> {
-    if s.len() != 16 {
-        return Err(format!("bad f64 hex `{s}`"));
-    }
-    u64::from_str_radix(s, 16)
+    hex_bits(s.as_bytes())
         .map(f64::from_bits)
-        .map_err(|_| format!("bad f64 hex `{s}`"))
+        .ok_or_else(|| format!("bad f64 hex `{s}`"))
+}
+
+/// The bit pattern that 16 lowercase hex digits spell, most significant
+/// first.
+fn hex_bits(digits: &[u8]) -> Option<u64> {
+    let digits: &[u8; 16] = digits.try_into().ok()?;
+    digits.iter().try_fold(0u64, |bits, &digit| {
+        let value = match digit {
+            b'0'..=b'9' => digit - b'0',
+            b'a'..=b'f' => digit - b'a' + 10,
+            _ => return None,
+        };
+        Some(bits << 4 | u64::from(value))
+    })
+}
+
+/// Decodes a stored float: a JSON string in [`f64_to_hex`]'s form.
+fn hex_from_json(json: &Json) -> Result<f64, String> {
+    let Json::Str(s) = json else {
+        return Err("stored float not a string".to_string());
+    };
+    hex_bits(s.as_bytes())
+        .map(f64::from_bits)
+        .ok_or_else(|| format!("bad f64 hex `{s}`"))
 }
 
 /// The trial-level outcome of a cell: the exact sample set behind its
@@ -245,18 +297,9 @@ impl Record {
                 Json::obj([
                     (
                         "samples",
-                        Json::Arr(
-                            trials
-                                .samples
-                                .iter()
-                                .map(|&x| Json::Str(f64_to_hex(x)))
-                                .collect(),
-                        ),
+                        Json::Arr(trials.samples.iter().map(|&x| hex_json(x)).collect()),
                     ),
-                    (
-                        "error_fraction",
-                        Json::Str(f64_to_hex(trials.error_fraction)),
-                    ),
+                    ("error_fraction", hex_json(trials.error_fraction)),
                     ("total_runs", Json::Int(trials.total_runs as i64)),
                 ]),
             );
@@ -286,7 +329,7 @@ impl Record {
                 result
                     .values
                     .iter()
-                    .map(|(k, &v)| (k.clone(), Json::Str(f64_to_hex(v))))
+                    .map(|(k, &v)| (k.clone(), hex_json(v)))
                     .collect(),
             ),
         );
@@ -342,12 +385,10 @@ impl Record {
                     .and_then(Json::as_arr)
                     .ok_or("trials missing samples")?
                     .iter()
-                    .map(|s| s.as_str().ok_or("sample not a string").map(f64_from_hex))
-                    .collect::<Result<Result<Vec<_>, _>, _>>()
-                    .map_err(str::to_string)??;
-                let error_fraction = f64_from_hex(
+                    .map(hex_from_json)
+                    .collect::<Result<Vec<_>, _>>()?;
+                let error_fraction = hex_from_json(
                     t.get("error_fraction")
-                        .and_then(Json::as_str)
                         .ok_or("trials missing error_fraction")?,
                 )?;
                 let total_runs = t
@@ -392,10 +433,9 @@ impl Record {
             .ok_or("result missing values")?
             .iter()
             .map(|(k, v)| {
-                v.as_str()
-                    .ok_or_else(|| format!("value {k} not a string"))
-                    .and_then(f64_from_hex)
+                hex_from_json(v)
                     .map(|x| (k.clone(), x))
+                    .map_err(|e| format!("value {k}: {e}"))
             })
             .collect::<Result<BTreeMap<_, _>, _>>()?;
 
@@ -528,10 +568,81 @@ mod tests {
 
     #[test]
     fn f64_hex_handles_extremes() {
-        for x in [0.0, -0.0, f64::INFINITY, f64::MIN_POSITIVE, 1e300, -7.25] {
-            assert_eq!(f64_from_hex(&f64_to_hex(x)).unwrap().to_bits(), x.to_bits());
+        let cases = [
+            (0.0, "0000000000000000"),
+            (-0.0, "8000000000000000"),
+            (f64::from_bits(1), "0000000000000001"),
+            (f64::MIN_POSITIVE, "0010000000000000"),
+            (1.0, "3ff0000000000000"),
+            (f64::MAX, "7fefffffffffffff"),
+            (f64::INFINITY, "7ff0000000000000"),
+            (f64::NEG_INFINITY, "fff0000000000000"),
+            (f64::from_bits(0x7ff8_0000_0000_0001), "7ff8000000000001"),
+            (f64::from_bits(0xfff0_0000_dead_beef), "fff00000deadbeef"),
+            (1e300, "7e37e43c8800759c"),
+            (-7.25, "c01d000000000000"),
+        ];
+        for (x, digits) in cases {
+            assert_eq!(f64_to_hex(x), digits);
+            assert_eq!(f64_from_hex(digits).unwrap().to_bits(), x.to_bits());
+            let json = hex_json(x);
+            assert_eq!(json.as_str(), Some(digits));
+            assert_eq!(hex_from_json(&json).unwrap().to_bits(), x.to_bits());
         }
-        assert!(f64_from_hex("xyz").is_err());
-        assert!(f64_from_hex("123").is_err());
+    }
+
+    #[test]
+    fn f64_hex_accepts_only_the_written_form() {
+        for bad in [
+            "",
+            "xyz",
+            "123",
+            "000000000000001",
+            "00000000000000001",
+            "+000000000000001",
+            "-000000000000001",
+            "3FF0000000000000",
+            "3ff000000000000A",
+            "3ff000000000000g",
+            " 3ff000000000000",
+            "3ff000000000000 ",
+            "0x3ff00000000000",
+            "3ff00000000000é",
+        ] {
+            assert_eq!(
+                f64_from_hex(bad).unwrap_err(),
+                format!("bad f64 hex `{bad}`")
+            );
+            assert!(hex_from_json(&Json::str(bad)).is_err(), "{bad}");
+        }
+        assert!(hex_from_json(&Json::Int(0)).is_err());
+    }
+
+    #[test]
+    fn records_with_floats_in_another_spelling_are_rejected() {
+        let text = sample_record().to_json().to_string_compact();
+        let canonical = f64_to_hex(1.5);
+        for (what, from, to) in [
+            ("sample", canonical.clone(), canonical.to_uppercase()),
+            ("sample", canonical.clone(), format!("+{}", &canonical[1..])),
+            (
+                "error_fraction",
+                f64_to_hex(1.0 / 3.0),
+                f64_to_hex(1.0 / 3.0).to_uppercase(),
+            ),
+            (
+                "value",
+                f64_to_hex(0.009_900_990_099_009_9),
+                f64_to_hex(0.009_900_990_099_009_9).to_uppercase(),
+            ),
+        ] {
+            assert_eq!(text.matches(&from).count(), 1, "{what}");
+            let edited = Json::parse(&text.replace(&from, &to)).unwrap();
+            let err = Record::from_json(&edited).unwrap_err();
+            assert!(
+                err.contains(&format!("bad f64 hex `{to}`")),
+                "{what}: {err}"
+            );
+        }
     }
 }

@@ -183,7 +183,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::manifest::Manifest;
-    use crate::record::CellResult;
+    use crate::record::{CellResult, TrialSummary};
     use std::fs;
 
     fn temp_store(tag: &str) -> PathBuf {
@@ -318,6 +318,86 @@ mod tests {
         fs::write(&path, format!("not json\n{text}")).unwrap();
         let err = Store::open(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rejects_a_float_in_another_spelling() {
+        let dir = temp_store("spelling");
+        let mut store = Store::open(&dir).unwrap();
+        store.append(record("fig3", 11, "a")).unwrap();
+        let mut trials = record("fig3", 13, "b");
+        trials.result.trials = Some(TrialSummary {
+            samples: vec![1.0, 2.5],
+            error_fraction: 0.5,
+            total_runs: 2,
+        });
+        trials.result.values.insert("eps".to_string(), 0.25);
+        store.append(trials).unwrap();
+        let path = store.records_path();
+        let text = fs::read_to_string(&path).unwrap();
+        drop(store);
+        // The hand-edited spellings decode to the same bits as the written
+        // ones: a sample, the error fraction and a value.
+        for (written, edited) in [
+            ("\"3ff0000000000000\"", "\"3FF0000000000000\""),
+            ("\"3fe0000000000000\"", "\"+fe0000000000000\""),
+            ("\"3fd0000000000000\"", "\"3fd000000000000\""),
+        ] {
+            assert_eq!(text.matches(written).count(), 1, "{written}");
+            fs::write(&path, text.replace(written, edited)).unwrap();
+            let err = Store::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(
+                message.starts_with(&format!("{}:2: ", path.display())),
+                "{message}"
+            );
+            assert!(message.contains("bad f64 hex"), "{message}");
+        }
+        fs::write(&path, text).unwrap();
+        assert_eq!(Store::open(&dir).unwrap().len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_3001_sample_record_roundtrips_bit_for_bit() {
+        let dir = temp_store("samples");
+        // Awkward bit patterns beside spread-out ones: zeros, subnormals,
+        // infinities and NaN payloads.
+        let mut bits = 0x9e37_79b9_7f4a_7c15_u64;
+        let samples: Vec<f64> = [0, 1, 0x8000_0000_0000_0000, 0x7ff0_0000_0000_0000]
+            .into_iter()
+            .chain([0x7ff8_0000_0000_0001, 0xfff4_0000_0000_00ff])
+            .chain(std::iter::repeat_with(|| {
+                bits ^= bits << 13;
+                bits ^= bits >> 7;
+                bits ^= bits << 17;
+                bits
+            }))
+            .take(3001)
+            .map(f64::from_bits)
+            .collect();
+        let mut cell = record("fig3", 3001, "many samples");
+        cell.result.trials = Some(TrialSummary {
+            samples: samples.clone(),
+            error_fraction: f64::from_bits(0x3fd8_0000_0000_0001),
+            total_runs: 3001,
+        });
+        let hash = cell.hash.clone();
+        let line = cell.to_json().to_string_compact();
+        Store::open(&dir).unwrap().append(cell).unwrap();
+
+        let reopened = Store::open(&dir).unwrap();
+        let trials = reopened.get(&hash).unwrap().result.trials.as_ref().unwrap();
+        let bits_of = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits_of(&trials.samples), bits_of(&samples));
+        assert_eq!(trials.error_fraction.to_bits(), 0x3fd8_0000_0000_0001);
+        // Written back, the record is the same line.
+        let written = fs::read_to_string(reopened.records_path()).unwrap();
+        assert_eq!(written, format!("{line}\n"));
+        let rewritten = reopened.get(&hash).unwrap().to_json().to_string_compact();
+        assert_eq!(rewritten, line);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,10 @@
-//! A sweep flag whose value no plan can run, or a flag that neither the
-//! sweep nor the command reads, makes every command that builds the plan
-//! print `avc: <sweep>: --<flag>: …` and exit 1, before any store is
-//! touched; an export that cannot write a CSV names it and exits 1 too.
+//! A sweep flag whose value no plan can run, a flag read for a value but
+//! given without one, or a flag that neither the sweep nor the command
+//! reads, makes every command that builds the plan print `avc: <sweep>:
+//! --<flag>: …` and exit 1, before any store is touched. The commands that
+//! build no plan (`run`, `ls`, `show`, a name-less `top`) reject the last
+//! two kinds as `avc: <command>: --<flag>: …` before anything runs. An
+//! export that cannot write a CSV names it and exits 1 too.
 
 use std::process::Command;
 
@@ -44,12 +47,28 @@ fn bad_sweep_flags_exit_one_naming_the_flag() {
         ("mc_three_state", &["--max_n", "3"], "max_n"),
         ("mc_avc", &["--quick", "--runs", "0"], "runs"),
     ];
-    for (name, flags, flag) in cases {
+    // A value flag given bare, mid-line or last, is reported before any
+    // unread flag (here `--stores`).
+    let bare: [(&str, &[&str], &str); 3] = [
+        ("mc_three_state", &["--max-n", "--quick"], "max-n"),
+        ("fig3", &["--quick", "--seed"], "seed"),
+        ("fig3", &["--threads", "--quick"], "threads"),
+    ];
+    let expected = cases
+        .iter()
+        .map(|&(name, flags, flag)| (name, flags, format!("avc: {name}: --{flag}: ")))
+        .chain(bare.iter().map(|&(name, flags, flag)| {
+            (
+                name,
+                flags,
+                format!("avc: {name}: --{flag}: needs a value\n"),
+            )
+        }));
+    for (name, flags, message) in expected {
         for command in ["sweep", "export", "report", "merge", "top"] {
             let output = Command::new(env!("CARGO_BIN_EXE_avc"))
-                .args([command, name])
+                .args([command, name, "--out", out, "--stores", out])
                 .args(flags)
-                .args(["--out", out, "--stores", out])
                 .output()
                 .expect("spawn avc");
             let stderr = String::from_utf8_lossy(&output.stderr);
@@ -59,7 +78,7 @@ fn bad_sweep_flags_exit_one_naming_the_flag() {
                 "avc {command} {name} {flags:?}: {stderr}"
             );
             assert!(
-                stderr.starts_with(&format!("avc: {name}: --{flag}: ")),
+                stderr.starts_with(&message),
                 "avc {command} {name} {flags:?}: {stderr}"
             );
         }
@@ -67,6 +86,76 @@ fn bad_sweep_flags_exit_one_naming_the_flag() {
     assert!(
         !std::path::Path::new(out).exists(),
         "a rejected plan touched the store"
+    );
+}
+
+#[test]
+fn commands_without_a_plan_reject_flags_they_do_not_read() {
+    let out = std::env::temp_dir().join(format!("avc-bad-command-flags-{}", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+    let scenario = format!("{examples}/fig3_cell.json");
+    let grid = format!("{examples}/rivals_margin1.grid.json");
+    let (scenario, grid) = (scenario.as_str(), grid.as_str());
+    // `--quick` is a flag of grid files only; `--threads` and `--store`
+    // are shared flags that take a value.
+    let cases: [(&[&str], &str); 10] = [
+        (
+            &["run", scenario, "--runs", "0", "--sed", "3"],
+            "run: --runs: the command does not read it",
+        ),
+        (
+            &["run", scenario, "--quick"],
+            "run: --quick: the command does not read it",
+        ),
+        (
+            &["run", scenario, "--threads"],
+            "run: --threads: needs a value",
+        ),
+        (
+            &["run", grid, "--quick", "--seed", "3"],
+            "run: --seed: the command does not read it",
+        ),
+        (
+            &["run", grid, "--threads", "--quick"],
+            "run: --threads: needs a value",
+        ),
+        (
+            &["ls", "--cell"],
+            "ls: --cell: the command does not read it",
+        ),
+        (
+            &["show", "0", "--wide"],
+            "show: --wide: the command does not read it",
+        ),
+        (
+            &["top", "--quick"],
+            "top: --quick: the command does not read it",
+        ),
+        (&["top", "--last"], "top: --last: needs a value"),
+        (
+            &["top", "--store", "--watch"],
+            "top: --store: needs a value",
+        ),
+    ];
+    for (command, message) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_avc"))
+            .args(command)
+            .args(["--out", out])
+            .output()
+            .expect("spawn avc");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "avc {command:?}: {stderr}");
+        assert_eq!(stderr, format!("avc: {message}\n"), "avc {command:?}");
+        assert!(
+            output.stdout.is_empty(),
+            "avc {command:?} ran: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a rejected command touched the store"
     );
 }
 

@@ -13,6 +13,11 @@
 //! `n(n−1)`). Solving the linear system gives *exact* expected hitting
 //! times, against which the Monte-Carlo engines are validated — a much
 //! sharper check than engine-vs-engine comparison.
+//!
+//! The same matrix with another right-hand side gives the probability of
+//! converging to a given consensus: `P[c] = Σ_{c'} P(c → c') · P[c']`,
+//! where an absorbing `c'` contributes 1 if every agent outputs that
+//! opinion there and 0 otherwise.
 
 use crate::reach::{moves, ReachabilityGraph, StateSpaceTooLarge};
 use avc_population::{Config, ConvergenceRule, Opinion, Protocol, StateId};
@@ -40,6 +45,43 @@ pub fn expected_steps_to_convergence<P: Protocol>(
     rule: ConvergenceRule,
     max_configs: usize,
 ) -> Result<Option<f64>, StateSpaceTooLarge> {
+    solve_chain(protocol, initial, rule, None, max_configs)
+}
+
+/// Exact probability that the chain from `initial` first converges, under
+/// `rule`, to a configuration where every agent outputs `opinion`: the
+/// chance that a trial ends in that consensus.
+///
+/// Returns `None` if some reachable configuration cannot reach an absorbing
+/// one.
+///
+/// # Errors
+///
+/// Returns [`StateSpaceTooLarge`] if the closure exceeds `max_configs`.
+///
+/// # Panics
+///
+/// As [`expected_steps_to_convergence`].
+pub fn consensus_probability<P: Protocol>(
+    protocol: &P,
+    initial: &Config,
+    rule: ConvergenceRule,
+    opinion: Opinion,
+    max_configs: usize,
+) -> Result<Option<f64>, StateSpaceTooLarge> {
+    solve_chain(protocol, initial, rule, Some(opinion), max_configs)
+}
+
+/// Solves the absorbing chain from `initial` for the expected steps to
+/// convergence (`consensus` is `None`) or for the probability of
+/// converging to `consensus`.
+fn solve_chain<P: Protocol>(
+    protocol: &P,
+    initial: &Config,
+    rule: ConvergenceRule,
+    consensus: Option<Opinion>,
+    max_configs: usize,
+) -> Result<Option<f64>, StateSpaceTooLarge> {
     let graph = ReachabilityGraph::explore(protocol, initial, max_configs)?;
     let n = initial.population();
     let total_pairs = n * (n - 1);
@@ -49,9 +91,14 @@ pub fn expected_steps_to_convergence<P: Protocol>(
     let absorbing: Vec<bool> = (0..count)
         .map(|id| is_converged(protocol, &graph, id, n, rule))
         .collect();
+    // What an absorbing configuration contributes to the right-hand side.
+    let reward = |id: usize| match consensus {
+        Some(opinion) if graph.all_output(protocol, id, opinion) => 1.0,
+        _ => 0.0,
+    };
 
     if absorbing[0] {
-        return Ok(Some(0.0));
+        return Ok(Some(reward(0)));
     }
 
     // Transient configurations from which absorption is impossible have
@@ -63,22 +110,21 @@ pub fn expected_steps_to_convergence<P: Protocol>(
 
     // Index the transient configurations.
     let transient: Vec<usize> = (0..count).filter(|&id| !absorbing[id]).collect();
-    if transient.is_empty() {
-        return Ok(Some(0.0));
-    }
     let index_of: std::collections::HashMap<usize, usize> = transient
         .iter()
         .enumerate()
         .map(|(row, &id)| (id, row))
         .collect();
 
-    // Build (I − Q)·x = 1 over transient states, where Q holds transition
+    // Build (I − Q)·x = r over transient states, where Q holds transition
     // probabilities among transient configurations. P(c → c') is the number
     // of ordered agent pairs of `c` whose interaction yields `c'`, over
     // n(n−1); the remainder, the silent pairs' weight, is the self-loop.
+    // For the expected steps r is 1 everywhere; for a consensus it is the
+    // probability of stepping straight into that consensus.
     let t = transient.len();
     let mut matrix = vec![0.0f64; t * t];
-    let mut rhs = vec![1.0f64; t];
+    let mut rhs = vec![if consensus.is_some() { 0.0 } else { 1.0 }; t];
     for (row, &id) in transient.iter().enumerate() {
         matrix[row * t + row] = 1.0;
         let mut self_loop_pairs = total_pairs;
@@ -88,8 +134,9 @@ pub fn expected_steps_to_convergence<P: Protocol>(
                 .find_config(&step.next)
                 .expect("successor must be in the closure");
             let p = step.weight as f64 / total_pairs as f64;
-            if let Some(&col) = index_of.get(&succ) {
-                matrix[row * t + col] -= p;
+            match index_of.get(&succ) {
+                Some(&col) => matrix[row * t + col] -= p,
+                None => rhs[row] += p * reward(succ),
             }
         }
         // Self-loop: move to the diagonal.
@@ -235,6 +282,70 @@ mod tests {
         .unwrap()
         .unwrap();
         assert_eq!(exact, 0.0);
+    }
+
+    #[test]
+    fn voter_consensus_probability_is_the_initial_share() {
+        // The count of A is a martingale of the voter chain, so A wins with
+        // probability a/n.
+        let initial = Config::from_input(&Voter, 4, 3);
+        let p = |opinion| {
+            consensus_probability(
+                &Voter,
+                &initial,
+                ConvergenceRule::OutputConsensus,
+                opinion,
+                10_000,
+            )
+            .unwrap()
+            .unwrap()
+        };
+        assert!(
+            (p(Opinion::A) - 4.0 / 7.0).abs() < 1e-12,
+            "{}",
+            p(Opinion::A)
+        );
+        assert!(
+            (p(Opinion::B) - 3.0 / 7.0).abs() < 1e-12,
+            "{}",
+            p(Opinion::B)
+        );
+        let absorbed = Config::from_input(&Voter, 5, 0);
+        let rule = ConvergenceRule::OutputConsensus;
+        assert_eq!(
+            consensus_probability(&Voter, &absorbed, rule, Opinion::A, 10).unwrap(),
+            Some(1.0)
+        );
+        assert_eq!(
+            consensus_probability(&Voter, &absorbed, rule, Opinion::B, 10).unwrap(),
+            Some(0.0)
+        );
+    }
+
+    #[test]
+    fn three_state_error_matches_simulation() {
+        // The wrong consensus is all-y under the state-consensus rule.
+        let protocol = avc_protocols::ThreeState::new();
+        let rule = ConvergenceRule::StateConsensus;
+        let initial = Config::from_input(&protocol, 6, 5);
+        let exact = consensus_probability(&protocol, &initial, rule, Opinion::B, 10_000)
+            .unwrap()
+            .unwrap();
+        let trials = 4_000;
+        let seeds = SeedSequence::new(7);
+        let wrong = (0..trials)
+            .filter(|&t| {
+                let mut sim = CountSim::new(protocol, initial.clone());
+                let out = sim.run_to_consensus_with(&mut seeds.rng_for(t), u64::MAX, rule);
+                out.verdict.opinion() == Some(Opinion::B)
+            })
+            .count();
+        let simulated = wrong as f64 / trials as f64;
+        let stderr = (exact * (1.0 - exact) / trials as f64).sqrt();
+        assert!(
+            (simulated - exact).abs() < 4.0 * stderr,
+            "exact {exact} vs simulated {simulated}"
+        );
     }
 
     #[test]

@@ -10,18 +10,19 @@
 //! and mc_three_state whole, comparing their CSVs byte for byte.
 //!
 //! fig3's n = 11 rows and its n = 101 three_state and four_state rows are
-//! held to the exact expected times of their absorbing chains. The other
-//! tests only read the committed full-size CSVs of lb_info, graph_gap,
-//! dynamics and the model checks, and check the shape each artifact exists
-//! to show.
+//! held to the exact expected times of their absorbing chains, and its
+//! three_state error rows at n = 11 and 101 to the exact probability of
+//! the wrong consensus. The other tests only read the committed full-size
+//! CSVs of lb_info, graph_gap, dynamics and the model checks, and check
+//! the shape each artifact exists to show.
 
 use avc::analysis::cli::Args;
 use avc::analysis::harness::StatsCollector;
 use avc::analysis::stats::loglog_slope;
-use avc::population::{Config, ConvergenceRule, MajorityInstance, Protocol};
+use avc::population::{Config, ConvergenceRule, MajorityInstance, Opinion, Protocol};
 use avc::protocols::{Avc, FourState, ThreeState};
 use avc::store::specs;
-use avc::verify::exact_time::expected_steps_to_convergence;
+use avc::verify::exact_time::{consensus_probability, expected_steps_to_convergence};
 use std::path::Path;
 
 /// A committed `results/<stem>.csv`: its header and data rows, with
@@ -165,18 +166,34 @@ fn model_checks_hold() {
 /// rate of 10⁻³.
 const FIG3_Z_BOUND: f64 = 3.72;
 
-/// Holds fig3's committed `label` row at `n` to the exact expected parallel
-/// time of `protocol`'s chain under `rule`, set up as the sweep sets the
-/// cell up (the one-extra instance): z = (mean − exact) / (std_dev / √runs).
-fn fig3_time_is_exact<P: Protocol>(protocol: &P, rule: ConvergenceRule, label: &str, n: u64) {
-    let fig3 = Committed::read("fig3_time");
+/// The largest |z| a committed fig3 error fraction may show against its
+/// exact value: two-sided, Bonferroni over the two rows checked, at a
+/// family-wise rate of 10⁻³.
+const FIG3_ERROR_Z_BOUND: f64 = 3.48;
+
+/// fig3's committed `stem` table and the index of its `label` row at `n`.
+fn fig3_row(stem: &str, label: &str, n: u64) -> (Committed, usize) {
+    let fig3 = Committed::read(stem);
     let (ns, labels) = (fig3.text("n"), fig3.text("protocol"));
     let row = (0..fig3.rows.len()).find(|&i| ns[i] == n.to_string() && labels[i] == label);
-    let row = row.unwrap_or_else(|| panic!("no fig3_time row for {label} at n = {n}"));
-    let column = |name: &str| fig3.numbers(name)[row];
+    let row = row.unwrap_or_else(|| panic!("no {stem} row for {label} at n = {n}"));
+    (fig3, row)
+}
+
+/// `protocol` on fig3's cell at `n`, set up as the sweep sets it up: the
+/// one-extra instance.
+fn fig3_start<P: Protocol>(protocol: &P, n: u64) -> Config {
     let instance = MajorityInstance::one_extra(n);
-    let config = Config::from_input(protocol, instance.a(), instance.b());
-    let steps = expected_steps_to_convergence(protocol, &config, rule, 1_000_000)
+    Config::from_input(protocol, instance.a(), instance.b())
+}
+
+/// Holds fig3's committed `label` row at `n` to the exact expected parallel
+/// time of `protocol`'s chain under `rule`, set up as the sweep sets the
+/// cell up: z = (mean − exact) / (std_dev / √runs).
+fn fig3_time_is_exact<P: Protocol>(protocol: &P, rule: ConvergenceRule, label: &str, n: u64) {
+    let (fig3, row) = fig3_row("fig3_time", label, n);
+    let column = |name: &str| fig3.numbers(name)[row];
+    let steps = expected_steps_to_convergence(protocol, &fig3_start(protocol, n), rule, 1_000_000)
         .expect("the chain fits the configuration budget")
         .expect("every configuration reaches convergence");
     let exact = steps / n as f64;
@@ -186,6 +203,28 @@ fn fig3_time_is_exact<P: Protocol>(protocol: &P, rule: ConvergenceRule, label: &
         z.abs() <= FIG3_Z_BOUND,
         "{label} at n = {n}: committed {} against exact {exact:.4} (z = {z:.2})",
         column("mean_parallel_time")
+    );
+}
+
+/// Holds fig3's committed three_state error fraction at `n` to the exact
+/// probability that its chain, set up as the sweep sets the cell up, ends
+/// with every agent in `y`, the minority's state: z = (committed − exact)
+/// / √(exact · (1 − exact) / runs).
+fn fig3_three_state_error_is_exact(n: u64) {
+    let (fig3, row) = fig3_row("fig3_error", "3-state", n);
+    let column = |name: &str| fig3.numbers(name)[row];
+    let protocol = ThreeState::new();
+    let rule = ConvergenceRule::StateConsensus;
+    let start = fig3_start(&protocol, n);
+    let exact = consensus_probability(&protocol, &start, rule, Opinion::B, 1_000_000)
+        .expect("the chain fits the configuration budget")
+        .expect("every configuration reaches convergence");
+    let stderr = (exact * (1.0 - exact) / column("runs")).sqrt();
+    let z = (column("error_fraction") - exact) / stderr;
+    assert!(
+        z.abs() <= FIG3_ERROR_Z_BOUND,
+        "3-state error at n = {n}: committed {} against exact {exact:.6} (z = {z:.2})",
+        column("error_fraction")
     );
 }
 
@@ -225,4 +264,15 @@ fn fig3_three_state_n101_time_is_exact() {
 #[test]
 fn fig3_four_state_n101_time_is_exact() {
     fig3_time_is_exact(&FourState, ConvergenceRule::OutputConsensus, "4-state", 101);
+}
+
+#[test]
+fn fig3_three_state_n11_error_is_exact() {
+    fig3_three_state_error_is_exact(11);
+}
+
+#[test]
+#[ignore = "release-only: the chain solve takes about 14 s in a debug build"]
+fn fig3_three_state_n101_error_is_exact() {
+    fig3_three_state_error_is_exact(101);
 }
