@@ -35,7 +35,8 @@
 //! (per-phase breakdown — sampling vs transition vs bookkeeping — for the
 //! agent and count engines, appended to the report), `--profile-out PATH`
 //! (write the per-phase breakdown as telemetry registry snapshots; implies
-//! `--profile`).
+//! `--profile`). Any other flag or token exits 1 before anything is
+//! measured.
 
 use avc_analysis::io::atomic_write;
 use avc_population::cached::Cached;
@@ -656,6 +657,16 @@ fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
 fn main() {
     let args = avc_analysis::cli::Args::from_env();
     let quick = args.flag("quick");
+    let out = args.get("out");
+    let profile_out = args.get("profile-out");
+    let profiling = args.flag("profile") || profile_out.is_some();
+    let committed = args.get("check");
+    // A mistyped flag (`--chek` for the perf gate's `--check`) fails here,
+    // before anything is measured.
+    if let Err(e) = args.check() {
+        eprintln!("engine_bench: {e}");
+        std::process::exit(1);
+    }
     let (ns, reps): (&[u64], usize) = if quick {
         (&[1_001], 3)
     } else {
@@ -726,7 +737,7 @@ fn main() {
     }
 
     let mut profiles = Vec::new();
-    if args.flag("profile") || args.get("profile-out").is_some() {
+    if profiling {
         for &n in ns {
             for engine in [EngineKind::Agent, EngineKind::Count] {
                 let p = profile(engine, n, reps);
@@ -766,12 +777,12 @@ fn main() {
     }
     let report = Json::obj(fields);
 
-    if let Some(path) = args.get("out") {
+    if let Some(path) = out {
         std::fs::write(path, report.to_string_pretty() + "\n").expect("write report");
         println!("[written to {path}]");
     }
 
-    if let Some(path) = args.get("profile-out") {
+    if let Some(path) = profile_out {
         // One telemetry registry snapshot per profiled cell, in the JSON form
         // the store's records embed.
         let cells = profiles
@@ -795,7 +806,7 @@ fn main() {
         println!("[profile written to {path}]");
     }
 
-    if let Some(path) = args.get("check") {
+    if let Some(path) = committed {
         if let Err(message) = check(&entries, path) {
             eprintln!("perf check FAILED: {message}");
             std::process::exit(1);

@@ -16,18 +16,20 @@
 //!
 //! Shared flags: `--out DIR` (CSV directory, default `results`), `--store
 //! DIR` (registry directory, default `<out>/store`), `--progress`,
-//! `--serial` / `--threads N`, plus each sweep's own flags (`--quick`,
-//! `--runs`, `--seed`, …). Every command but `help` rejects a flag that
-//! neither it nor its sweep reads, and a flag read for a value but given
-//! without one. Regenerating a paper artifact is `avc sweep <name>`
+//! `--serial` / `--threads N`, `--shard i/k`, plus each sweep's own flags
+//! (`--quick`, `--runs`, `--seed`, …). Every command but `help` reads its
+//! flags through their parsers and then rejects, before it prints or opens
+//! anything, a value flag given bare, a flag nothing reads, and a token
+//! nothing consumed (see [`Args::check`]), as it does a positional argument
+//! it does not take. Regenerating a paper artifact is `avc sweep <name>`
 //! followed by `avc export <name>`.
 
 use crate::json::Json;
 use crate::specs;
 use crate::store::Store;
 use crate::sweep::{self, Plan};
-use avc_analysis::cli::Args;
-use avc_analysis::harness::{ScenarioPlan, StatsCollector};
+use avc_analysis::cli::{Args, FlagError};
+use avc_analysis::harness::{Parallelism, ScenarioPlan, StatsCollector};
 use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
 use avc_population::telemetry::export::prometheus_text;
@@ -37,74 +39,55 @@ use avc_population::{ProtocolSpec, Scenario};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-/// The CSV output directory (`--out`, default `results`).
-fn out_dir(args: &Args) -> String {
-    args.get("out").unwrap_or("results").to_string()
+/// The flags every command takes, read through their parsers.
+struct Shared {
+    /// The CSV directory (`--out`, default `results`).
+    out: String,
+    /// The registry directory (`--store`, default `<out>/store`).
+    store: PathBuf,
+    /// A collector that prints progress under `--progress`.
+    stats: StatsCollector,
+    /// `--serial` or `--threads N`.
+    parallelism: Parallelism,
+    /// The grid slice to execute (`--shard i/k`, default the full grid).
+    shard: sweep::Shard,
 }
 
-/// The registry directory (`--store`, default `<out>/store`).
-fn store_dir(args: &Args) -> PathBuf {
-    match args.get("store") {
-        Some(dir) => PathBuf::from(dir),
-        None => Path::new(&out_dir(args)).join("store"),
-    }
+/// Reads the shared flags once a command has read its own, then checks
+/// that nothing else was given (see [`Args::check`]). A command calls it
+/// before it prints or opens anything; the error names `scope` (the sweep,
+/// or the command) and the flag.
+fn check_flags(scope: &str, args: &Args) -> Result<Shared, String> {
+    shared_flags(args).map_err(|e| format!("{scope}: {e}"))
 }
 
-fn collector(args: &Args) -> StatsCollector {
-    if args.flag("progress") {
-        StatsCollector::verbose()
-    } else {
-        StatsCollector::new()
-    }
+/// [`check_flags`] before the error names its scope.
+fn shared_flags(args: &Args) -> Result<Shared, FlagError> {
+    let out = args.get("out").unwrap_or("results").to_string();
+    let shard = match args.get("shard") {
+        Some(text) => sweep::Shard::parse(text).map_err(|e| FlagError::new("shard", e))?,
+        None => sweep::Shard::full(),
+    };
+    let shared = Shared {
+        store: args
+            .get("store")
+            .map_or_else(|| Path::new(&out).join("store"), PathBuf::from),
+        stats: if args.flag("progress") {
+            StatsCollector::verbose()
+        } else {
+            StatsCollector::new()
+        },
+        parallelism: args.parallelism()?,
+        shard,
+        out,
+    };
+    args.check()?;
+    Ok(shared)
 }
 
-/// The flags `avc help` lists for every command that take a value.
-const SHARED_VALUES: [&str; 4] = ["out", "store", "threads", "shard"];
-
-/// The bare flags `avc help` lists for every command.
-const SHARED_SWITCHES: [&str; 2] = ["progress", "serial"];
-
-/// How [`check_flags`] reports an unread flag to a command that builds a
-/// sweep's plan.
-const UNREAD_BY_SWEEP: &str = "neither this sweep nor the command reads it";
-
-/// How [`check_flags`] reports an unread flag to a command that builds no
-/// plan (`run`, `ls`, `show` and a name-less `top`).
-const UNREAD_BY_COMMAND: &str = "the command does not read it";
-
-/// Checks a command's flags once everything else it reads has been read,
-/// before it touches anything. `values` and `switches` are the command's
-/// own flags besides [`SHARED_VALUES`] and [`SHARED_SWITCHES`]. A flag
-/// read for a value but given bare is an error, and then a flag that
-/// nothing reads; either would otherwise run with a default. The message
-/// names the first such flag in sorted order, after `scope` (the sweep, or
-/// the command).
-fn check_flags(
-    scope: &str,
-    args: &Args,
-    values: &[&str],
-    switches: &[&str],
-    unread: &str,
-) -> Result<(), String> {
-    for name in SHARED_VALUES.iter().chain(values) {
-        let _ = args.get(name);
-    }
-    for name in SHARED_SWITCHES.iter().chain(switches) {
-        let _ = args.flag(name);
-    }
-    if let Some(flag) = args.missing_values().first() {
-        return Err(format!("{scope}: --{flag}: needs a value"));
-    }
-    match args.unread().first() {
-        Some(flag) => Err(format!("{scope}: --{flag}: {unread}")),
-        None => Ok(()),
-    }
-}
-
-/// The plan of the sweep `name` for a command whose own flags are `values`
-/// and `switches`. Once the plan builds, its flags are checked (see
-/// [`check_flags`]) before any store is touched.
-fn build_plan(name: &str, args: &Args, values: &[&str], switches: &[&str]) -> Result<Plan, String> {
+/// The plan of the sweep `name` and the shared flags, once the command has
+/// read its own flags (see [`check_flags`]).
+fn build_plan(name: &str, args: &Args) -> Result<(Plan, Shared), String> {
     // A name ending in `.json` is a scenario-grid file, not a registered
     // spec module — the route by which new protocols get comparison sweeps
     // without new Rust code (see `scenario_grid`).
@@ -121,30 +104,20 @@ fn build_plan(name: &str, args: &Args, values: &[&str], switches: &[&str]) -> Re
         })?;
         plan.map_err(|e| format!("{name}: {e}"))?
     };
-    check_flags(name, args, values, switches, UNREAD_BY_SWEEP)?;
-    Ok(plan)
-}
-
-/// The grid slice to execute (`--shard i/k`, default the full grid).
-fn shard_of(args: &Args) -> Result<sweep::Shard, String> {
-    match args.get("shard") {
-        Some(text) => sweep::Shard::parse(text),
-        None => Ok(sweep::Shard::full()),
-    }
+    Ok((plan, check_flags(name, args)?))
 }
 
 fn cmd_sweep(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args, &[], &[])?;
-    let shard = shard_of(args)?;
+    let (plan, shared) = build_plan(name, args)?;
     println!("== avc sweep {name} ==");
     println!("{}", plan.banner);
-    if !shard.is_full() {
-        println!("shard {shard} of the cell grid");
+    if !shared.shard.is_full() {
+        println!("shard {} of the cell grid", shared.shard);
     }
     println!();
-    let mut store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
+    let mut store = Store::open(shared.store).map_err(|e| e.to_string())?;
     let started = std::time::Instant::now();
-    let outcome = sweep::run_sharded(&mut store, &plan, &collector(args), true, shard)
+    let outcome = sweep::run_sharded(&mut store, &plan, &shared.stats, true, shared.shard)
         .map_err(|e| format!("store append failed: {e}"))?;
     store
         .compact()
@@ -168,15 +141,15 @@ fn cmd_sweep(name: &str, args: &Args) -> Result<(), String> {
 /// stores into the destination store in plan grid order (see
 /// [`sweep::merge`] for the byte-identity contract).
 fn cmd_merge(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args, &["stores"], &[])?;
-    let stores_arg = args
-        .get("stores")
-        .ok_or("merge needs --stores DIR1,DIR2,... (the shard store directories)")?;
+    let stores_arg = args.get("stores");
+    let (plan, shared) = build_plan(name, args)?;
+    let stores_arg =
+        stores_arg.ok_or("merge needs --stores DIR1,DIR2,... (the shard store directories)")?;
     let sources: Vec<Store> = stores_arg
         .split(',')
         .map(|dir| Store::open(dir.trim()).map_err(|e| format!("{dir}: {e}")))
         .collect::<Result<_, String>>()?;
-    let mut dest = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
+    let mut dest = Store::open(shared.store).map_err(|e| e.to_string())?;
     let appended = sweep::merge(&mut dest, &plan, &sources)?;
     println!(
         "merge {name}: {appended} cells merged from {} shard store(s) into {}",
@@ -187,12 +160,11 @@ fn cmd_merge(name: &str, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_export(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args, &[], &[])?;
-    let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
+    let (plan, shared) = build_plan(name, args)?;
+    let store = Store::open(shared.store).map_err(|e| e.to_string())?;
     let export = sweep::export(&store, &plan)?;
-    let out = out_dir(args);
     for (stem, table) in &export.tables {
-        let path = Path::new(&out).join(format!("{stem}.csv"));
+        let path = Path::new(&shared.out).join(format!("{stem}.csv"));
         table
             .write_csv(&path)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -206,13 +178,12 @@ fn cmd_export(name: &str, args: &Args) -> Result<(), String> {
 }
 
 fn cmd_ls(args: &Args) -> Result<(), String> {
-    check_flags("ls", args, &[], &["wide", "cells"], UNREAD_BY_COMMAND)?;
-    let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
+    let (wide, list_cells) = (args.flag("wide"), args.flag("cells"));
+    let store = Store::open(check_flags("ls", args)?.store).map_err(|e| e.to_string())?;
     if store.is_empty() {
         println!("store {} is empty", store.records_path().display());
         return Ok(());
     }
-    let wide = args.flag("wide");
     // Group the latest records by experiment, keeping registry order.
     for spec in specs::SWEEPS {
         let cells: Vec<_> = store
@@ -230,7 +201,7 @@ fn cmd_ls(args: &Args) -> Result<(), String> {
             wall as f64 / 1e3,
             spec.description
         );
-        if args.flag("cells") || wide {
+        if list_cells || wide {
             for r in &cells {
                 if wide {
                     // Wall time plus throughput from the telemetry block,
@@ -282,8 +253,7 @@ fn steps_and_rate(telemetry: Option<&CellTelemetry>) -> (String, String) {
 }
 
 fn cmd_show(prefix: &str, args: &Args) -> Result<(), String> {
-    check_flags("show", args, &[], &[], UNREAD_BY_COMMAND)?;
-    let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
+    let store = Store::open(check_flags("show", args)?.store).map_err(|e| e.to_string())?;
     let hits = store.find_by_prefix(prefix);
     match hits.as_slice() {
         [] => Err(format!("no stored cell matches `{prefix}`")),
@@ -351,8 +321,9 @@ fn render_histogram(title: &str, unit: &str, h: &HistogramSnapshot) -> String {
 }
 
 fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
-    let plan = build_plan(name, args, &[], &["prometheus"])?;
-    let store = Store::open(store_dir(args)).map_err(|e| e.to_string())?;
+    let prometheus = args.flag("prometheus");
+    let (plan, shared) = build_plan(name, args)?;
+    let store = Store::open(shared.store).map_err(|e| e.to_string())?;
     let mut aggregate = CellTelemetry::new();
     let mut table = Table::new(
         format!("telemetry: {name}"),
@@ -430,7 +401,7 @@ fn cmd_report(name: &str, args: &Args) -> Result<(), String> {
         });
     }
 
-    if args.flag("prometheus") {
+    if prometheus {
         // One merged exposition: sim and wall key spaces are disjoint.
         let mut merged = aggregate.sim.clone();
         merged.merge(&aggregate.wall);
@@ -599,25 +570,21 @@ impl ShardUse {
 }
 
 fn cmd_top(name: Option<&str>, args: &Args) -> Result<(), String> {
+    let scope = name.unwrap_or("top");
+    let last = args
+        .get_u64("last", 10)
+        .map_err(|e| format!("{scope}: {e}"))? as usize;
+    let watch = args.flag("watch");
     // With a sweep name, show only that plan's cells (flags must match the
     // running sweep's); without one, show every stored cell.
-    let (values, switches) = (&["last"], &["watch"]);
-    let filter: Option<BTreeSet<String>> = match name {
-        Some(name) => Some(
-            build_plan(name, args, values, switches)?
-                .cells
-                .iter()
-                .map(|c| c.manifest.hash())
-                .collect(),
-        ),
-        None => {
-            check_flags("top", args, values, switches, UNREAD_BY_COMMAND)?;
-            None
+    let (filter, dir) = match name {
+        Some(name) => {
+            let (plan, shared) = build_plan(name, args)?;
+            let hashes = plan.cells.iter().map(|c| c.manifest.hash());
+            (Some(hashes.collect::<BTreeSet<_>>()), shared.store)
         }
+        None => (None, check_flags(scope, args)?.store),
     };
-    let dir = store_dir(args);
-    let last = args.get_u64("last", 10) as usize;
-    let watch = args.flag("watch");
     loop {
         // Opening reads `records.jsonl` up to its last complete line and
         // takes no lock, so it never disturbs the sweep appending to it.
@@ -661,15 +628,16 @@ fn cmd_run(path: &str, args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let grid = crate::scenario_grid::is_grid(&json);
-    let switches: &[&str] = if grid { &["quick"] } else { &[] };
-    check_flags("run", args, &[], switches, UNREAD_BY_COMMAND)?;
+    // `--quick` is a flag of grid files only.
+    let quick = grid && args.flag("quick");
+    let shared = check_flags("run", args)?;
     if grid {
-        return cmd_run_grid(path, &json, args);
+        return cmd_run_grid(path, &json, quick, &shared);
     }
     let scenario = Scenario::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
     println!("== avc run {path} ==");
-    let plan = ScenarioPlan::new(scenario).parallelism(args.parallelism());
-    run_scenario(&plan, &collector(args));
+    let plan = ScenarioPlan::new(scenario).parallelism(shared.parallelism);
+    run_scenario(&plan, &shared.stats);
     Ok(())
 }
 
@@ -677,10 +645,9 @@ fn cmd_run(path: &str, args: &Args) -> Result<(), String> {
 /// a grid sweep) and prints a per-grid wrong-consensus tally. The cells
 /// share one collector, and so one worker pool; as in a sweep, each cell's
 /// batch is queued while the cell before it runs.
-fn cmd_run_grid(path: &str, json: &Json, args: &Args) -> Result<(), String> {
+fn cmd_run_grid(path: &str, json: &Json, quick: bool, shared: &Shared) -> Result<(), String> {
     let grid =
         crate::scenario_grid::ScenarioGrid::from_json(json).map_err(|e| format!("{path}: {e}"))?;
-    let quick = args.flag("quick");
     let cells = grid.profile_cells(quick);
     println!("== avc run {path} ==");
     println!(
@@ -691,10 +658,10 @@ fn cmd_run_grid(path: &str, json: &Json, args: &Args) -> Result<(), String> {
         cells.len(),
         grid.cells.len()
     );
-    let stats = collector(args);
+    let stats = &shared.stats;
     let plans: Vec<ScenarioPlan> = cells
         .iter()
-        .map(|cell| ScenarioPlan::new(cell.scenario.clone()).parallelism(args.parallelism()))
+        .map(|cell| ScenarioPlan::new(cell.scenario.clone()).parallelism(shared.parallelism))
         .collect();
     if let Some(first) = plans.first() {
         stats.queue(first);
@@ -705,7 +672,7 @@ fn cmd_run_grid(path: &str, json: &Json, args: &Args) -> Result<(), String> {
             stats.queue(next);
         }
         println!("\n-- cell {} --", cell.label);
-        wrong_total += run_scenario(plan, &stats);
+        wrong_total += run_scenario(plan, stats);
     }
     println!(
         "\ngrid {}: {} cell(s) ran, wrong_consensus={wrong_total}",
@@ -820,28 +787,32 @@ fn usage() -> String {
 #[must_use]
 pub fn main() -> i32 {
     let (positionals, args) = Args::from_env_with_positionals();
-    let command = positionals.first().map(String::as_str);
-    let target = positionals.get(1).map(String::as_str);
-    let outcome = match (command, target) {
-        (Some("sweep") | Some("resume"), Some(name)) => cmd_sweep(name, &args),
-        (Some("merge"), Some(name)) => cmd_merge(name, &args),
-        (Some("run"), Some(path)) => cmd_run(path, &args),
-        (Some("export"), Some(name)) => cmd_export(name, &args),
-        (Some("report"), Some(name)) => cmd_report(name, &args),
-        (Some("top"), name) => cmd_top(name, &args),
-        (Some("ls"), None) => cmd_ls(&args),
-        (Some("show"), Some(prefix)) => cmd_show(prefix, &args),
-        (Some("help") | None, _) => {
+    let words: Vec<&str> = positionals.iter().map(String::as_str).collect();
+    let outcome = match words[..] {
+        [] | ["help", ..] => {
             print!("{}", usage());
             Ok(())
         }
-        (
-            Some("sweep") | Some("resume") | Some("merge") | Some("export") | Some("report"),
-            None,
-        ) => Err("missing sweep name (see `avc help`)".to_string()),
-        (Some("run"), None) => Err("missing scenario file (see `avc help`)".to_string()),
-        (Some("show"), None) => Err("missing hash prefix (see `avc help`)".to_string()),
-        (Some(other), _) => Err(format!("unknown command `{other}` (see `avc help`)")),
+        ["sweep" | "resume", name] => cmd_sweep(name, &args),
+        ["merge", name] => cmd_merge(name, &args),
+        ["run", path] => cmd_run(path, &args),
+        ["export", name] => cmd_export(name, &args),
+        ["report", name] => cmd_report(name, &args),
+        ["top"] => cmd_top(None, &args),
+        ["top", name] => cmd_top(Some(name), &args),
+        ["ls"] => cmd_ls(&args),
+        ["show", prefix] => cmd_show(prefix, &args),
+        ["sweep" | "resume" | "merge" | "export" | "report"] => {
+            Err("missing sweep name (see `avc help`)".to_string())
+        }
+        ["run"] => Err("missing scenario file (see `avc help`)".to_string()),
+        ["show"] => Err("missing hash prefix (see `avc help`)".to_string()),
+        [command @ "ls", extra, ..]
+        | [command @ ("sweep" | "resume" | "merge" | "run"), _, extra, ..]
+        | [command @ ("export" | "report" | "top" | "show"), _, extra, ..] => {
+            Err(format!("{command}: unexpected argument `{extra}`"))
+        }
+        [other, ..] => Err(format!("unknown command `{other}` (see `avc help`)")),
     };
     match outcome {
         Ok(()) => 0,

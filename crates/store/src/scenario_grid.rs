@@ -33,7 +33,7 @@
 use crate::record::CellResult;
 use crate::specs::{Sweep, SweepCell};
 use crate::sweep::{Export, Plan};
-use avc_analysis::cli::Args;
+use avc_analysis::cli::{Args, FlagError};
 use avc_analysis::harness::spec_states;
 use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
@@ -241,14 +241,21 @@ const COLUMNS: [&str; 17] = [
 pub fn load_plan(path: &str, args: &Args) -> Result<Plan, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let grid = ScenarioGrid::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    Ok(plan_of(&grid, args))
+    try_plan_of(&grid, args).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Builds the [`Plan`] for a parsed grid: one generic row per cell (its
 /// scenario, verdict tally and time statistics) and a wrong-consensus
-/// trailer.
+/// trailer. A `--serial`/`--threads` choice that cannot run panics: this is
+/// the surface the `sweep_bench` benchmark drives, and [`load_plan`]
+/// returns the error instead.
 #[must_use]
 pub fn plan_of(grid: &ScenarioGrid, args: &Args) -> Plan {
+    try_plan_of(grid, args).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`plan_of`], returning the error of a bad `--serial`/`--threads`.
+fn try_plan_of(grid: &ScenarioGrid, args: &Args) -> Result<Plan, FlagError> {
     let quick = args.flag("quick");
     let stem = grid.name.clone();
     let cells = grid
@@ -305,7 +312,7 @@ pub fn plan_of(grid: &ScenarioGrid, args: &Args) -> Plan {
         grid.banner.clone()
     };
     let title = grid.banner.clone();
-    Sweep {
+    Ok(Sweep {
         name: grid.name.clone(),
         banner,
         cells,
@@ -320,7 +327,7 @@ pub fn plan_of(grid: &ScenarioGrid, args: &Args) -> Plan {
             }
         }),
     }
-    .plan(args.parallelism())
+    .plan(args.parallelism()?))
 }
 
 #[cfg(test)]

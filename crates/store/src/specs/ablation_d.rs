@@ -18,11 +18,11 @@ use avc_protocols::Avc;
 /// seeded with `seed + i`.
 pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
-    let n = args.get_u64("n", if quick { 1_001 } else { 10_001 });
-    let budget = args.get_u64("budget", if quick { 24 } else { 64 });
+    let n = args.get_u64("n", if quick { 1_001 } else { 10_001 })?;
+    let budget = args.get_u64("budget", if quick { 24 } else { 64 })?;
     let ds: &[u32] = if quick { &[1, 4] } else { &[1, 2, 4, 8, 16] };
     let runs = runs_flag(args, if quick { 9 } else { 25 })?;
-    let seed = args.get_u64("seed", 6);
+    let seed = args.get_u64("seed", 6)?;
     let instance = one_extra("n", n)?;
     let mut cells = Vec::new();
     for (i, &d) in ds.iter().enumerate() {

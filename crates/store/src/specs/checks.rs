@@ -245,7 +245,7 @@ pub(super) fn mc_avc(args: &Args) -> Result<Sweep, FlagError> {
 /// MC-1: no symmetric three-state protocol solves exact majority on every
 /// instance up to `--max-n` agents (MNRS14).
 pub(super) fn mc_three_state(args: &Args) -> Result<Sweep, FlagError> {
-    let max_n = args.get_u64("max-n", if args.flag("quick") { 5 } else { 7 });
+    let max_n = args.get_u64("max-n", if args.flag("quick") { 5 } else { 7 })?;
     if max_n < 5 {
         return Err(FlagError::new(
             "max-n",

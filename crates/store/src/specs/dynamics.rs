@@ -45,12 +45,12 @@ const STATISTICS: [&str; 8] = [
 /// samples), `--seed`. The run draws from `SmallRng::seed_from_u64(seed)`.
 pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
-    let n = args.get_u64("n", if quick { 1_001 } else { 100_001 });
-    let m = args.get_u64("m", if quick { 63 } else { 1_023 });
-    let d = args.get_u64("d", 1);
-    let epsilon = args.get_f64("eps", if quick { 0.01 } else { 1e-3 });
-    let cadence = args.get_u64("cadence", if quick { 2_000 } else { 50_000 });
-    let seed = args.get_u64("seed", 2);
+    let n = args.get_u64("n", if quick { 1_001 } else { 100_001 })?;
+    let m = args.get_u64("m", if quick { 63 } else { 1_023 })?;
+    let d = args.get_u64("d", 1)?;
+    let epsilon = args.get_f64("eps", if quick { 0.01 } else { 1e-3 })?;
+    let cadence = args.get_u64("cadence", if quick { 2_000 } else { 50_000 })?;
+    let seed = args.get_u64("seed", 2)?;
     if !(epsilon > 0.0 && epsilon <= 1.0) {
         return Err(FlagError::new(
             "eps",

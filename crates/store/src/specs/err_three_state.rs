@@ -31,14 +31,14 @@ fn bernoulli_kl(p: f64, q: f64) -> f64 {
 /// `seed + 100·ni + ei`; trials run to the terminal all-`x`/all-`y` state.
 pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
-    let ns = args.get_u64_list("ns", if quick { &[1_001] } else { &[1_001, 10_001] });
+    let ns = args.get_u64_list("ns", if quick { &[1_001] } else { &[1_001, 10_001] })?;
     let epsilons: &[f64] = if quick {
         &[0.01, 0.1]
     } else {
         &[0.001, 0.005, 0.01, 0.02, 0.03, 0.05, 0.08]
     };
     let runs = runs_flag(args, if quick { 60 } else { 400 })?;
-    let seed = args.get_u64("seed", 55);
+    let seed = args.get_u64("seed", 55)?;
     let mut cells = Vec::new();
     for (ni, &n) in ns.iter().enumerate() {
         for (ei, &eps) in epsilons.iter().enumerate() {

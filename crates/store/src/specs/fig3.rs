@@ -38,9 +38,9 @@ pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
         } else {
             &[11, 101, 1_001, 10_001, 100_001]
         },
-    );
+    )?;
     let runs = runs_flag(args, if quick { 11 } else { 101 })?;
-    let seed = args.get_u64("seed", 2015);
+    let seed = args.get_u64("seed", 2015)?;
     let mut cells = Vec::new();
     for (ni, &n) in ns.iter().enumerate() {
         let instance = one_extra("ns", n)?;

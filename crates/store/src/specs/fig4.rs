@@ -31,7 +31,7 @@ const PAPER_STATE_COUNTS: [u64; 13] = [
 /// paper's range 10⁻⁵ … 10⁻⁰·⁵.
 pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
-    let n = args.get_u64("n", if quick { 10_001 } else { 100_001 });
+    let n = args.get_u64("n", if quick { 10_001 } else { 100_001 })?;
     let state_counts = args.get_u64_list(
         "states",
         if quick {
@@ -39,7 +39,7 @@ pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
         } else {
             &PAPER_STATE_COUNTS
         },
-    );
+    )?;
     let epsilons: &[f64] = if quick {
         &[1e-3, 1e-2, 1e-1]
     } else {
@@ -48,7 +48,7 @@ pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
         ]
     };
     let runs = runs_flag(args, if quick { 5 } else { 15 })?;
-    let seed = args.get_u64("seed", 4);
+    let seed = args.get_u64("seed", 4)?;
     let mut cells = Vec::new();
     let mut avc_states = Vec::new();
     for (si, &s_requested) in state_counts.iter().enumerate() {

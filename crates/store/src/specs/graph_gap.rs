@@ -70,10 +70,10 @@ fn topology(index: usize, n: usize, seed: u64) -> Graph {
 /// `i`; runs that hit the step budget are reported as timeouts.
 pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
-    let n = args.get_u64("n", if quick { 24 } else { 300 });
+    let n = args.get_u64("n", if quick { 24 } else { 300 })?;
     let epsilon = if quick { 0.5 } else { 0.2 };
     let runs = runs_flag(args, if quick { 5 } else { 25 })?;
-    let seed = args.get_u64("seed", 23);
+    let seed = args.get_u64("seed", 23)?;
     let max_steps: u64 = if quick { 100_000_000 } else { 4_000_000_000 };
     if n <= DEGREE as u64 {
         return Err(FlagError::new(
@@ -81,7 +81,7 @@ pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
             format!("{n} agents: a random {DEGREE}-regular graph needs n > {DEGREE}"),
         ));
     }
-    let parallelism = args.parallelism();
+    let parallelism = args.parallelism()?;
     let mut cells = Vec::new();
     for (index, label) in labels(n as usize).into_iter().enumerate() {
         let params = vec![

@@ -18,14 +18,14 @@ use avc_population::{ProtocolSpec, Scenario};
 /// Flags: `--n`, `--runs`, `--seed`. Margin `i` is seeded with `seed + i`.
 pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
-    let n = args.get_u64("n", if quick { 2_001 } else { 100_001 });
+    let n = args.get_u64("n", if quick { 2_001 } else { 100_001 })?;
     let epsilons: &[f64] = if quick {
         &[1e-3, 1e-2, 1e-1]
     } else {
         &[1e-5, 3.16e-5, 1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2]
     };
     let runs = runs_flag(args, if quick { 9 } else { 25 })?;
-    let seed = args.get_u64("seed", 77);
+    let seed = args.get_u64("seed", 77)?;
     let mut cells = Vec::new();
     for (i, &eps) in epsilons.iter().enumerate() {
         let scenario = Scenario::new(ProtocolSpec::FourState, with_margin("n", n, eps)?)

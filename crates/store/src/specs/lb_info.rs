@@ -30,10 +30,10 @@ pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
         } else {
             &[100, 1_000, 10_000, 100_000, 1_000_000]
         },
-    );
+    )?;
     let runs = runs_flag(args, 101)?;
-    let seed = args.get_u64("seed", 12);
-    let parallelism = args.parallelism();
+    let seed = args.get_u64("seed", 12)?;
+    let parallelism = args.parallelism()?;
     let mut cells = Vec::new();
     for (i, &n) in ns.iter().enumerate() {
         if n <= SEED_SET {

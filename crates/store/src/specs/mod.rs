@@ -26,12 +26,11 @@ mod robustness;
 use crate::manifest::Manifest;
 use crate::record::{CellResult, TrialSummary};
 use crate::sweep::{Cell, Export, Plan};
-use avc_analysis::cli::Args;
+use avc_analysis::cli::{Args, FlagError};
 use avc_analysis::harness::{Parallelism, ScenarioPlan, StatsCollector, TrialResults};
 use avc_analysis::stats::Summary;
 use avc_population::{ConvergenceRule, MajorityInstance, Scenario};
 use avc_protocols::Avc;
-use std::fmt;
 
 /// A registered sweep: the name `avc sweep` takes, its `avc help` line and
 /// the spec that declares it from parsed flags.
@@ -102,37 +101,12 @@ pub const SWEEPS: [Registered; 11] = [
     },
 ];
 
-/// A sweep flag whose value no plan can run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlagError {
-    /// The flag, without its leading `--`.
-    pub flag: &'static str,
-    /// Why its value cannot run.
-    pub reason: String,
-}
-
-impl FlagError {
-    fn new(flag: &'static str, reason: impl fmt::Display) -> FlagError {
-        FlagError {
-            flag,
-            reason: reason.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for FlagError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "--{}: {}", self.flag, self.reason)
-    }
-}
-
-impl std::error::Error for FlagError {}
-
 /// Builds the plan for a named sweep from parsed flags: `None` for an
-/// unknown name, an error naming the flag whose value cannot run.
+/// unknown name, an error naming the flag whose value does not parse or
+/// cannot run.
 pub fn try_build(name: &str, args: &Args) -> Option<Result<Plan, FlagError>> {
     let spec = SWEEPS.iter().find(|spec| spec.name == name)?;
-    Some((spec.declare)(args).map(|sweep| sweep.plan(args.parallelism())))
+    Some((spec.declare)(args).and_then(|sweep| Ok(sweep.plan(args.parallelism()?))))
 }
 
 /// [`try_build`] with a bad flag value panicking: the surface the
@@ -324,7 +298,7 @@ fn cell_rows<const T: usize, const V: usize>(
 /// The `--runs` flag (`default` when absent): a cell summarises at least
 /// one run.
 fn runs_flag(args: &Args, default: u64) -> Result<u64, FlagError> {
-    match args.get_u64("runs", default) {
+    match args.get_u64("runs", default)? {
         0 => Err(FlagError::new("runs", "0 runs: a cell needs at least one")),
         runs => Ok(runs),
     }

@@ -115,10 +115,10 @@ fn perturbations(n: u64, from: StateId, to: StateId) -> Vec<Perturbation> {
 /// `pi · perturbations + si` of `seed`, so it reruns identically alone.
 pub(super) fn sweep(args: &Args) -> Result<Sweep, FlagError> {
     let quick = args.flag("quick");
-    let n = args.get_u64("n", if quick { 41 } else { 201 });
+    let n = args.get_u64("n", if quick { 41 } else { 201 })?;
     let epsilon = if quick { 0.5 } else { 0.2 };
     let runs = runs_flag(args, if quick { 6 } else { 25 })?;
-    let seed = args.get_u64("seed", 77);
+    let seed = args.get_u64("seed", 77)?;
     let max_steps = if quick { 10_000_000 } else { 100_000_000 };
     let instance = with_margin("n", n, epsilon)?;
     let mut cells = Vec::new();

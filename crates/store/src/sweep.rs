@@ -73,13 +73,9 @@ impl Shard {
     ///
     /// Describes the malformed input.
     pub fn parse(text: &str) -> Result<Shard, String> {
-        let (index, count) = text
-            .split_once('/')
-            .ok_or_else(|| format!("shard `{text}` is not of the form i/k"))?;
-        let parse = |s: &str| {
-            s.parse::<u64>()
-                .map_err(|_| format!("shard `{text}` is not of the form i/k"))
-        };
+        let malformed = || format!("`{text}` is not of the form i/k");
+        let (index, count) = text.split_once('/').ok_or_else(malformed)?;
+        let parse = |s: &str| s.parse::<u64>().map_err(|_| malformed());
         Shard::new(parse(index)?, parse(count)?)
     }
 

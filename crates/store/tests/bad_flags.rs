@@ -1,10 +1,13 @@
-//! A sweep flag whose value no plan can run, a flag read for a value but
-//! given without one, or a flag that neither the sweep nor the command
-//! reads, makes every command that builds the plan print `avc: <sweep>:
-//! --<flag>: …` and exit 1, before any store is touched. The commands that
-//! build no plan (`run`, `ls`, `show`, a name-less `top`) reject the last
-//! two kinds as `avc: <command>: --<flag>: …` before anything runs. An
-//! export that cannot write a CSV names it and exits 1 too.
+//! A flag value that does not parse or that no plan can run, a flag read
+//! for a value but given without one, a flag that neither the sweep nor
+//! the command reads, or a token nothing consumed makes every command that
+//! builds the plan print one line `avc: <sweep>: --<flag>: …` and exit 1,
+//! before anything is printed or any store is touched. The commands that
+//! build no plan (`run`, `ls`, `show`, a name-less `top`) reject bad flags
+//! as `avc: <command>: --<flag>: …` before anything runs, and every command
+//! rejects a positional argument it does not take as `avc: <command>:
+//! unexpected argument …`. An export that cannot write a CSV names it and
+//! exits 1 too.
 
 use std::process::Command;
 
@@ -12,11 +15,12 @@ use std::process::Command;
 fn bad_sweep_flags_exit_one_naming_the_flag() {
     let out = std::env::temp_dir().join(format!("avc-bad-flags-{}", std::process::id()));
     let out = out.to_str().expect("utf-8 temp path");
-    // The last two cases pass a flag nothing reads: `--max_n` misspells
+    // Two cases pass a flag nothing reads: `--max_n` misspells
     // mc_three_state's `--max-n`, and mc_avc takes no `--runs`. Every
     // command but merge leaves `--stores` unread too; the message names
-    // the first unread flag in sorted order.
-    let cases: [(&str, &[&str], &str); 29] = [
+    // the first unread flag in sorted order. The last six give values
+    // that do not parse and shared flags that cannot run.
+    let cases: [(&str, &[&str], &str); 35] = [
         ("fig3", &["--ns", "10"], "ns"),
         ("fig3", &["--ns", "2"], "ns"),
         ("fig3", &["--runs", "0"], "runs"),
@@ -46,6 +50,12 @@ fn bad_sweep_flags_exit_one_naming_the_flag() {
         ("mc_three_state", &["--max-n", "4"], "max-n"),
         ("mc_three_state", &["--max_n", "3"], "max_n"),
         ("mc_avc", &["--quick", "--runs", "0"], "runs"),
+        ("fig3", &["--runs", "many"], "runs"),
+        ("fig3", &["--ns", "11,x"], "ns"),
+        ("fig3", &["--threads", "0"], "threads"),
+        ("fig3", &["--threads", "x"], "threads"),
+        ("fig3", &["--serial", "--threads", "2"], "threads"),
+        ("fig3", &["--shard", "x"], "shard"),
     ];
     // A value flag given bare, mid-line or last, is reported before any
     // unread flag (here `--stores`).
@@ -78,8 +88,13 @@ fn bad_sweep_flags_exit_one_naming_the_flag() {
                 "avc {command} {name} {flags:?}: {stderr}"
             );
             assert!(
-                stderr.starts_with(&message),
+                stderr.starts_with(&message) && stderr.lines().count() == 1,
                 "avc {command} {name} {flags:?}: {stderr}"
+            );
+            assert!(
+                output.stdout.is_empty(),
+                "avc {command} {name} {flags:?} ran: {}",
+                String::from_utf8_lossy(&output.stdout)
             );
         }
     }
@@ -98,8 +113,11 @@ fn commands_without_a_plan_reject_flags_they_do_not_read() {
     let grid = format!("{examples}/rivals_margin1.grid.json");
     let (scenario, grid) = (scenario.as_str(), grid.as_str());
     // `--quick` is a flag of grid files only; `--threads` and `--store`
-    // are shared flags that take a value.
-    let cases: [(&[&str], &str); 10] = [
+    // are shared flags that take a value. Then two sweeps are given a word
+    // nothing consumes, which is reported after any unread flag (so not in
+    // the table above, where `--stores` is unread), and the last three
+    // commands a positional argument they do not take.
+    let cases: [(&[&str], &str); 17] = [
         (
             &["run", scenario, "--runs", "0", "--sed", "3"],
             "run: --runs: the command does not read it",
@@ -137,6 +155,31 @@ fn commands_without_a_plan_reject_flags_they_do_not_read() {
             &["top", "--store", "--watch"],
             "top: --store: needs a value",
         ),
+        (
+            &["top", "--last", "x"],
+            "top: --last: expects an integer, got `x`",
+        ),
+        (
+            &["run", scenario, "--threads", "x"],
+            "run: --threads: expects an integer, got `x`",
+        ),
+        (
+            &["sweep", "mc_three_state", "--quick", "1"],
+            "mc_three_state: --quick: unexpected argument `1`",
+        ),
+        (
+            &["sweep", "fig3", "--runs", "4", "5"],
+            "fig3: --runs: unexpected argument `5`",
+        ),
+        (
+            &["sweep", "mc_three_state", "mc_avc", "--quick"],
+            "sweep: unexpected argument `mc_avc`",
+        ),
+        (
+            &["run", scenario, "b.json"],
+            "run: unexpected argument `b.json`",
+        ),
+        (&["ls", "extra"], "ls: unexpected argument `extra`"),
     ];
     for (command, message) in cases {
         let output = Command::new(env!("CARGO_BIN_EXE_avc"))

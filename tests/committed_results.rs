@@ -13,8 +13,8 @@
 //! held to the exact expected times of their absorbing chains, and its
 //! three_state error rows at n = 11 and 101 to the exact probability of
 //! the wrong consensus. The other tests only read the committed full-size
-//! CSVs of lb_info, graph_gap, dynamics and the model checks, and check
-//! the shape each artifact exists to show.
+//! CSVs of fig3, lb_info, graph_gap, dynamics and the model checks, and
+//! check the shape each artifact exists to show.
 
 use avc::analysis::cli::Args;
 use avc::analysis::harness::StatsCollector;
@@ -159,6 +159,45 @@ fn model_checks_hold() {
     }
     let mc_three_state = Committed::read("mc_three_state");
     assert_eq!(mc_three_state.numbers("survivors"), [0.0]);
+}
+
+/// fig3's committed `stem` rows of the protocol whose label starts with
+/// `prefix`, as `(n, value of column)` pairs in file order.
+fn fig3_column(stem: &str, prefix: &str, column: &str) -> Vec<(f64, f64)> {
+    let fig3 = Committed::read(stem);
+    let protocols = fig3.text("protocol");
+    let rows = fig3.numbers("n").into_iter().zip(fig3.numbers(column));
+    let rows = rows
+        .zip(protocols)
+        .filter(|(_, protocol)| protocol.starts_with(prefix));
+    rows.map(|(row, _)| row).collect()
+}
+
+#[test]
+fn fig3_exact_protocols_never_reach_a_wrong_consensus() {
+    for exact in ["4-state", "avc("] {
+        let errors = fig3_column("fig3_error", exact, "error_fraction");
+        assert_eq!(errors.len(), 5, "{exact}: one row per n");
+        assert!(errors.iter().all(|&(_, e)| e == 0.0), "{exact}: {errors:?}");
+        let runs = fig3_column("fig3_error", exact, "runs");
+        assert_eq!(runs.iter().map(|&(_, r)| r).sum::<f64>(), 505.0, "{exact}");
+    }
+}
+
+#[test]
+fn fig3_four_state_slowdown_over_avc_rises_with_n() {
+    let four_state = fig3_column("fig3_time", "4-state", "mean_parallel_time");
+    let avc = fig3_column("fig3_time", "avc(", "mean_parallel_time");
+    assert_eq!(four_state.len(), 5, "one four_state row per n");
+    let ratios: Vec<f64> = four_state
+        .iter()
+        .zip(&avc)
+        .map(|(&(n, slow), &(avc_n, fast))| {
+            assert_eq!(n, avc_n, "rows out of step");
+            slow / fast
+        })
+        .collect();
+    assert!(ratios.windows(2).all(|w| w[0] < w[1]), "{ratios:?}");
 }
 
 /// The largest |z| a committed fig3 time may show against its exact value:
