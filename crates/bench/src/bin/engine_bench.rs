@@ -9,21 +9,13 @@
 //! grid, the [`PROTOCOL_CELLS`] run the count engine at n = 100 001 on AVC
 //! at 130, 2050 and 16 340 states and on the largest BEF and DEGSSU of the
 //! rival grids, each behind the table only where it fits the `Cached`
-//! bound, as the harness dispatches it. The batch and profile regimes below
-//! run four_state.
+//! bound, as the harness dispatches it. The profile regime below runs
+//! four_state.
 //!
 //! Every repetition also times a **reference kernel** ([`reference_ms`]): a
 //! bench-local xoshiro256++ generator driving Fenwick-tree descents, which
 //! calls no repository code, so its time moves only when the machine does.
 //! A cell's `ref_ms` is that kernel's median over the cell's repetitions.
-//!
-//! A second, **batch** regime measures the trial-batch reuse seam on small-n
-//! cells: a slice of trials run with per-trial `build_erased` construction
-//! (the pre-reuse harness shape) versus one long-lived engine reset in
-//! place per trial. The two paths must produce identical per-trial outcomes,
-//! and the agent and count engines must clear a 1.15× construction-reuse
-//! floor at the smallest cell (where per-trial setup is a structural share
-//! of a trial).
 //!
 //! Flags: `--quick` (small population only, two AVC cells, fewer reps),
 //! `--out PATH` (write the JSON report), `--check PATH` (compare against a
@@ -67,17 +59,6 @@ const TOLERANCE: f64 = 1.25;
 /// The tighter bound `--check` holds the [`GATED_ENGINES`] cells to: the
 /// telemetry overhead gate (the `NoopSink` seam must compile to nothing).
 const SINK_TOLERANCE: f64 = 1.02;
-/// The minimum construction-reuse speedup the batch mode demands on the
-/// engines whose per-trial setup cost is structural (graph + agent vector
-/// for `agent`, Fenwick tree + boxes for `count`).
-const BATCH_FLOOR: f64 = 1.15;
-/// The engines the [`BATCH_FLOOR`] applies to.
-const BATCH_FLOOR_ENGINES: [&str; 2] = ["agent", "count"];
-/// The population the floor binds at. Construction cost is per-trial
-/// constant while run cost grows with n (a one-extra trial at n=5 converges
-/// in ~20 steps), so the smallest cell is where the reuse win is structural
-/// rather than noise; larger cells are reported ungated.
-const BATCH_FLOOR_N: u64 = 5;
 /// The hot-loop cells [`SINK_TOLERANCE`] covers: the two engines whose
 /// chunked loop pays a per-step cost, so any non-compiled-out `Sink` work
 /// shows up here first. Only their four_state cells are held to it.
@@ -289,120 +270,6 @@ fn run_chunked(spec: ProtocolSpec, engine: EngineKind, n: u64, max_steps: u64) -
     (elapsed, sim.steps(), sim.count_a())
 }
 
-/// One measured (engine, n) cell of the trial-batch mode: the same slice of
-/// trials run with per-trial construction versus one build plus
-/// `reset` per trial (the harness's batch loop since the reuse seam).
-struct BatchEntry {
-    engine: &'static str,
-    n: u64,
-    trials: u64,
-    steps: u64,
-    fresh_ms: f64,
-    reused_ms: f64,
-    /// Best per-repetition fresh/reused ratio. The [`BATCH_FLOOR`] gate
-    /// uses this rather than the median: the floor exists to catch a
-    /// *structural* regression (per-trial construction back in the loop),
-    /// which no repetition would survive, while single-rep scheduling
-    /// noise at microsecond trial lengths should not fail CI.
-    best_speedup: f64,
-}
-
-impl BatchEntry {
-    fn speedup(&self) -> f64 {
-        self.fresh_ms / self.reused_ms
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("engine", Json::str(self.engine)),
-            ("n", Json::Int(self.n as i64)),
-            ("trials", Json::Int(self.trials as i64)),
-            ("steps", Json::Int(self.steps as i64)),
-            ("fresh_ms", Json::str(format!("{:.3}", self.fresh_ms))),
-            ("reused_ms", Json::str(format!("{:.3}", self.reused_ms))),
-            ("speedup", Json::str(format!("{:.3}", self.speedup()))),
-            (
-                "best_speedup",
-                Json::str(format!("{:.3}", self.best_speedup)),
-            ),
-        ])
-    }
-}
-
-/// Runs `trials` trials the pre-reuse way: the `Cached` table is shared, but
-/// every trial pays `Config::from_input` + `build_erased` (config clone,
-/// engine state, scheduler, box) before it can run.
-fn time_fresh_batch(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64, u64)>) {
-    let inst = MajorityInstance::one_extra(n);
-    let protocol = Cached::new(FourState);
-    let driver = Driver::new(RULE).with_max_steps(max_steps(engine, n));
-    let mut outcomes = Vec::with_capacity(trials as usize);
-    let started = Instant::now();
-    for trial in 0..trials {
-        let config = Config::from_input(&FourState, inst.a(), inst.b());
-        let mut sim = build_erased(&protocol, config, engine, &SchedulerSpec::Uniform)
-            .expect("the uniform scheduler is valid for every engine");
-        let mut rng = SmallRng::seed_from_u64(SEED ^ trial);
-        let _ = driver.run(sim.as_mut(), &mut rng, &mut NullObserver);
-        outcomes.push((sim.steps(), sim.count_a()));
-    }
-    (started.elapsed().as_secs_f64() * 1e3, outcomes)
-}
-
-/// Runs the same `trials` trials through one long-lived engine reset in
-/// place before each trial — the reuse seam's shape. The single build is
-/// timed too, so the comparison charges the reused path its setup.
-fn time_reused_batch(engine: EngineKind, n: u64, trials: u64) -> (f64, Vec<(u64, u64)>) {
-    let inst = MajorityInstance::one_extra(n);
-    let protocol = Cached::new(FourState);
-    let driver = Driver::new(RULE).with_max_steps(max_steps(engine, n));
-    let mut outcomes = Vec::with_capacity(trials as usize);
-    let started = Instant::now();
-    let config = Config::from_input(&FourState, inst.a(), inst.b());
-    let mut sim = build_erased(&protocol, config.clone(), engine, &SchedulerSpec::Uniform)
-        .expect("the uniform scheduler is valid for every engine");
-    for trial in 0..trials {
-        sim.reset(&config);
-        let mut rng = SmallRng::seed_from_u64(SEED ^ trial);
-        let _ = driver.run(sim.as_mut(), &mut rng, &mut NullObserver);
-        outcomes.push((sim.steps(), sim.count_a()));
-    }
-    (started.elapsed().as_secs_f64() * 1e3, outcomes)
-}
-
-/// Measures one batch cell; both paths must produce identical per-trial
-/// (steps, majority count) sequences — the fresh-equivalence contract of
-/// `reset`, asserted here on every repetition.
-fn measure_batch(engine: EngineKind, n: u64, trials: u64, reps: usize) -> BatchEntry {
-    let mut fresh = Vec::with_capacity(reps);
-    let mut reused = Vec::with_capacity(reps);
-    let mut steps = 0;
-    let mut best_speedup: f64 = 0.0;
-    for _ in 0..reps {
-        let (ft, fo) = time_fresh_batch(engine, n, trials);
-        let (rt, ro) = time_reused_batch(engine, n, trials);
-        assert_eq!(
-            fo,
-            ro,
-            "{}/{n}: fresh and reused trial batches diverged",
-            engine.name()
-        );
-        steps = fo.iter().map(|(s, _)| s).sum();
-        best_speedup = best_speedup.max(ft / rt);
-        fresh.push(ft);
-        reused.push(rt);
-    }
-    BatchEntry {
-        engine: engine.name(),
-        n,
-        trials,
-        steps,
-        fresh_ms: median(&mut fresh),
-        reused_ms: median(&mut reused),
-        best_speedup,
-    }
-}
-
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
@@ -578,12 +445,7 @@ fn measure(spec: ProtocolSpec, engine: EngineKind, n: u64, max_steps: u64, reps:
 /// four_state cell (the reports before the [`PROTOCOL_CELLS`]). Every cell
 /// is checked before the verdict, so one run names all the cells over
 /// their ceiling, and every committed cell this run did not measure is
-/// named as skipped. Batch cells are deliberately
-/// *not* compared against the committed report: their microsecond-scale
-/// trials make run-to-run medians too noisy for a ratio gate, and the
-/// absolute [`BATCH_FLOOR`] check (which runs on every invocation,
-/// `--check` or not) already catches the structural regression —
-/// construction creeping back into the per-trial loop.
+/// named as skipped.
 fn check(entries: &[Entry], committed_path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(committed_path)
         .map_err(|e| format!("cannot read {committed_path}: {e}"))?;
@@ -699,43 +561,6 @@ fn main() {
         entries.push(entry);
     }
 
-    // Trial-batch mode: small-n fig3-shaped cells, where per-trial
-    // construction is a visible share of a trial and the reuse seam's win
-    // must show. The floor only binds on the engines with structural setup
-    // cost; the rest are reported for the record.
-    let (batch_ns, batch_trials): (&[u64], u64) = if quick {
-        (&[5, 11], 2048)
-    } else {
-        (&[5, 11], 4096)
-    };
-    let mut batch_entries = Vec::new();
-    for &n in batch_ns {
-        for engine in EngineKind::CONCRETE {
-            let entry = measure_batch(engine, n, batch_trials, reps);
-            println!(
-                "{:>8} n={:<7} batch of {}: fresh {:>9.3} ms  reused {:>9.3} ms  speedup {:.3}x (best {:.3}x)",
-                entry.engine,
-                entry.n,
-                entry.trials,
-                entry.fresh_ms,
-                entry.reused_ms,
-                entry.speedup(),
-                entry.best_speedup
-            );
-            if entry.n == BATCH_FLOOR_N
-                && BATCH_FLOOR_ENGINES.contains(&entry.engine)
-                && entry.best_speedup < BATCH_FLOOR
-            {
-                eprintln!(
-                    "batch floor FAILED: {}/{} at {:.3}x best-of-reps, floor {BATCH_FLOOR}x",
-                    entry.engine, entry.n, entry.best_speedup
-                );
-                std::process::exit(1);
-            }
-            batch_entries.push(entry);
-        }
-    }
-
     let mut profiles = Vec::new();
     if profiling {
         for &n in ns {
@@ -763,10 +588,6 @@ fn main() {
         (
             "entries",
             Json::Arr(entries.iter().map(Entry::to_json).collect()),
-        ),
-        (
-            "batch",
-            Json::Arr(batch_entries.iter().map(BatchEntry::to_json).collect()),
         ),
     ];
     if !profiles.is_empty() {

@@ -49,9 +49,9 @@ const SWITCH_DIVISOR: u64 = 16;
 pub struct AdaptiveSim<P: Protocol + Clone, T = NoopSink> {
     dense: CountSim<P>,
     /// Allocated at the first dense→sparse switch and retained across
-    /// [`Simulator::reset`], so reused trial batches switch phases
-    /// without reconstructing a `JumpSim`. Stale (ignored) while
-    /// `in_sparse` is false.
+    /// [`Simulator::reset`]; later switches refill it in place from the
+    /// dense counts, so reused trial batches switch phases without
+    /// allocating. Stale (ignored) while `in_sparse` is false.
     sparse: Option<JumpSim<P>>,
     in_sparse: bool,
     window_start_steps: u64,
@@ -121,12 +121,14 @@ impl<P: Protocol + Clone, T: Sink> AdaptiveSim<P, T> {
         self.window_start_steps = steps;
         self.window_start_events = events;
         if productive < WINDOW / SWITCH_DIVISOR {
-            let config = self.dense.config();
+            let counts = self.dense.counts();
             match &mut self.sparse {
-                // A retained JumpSim from an earlier trial: reset replays
-                // exactly like a fresh build, so the handoff is unchanged.
-                Some(jump) => jump.reset(&config),
+                // A retained JumpSim from an earlier trial, refilled in
+                // place: it replays exactly like a fresh build, so the
+                // handoff is unchanged and allocates nothing.
+                Some(jump) => jump.reset_counts(counts),
                 None => {
+                    let config = Config::from_counts(counts.to_vec());
                     self.sparse = Some(JumpSim::new(self.dense.protocol().clone(), config));
                 }
             }
@@ -241,8 +243,8 @@ impl<P: Protocol + Clone, T: Sink> Simulator for AdaptiveSim<P, T> {
     fn reset(&mut self, config: &Config) {
         self.dense.reset(config);
         // The retained sparse engine (if any) stays allocated but ignored
-        // until the next dense→sparse switch resets it from the live
-        // configuration.
+        // until the next dense→sparse switch refills it from the live
+        // counts.
         self.in_sparse = false;
         self.window_start_steps = 0;
         self.window_start_events = 0;

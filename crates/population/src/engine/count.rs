@@ -115,11 +115,6 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
         &self.protocol
     }
 
-    /// The current configuration as an owned [`Config`].
-    pub fn config(&self) -> Config {
-        Config::from_counts(self.sampler.weights().to_vec())
-    }
-
     /// Moves `agents` agents from state `from` to state `to`: one
     /// [`FenwickSampler::shift`] for the single agent of a step, two `add`s
     /// for a fault's batch. The caller clears `unanimous` first.

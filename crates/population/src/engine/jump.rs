@@ -127,7 +127,8 @@ impl<P: Protocol> JumpSim<P> {
     /// # Panics
     ///
     /// Panics if the configuration's state count differs from the
-    /// protocol's, or the population has fewer than two agents.
+    /// protocol's, the population has fewer than two agents, or its
+    /// `n(n−1)` ordered pairs overflow a `u64` (`n` above `u32::MAX + 1`).
     pub fn new(protocol: P, config: Config) -> JumpSim<P> {
         let s = protocol.num_states() as usize;
         let mut sim = JumpSim {
@@ -186,11 +187,6 @@ impl<P: Protocol, T: Sink> JumpSim<P, T> {
         &self.protocol
     }
 
-    /// The current configuration as an owned [`Config`].
-    pub fn config(&self) -> Config {
-        Config::from_counts(self.counts.clone())
-    }
-
     /// Number of live (nonzero-count) states; per-event cost is linear in
     /// this quantity.
     pub fn live_states(&self) -> usize {
@@ -203,6 +199,50 @@ impl<P: Protocol, T: Sink> JumpSim<P, T> {
     pub(crate) fn set_counters(&mut self, steps: u64, events: u64) {
         self.steps = steps;
         self.events = events;
+    }
+
+    /// [`Simulator::reset`] from per-state counts: refills the engine in
+    /// place, allocating nothing, so [`AdaptiveSim`](super::AdaptiveSim)
+    /// hands its live counts over without building a [`Config`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` does not have one entry per protocol state, if
+    /// they sum to fewer than two agents, or if the `n(n−1)` ordered pairs
+    /// overflow a `u64`.
+    pub(crate) fn reset_counts(&mut self, counts: &[u64]) {
+        assert_eq!(
+            counts.len(),
+            self.counts.len(),
+            "configuration does not match protocol state space"
+        );
+        let n = counts.iter().sum();
+        assert!(n >= 2, "need at least two agents, got {n}");
+        self.counts.copy_from_slice(counts);
+        (self.count_a, self.unanimous) = tally(&self.counts, &self.output_a, n);
+        self.n = n;
+        self.w_total = n
+            .checked_mul(n - 1)
+            .unwrap_or_else(|| panic!("n = {n} agents make more than 2^64 ordered pairs"));
+        // The memoized `ln(1−p)` is keyed on `w_prod` alone; a changed
+        // `w_total` would silently invalidate it, so start cold like a
+        // fresh engine.
+        self.geo = GeoCache::default();
+        self.steps = 0;
+        self.events = 0;
+        // Liveness and null rows, rebuilt in place.
+        self.live.clear();
+        self.live_pos.fill(NOT_LIVE);
+        for q in 0..self.protocol.num_states() {
+            if self.counts[q as usize] > 0 {
+                self.live_pos[q as usize] = self.live.len() as u32;
+                self.live.push(q);
+            }
+        }
+        for idx in 0..self.live.len() {
+            let q = self.live[idx];
+            self.null_row[q as usize] = self.compute_null_row(q);
+        }
     }
 
     /// The silent-pair predicate.
@@ -458,36 +498,7 @@ impl<P: Protocol, T: Sink> Simulator for JumpSim<P, T> {
     }
 
     fn reset(&mut self, config: &Config) {
-        assert_eq!(
-            config.num_states(),
-            self.protocol.num_states(),
-            "configuration does not match protocol state space"
-        );
-        let n = config.population();
-        assert!(n >= 2, "need at least two agents, got {n}");
-        self.counts.copy_from_slice(config.as_slice());
-        (self.count_a, self.unanimous) = tally(&self.counts, &self.output_a, n);
-        self.n = n;
-        self.w_total = n * (n - 1);
-        // The memoized `ln(1−p)` is keyed on `w_prod` alone; a changed
-        // `w_total` would silently invalidate it, so start cold like a
-        // fresh engine.
-        self.geo = GeoCache::default();
-        self.steps = 0;
-        self.events = 0;
-        // Liveness and null rows, rebuilt in place.
-        self.live.clear();
-        self.live_pos.fill(NOT_LIVE);
-        for q in 0..self.protocol.num_states() {
-            if self.counts[q as usize] > 0 {
-                self.live_pos[q as usize] = self.live.len() as u32;
-                self.live.push(q);
-            }
-        }
-        for idx in 0..self.live.len() {
-            let q = self.live[idx];
-            self.null_row[q as usize] = self.compute_null_row(q);
-        }
+        self.reset_counts(config.as_slice());
     }
 
     fn advance_chunk(&mut self, rng: &mut SmallRng, stop: StopCondition) -> AdvanceReport {
@@ -650,6 +661,16 @@ mod tests {
     #[should_panic(expected = "does not match protocol")]
     fn rejects_wrong_state_space() {
         let _ = JumpSim::new(Voter, Config::from_counts(vec![1, 2, 3]));
+    }
+
+    /// n(n−1) fits a u64 up to n = 2³², and a larger population panics
+    /// instead of wrapping its pair weights.
+    #[test]
+    #[should_panic(expected = "ordered pairs")]
+    fn rejects_populations_whose_pairs_overflow_a_u64() {
+        let largest = JumpSim::new(Voter, Config::from_counts(vec![1 << 31, 1 << 31]));
+        assert_eq!(largest.w_total, (1 << 32) * ((1 << 32) - 1));
+        let _ = JumpSim::new(Voter, Config::from_counts(vec![1 << 32, 1]));
     }
 
     /// The memoized geometric draw must be bit-identical to constructing

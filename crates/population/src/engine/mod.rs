@@ -309,7 +309,11 @@ pub trait Simulator {
     ///
     /// Implementations must not allocate on this path (beyond freeing
     /// state a fresh engine would not hold, e.g. a fault ledger from a
-    /// faulted previous trial).
+    /// faulted previous trial), nor in the fault-free trial that follows
+    /// once the engine is warm: `tests/reuse_reset.rs` counts the
+    /// allocations of warm `reset` + [`Driver::run`](crate::driver::Driver::run)
+    /// cycles on every engine and scheduler, and of the harness's batch
+    /// loop around them.
     ///
     /// # Panics
     ///

@@ -728,7 +728,7 @@ impl Scenario {
 
     /// Checks that the scenario runs at least one trial and that every
     /// trial can run: the scheduler suits the engine and the population,
-    /// the population fits the engine's counts, and every fault names
+    /// the population is at most `u32::MAX` agents, and every fault names
     /// agents and states that exist, on an engine that can apply it. Each
     /// of these would otherwise panic a trial worker or leave a batch with
     /// nothing to report; [`Scenario::from_json`] calls this, so no parsed
@@ -750,16 +750,13 @@ impl Scenario {
             ));
         }
         self.scheduler.validate(n)?;
-        let count_space = matches!(
-            self.engine,
-            EngineKind::Count | EngineKind::Auto | EngineKind::Adaptive
-        );
-        if count_space && n > u64::from(u32::MAX) {
+        // One bound for every engine: the count sampler holds at most
+        // `u32::MAX` agents, and the jump chain's `n(n−1)` pair weights must
+        // fit a `u64`.
+        if n > u64::from(u32::MAX) {
             return Err(format!(
-                "population n = {n} exceeds {}, the most agents the `{}` engine's count \
-                 sampler holds — set \"engine\": \"agent\" or \"jump\"",
-                u32::MAX,
-                self.engine
+                "population n = {n} exceeds {}, the most agents a scenario may have",
+                u32::MAX
             ));
         }
         let states = self.protocol.state_count();

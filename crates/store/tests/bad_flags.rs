@@ -6,8 +6,9 @@
 //! build no plan (`run`, `ls`, `show`, a name-less `top`) reject bad flags
 //! as `avc: <command>: --<flag>: …` before anything runs, and every command
 //! rejects a positional argument it does not take as `avc: <command>:
-//! unexpected argument …`. An export that cannot write a CSV names it and
-//! exits 1 too.
+//! unexpected argument …`. An export that cannot write a CSV names it, and
+//! `avc run` on a scenario of more than `u32::MAX` agents names the bound;
+//! both exit 1 too.
 
 use std::process::Command;
 
@@ -200,6 +201,52 @@ fn commands_without_a_plan_reject_flags_they_do_not_read() {
         !std::path::Path::new(out).exists(),
         "a rejected command touched the store"
     );
+}
+
+#[test]
+fn populations_past_the_bound_exit_one_naming_it() {
+    // Past u32::MAX agents, `jump`'s n(n−1) overflows a u64 and `agent`
+    // would ask for a 48 TB agent array: both fail at parse time.
+    let cases = [
+        ("jump", 4_294_967_297u64, 4_294_967_296u64),
+        ("agent", 6_000_000_000_001, 6_000_000_000_000),
+    ];
+    for (engine, a, b) in cases {
+        let path = std::env::temp_dir().join(format!(
+            "avc-population-bound-{engine}-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            format!(
+                r#"{{"protocol":"four_state","instance":{{"a":{a},"b":{b}}},"engine":"{engine}","rule":"output_consensus","runs":2,"seed":0}}"#
+            ),
+        )
+        .expect("write a scenario file");
+        let output = Command::new(env!("CARGO_BIN_EXE_avc"))
+            .arg("run")
+            .arg(&path)
+            .output()
+            .expect("spawn avc");
+        std::fs::remove_file(&path).expect("remove the scenario file");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{engine}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!(
+                "avc: {}: population n = {} exceeds 4294967295, the most agents a scenario \
+                 may have\n",
+                path.display(),
+                a + b
+            ),
+            "{engine}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{engine} ran: {}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+    }
 }
 
 #[test]

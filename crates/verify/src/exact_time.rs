@@ -234,26 +234,77 @@ mod tests {
     use super::*;
     use avc_population::engine::{CountSim, Simulator};
     use avc_population::rngutil::SeedSequence;
+    use avc_population::scenario::build_erased_with_sink;
+    use avc_population::telemetry::CountingSink;
+    use avc_population::{EngineKind, SchedulerSpec};
     use avc_protocols::{Avc, FourState, Voter};
 
-    fn simulate_mean<P: Protocol + Clone>(
+    /// The engines every exact-time row runs on: `auto` is the adaptive
+    /// engine, whose dense→sparse handoff must keep the chain exact too.
+    const ENGINES: [EngineKind; 4] = [
+        EngineKind::Agent,
+        EngineKind::Count,
+        EngineKind::Jump,
+        EngineKind::Auto,
+    ];
+
+    /// The mean steps to output consensus over `trials` seeded trials from
+    /// `(a, b)` on `engine`, built once through the scenario plane's builder
+    /// and reset before every trial as the harness does, and the phase
+    /// switches its sink counted over all of them.
+    fn simulate_mean<P: Protocol + Clone + 'static>(
         protocol: &P,
-        a: u64,
-        b: u64,
-        rule: ConvergenceRule,
+        (a, b): (u64, u64),
+        engine: EngineKind,
         trials: u64,
-    ) -> f64 {
+    ) -> (f64, u64) {
         let seeds = SeedSequence::new(99);
+        let config = Config::from_input(protocol, a, b);
+        let mut sim = build_erased_with_sink(
+            protocol.clone(),
+            config.clone(),
+            engine,
+            &SchedulerSpec::Uniform,
+            CountingSink::new(),
+        )
+        .expect("every engine runs the uniform scheduler");
         let mut total = 0.0;
         for t in 0..trials {
-            let mut rng = seeds.rng_for(t);
-            let config = Config::from_input(protocol, a, b);
-            let mut sim = CountSim::new(protocol.clone(), config);
-            let out = sim.run_to_consensus_with(&mut rng, u64::MAX, rule);
+            sim.reset(&config);
+            let rule = ConvergenceRule::OutputConsensus;
+            let out = sim.run_to_consensus_with(&mut seeds.rng_for(t), u64::MAX, rule);
             assert!(out.verdict.is_consensus());
             total += out.steps as f64;
         }
-        total / trials as f64
+        let switches = sim.sink_counts().expect("an owned sink").switches;
+        (total / trials as f64, switches)
+    }
+
+    /// Holds every engine's mean steps from `(a, b)` within 5% of the exact
+    /// chain's, and returns `auto`'s phase switches.
+    fn every_engine_matches_exact<P: Protocol + Clone + 'static>(
+        protocol: &P,
+        (a, b): (u64, u64),
+        max_configs: usize,
+        trials: u64,
+    ) -> u64 {
+        let initial = Config::from_input(protocol, a, b);
+        let rule = ConvergenceRule::OutputConsensus;
+        let exact = expected_steps_to_convergence(protocol, &initial, rule, max_configs)
+            .unwrap()
+            .unwrap();
+        let mut auto_switches = 0;
+        for engine in ENGINES {
+            let (simulated, switches) = simulate_mean(protocol, (a, b), engine, trials);
+            assert!(
+                (exact - simulated).abs() / exact < 0.05,
+                "{engine}: exact {exact} vs simulated {simulated}"
+            );
+            if engine == EngineKind::Auto {
+                auto_switches = switches;
+            }
+        }
+        auto_switches
     }
 
     #[test]
@@ -350,54 +401,27 @@ mod tests {
 
     #[test]
     fn exact_matches_simulation_for_voter() {
-        let exact = expected_steps_to_convergence(
-            &Voter,
-            &Config::from_input(&Voter, 4, 3),
-            ConvergenceRule::OutputConsensus,
-            10_000,
-        )
-        .unwrap()
-        .unwrap();
-        let simulated = simulate_mean(&Voter, 4, 3, ConvergenceRule::OutputConsensus, 4_000);
-        assert!(
-            (exact - simulated).abs() / exact < 0.05,
-            "exact {exact} vs simulated {simulated}"
-        );
+        every_engine_matches_exact(&Voter, (4, 3), 10_000, 4_000);
     }
 
     #[test]
     fn exact_matches_simulation_for_four_state() {
-        let exact = expected_steps_to_convergence(
-            &FourState,
-            &Config::from_input(&FourState, 5, 3),
-            ConvergenceRule::OutputConsensus,
-            100_000,
-        )
-        .unwrap()
-        .unwrap();
-        let simulated = simulate_mean(&FourState, 5, 3, ConvergenceRule::OutputConsensus, 4_000);
-        assert!(
-            (exact - simulated).abs() / exact < 0.05,
-            "exact {exact} vs simulated {simulated}"
-        );
+        every_engine_matches_exact(&FourState, (5, 3), 100_000, 4_000);
+    }
+
+    /// At n = 41 the late, quiet phase lasts long enough for `auto` to hand
+    /// over to the jump chain in a quarter of the trials, so the handoff is
+    /// held to the exact chain too (E[T] = 3 494.7 steps).
+    #[test]
+    fn exact_matches_simulation_for_four_state_across_auto_handoff() {
+        let switches = every_engine_matches_exact(&FourState, (21, 20), 100_000, 2_000);
+        assert!(switches > 0, "`auto` never switched phase");
     }
 
     #[test]
     fn exact_matches_simulation_for_avc() {
         let avc = Avc::new(3, 1).expect("valid parameters");
-        let exact = expected_steps_to_convergence(
-            &avc,
-            &Config::from_input(&avc, 4, 2),
-            ConvergenceRule::OutputConsensus,
-            500_000,
-        )
-        .unwrap()
-        .unwrap();
-        let simulated = simulate_mean(&avc, 4, 2, ConvergenceRule::OutputConsensus, 4_000);
-        assert!(
-            (exact - simulated).abs() / exact < 0.05,
-            "exact {exact} vs simulated {simulated}"
-        );
+        every_engine_matches_exact(&avc, (4, 2), 500_000, 4_000);
     }
 
     #[test]

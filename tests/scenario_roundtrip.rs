@@ -297,25 +297,26 @@ fn unrunnable_scenarios_are_rejected_at_parse_time() {
         r#"{{{base},"engine":"agent","scheduler":"epoch","faults":[{{"at":0,"kind":"stick_at","agent":40}},{{"at":0,"kind":"corrupt","from":0,"to":3,"agents":2}}]}}"#
     );
     assert!(Scenario::parse(&fine).is_ok(), "{fine}");
-    // Count-space engines hold at most u32::MAX agents; the per-agent and
-    // jump engines take any population the instance can name.
-    let big = |engine: &str| {
+    // Every engine runs at most u32::MAX agents: the count sampler's total
+    // is a u32, and the jump chain's n(n−1) ordered pairs must fit a u64.
+    // Only validated here: the agent engine would need 4 GiB for its array.
+    let population = |a: u64, b: u64, engine: &str| {
         format!(
-            r#"{{"protocol":"four_state","instance":{{"a":2147483648,"b":2147483648}},"engine":"{engine}","rule":"output_consensus","runs":1,"seed":0}}"#
+            r#"{{"protocol":"four_state","instance":{{"a":{a},"b":{b}}},"engine":"{engine}","rule":"output_consensus","runs":1,"seed":0}}"#
         )
     };
-    for engine in ["count", "auto", "adaptive"] {
+    for engine in ["agent", "count", "jump", "auto", "adaptive"] {
         assert_eq!(
-            Scenario::parse(&big(engine)),
-            Err(format!(
-                "population n = 4294967296 exceeds 4294967295, the most agents the `{engine}` \
-                 engine's count sampler holds — set \"engine\": \"agent\" or \"jump\""
-            )),
+            Scenario::parse(&population(2_147_483_648, 2_147_483_648, engine)),
+            Err(
+                "population n = 4294967296 exceeds 4294967295, the most agents a scenario \
+                 may have"
+                    .to_string()
+            ),
             "{engine}"
         );
-    }
-    for engine in ["agent", "jump"] {
-        assert!(Scenario::parse(&big(engine)).is_ok(), "{engine}");
+        let largest = population(2_147_483_648, 2_147_483_647, engine);
+        assert!(Scenario::parse(&largest).is_ok(), "{engine}");
     }
     // A population whose a + b overflows u64 is refused before any engine
     // sees it (wrapped, it would name n = 2 agents).
